@@ -20,8 +20,8 @@ from .core import (
     quadratic_potential,
     tanh_ramp_path,
 )
-from .equilibrium import GibbsState, LandscapeReport, gibbs, lambda_of_ell, landscape, lsi_constant
-from .fpsolver import SolverConfig, sigma_of_state, step
+from .equilibrium import GibbsState, LandscapeReport, gibbs, landscape, lsi_constant
+from .fpsolver import sigma_of_state
 from .functionals import (
     EnergyBreakdown,
     ckp_l1_bound,

@@ -21,7 +21,7 @@ from . import core
 from .core import Density, Grid, ModelParams
 from .equilibrium import landscape, solve_lambda
 from .errors import CfpkError, ConfigError
-from .fpsolver import SolverConfig, run as fv_run
+from .fpsolver import run as fv_run
 from .functionals import ckp_l1_bound, weighted_ckp
 from .longtime import (
     ckp_chain_audit,
@@ -159,15 +159,23 @@ def _resolve(sections: dict[str, dict[str, str]]) -> dict[str, dict[str, str]]:
     return resolved
 
 
+def _float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
 def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> RunConfig:
-    pot = parse_potential(resolved["model"]["potential"])
-    path = parse_path(resolved["path"]["kind"])
-    grid = Grid(
-        x_min=float(resolved["grid"]["x_min"]),
-        x_max=float(resolved["grid"]["x_max"]),
-        n=int(resolved["grid"]["n"]),
-    )
-    params = ModelParams(tau=float(resolved["model"]["tau"]), nu=float(resolved["model"]["nu"]))
+    def value(section: str, key: str, parse=float):
+        """parse([section] key); a value that does not parse is a ConfigError."""
+        raw = resolved[section][key]
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {raw}: {exc}") from exc
+
+    pot = value("model", "potential", parse_potential)
+    path = value("path", "kind", parse_path)
+    grid = Grid(x_min=value("grid", "x_min"), x_max=value("grid", "x_max"), n=value("grid", "n", int))
+    params = ModelParams(tau=value("model", "tau"), nu=value("model", "nu"))
     kind = resolved["run"]["kind"]
     if kind not in KINDS:
         raise ConfigError(f"unknown run kind '{kind}' (expected one of {KINDS})")
@@ -175,7 +183,6 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
     if solver not in ("jko", "fv", "both"):
         raise ConfigError(f"unknown solver '{solver}'")
     pot.validate_on(grid)
-    ell_raw = resolved["run"]["ell"]
     cfg = RunConfig(
         raw=resolved,
         pot=pot,
@@ -184,16 +191,16 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
         params=params,
         kind=kind,
         solver=solver,
-        dt=float(resolved["run"]["dt"]),
-        h=float(resolved["run"]["h"]),
-        T=float(resolved["run"]["T"]),
-        seed=int(resolved["run"]["seed"]),
+        dt=value("run", "dt"),
+        h=value("run", "h"),
+        T=value("run", "T"),
+        seed=value("run", "seed", int),
         initial=resolved["run"]["initial"],
-        nu_list=[float(v) for v in resolved["run"]["nu_list"].split(",")],
-        ell=float(ell_raw) if ell_raw else None,
-        sigma_range=(float(resolved["run"]["sigma_min"]), float(resolved["run"]["sigma_max"])),
-        record_every=int(resolved["run"]["record_every"]),
-        verify_eb_tol=float(resolved["run"]["verify_eb_tol"]),
+        nu_list=value("run", "nu_list", _float_list),
+        ell=value("run", "ell", lambda v: float(v) if v else None),
+        sigma_range=(value("run", "sigma_min"), value("run", "sigma_max")),
+        record_every=value("run", "record_every", int),
+        verify_eb_tol=value("run", "verify_eb_tol"),
         out_dir=out_dir,
     )
     _tail_check(cfg)
@@ -246,7 +253,10 @@ def _initial_density(cfg: RunConfig) -> Density:
         return solve_lambda(cfg.path.ell(0.0), cfg.params.nu, cfg.pot, cfg.grid).state.density
     name, _, args = spec.partition(":")
     if name == "gaussian":
-        mean, var = (float(v) for v in args.split(","))
+        try:
+            mean, var = _float_list(args)
+        except ValueError as exc:
+            raise ConfigError(f"[run] initial = {spec}: {exc}") from exc
         return core.gaussian_density(cfg.grid, mean, var)
     raise ConfigError(f"unknown initial condition '{spec}'")
 
@@ -277,7 +287,7 @@ def run_experiment(cfg: RunConfig) -> int:
         rho0 = _initial_density(cfg)
         if cfg.solver in ("fv", "both"):
             recs = fv_run(
-                rho0, cfg.path, SolverConfig(dt=cfg.dt), cfg.pot, cfg.params, cfg.T,
+                rho0, cfg.path, cfg.dt, cfg.pot, cfg.params, cfg.T,
                 record_every=cfg.record_every,
             )
             write_csv(recs, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
@@ -307,15 +317,13 @@ def run_experiment(cfg: RunConfig) -> int:
         print(f"lambda({ell:g}) = {sol.lam:.12g}")
 
     elif cfg.kind == "landscape":
-        report = landscape(
-            cfg.params.nu, cfg.pot, cfg.grid, sigma_range=cfg.sigma_range, n_sigma=33
-        )
+        report = landscape(cfg.params.nu, cfg.pot, cfg.grid, sigma_range=cfg.sigma_range)
         summary["landscape"] = report.to_dict()
 
     elif cfg.kind == "decay":
         rho0 = _initial_density(cfg)
         report = decay_experiment(
-            rho0, cfg.path, cfg.params.nu, cfg.pot, SolverConfig(dt=cfg.dt), cfg.T,
+            rho0, cfg.path, cfg.params.nu, cfg.pot, cfg.dt, cfg.T,
             tau=cfg.params.tau, record_every=cfg.record_every,
         )
         summary["decay"] = report.to_dict()
@@ -323,9 +331,7 @@ def run_experiment(cfg: RunConfig) -> int:
         write_csv(report.records, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
 
     elif cfg.kind == "kramers_sweep":
-        sweep = kramers_sweep(
-            cfg.pot, cfg.path.ell_star, cfg.nu_list, SolverConfig(dt=cfg.dt), cfg.grid
-        )
+        sweep = kramers_sweep(cfg.pot, cfg.path.ell_star, cfg.nu_list, cfg.dt, cfg.grid)
         for nu_val, recs in sweep.pop("trajectories").items():
             write_csv(
                 recs, os.path.join(cfg.out_dir, f"trajectory_nu{nu_val:g}.csv"), FPSOLVER_COLUMNS
@@ -372,7 +378,7 @@ def _verify_battery(cfg: RunConfig) -> dict:
     # trajectory audits on the configured model
     rho0 = _initial_density(cfg)
     records = fv_run(
-        rho0, cfg.path, SolverConfig(dt=cfg.dt), pot, cfg.params, cfg.T,
+        rho0, cfg.path, cfg.dt, pot, cfg.params, cfg.T,
         record_every=cfg.record_every, keep_densities=True,
     )
     eb_max = float(np.nanmax([r.eb_residual for r in records[1:]]))

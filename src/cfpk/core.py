@@ -21,7 +21,13 @@ from .errors import ContractViolation, DegenerateInputError
 # Floor used inside log(rho) evaluations; x*log(x) -> 0 as x -> 0, so cells at
 # or below the floor contribute nothing to entropy-type integrands.
 LOG_FLOOR = 1e-300
-MASS_TOL = 1e-10
+
+
+def require_positive(**values: float) -> None:
+    """Raise ContractViolation unless every named value is finite and positive."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ContractViolation(f"need finite {name} > 0, got {name}={value}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +131,7 @@ class ModelParams:
     nu: float = 1.0
 
     def __post_init__(self):
-        if self.tau <= 0.0 or self.nu <= 0.0:
-            raise ContractViolation(f"need tau, nu > 0, got tau={self.tau}, nu={self.nu}")
+        require_positive(tau=self.tau, nu=self.nu)
 
 
 @dataclass(frozen=True)
@@ -253,8 +258,7 @@ class ConstraintPath:
 
     ell_dot is supplied analytically (never differenced numerically): the
     multiplier sigma(t) depends on it directly.  kappa/L0, when set, certify
-    |ell_dot(t)| <= L0 exp(-kappa t).  ell_ddot is optional and only used by
-    the increment monitor that needs a second derivative.
+    |ell_dot(t)| <= L0 exp(-kappa t).  L0 = 0 declares ell constant.
     """
 
     ell: Callable[[float], float]
@@ -262,7 +266,6 @@ class ConstraintPath:
     ell_star: float
     kappa: Optional[float] = None
     L0: Optional[float] = None
-    ell_ddot: Optional[Callable[[float], float]] = None
     name: str = "custom"
 
     def check_decay(self, times: np.ndarray, tol: float = 1e-9) -> None:
@@ -283,7 +286,6 @@ def constant_path(l: float) -> ConstraintPath:
         ell_star=l,
         kappa=None,
         L0=0.0,
-        ell_ddot=lambda t: 0.0,
         name=f"constant:{l:g}",
     )
 
@@ -298,7 +300,6 @@ def exp_decay_path(l_star: float, A: float, kappa: float) -> ConstraintPath:
         ell_star=l_star,
         kappa=kappa,
         L0=abs(A) * kappa,
-        ell_ddot=lambda t: A * kappa * kappa * math.exp(-kappa * t),
         name=f"exp_decay:{l_star:g},{A:g},{kappa:g}",
     )
 
@@ -315,10 +316,6 @@ def tanh_ramp_path(l0: float, l1: float, t0: float, w: float) -> ConstraintPath:
     def ell_dot(t):
         return half / w / math.cosh((t - t0) / w) ** 2
 
-    def ell_ddot(t):
-        z = (t - t0) / w
-        return -2.0 * half / (w * w) * math.tanh(z) / math.cosh(z) ** 2
-
     # sech^2(z) <= 4 exp(-2z) for z >= 0 gives the exponential envelope
     return ConstraintPath(
         ell=ell,
@@ -326,7 +323,6 @@ def tanh_ramp_path(l0: float, l1: float, t0: float, w: float) -> ConstraintPath:
         ell_star=l1,
         kappa=2.0 / w,
         L0=2.0 * abs(l1 - l0) / w * math.exp(2.0 * t0 / w),
-        ell_ddot=ell_ddot,
         name=f"tanh_ramp:{l0:g},{l1:g},{t0:g},{w:g}",
     )
 

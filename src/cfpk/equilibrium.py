@@ -17,6 +17,12 @@ import numpy as np
 from .core import Density, Grid, Potential, density_from_values, moments
 from .errors import ContractViolation, GridTooSmallError, RangeError, SolverError
 
+# solve_lambda stops when |M1(gamma_lambda) - ell| < LAMBDA_TOL
+LAMBDA_TOL = 1e-10
+LAMBDA_MAX_ITER = 100
+# tilt samples of a landscape scan
+N_SIGMA = 33
+
 
 @dataclass(frozen=True)
 class GibbsState:
@@ -24,7 +30,6 @@ class GibbsState:
 
     sigma: float
     nu: float
-    Z: float
     log_z: float
     density: Density
     mean: float
@@ -47,8 +52,7 @@ def gibbs(sigma: float, nu: float, pot: Potential, grid: Grid) -> GibbsState:
         raise GridTooSmallError(
             f"Gibbs state at sigma={sigma}, nu={nu} concentrates in one cell; enlarge n"
         )
-    z = math.exp(log_z) if log_z < 700.0 else math.inf
-    return GibbsState(sigma=sigma, nu=nu, Z=z, log_z=log_z, density=dens, mean=m1, variance=var)
+    return GibbsState(sigma=sigma, nu=nu, log_z=log_z, density=dens, mean=m1, variance=var)
 
 
 def mean_derivative(state: GibbsState) -> float:
@@ -64,14 +68,7 @@ class LambdaSolve:
     residual: float
 
 
-def solve_lambda(
-    ell: float,
-    nu: float,
-    pot: Potential,
-    grid: Grid,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> LambdaSolve:
+def solve_lambda(ell: float, nu: float, pot: Potential, grid: Grid) -> LambdaSolve:
     """Invert M1(gamma_{lambda,nu}) = ell by safeguarded Newton.
 
     The map is strictly increasing with derivative Var/nu^2, so Newton is
@@ -94,7 +91,7 @@ def solve_lambda(
     lam0 = ell * min(pot.growth_constants)
     val0, st0 = g(lam0)
     iters = 1
-    if abs(val0) < tol:
+    if abs(val0) < LAMBDA_TOL:
         return LambdaSolve(lam0, st0, iters, abs(val0))
 
     # geometric bracket expansion; monotonicity of the mean gives the sign logic
@@ -123,8 +120,8 @@ def solve_lambda(
     if lam != lam0:
         val, st = g(lam)
         iters += 1
-    for _ in range(max_iter):
-        if abs(val) < tol:
+    for _ in range(LAMBDA_MAX_ITER):
+        if abs(val) < LAMBDA_TOL:
             return LambdaSolve(lam, st, iters, abs(val))
         lam_new = lam - val / mean_derivative(st)
         if not (lo <= lam_new <= hi):
@@ -137,36 +134,9 @@ def solve_lambda(
             lo, lo_val = lam_new, val_new
         lam, val, st = lam_new, val_new, st_new
     raise SolverError(
-        f"lambda(ell) did not converge in {max_iter} iterations",
+        f"lambda(ell) did not converge in {LAMBDA_MAX_ITER} iterations",
         diagnostics={"bracket": (lo, hi), "residual": val, "ell": ell},
     )
-
-
-def lambda_of_ell(ell: float, nu: float, pot: Potential, grid: Grid) -> tuple[float, GibbsState]:
-    sol = solve_lambda(ell, nu, pot, grid)
-    return sol.lam, sol.state
-
-
-def lower_convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Values of the lower convex envelope of the sampled graph (x sorted).
-
-    Monotone-chain lower hull followed by linear interpolation back onto x.
-    """
-    n = len(x)
-    hull: list[int] = []
-    for i in range(n):
-        while len(hull) >= 2:
-            i0, i1 = hull[-2], hull[-1]
-            # pop while the middle point lies on or above the chord
-            cross = (x[i1] - x[i0]) * (y[i] - y[i0]) - (x[i] - x[i0]) * (y[i1] - y[i0])
-            if cross <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    hx = x[hull]
-    hy = y[hull]
-    return np.interp(x, hx, hy)
 
 
 def tilted_values(sigma: float, pot: Potential, grid: Grid) -> np.ndarray:
@@ -224,7 +194,6 @@ def is_multimodal(sigma: float, pot: Potential, grid: Grid) -> bool:
 class LandscapeReport:
     spinodal_measure: float
     sigma_set: list[tuple[float, float]]
-    barrier: list[tuple[float, float]]
     delta_h_star: float
     c_var: float
     C_var: float
@@ -248,17 +217,14 @@ def landscape(
     pot: Potential,
     grid: Grid,
     sigma_range: tuple[float, float] = (-3.0, 3.0),
-    n_sigma: int = 33,
 ) -> LandscapeReport:
     """Scan the tilt axis: spinodal measure, multimodal intervals, barriers,
     variance bounds, and per-tilt LSI estimates."""
-    if n_sigma < 16:
-        raise ContractViolation(f"need n_sigma >= 16, got {n_sigma}")
     x = grid.x
     h2x = np.asarray(pot.h2(x), dtype=float)
     spinodal = float(np.sum(h2x <= 0.0)) * grid.dx
 
-    sigmas = np.linspace(sigma_range[0], sigma_range[1], n_sigma)
+    sigmas = np.linspace(sigma_range[0], sigma_range[1], N_SIGMA)
     multi = np.array([is_multimodal(s, pot, grid) for s in sigmas])
 
     def refine(s_in: float, s_out: float) -> float:
@@ -275,20 +241,19 @@ def landscape(
 
     intervals: list[tuple[float, float]] = []
     i = 0
-    while i < n_sigma:
+    while i < N_SIGMA:
         if multi[i]:
             j = i
-            while j + 1 < n_sigma and multi[j + 1]:
+            while j + 1 < N_SIGMA and multi[j + 1]:
                 j += 1
             left = refine(sigmas[i], sigmas[i - 1]) if i > 0 else sigmas[0]
-            right = refine(sigmas[j], sigmas[j + 1]) if j + 1 < n_sigma else sigmas[-1]
+            right = refine(sigmas[j], sigmas[j + 1]) if j + 1 < N_SIGMA else sigmas[-1]
             intervals.append((left, right))
             i = j + 1
         else:
             i += 1
 
-    barriers = [(float(s), energy_barrier(float(s), pot, grid)) for s in sigmas[multi]]
-    delta_h_star = max((b for _, b in barriers), default=0.0)
+    delta_h_star = max((energy_barrier(float(s), pot, grid) for s in sigmas[multi]), default=0.0)
 
     variances = np.array([gibbs(float(s), nu, pot, grid).variance for s in sigmas])
     lsi_samples = []
@@ -299,30 +264,11 @@ def landscape(
     return LandscapeReport(
         spinodal_measure=spinodal,
         sigma_set=intervals,
-        barrier=barriers,
         delta_h_star=delta_h_star,
         c_var=float(np.min(variances)),
         C_var=float(np.max(variances)),
         lsi_samples=lsi_samples,
     )
-
-
-def holley_stroock_details(sigma: float, nu: float, pot: Potential, grid: Grid) -> dict:
-    """Diagnostics for the perturbation bound: tilted-potential barrier, hull
-    oscillation, and an effective minimum curvature of the hull."""
-    x = grid.x
-    vals = tilted_values(sigma, pot, grid)
-    hull = lower_convex_hull(x, vals)
-    bounded_part = vals - hull
-    # effective curvature of the piecewise-linear hull at its vertices
-    slopes = np.diff(hull) / grid.dx
-    dslopes = np.diff(slopes)
-    min_curv = float(np.min(dslopes) / grid.dx) if dslopes.size else 0.0
-    return {
-        "barrier": energy_barrier(sigma, pot, grid),
-        "hull_oscillation": float(np.max(bounded_part)),
-        "hull_min_curvature": min_curv,
-    }
 
 
 def lsi_constant(sigma: float, nu: float, pot: Potential, grid: Grid) -> tuple[float, str]:

@@ -9,13 +9,13 @@ explicit flux that the trapezoid stage computes anyway,
 sigma(t + c dt) ~ int H' (rho + c dt f0) dx + tau l'(t + c dt), which is
 second-order accurate and needs no extra solve and no step history.
 
-The default Chang-Cooper/exponential-fitting weights use exact
-tilted-potential differences, so grid-sampled Gibbs states are exact discrete
-steady states of every stage.  Positivity holds for any data: the implicit
-solves are M-matrix solves, and the two explicit updates (the explicit half
-of the trapezoid stage and the BDF2 combination, both a cell value plus a
-flux difference) are flux-limited wherever they would go negative, which
-keeps them conservative.  The negative mass the unlimited updates would have
+The Chang-Cooper/exponential-fitting weights (Chang & Cooper, J. Comput.
+Phys. 6, 1970) use exact tilted-potential differences, so grid-sampled Gibbs
+states are exact discrete steady states of every stage.  Positivity holds for
+any data: the implicit solves are M-matrix solves, and the two explicit
+updates (the explicit half of the trapezoid stage and the BDF2 combination,
+both a cell value plus a flux difference) are flux-limited wherever they
+would go negative, which keeps them conservative.  The negative mass the unlimited updates would have
 made is reported on the records.  The moment constraint is never
 re-projected: its drift is an emergent accuracy monitor.
 """
@@ -23,7 +23,6 @@ re-projected: its drift is an emergent accuracy monitor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -37,6 +36,7 @@ from .core import (
     entropy,
     integrate,
     moments,
+    require_positive,
 )
 from .equilibrium import solve_lambda
 from .errors import ContractViolation, StepError
@@ -50,20 +50,6 @@ GAMMA = 2.0 - math.sqrt(2.0)
 BDF2_DT = (1.0 - GAMMA) / (2.0 - GAMMA)
 BDF2_NEW = 1.0 / (GAMMA * (2.0 - GAMMA))
 BDF2_OLD = (1.0 - GAMMA) ** 2 / (GAMMA * (2.0 - GAMMA))
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Time step and flux scheme; boundaries are always zero-flux."""
-
-    dt: float
-    scheme: str = "chang_cooper"
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ContractViolation("need dt > 0")
-        if self.scheme not in ("chang_cooper", "central"):
-            raise ContractViolation(f"unknown scheme '{self.scheme}'")
 
 
 def sigma_of_state(
@@ -85,32 +71,30 @@ def _bernoulli(w: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """The model bound to one grid, time step and flux scheme.
+    """The model bound to one grid and time step.
 
     The interface flux is (nu^2/dx) * (upper_i rho_{i+1} - lower_i rho_i) with
-    w = (H_{i+1} - H_i)/nu^2 - sigma dx/nu^2; both schemes satisfy
-    upper = lower + w, so one weight evaluation per sigma gives both.
+    w = (H_{i+1} - H_i)/nu^2 - sigma dx/nu^2 and upper = lower + w, so one
+    weight evaluation per sigma gives both.
     """
 
     def __init__(
         self,
         grid: Grid,
-        cfg: SolverConfig,
+        dt: float,
         pot: Potential,
         path: ConstraintPath,
         params: ModelParams,
     ):
+        require_positive(dt=dt)
         nu2 = params.nu * params.nu
         dx = grid.dx
-        if cfg.scheme == "central" and cfg.dt > dx * dx / (2.0 * nu2):
-            raise ContractViolation("central scheme requires dt <= dx^2 / (2 nu^2)")
         x = grid.x
         self.n = grid.n
         self.dx = dx
-        self.dt = cfg.dt
+        self.dt = dt
         self.tau = params.tau
         self.ell_dot = path.ell_dot
-        self.central = cfg.scheme == "central"
         self.h = np.asarray(pot.h(x), dtype=float)
         self.h1_dx = np.asarray(pot.h1(x), dtype=float) * dx
         # int H' (div g) dx = dh1 @ g for an interface flux g (see _limited)
@@ -122,8 +106,6 @@ class _Stepper:
     def weights(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) at multiplier sigma."""
         w = self.w0 - sigma * self.w_per_sigma
-        if self.central:
-            return 1.0 - 0.5 * w, 1.0 + 0.5 * w
         # B(-w) = B(w) + w: evaluate only the smaller weight B(|w|), so
         # neither weight is formed by cancellation
         b = _bernoulli(np.abs(w))
@@ -193,8 +175,7 @@ def _implicit(rhs: np.ndarray, sigma: float, a: float, op: _Stepper, stage: str)
         if not min_val >= -1e-12 * max(1.0, float(new.max())):
             raise StepError(
                 "negative or non-finite density after implicit solve",
-                diagnostics={"min_value": min_val, "sigma": sigma, "stage": stage,
-                             "scheme": "central" if op.central else "chang_cooper"},
+                diagnostics={"min_value": min_val, "sigma": sigma, "stage": stage},
             )
         np.maximum(new, 0.0, out=new)
     return new
@@ -239,25 +220,10 @@ def _advance(values: np.ndarray, t: float, op: _Stepper) -> tuple[np.ndarray, fl
     return new, sigma, abs(mass - 1.0), negative
 
 
-def step(
-    rho: Density,
-    t: float,
-    cfg: SolverConfig,
-    pot: Potential,
-    path: ConstraintPath,
-    params: ModelParams,
-) -> tuple[Density, float]:
-    """One TR-BDF2 step; returns the new density and sigma at time t."""
-    new, sigma, _, _ = _advance(rho.values, t, _Stepper(rho.grid, cfg, pot, path, params))
-    return Density(rho.grid, new), sigma
-
-
-def project_mean(rho: Density, target: float, m: int | None = None) -> Density:
+def project_mean(rho: Density, target: float) -> Density:
     """Translate a density so that its first moment equals target (the shift
     map x -> x + a, realized in quantile coordinates)."""
-    if m is None:
-        m = max(64, 2 * rho.grid.n)
-    q = to_quantile(rho, m)
+    q = to_quantile(rho, max(64, 2 * rho.grid.n))
     a = target - float(np.mean(q.x_of_s))
     return quantile_to_density(q.x_of_s + a, rho.grid)
 
@@ -265,7 +231,7 @@ def project_mean(rho: Density, target: float, m: int | None = None) -> Density:
 def run(
     rho0: Density,
     path: ConstraintPath,
-    cfg: SolverConfig,
+    dt: float,
     pot: Potential,
     params: ModelParams,
     T: float,
@@ -282,17 +248,20 @@ def run(
     eb_residual = |dF/dt + D - tau sigma l'| on record spacing (trapezoid in
     the rate terms, NaN on the first record).
     """
+    require_positive(T=T)
+    if record_every < 1:
+        raise ContractViolation(f"need record_every >= 1, got {record_every}")
     grid = rho0.grid
+    op = _Stepper(grid, dt, pot, path, params)
     m1_0, _, _ = moments(rho0)
     if abs(m1_0 - path.ell(0.0)) > 1e-8:
         rho0 = project_mean(rho0, path.ell(0.0))
-    op = _Stepper(grid, cfg, pot, path, params)
     nu = params.nu
     nu2 = nu * nu
     logz0 = log_partition(pot, grid, nu)
     star = solve_lambda(path.ell_star, nu, pot, grid)
     gamma_star = star.state.density
-    constant_ell = path.L0 == 0.0 or (path.kappa is None and path.L0 is None)
+    constant_ell = path.L0 == 0.0
 
     records: list[TrajectoryRecord] = []
 
@@ -330,16 +299,16 @@ def run(
     vals = rho0.values
     records.append(make_record(vals, 0.0, 0.0))
     limited = 0.0
-    n_steps = int(math.ceil(T / cfg.dt - 1e-12))
+    n_steps = int(math.ceil(T / dt - 1e-12))
     for k in range(1, n_steps + 1):
         try:
-            vals, _, _, c = _advance(vals, (k - 1) * cfg.dt, op)
+            vals, _, _, c = _advance(vals, (k - 1) * dt, op)
         except StepError as exc:
             exc.diagnostics["step"] = k
             raise
         limited += c
         if k % record_every == 0 or k == n_steps:
-            records.append(make_record(vals, k * cfg.dt, limited))
+            records.append(make_record(vals, k * dt, limited))
             limited = 0.0
 
     # energy-balance audit on record spacing

@@ -34,10 +34,9 @@ class EnergyBreakdown:
     F: float
 
 
-def log_partition(pot: Potential, grid: Grid, nu: float, sigma: float = 0.0) -> float:
-    """log int exp(-(H - sigma x)/nu^2) dx, computed with a max shift."""
-    x = grid.x
-    arg = -(np.asarray(pot.h(x), dtype=float) - sigma * x) / (nu * nu)
+def log_partition(pot: Potential, grid: Grid, nu: float) -> float:
+    """log Z0 = log int exp(-H/nu^2) dx, computed with a max shift."""
+    arg = -np.asarray(pot.h(grid.x), dtype=float) / (nu * nu)
     a = float(np.max(arg))
     return a + math.log(float(np.sum(np.exp(arg - a))) * grid.dx)
 

@@ -10,20 +10,28 @@ contracts are one-sided.
 from __future__ import annotations
 
 import math
-import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConstraintPath, Density, Grid, ModelParams, Potential, constant_path, moments
+from .core import (
+    ConstraintPath,
+    Density,
+    Grid,
+    ModelParams,
+    Potential,
+    constant_path,
+    moments,
+    require_positive,
+)
 from .equilibrium import gibbs, landscape, lsi_constant, solve_lambda
 from .errors import ContractViolation
-from .fpsolver import SolverConfig, run as fv_run
+from .fpsolver import run as fv_run
 from .functionals import free_energy, relative_entropy
 from .records import TrajectoryRecord
 
 FIT_WINDOW = (1e-10, 1e-2)
+COMPARISON_TOL = 1e-8
 
 
 def verify_comparison(
@@ -33,7 +41,6 @@ def verify_comparison(
     nu: float,
     pot: Potential,
     grid: Grid,
-    tol: float = 1e-8,
 ) -> dict:
     """Sandwich of the relative-entropy difference between a tilt eta and the
     quasistationary tilt lambda(ell), with variance bounds restricted to the
@@ -62,7 +69,7 @@ def verify_comparison(
         "difference": diff,
         "lower": lower,
         "upper": upper,
-        "ok": (lower - tol <= diff <= upper + tol),
+        "ok": (lower - COMPARISON_TOL <= diff <= upper + COMPARISON_TOL),
         "slack": max(lower - diff, diff - upper),
     }
 
@@ -122,9 +129,7 @@ def decay_bound_curve(
 
 
 def fit_decay_rate(
-    records: list[TrajectoryRecord],
-    window: tuple[float, float] = FIT_WINDOW,
-    tail_only: bool = False,
+    records: list[TrajectoryRecord], tail_only: bool = False
 ) -> tuple[float, bool]:
     """Least-squares slope of log Hrel_quasistatic inside the fit window.
 
@@ -138,7 +143,7 @@ def fit_decay_rate(
     """
     t = np.array([r.t for r in records])
     h = np.array([r.Hrel_quasistatic for r in records])
-    lo, hi = window
+    lo, hi = FIT_WINDOW
     h_pos = h[h > 0]
     h_min = float(np.min(h_pos)) if h_pos.size else lo
     h_max = float(np.max(h_pos)) if h_pos.size else hi
@@ -206,7 +211,7 @@ def classify_regime(
         return "convex"
     sig = np.array([r.sigma for r in records])
     rng = (float(np.min(sig)) - 1.0, float(np.max(sig)) + 1.0)
-    scan = landscape(nu, pot, grid, sigma_range=rng, n_sigma=33)
+    scan = landscape(nu, pot, grid, sigma_range=rng)
     if not scan.sigma_set:
         return "unimodal"
     inside = any(
@@ -220,7 +225,7 @@ def decay_experiment(
     path: ConstraintPath,
     nu: float,
     pot: Potential,
-    cfg: SolverConfig,
+    dt: float,
     T: float,
     tau: float = 1.0,
     record_every: int = 1,
@@ -231,7 +236,7 @@ def decay_experiment(
     if not (declared or path.L0 == 0.0):
         raise ContractViolation("path must declare kappa/L0 or be constant")
     params = ModelParams(tau=tau, nu=nu)
-    records = fv_run(rho0, path, cfg, pot, params, T, record_every=record_every)
+    records = fv_run(rho0, path, dt, pot, params, T, record_every=record_every)
     grid = rho0.grid
     predicted = predicted_relaxation_time(records, nu, pot, grid)
     lam_vals = np.array([r.lam_ell for r in records])
@@ -412,45 +417,38 @@ def kramers_sweep(
     pot: Potential,
     ell_star: float,
     nu_list: list[float],
-    cfg: SolverConfig,
+    dt: float,
     grid: Grid,
-    delta_h_star: float | None = None,
-    budget_seconds: float | None = None,
     well_prepared: bool = False,
 ) -> dict:
     """Fit decay rates across noise levels and regress log(rate) against
-    2 log(nu) - DeltaH*/nu^2 (slope near 1 signals Kramers scaling)."""
+    2 log(nu) - DeltaH*/nu^2 (slope near 1 signals Kramers scaling); `dt` is
+    a floor on each member's step."""
     if len(nu_list) < 3 and not well_prepared:
         raise ContractViolation("need at least 3 noise levels for the regression")
-    if delta_h_star is None:
-        scan = landscape(nu_list[0], pot, grid, sigma_range=(-2.0, 2.0), n_sigma=33)
-        delta_h_star = scan.delta_h_star
-    start = time.monotonic()
+    require_positive(dt=dt)
+    delta_h_star = landscape(nu_list[0], pot, grid, sigma_range=(-2.0, 2.0)).delta_h_star
     entries = []
-    partial = False
-    max_workers = int(os.environ.get("CFPK_THREADS", "1") or "1")
-
-    def member(nu: float) -> dict:
+    for nu in nu_list:
         rate_guess = nu * nu * math.exp(-delta_h_star / (nu * nu))
         if well_prepared:
             # multiplier trace stays out of the multimodal set: diffusive scale
             horizon = 40.0 / (nu * nu)
         else:
             horizon = min(16.0 / max(rate_guess, 1e-6), 4200.0)
-        dt = min(0.012, max(2e-3, horizon / 3e5, cfg.dt))
-        member_cfg = SolverConfig(dt=dt, scheme=cfg.scheme)
+        member_dt = min(0.012, max(2e-3, horizon / 3e5, dt))
         if well_prepared:
             rho0 = well_prepared_data(ell_star, nu, pot, grid)
         else:
             # small asymmetry: a large one tilts the running multiplier far
             # into the multimodal set, lowering the barrier mid-run
             rho0 = bimodal_side_data(ell_star, nu, pot, grid, population=0.52)
-        rec_every = max(1, int(round(horizon / dt / 2500)))
+        rec_every = max(1, int(round(horizon / member_dt / 2500)))
         report = decay_experiment(
-            rho0, constant_path(ell_star), nu, pot, member_cfg, horizon,
+            rho0, constant_path(ell_star), nu, pot, member_dt, horizon,
             record_every=rec_every, fit_tail=not well_prepared,
         )
-        return {
+        entries.append({
             "nu": nu,
             "fitted_rate": report.fitted_rate,
             "predicted_scale": rate_guess,
@@ -459,19 +457,7 @@ def kramers_sweep(
             "short_window": report.short_window,
             "limited_mass": float(sum(r.limited_mass for r in report.records)),
             "records": report.records,
-        }
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            entries = list(pool.map(member, nu_list))
-    else:
-        for nu in nu_list:
-            if budget_seconds is not None and time.monotonic() - start > budget_seconds:
-                partial = True
-                break
-            entries.append(member(nu))
+        })
 
     slope = float("nan")
     if len(entries) >= 2:
@@ -483,6 +469,7 @@ def kramers_sweep(
         "delta_h_star": delta_h_star,
         "entries": entries,
         "regression_slope": slope,
-        "partial": partial,
+        # every member always runs; the key stays for readers of summary.json
+        "partial": False,
         "trajectories": trajectories,
     }

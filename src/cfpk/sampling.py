@@ -7,14 +7,17 @@ import numpy as np
 from .core import Density, Grid, density_from_values, moments
 from .errors import ContractViolation
 
+# set_mean stops once |M1 - mean| <= SET_MEAN_TOL
+SET_MEAN_TOL = 1e-10
 
-def set_mean(dens: Density, mean: float, tol: float = 1e-10) -> Density:
+
+def set_mean(dens: Density, mean: float) -> Density:
     """Impose an exact first moment by a mass-preserving linear tilt
     (iterated because clipping at zero can bite for large shifts)."""
     x = dens.grid.x
     for _ in range(8):
         m1, _, var = moments(dens)
-        if abs(m1 - mean) <= tol:
+        if abs(m1 - mean) <= SET_MEAN_TOL:
             return dens
         if var <= 0.0:
             break

@@ -29,6 +29,7 @@ from .core import (
     entropy,
     integrate,
     moments,
+    require_positive,
 )
 from .errors import ContractViolation, StepError
 from .functionals import log_partition
@@ -42,7 +43,6 @@ MAX_NEWTON = 200
 class QuantileRep:
     """Monotone quantile samples X(s_j) at midpoint levels s_j = (j+1/2)/m."""
 
-    s_nodes: np.ndarray
     x_of_s: np.ndarray
 
 
@@ -67,7 +67,7 @@ def to_quantile(rho: Density, m: int) -> QuantileRep:
     x = grid.edges[idx] + (s - cdf[idx]) * grid.dx / cell_mass
     x = np.maximum.accumulate(x)  # guard monotonicity against roundoff
     x = x + (moments(rho)[0] - float(np.mean(x)))
-    return QuantileRep(s_nodes=s, x_of_s=x)
+    return QuantileRep(x_of_s=x)
 
 
 def quantile_to_density(x_of_s: np.ndarray, grid: Grid) -> Density:
@@ -284,6 +284,7 @@ def jko_run(
     """Chain JKO steps on [0, T]; the state is carried in quantile coordinates
     between steps (no per-step grid roundtrip) and projected to the grid for
     the per-step record."""
+    require_positive(h=h, T=T)
     grid = rho0.grid
     if m is None:
         m = max(64, grid.n)
@@ -334,24 +335,19 @@ def jko_run(
 
 @dataclass(frozen=True)
 class SigmaSeries:
-    """Piecewise-constant and linear interpolants of the discrete multiplier.
+    """The discrete multiplier sigma^k of a JKO chain with step h.
 
     sigma_h(t) holds the value of the multiplier active during its step, i.e.
     sigma^k on [(k-1)h, kh); sigma_tilde is the linear interpolant through
-    (kh, sigma^k).  max_increment is max_k |sigma^k - sigma^{k-1}| / h.
+    (kh, sigma^k).
     """
 
-    times: np.ndarray
     values: np.ndarray
     h: float
-    max_increment: float
 
     def piecewise_constant(self, t: np.ndarray) -> np.ndarray:
         idx = np.clip(np.floor(np.asarray(t, dtype=float) / self.h).astype(int), 0, len(self.values) - 1)
         return self.values[idx]
-
-    def linear(self, t: np.ndarray) -> np.ndarray:
-        return np.interp(np.asarray(t, dtype=float), self.times, self.values)
 
     def sup_gap(self) -> float:
         """sup_t |sigma_h(t) - sigma_tilde_h(t)| = max adjacent increment."""
@@ -363,11 +359,9 @@ class SigmaSeries:
 def discrete_sigma_series(records: list[TrajectoryRecord]) -> SigmaSeries:
     if not records:
         raise ContractViolation("empty trajectory")
-    times = np.array([r.t for r in records])
     values = np.array([r.sigma for r in records])
-    h = times[0] if len(times) == 1 else float(times[1] - times[0])
-    inc = float(np.max(np.abs(np.diff(values)))) / h if len(values) > 1 else 0.0
-    return SigmaSeries(times=times, values=values, h=h, max_increment=inc)
+    h = records[0].t if len(records) == 1 else float(records[1].t - records[0].t)
+    return SigmaSeries(values=values, h=h)
 
 
 def weak_form_residual(
@@ -404,7 +398,3 @@ def weak_form_residual(
 
 def sum_w2sq(records: list[TrajectoryRecord]) -> float:
     return float(np.sum([r.W2sq_step for r in records]))
-
-
-def sup_m2(records: list[TrajectoryRecord]) -> float:
-    return float(np.max([r.M2 for r in records]))

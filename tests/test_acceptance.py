@@ -21,7 +21,7 @@ from cfpk.core import (
     quadratic_potential,
 )
 from cfpk.equilibrium import gibbs, landscape, mean_derivative, solve_lambda
-from cfpk.fpsolver import SolverConfig, run as fv_run
+from cfpk.fpsolver import run as fv_run
 from cfpk.longtime import (
     ckp_chain_audit,
     decay_experiment,
@@ -82,7 +82,7 @@ def test_criterion_3_gaussian_oracle_direct_solver():
     pot = quadratic_potential(1.0)
     rho0 = gaussian_density(grid, 0.5, 1.5**2)
     t0 = time.monotonic()
-    recs = fv_run(rho0, constant_path(0.5), SolverConfig(dt=1e-3), pot, ModelParams(), 3.0)
+    recs = fv_run(rho0, constant_path(0.5), 1e-3, pot, ModelParams(), 3.0)
     elapsed = time.monotonic() - t0
     ts = np.array([r.t for r in recs])
     vs = np.array([r.M2 - r.M1**2 for r in recs])
@@ -181,7 +181,7 @@ def test_criterion_6_multiplier_convergence():
     params = ModelParams(nu=0.8)
     path = constant_path(0.5)
     rho0 = gaussian_density(grid, 0.5, 0.5)
-    fv = fv_run(rho0, path, SolverConfig(dt=5e-4), pot, params, 1.0, record_every=4)
+    fv = fv_run(rho0, path, 5e-4, pot, params, 1.0, record_every=4)
     fvt = np.array([r.t for r in fv])
     fvs = np.array([r.sigma for r in fv])
     tt = fvt[fvt > 0]
@@ -205,7 +205,7 @@ def test_criterion_7_energy_dissipation_audit():
     def audit(n, dt):
         grid = Grid(-11.2, 12.8, n)
         rho0 = solve_lambda(path.ell(0.0), 1.0, pot, grid).state.density
-        recs = fv_run(rho0, path, SolverConfig(dt=dt), pot, ModelParams(), 3.0)
+        recs = fv_run(rho0, path, dt, pot, ModelParams(), 3.0)
         limited = sum(r.limited_mass for r in recs)
         return float(np.nanmax([r.eb_residual for r in recs])), limited
 
@@ -238,7 +238,7 @@ def test_criterion_8_quantitative_decay():
     pot = quadratic_potential(1.0)
     rho0 = gaussian_density(grid, 0.5, 1.5**2)
     t0 = time.monotonic()
-    rep = decay_experiment(rho0, constant_path(0.5), 1.0, pot, SolverConfig(dt=1e-3),
+    rep = decay_experiment(rho0, constant_path(0.5), 1.0, pot, 1e-3,
                            10.0, record_every=5)
     elapsed = time.monotonic() - t0
     h0 = rep.samples[0][1]
@@ -277,7 +277,7 @@ def test_criterion_9_identity_and_inequality_suites():
 
     path = exp_decay_path(0.3, 0.3, 1.0)
     rho0 = solve_lambda(path.ell(0.0), nu, pot, grid).state.density
-    recs = fv_run(rho0, path, SolverConfig(dt=1e-3), pot, ModelParams(nu=nu), 2.0,
+    recs = fv_run(rho0, path, 1e-3, pot, ModelParams(nu=nu), 2.0,
                   record_every=10, keep_densities=True)
     ckp_worst = ckp_chain_audit(recs)
     gamma_star = solve_lambda(path.ell_star, nu, pot, grid).state.density
@@ -300,13 +300,13 @@ def test_criterion_10_regime_study():
     grid = Grid(-12.0, 12.0, 1024)
     pot = doublewell_potential()
     t0 = time.monotonic()
-    sweep = kramers_sweep(pot, 0.0, [0.8, 0.6, 0.5], SolverConfig(dt=2e-3), grid)
+    sweep = kramers_sweep(pot, 0.0, [0.8, 0.6, 0.5], 2e-3, grid)
     rates = [e["fitted_rate"] for e in sweep["entries"]]
     slope = sweep["regression_slope"]
     monotone = rates[0] > rates[1] > rates[2]
     slope_ok = 0.5 <= slope <= 1.5
 
-    prepared = kramers_sweep(pot, 2.5, [0.8, 0.6, 0.5], SolverConfig(dt=2e-3), grid,
+    prepared = kramers_sweep(pot, 2.5, [0.8, 0.6, 0.5], 2e-3, grid,
                              well_prepared=True)
     elapsed = time.monotonic() - t0
     by_nu = {e["nu"]: e for e in prepared["entries"]}

@@ -173,3 +173,33 @@ class TestRunExperiment:
         bad = write(tmp_path, "[model]\npotential = mystery\n")
         assert main(["simulate", "--config", bad]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key,value,solver",
+        [
+            ("grid", "n", "7.5", "fv"),
+            ("grid", "x_min", "abc", "fv"),
+            ("run", "seed", "1.5", "fv"),
+            ("run", "nu_list", "0.5,abc", "fv"),
+            ("run", "initial", "gaussian:0,abc", "fv"),
+            ("model", "tau", "nan", "fv"),
+            ("model", "nu", "nan", "fv"),
+            ("run", "dt", "nan", "fv"),
+            ("run", "T", "nan", "fv"),
+            ("run", "record_every", "0", "fv"),
+            ("run", "T", "nan", "jko"),
+            ("run", "T", "-1", "jko"),
+            ("run", "h", "0", "jko"),
+            ("run", "h", "nan", "jko"),
+            ("run", "h", "-0.01", "jko"),
+        ],
+    )
+    def test_bad_value_exit_code(self, tmp_path, capsys, section, key, value, solver):
+        sections = {"model": {"potential": "quadratic:1"}, "grid": {}, "run": {"solver": solver, "T": "0.01"}}
+        sections[section][key] = value
+        text = "".join(
+            f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for sec, kv in sections.items()
+        )
+        assert main(["simulate", "--config", write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err

@@ -183,8 +183,6 @@ class TestConstraintPaths:
         for t in (0.5, 2.0, 4.0):
             fd = (p.ell(t + d) - p.ell(t - d)) / (2 * d)
             assert fd == pytest.approx(p.ell_dot(t), abs=1e-6)
-            fd2 = (p.ell_dot(t + d) - p.ell_dot(t - d)) / (2 * d)
-            assert fd2 == pytest.approx(p.ell_ddot(t), abs=1e-5)
 
     def test_params_validation(self):
         with pytest.raises(ContractViolation):

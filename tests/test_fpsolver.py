@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from cfpk.core import (
+    ConstraintPath,
+    Density,
     Grid,
     ModelParams,
     constant_path,
@@ -10,16 +12,14 @@ from cfpk.core import (
     moments,
 )
 from cfpk.equilibrium import gibbs, solve_lambda
-from cfpk.errors import ContractViolation
 from cfpk.fpsolver import (
-    SolverConfig,
     _advance,
     _Stepper,
     project_mean,
     run,
     sigma_of_state,
-    step,
 )
+from cfpk.records import FPSOLVER_COLUMNS
 from cfpk.transport import w2
 
 
@@ -45,11 +45,9 @@ class TestStep:
     def test_stationary_state_fixed(self, grid, dw_pot):
         nu = 0.5
         sol = solve_lambda(0.3, nu, dw_pot, grid)
-        new, sigma = step(
-            sol.state.density, 0.0, SolverConfig(dt=1e-2), dw_pot, constant_path(0.3),
-            ModelParams(nu=nu),
-        )
-        assert float(np.sum(np.abs(new.values - sol.state.density.values))) * grid.dx <= 1e-10
+        op = _Stepper(grid, 1e-2, dw_pot, constant_path(0.3), ModelParams(nu=nu))
+        new, sigma, _, _ = _advance(sol.state.density.values, 0.0, op)
+        assert float(np.sum(np.abs(new - sol.state.density.values))) * grid.dx <= 1e-10
         assert sigma == pytest.approx(sol.lam, abs=1e-8)
 
     def test_positivity_and_mass(self, grid, dw_pot):
@@ -62,7 +60,7 @@ class TestStep:
         for _ in range(10):
             rho = random_density(grid, rng)
             path = exp_decay_path(0.0, float(rng.normal()), 1.0)  # random tau l'(0)
-            op = _Stepper(grid, SolverConfig(dt=0.01), dw_pot, path, params)
+            op = _Stepper(grid, 0.01, dw_pot, path, params)
             vals, _, drift, _ = _advance(rho.values, 0.0, op)
             assert np.all(vals >= 0.0)
             assert drift <= 1e-12
@@ -70,25 +68,11 @@ class TestStep:
         # limiter keeps the step nonnegative and mass-conserving
         spike = np.zeros(grid.n)
         spike[grid.n // 2] = 1.0 / grid.dx
-        op = _Stepper(grid, SolverConfig(dt=0.01), dw_pot, constant_path(0.0), params)
+        op = _Stepper(grid, 0.01, dw_pot, constant_path(0.0), params)
         vals, _, drift, limited = _advance(spike, 0.0, op)
         assert limited > 0.1
         assert np.all(vals >= 0.0)
         assert drift <= 1e-12
-
-    def test_central_scheme_dt_cap(self, grid, quad_pot):
-        cfg = SolverConfig(dt=1.0, scheme="central")
-        rho = gaussian_density(grid, 0.0, 1.0)
-        with pytest.raises(ContractViolation):
-            step(rho, 0.0, cfg, quad_pot, constant_path(0.0), ModelParams())
-
-    def test_central_scheme_runs_when_stable(self, quad_pot):
-        g = Grid(-10.0, 10.0, 256)
-        dt_max = g.dx * g.dx / 2.0
-        rho = gaussian_density(g, 0.0, 1.0)
-        new, _ = step(rho, 0.0, SolverConfig(dt=0.9 * dt_max, scheme="central"),
-                      quad_pot, constant_path(0.0), ModelParams())
-        assert np.all(new.values >= 0.0)
 
     def test_mean_drift_second_order(self, quad_pot):
         # one-step defect |M1(rho_next) - ell(t + dt)| = O(dt^3 + dt dx^2): it
@@ -99,8 +83,8 @@ class TestStep:
         for n, dt in ((256, 4e-3), (512, 2e-3), (1024, 1e-3)):
             g = Grid(-12.0, 12.0, n)
             rho = gaussian_density(g, path.ell(0.0), 1.3)
-            new, _ = step(rho, 0.0, SolverConfig(dt=dt), quad_pot, path, ModelParams())
-            gaps[dt] = abs(moments(new)[0] - path.ell(dt))
+            new, _, _, _ = _advance(rho.values, 0.0, _Stepper(g, dt, quad_pot, path, ModelParams()))
+            gaps[dt] = abs(moments(Density(g, new))[0] - path.ell(dt))
         assert gaps[4e-3] / gaps[2e-3] == pytest.approx(8.0, rel=0.25)
         assert gaps[2e-3] / gaps[1e-3] == pytest.approx(8.0, rel=0.25)
 
@@ -109,7 +93,7 @@ class TestRun:
     def test_gaussian_variance_oracle(self, quad_pot):
         g = Grid(0.5 - 12.0, 0.5 + 12.0, 1024)
         rho0 = gaussian_density(g, 0.5, 1.5**2)
-        recs = run(rho0, constant_path(0.5), SolverConfig(dt=1e-3), quad_pot,
+        recs = run(rho0, constant_path(0.5), 1e-3, quad_pot,
                    ModelParams(), 3.0, record_every=10)
         ts = np.array([r.t for r in recs])
         vs = np.array([r.M2 - r.M1**2 for r in recs])
@@ -119,7 +103,7 @@ class TestRun:
     def test_stationary_audit(self, fine_grid, dw_pot):
         nu = 0.5
         sol = solve_lambda(0.3, nu, dw_pot, fine_grid)
-        recs = run(sol.state.density, constant_path(0.3), SolverConfig(dt=1e-3),
+        recs = run(sol.state.density, constant_path(0.3), 1e-3,
                    dw_pot, ModelParams(nu=nu), 0.05)
         assert float(np.nanmax([r.eb_residual for r in recs])) <= 1e-8
         assert max(abs(r.M1 - 0.3) for r in recs) <= 1e-10
@@ -132,7 +116,7 @@ class TestRun:
         def eb(n, dt):
             g = Grid(-11.2, 12.8, n)
             rho0 = solve_lambda(path.ell(0.0), 1.0, quad_pot, g).state.density
-            recs = run(rho0, path, SolverConfig(dt=dt), quad_pot, ModelParams(), 1.5)
+            recs = run(rho0, path, dt, quad_pot, ModelParams(), 1.5)
             return float(np.nanmax([r.eb_residual for r in recs]))
 
         coarse = eb(512, 2e-3)
@@ -141,9 +125,23 @@ class TestRun:
 
     def test_initial_projection(self, grid, dw_pot):
         rho0 = gaussian_density(grid, 1.1, 0.8)
-        recs = run(rho0, constant_path(0.2), SolverConfig(dt=1e-3), dw_pot,
+        recs = run(rho0, constant_path(0.2), 1e-3, dw_pot,
                    ModelParams(nu=0.8), 0.01)
         assert recs[0].M1 == pytest.approx(0.2, abs=1e-8)
+
+    def test_undeclared_envelope_is_moving(self, quad_pot):
+        # a path without kappa/L0 is not constant: lam_ell and
+        # Hrel_quasistatic follow gamma_{lambda(ell(t))} as for exp_decay
+        g = Grid(-12.0, 12.0, 256)
+        declared = exp_decay_path(0.3, 0.4, 1.0)
+        bare = ConstraintPath(declared.ell, declared.ell_dot, declared.ell_star)
+        rho0 = gaussian_density(g, declared.ell(0.0), 1.0)
+        cols = FPSOLVER_COLUMNS + ["lam_ell"]
+        declared_rows, bare_rows = (
+            [[getattr(r, c) for c in cols] for r in run(rho0, p, 1e-3, quad_pot, ModelParams(), 0.5)]
+            for p in (declared, bare)
+        )
+        np.testing.assert_array_equal(bare_rows, declared_rows)
 
     def test_constraint_tracking_first_order(self, quad_pot):
         # time order of the constraint drift at fixed dx: successive
@@ -154,7 +152,7 @@ class TestRun:
         rho0 = solve_lambda(path.ell(0.0), 1.0, quad_pot, g).state.density
         m1 = {}
         for k, dt in enumerate((2e-3, 1e-3, 5e-4)):
-            recs = run(rho0, path, SolverConfig(dt=dt), quad_pot, ModelParams(), 2.0,
+            recs = run(rho0, path, dt, quad_pot, ModelParams(), 2.0,
                        record_every=2**k)
             m1[dt] = np.array([r.M1 for r in recs])
         gaps = {
@@ -167,14 +165,14 @@ class TestRun:
         path = exp_decay_path(0.4, 0.4, 0.5)
         nu = 0.8
         rho0 = solve_lambda(path.ell(0.0), nu, dw_pot, grid).state.density
-        recs = run(rho0, path, SolverConfig(dt=5e-3), dw_pot, ModelParams(nu=nu),
+        recs = run(rho0, path, 5e-3, dw_pot, ModelParams(nu=nu),
                    50.0, record_every=20)
         assert float(np.max(np.abs([r.sigma for r in recs]))) < 5.0
         assert float(np.max([r.M2 for r in recs])) < 50.0
 
     def test_monotone_free_energy_constant_ell(self, grid, dw_pot):
         rho0 = gaussian_density(grid, 0.2, 0.5)
-        recs = run(rho0, constant_path(0.2), SolverConfig(dt=1e-3), dw_pot,
+        recs = run(rho0, constant_path(0.2), 1e-3, dw_pot,
                    ModelParams(nu=0.8), 1.0, record_every=5)
         f = np.array([r.F for r in recs])
         assert float(np.max(np.diff(f))) <= 1e-9
@@ -188,7 +186,7 @@ class TestAuditScalingAtTau:
         path = exp_decay_path(0.5, 0.3, 1.0)
         tau = 2.0
         rho0 = solve_lambda(path.ell(0.0), 1.0, quad_pot, g).state.density
-        recs = run(rho0, path, SolverConfig(dt=1e-3), quad_pot,
+        recs = run(rho0, path, 1e-3, quad_pot,
                    ModelParams(tau=tau, nu=1.0), 2.0, record_every=5)
         worst_scaled = 0.0
         worst_printed = 0.0
@@ -221,7 +219,7 @@ class TestCrossValidation:
         params = ModelParams(nu=nu)
         path = constant_path(0.4)
         rho0 = gaussian_density(g, 0.4, 0.5)
-        fv = run(rho0, path, SolverConfig(dt=2.5e-4), dw_pot, params, 1.0,
+        fv = run(rho0, path, 2.5e-4, dw_pot, params, 1.0,
                  record_every=40, keep_densities=True)
         gaps = {}
         for h in (0.04, 0.02):

@@ -148,9 +148,9 @@ class TestWeightedCkp:
 
     def test_paper_weight_on_doublewell(self, grid, dw_pot):
         # w = min(c-, c+)/2 (1 + |x|) against gamma_{lambda(ell)}
-        from cfpk.equilibrium import lambda_of_ell
+        from cfpk.equilibrium import solve_lambda
 
-        _, st = lambda_of_ell(0.4, 1.0, dw_pot, grid)
+        st = solve_lambda(0.4, 1.0, dw_pot, grid).state
         cmin = min(dw_pot.growth_constants)
         w = lambda x: 0.5 * cmin * (1.0 + np.abs(x))  # noqa: E731
         rng = np.random.default_rng(23)

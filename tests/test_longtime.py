@@ -13,7 +13,7 @@ from cfpk.core import (
 )
 from cfpk.equilibrium import gibbs, solve_lambda
 from cfpk.errors import ContractViolation
-from cfpk.fpsolver import SolverConfig, run as fv_run
+from cfpk.fpsolver import run as fv_run
 from cfpk.functionals import free_energy, relative_entropy
 from cfpk.longtime import (
     bimodal_side_data,
@@ -70,7 +70,7 @@ class TestComparisonSandwich:
         from cfpk.equilibrium import landscape
 
         nu = 0.8
-        scan = landscape(nu, dw_pot, grid, (-2.0, 2.0), 33)
+        scan = landscape(nu, dw_pot, grid, (-2.0, 2.0))
         rng = np.random.default_rng(14)
         for _ in range(8):
             ell = float(rng.uniform(-0.5, 0.5))
@@ -112,7 +112,7 @@ class TestQuasistationaryDerivative:
         nu = 0.8
         sol = solve_lambda(0.2, nu, dw_pot, fine_grid)
         path = constant_path(0.2)
-        recs = fv_run(sol.state.density, path, SolverConfig(dt=1e-3), dw_pot,
+        recs = fv_run(sol.state.density, path, 1e-3, dw_pot,
                       ModelParams(nu=nu), 0.02)
         assert verify_quasistationary_derivative(recs, dw_pot, path, ModelParams(nu=nu)) <= 1e-8
 
@@ -120,14 +120,14 @@ class TestQuasistationaryDerivative:
         g = Grid(-11.2, 12.8, 1024)
         path = exp_decay_path(0.5, 0.3, 1.0)
         rho0 = solve_lambda(path.ell(0.0), 1.0, quad_pot, g).state.density
-        recs = fv_run(rho0, path, SolverConfig(dt=1e-3), quad_pot, ModelParams(), 2.0)
+        recs = fv_run(rho0, path, 1e-3, quad_pot, ModelParams(), 2.0)
         res = verify_quasistationary_derivative(recs, quad_pot, path, ModelParams())
         assert res <= 1e-3
 
     def test_too_short(self, grid, dw_pot):
         path = constant_path(0.2)
         sol = solve_lambda(0.2, 0.8, dw_pot, grid)
-        recs = fv_run(sol.state.density, path, SolverConfig(dt=1e-3), dw_pot,
+        recs = fv_run(sol.state.density, path, 1e-3, dw_pot,
                       ModelParams(nu=0.8), 1e-3)
         with pytest.raises(ContractViolation):
             verify_quasistationary_derivative(recs[:2], dw_pot, path, ModelParams(nu=0.8))
@@ -138,7 +138,7 @@ class TestDecayExperiment:
         g = Grid(0.5 - 12.0, 0.5 + 12.0, 1024)
         rho0 = gaussian_density(g, 0.5, 1.5**2)
         rep = decay_experiment(rho0, constant_path(0.5), 1.0, quad_pot,
-                               SolverConfig(dt=1e-3), 10.0, record_every=5)
+                               1e-3, 10.0, record_every=5)
         assert rep.regime == "convex"
         assert rep.predicted_tau == pytest.approx(1.0)
         assert rep.fitted_rate >= 1.0
@@ -153,7 +153,7 @@ class TestDecayExperiment:
         g = Grid(-11.2, 12.8, 1024)
         path = exp_decay_path(0.5, 0.3, 2.0)
         rho0 = gaussian_density(g, path.ell(0.0), 1.2)
-        rep = decay_experiment(rho0, path, 1.0, quad_pot, SolverConfig(dt=1e-3), 8.0,
+        rep = decay_experiment(rho0, path, 1.0, quad_pot, 1e-3, 8.0,
                                record_every=5)
         tau = rep.predicted_tau
         c_exp = rep.C_ell_sigma * path.L0 / (path.kappa - tau)
@@ -167,7 +167,7 @@ class TestDecayExperiment:
         g = Grid(-11.0, 13.0, 512)
         rho0 = gaussian_density(g, 0.5, 4.0)
         rep = decay_experiment(rho0, constant_path(0.5), 1.0, quad_pot,
-                               SolverConfig(dt=1e-3), 0.05)
+                               1e-3, 0.05)
         assert rep.short_window
         assert np.isfinite(rep.fitted_rate)
 
@@ -177,7 +177,7 @@ class TestSigmaConvergence:
         nu = 0.8
         path = constant_path(0.2)
         sol = solve_lambda(0.2, nu, dw_pot, grid)
-        recs = fv_run(sol.state.density, path, SolverConfig(dt=1e-3), dw_pot,
+        recs = fv_run(sol.state.density, path, 1e-3, dw_pot,
                       ModelParams(nu=nu), 0.05)
         rep = verify_sigma_convergence(recs, path, nu, dw_pot, grid)
         assert rep["ok"]
@@ -187,7 +187,7 @@ class TestSigmaConvergence:
         g = Grid(-11.2, 12.8, 1024)
         path = exp_decay_path(0.5, 0.3, 1.0)
         rho0 = gaussian_density(g, path.ell(0.0), 1.3)
-        recs = fv_run(rho0, path, SolverConfig(dt=1e-3), quad_pot, ModelParams(), 4.0,
+        recs = fv_run(rho0, path, 1e-3, quad_pot, ModelParams(), 4.0,
                       record_every=5)
         rep = verify_sigma_convergence(recs, path, 1.0, quad_pot, g)
         assert rep["worst_sigma_slack"] <= 1e-8
@@ -197,7 +197,7 @@ class TestSigmaConvergence:
         nu = 0.6
         path = exp_decay_path(2.5, 0.2, 1.0)
         rho0 = well_prepared_data(path.ell(0.0), nu, dw_pot, grid, shift=0.05)
-        recs = fv_run(rho0, path, SolverConfig(dt=2e-3), dw_pot, ModelParams(nu=nu),
+        recs = fv_run(rho0, path, 2e-3, dw_pot, ModelParams(nu=nu),
                       6.0, record_every=5)
         rep = verify_sigma_convergence(recs, path, nu, dw_pot, grid)
         assert rep["worst_sigma_slack"] <= 1e-8
@@ -210,7 +210,7 @@ class TestSigmaConvergence:
         path = exp_decay_path(0.5, 0.3, 0.7)
         rho0 = gaussian_density(g, path.ell(0.0), 1.0)
         rep = decay_experiment(rho0, path, 1.0, quad_pot,
-                               SolverConfig(dt=1e-3), 6.0, record_every=5)
+                               1e-3, 6.0, record_every=5)
         ts = np.array([s[0] for s in rep.samples])
         gap = np.array([s[3] for s in rep.samples])
         mask = (gap > 1e-11) & (ts > 0.5) & (ts < 4.0)
@@ -223,7 +223,7 @@ class TestCkpChain:
         path = exp_decay_path(0.3, 0.3, 1.0)
         nu = 0.8
         rho0 = solve_lambda(path.ell(0.0), nu, dw_pot, grid).state.density
-        recs = fv_run(rho0, path, SolverConfig(dt=2e-3), dw_pot, ModelParams(nu=nu),
+        recs = fv_run(rho0, path, 2e-3, dw_pot, ModelParams(nu=nu),
                       3.0, record_every=10)
         assert ckp_chain_audit(recs) <= 1e-8
 
@@ -249,11 +249,10 @@ class TestPreparedData:
 
 class TestKramersSweepConvexControl:
     def test_no_barrier_rates_are_scale_free(self, quad_pot):
-        from cfpk.fpsolver import SolverConfig as SC
         from cfpk.longtime import kramers_sweep
 
         g = Grid(-12.0, 12.0, 512)
-        out = kramers_sweep(quad_pot, 0.0, [1.0, 0.8, 0.6], SC(dt=2e-3), g)
+        out = kramers_sweep(quad_pot, 0.0, [1.0, 0.8, 0.6], 2e-3, g)
         assert out["delta_h_star"] == 0.0
         rates = [e["fitted_rate"] for e in out["entries"]]
         assert all(e["regime"] == "convex" for e in out["entries"])
