@@ -163,6 +163,13 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("need a finite tolerance >= 0")
+    return tol
+
+
 def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> RunConfig:
     def value(section: str, key: str, parse=float):
         """parse([section] key); a value that does not parse is a ConfigError."""
@@ -200,7 +207,7 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
         ell=value("run", "ell", lambda v: float(v) if v else None),
         sigma_range=(value("run", "sigma_min"), value("run", "sigma_max")),
         record_every=value("run", "record_every", int),
-        verify_eb_tol=value("run", "verify_eb_tol"),
+        verify_eb_tol=value("run", "verify_eb_tol", _tolerance),
         out_dir=out_dir,
     )
     _tail_check(cfg)

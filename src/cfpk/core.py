@@ -21,6 +21,9 @@ from .errors import ContractViolation, DegenerateInputError
 # Floor used inside log(rho) evaluations; x*log(x) -> 0 as x -> 0, so cells at
 # or below the floor contribute nothing to entropy-type integrands.
 LOG_FLOOR = 1e-300
+# Most whole steps a solver schedules on [0, T]; the largest run of the test
+# suite and the benchmark (a Kramers member, T/dt = 2.1e6) stays well below.
+MAX_STEPS = 10_000_000
 
 
 def require_positive(**values: float) -> None:
@@ -28,6 +31,14 @@ def require_positive(**values: float) -> None:
     for name, value in values.items():
         if not (math.isfinite(value) and value > 0.0):
             raise ContractViolation(f"need finite {name} > 0, got {name}={value}")
+
+
+def step_count(T: float, dt: float) -> int:
+    """ceil(T/dt) whole steps; ContractViolation beyond MAX_STEPS."""
+    steps = T / dt - 1e-12
+    if not steps <= MAX_STEPS:
+        raise ContractViolation(f"T/dt = {T / dt:.3g} steps exceeds the limit of {MAX_STEPS:.0e}")
+    return int(math.ceil(steps))
 
 
 @dataclass(frozen=True)
@@ -314,15 +325,24 @@ def tanh_ramp_path(l0: float, l1: float, t0: float, w: float) -> ConstraintPath:
         return l0 + half * (1.0 + math.tanh((t - t0) / w))
 
     def ell_dot(t):
-        return half / w / math.cosh((t - t0) / w) ** 2
+        z = (t - t0) / w
+        if abs(z) > 350.0:  # cosh(z)^2 overflows past |z| ~ 355; sech^2 = 4 e^{-2|z|} there
+            return half / w * 4.0 * math.exp(-2.0 * abs(z))
+        return half / w / math.cosh(z) ** 2
 
     # sech^2(z) <= 4 exp(-2z) for z >= 0 gives the exponential envelope
+    try:
+        envelope = 2.0 * abs(l1 - l0) / w * math.exp(2.0 * t0 / w)
+    except OverflowError:
+        raise ContractViolation(
+            f"tanh_ramp envelope 2|l1 - l0|/w exp(2 t0/w) overflows at t0/w = {t0 / w:g}"
+        ) from None
     return ConstraintPath(
         ell=ell,
         ell_dot=ell_dot,
         ell_star=l1,
         kappa=2.0 / w,
-        L0=2.0 * abs(l1 - l0) / w * math.exp(2.0 * t0 / w),
+        L0=envelope,
         name=f"tanh_ramp:{l0:g},{l1:g},{t0:g},{w:g}",
     )
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import Density, Grid, Potential, density_from_values, moments
+from .core import Density, Grid, Potential
 from .errors import ContractViolation, GridTooSmallError, RangeError, SolverError
 
 # solve_lambda stops when |M1(gamma_lambda) - ell| < LAMBDA_TOL
@@ -22,6 +23,58 @@ LAMBDA_TOL = 1e-10
 LAMBDA_MAX_ITER = 100
 # tilt samples of a landscape scan
 N_SIGMA = 33
+
+
+class TiltedFamily:
+    """The tilted Gibbs family gamma_{sigma,nu} bound to one grid.
+
+    x, x^2 and H(x) are evaluated once and kept as read-only arrays;
+    `gibbs`, `solve_lambda`, `tilted_values` and `functionals.log_partition`
+    compute from them through `evaluate` and `tilted`.
+    """
+
+    def __init__(self, pot: Potential, grid: Grid):
+        x = grid.x
+        self.dx = grid.dx
+        self.x = x
+        self.x2 = x * x
+        self.h = np.asarray(pot.h(x), dtype=float)
+        for arr in (self.x, self.x2, self.h):
+            arr.setflags(write=False)
+
+    def tilted(self, sigma: float) -> np.ndarray:
+        """H(x) - sigma x."""
+        return self.h - sigma * self.x
+
+    def evaluate(self, sigma: float, nu: float) -> tuple[float, float, float, np.ndarray]:
+        """(mean, variance, log Z, normalized values) of gamma_{sigma,nu}.
+
+        The partition sum is taken of the max-shifted exponential, and the
+        values are normalized a second time by their own midpoint sum, so a
+        state carries unit mass to roundoff.
+        """
+        arg = -(self.h - sigma * self.x) / (nu * nu)
+        shift = float(arg.max())
+        w = np.exp(arg - shift)
+        total = float(w.sum()) * self.dx
+        if not np.isfinite(total) or total <= 0.0:
+            raise GridTooSmallError(f"partition sum degenerate for sigma={sigma}, nu={nu}")
+        values = w / total
+        values /= float(values.sum() * self.dx)
+        m1 = float((self.x * values).sum() * self.dx)
+        m2 = float((self.x2 * values).sum() * self.dx)
+        var = max(m2 - m1 * m1, 0.0)
+        if var <= 0.0:
+            raise GridTooSmallError(
+                f"Gibbs state at sigma={sigma}, nu={nu} concentrates in one cell; enlarge n"
+            )
+        return m1, var, shift + math.log(total), values
+
+
+@lru_cache(maxsize=16)
+def tilted_family(pot: Potential, grid: Grid) -> TiltedFamily:
+    """The family bound to (pot, grid), built once per pair."""
+    return TiltedFamily(pot, grid)
 
 
 @dataclass(frozen=True)
@@ -36,23 +89,16 @@ class GibbsState:
     variance: float
 
 
+def _state(sigma: float, nu: float, grid: Grid, ev: tuple) -> GibbsState:
+    mean, var, log_z, values = ev
+    return GibbsState(
+        sigma=sigma, nu=nu, log_z=log_z, density=Density(grid, values), mean=mean, variance=var
+    )
+
+
 def gibbs(sigma: float, nu: float, pot: Potential, grid: Grid) -> GibbsState:
     """Normalized gamma_{sigma,nu} with max-shifted partition sum."""
-    x = grid.x
-    arg = -(np.asarray(pot.h(x), dtype=float) - sigma * x) / (nu * nu)
-    shift = float(np.max(arg))
-    w = np.exp(arg - shift)
-    total = float(np.sum(w)) * grid.dx
-    if not np.isfinite(total) or total <= 0.0:
-        raise GridTooSmallError(f"partition sum degenerate for sigma={sigma}, nu={nu}")
-    log_z = shift + math.log(total)
-    dens = density_from_values(grid, w / total)
-    m1, _, var = moments(dens)
-    if var <= 0.0:
-        raise GridTooSmallError(
-            f"Gibbs state at sigma={sigma}, nu={nu} concentrates in one cell; enlarge n"
-        )
-    return GibbsState(sigma=sigma, nu=nu, log_z=log_z, density=dens, mean=m1, variance=var)
+    return _state(sigma, nu, grid, tilted_family(pot, grid).evaluate(sigma, nu))
 
 
 def mean_derivative(state: GibbsState) -> float:
@@ -68,31 +114,59 @@ class LambdaSolve:
     residual: float
 
 
-def solve_lambda(ell: float, nu: float, pot: Potential, grid: Grid) -> LambdaSolve:
+def solve_lambda(
+    ell: float, nu: float, pot: Potential, grid: Grid, start: float | None = None
+) -> LambdaSolve:
     """Invert M1(gamma_{lambda,nu}) = ell by safeguarded Newton.
 
     The map is strictly increasing with derivative Var/nu^2, so Newton is
     globally safe once a sign-change bracket is found; the bracket expands
-    geometrically from lambda_0 = ell * min(c_-, c_+).
+    geometrically from lambda_0 = ell * min(c_-, c_+).  Given a `start` tilt
+    (the previous solve along a moving path), Newton runs from it first; a
+    step that does not reduce |M1 - ell|, or a state that degenerates, falls
+    back to the bracketed solve.  `iterations` counts every Gibbs evaluation.
     """
     if not (grid.x_min < ell < grid.x_max):
         raise RangeError(f"target mean {ell} lies outside the grid [{grid.x_min}, {grid.x_max}]")
+    family = tilted_family(pot, grid)
+    nu2 = nu * nu
 
-    def g(lam: float) -> tuple[float, GibbsState]:
+    def g(lam: float) -> tuple[float, tuple]:
         try:
-            st = gibbs(lam, nu, pot, grid)
+            ev = family.evaluate(lam, nu)
         except GridTooSmallError as exc:
             raise RangeError(
                 f"mean {ell} pushes the tilt to lambda={lam} where the state "
                 f"degenerates on this grid"
             ) from exc
-        return st.mean - ell, st
+        return ev[0] - ell, ev
+
+    def solved(lam: float, val: float, ev: tuple, iters: int) -> LambdaSolve:
+        return LambdaSolve(lam, _state(lam, nu, grid, ev), iters, abs(val))
+
+    iters = 0
+    if start is not None:
+        try:
+            lam = start
+            iters += 1
+            val, ev = g(lam)
+            for _ in range(LAMBDA_MAX_ITER):
+                if abs(val) < LAMBDA_TOL:
+                    return solved(lam, val, ev, iters)
+                lam_new = lam - val / (ev[1] / nu2)
+                iters += 1
+                val_new, ev_new = g(lam_new)
+                if not abs(val_new) < abs(val):
+                    break
+                lam, val, ev = lam_new, val_new, ev_new
+        except RangeError:
+            pass
 
     lam0 = ell * min(pot.growth_constants)
-    val0, st0 = g(lam0)
-    iters = 1
+    val0, ev0 = g(lam0)
+    iters += 1
     if abs(val0) < LAMBDA_TOL:
-        return LambdaSolve(lam0, st0, iters, abs(val0))
+        return solved(lam0, val0, ev0, iters)
 
     # geometric bracket expansion; monotonicity of the mean gives the sign logic
     step = max(1.0, abs(lam0)) * 0.5
@@ -116,23 +190,23 @@ def solve_lambda(ell: float, nu: float, pot: Potential, grid: Grid) -> LambdaSol
             f"gives means [{lo_val + ell}, {hi_val + ell}]"
         )
 
-    lam, val, st = (lo, lo_val, st0) if abs(lo_val) < abs(hi_val) else (hi, hi_val, st0)
+    lam, val, ev = (lo, lo_val, ev0) if abs(lo_val) < abs(hi_val) else (hi, hi_val, ev0)
     if lam != lam0:
-        val, st = g(lam)
+        val, ev = g(lam)
         iters += 1
     for _ in range(LAMBDA_MAX_ITER):
         if abs(val) < LAMBDA_TOL:
-            return LambdaSolve(lam, st, iters, abs(val))
-        lam_new = lam - val / mean_derivative(st)
+            return solved(lam, val, ev, iters)
+        lam_new = lam - val / (ev[1] / nu2)
         if not (lo <= lam_new <= hi):
             lam_new = 0.5 * (lo + hi)  # bisection fallback
-        val_new, st_new = g(lam_new)
+        val_new, ev_new = g(lam_new)
         iters += 1
         if val_new > 0.0:
             hi, hi_val = lam_new, val_new
         else:
             lo, lo_val = lam_new, val_new
-        lam, val, st = lam_new, val_new, st_new
+        lam, val, ev = lam_new, val_new, ev_new
     raise SolverError(
         f"lambda(ell) did not converge in {LAMBDA_MAX_ITER} iterations",
         diagnostics={"bracket": (lo, hi), "residual": val, "ell": ell},
@@ -140,8 +214,7 @@ def solve_lambda(ell: float, nu: float, pot: Potential, grid: Grid) -> LambdaSol
 
 
 def tilted_values(sigma: float, pot: Potential, grid: Grid) -> np.ndarray:
-    x = grid.x
-    return np.asarray(pot.h(x), dtype=float) - sigma * x
+    return tilted_family(pot, grid).tilted(sigma)
 
 
 def local_minima(vals: np.ndarray) -> list[int]:

@@ -37,6 +37,7 @@ from .core import (
     integrate,
     moments,
     require_positive,
+    step_count,
 )
 from .equilibrium import solve_lambda
 from .errors import ContractViolation, StepError
@@ -253,6 +254,7 @@ def run(
         raise ContractViolation(f"need record_every >= 1, got {record_every}")
     grid = rho0.grid
     op = _Stepper(grid, dt, pot, path, params)
+    n_steps = step_count(T, dt)
     m1_0, _, _ = moments(rho0)
     if abs(m1_0 - path.ell(0.0)) > 1e-8:
         rho0 = project_mean(rho0, path.ell(0.0))
@@ -264,8 +266,10 @@ def run(
     constant_ell = path.L0 == 0.0
 
     records: list[TrajectoryRecord] = []
+    lam_prev = None  # lambda(ell) of the previous record, the warm start of the next solve
 
     def make_record(vals: np.ndarray, t: float, limited: float) -> TrajectoryRecord:
+        nonlocal lam_prev
         dens = Density(grid, vals)
         ell_t = path.ell(t)
         sig = sigma_of_state(dens, t, pot, path, params)
@@ -276,8 +280,9 @@ def run(
         if constant_ell:
             lam_t, gamma_t = star.lam, gamma_star
         else:
-            sol = solve_lambda(ell_t, nu, pot, grid)
+            sol = solve_lambda(ell_t, nu, pot, grid, start=lam_prev)
             lam_t, gamma_t = sol.lam, sol.state.density
+            lam_prev = lam_t
         return TrajectoryRecord(
             t=t,
             sigma=sig,
@@ -299,7 +304,6 @@ def run(
     vals = rho0.values
     records.append(make_record(vals, 0.0, 0.0))
     limited = 0.0
-    n_steps = int(math.ceil(T / dt - 1e-12))
     for k in range(1, n_steps + 1):
         try:
             vals, _, _, c = _advance(vals, (k - 1) * dt, op)

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Density, Grid, LOG_FLOOR, ModelParams, Potential, entropy, integrate
+from .equilibrium import tilted_family
 from .errors import SupportMismatchError, WeightTooStrongError
 
 # Cells below this density are treated as exact vacuum in the dissipation:
@@ -35,10 +36,8 @@ class EnergyBreakdown:
 
 
 def log_partition(pot: Potential, grid: Grid, nu: float) -> float:
-    """log Z0 = log int exp(-H/nu^2) dx, computed with a max shift."""
-    arg = -np.asarray(pot.h(grid.x), dtype=float) / (nu * nu)
-    a = float(np.max(arg))
-    return a + math.log(float(np.sum(np.exp(arg - a))) * grid.dx)
+    """log Z0 = log int exp(-H/nu^2) dx: the untilted Gibbs state's log Z."""
+    return tilted_family(pot, grid).evaluate(0.0, nu)[2]
 
 
 def free_energy(rho: Density, pot: Potential, params: ModelParams) -> EnergyBreakdown:

@@ -30,6 +30,7 @@ from .core import (
     integrate,
     moments,
     require_positive,
+    step_count,
 )
 from .errors import ContractViolation, StepError
 from .functionals import log_partition
@@ -285,6 +286,7 @@ def jko_run(
     between steps (no per-step grid roundtrip) and projected to the grid for
     the per-step record."""
     require_positive(h=h, T=T)
+    n_steps = step_count(T, h)
     grid = rho0.grid
     if m is None:
         m = max(64, grid.n)
@@ -294,7 +296,6 @@ def jko_run(
         x = x + (ell0 - float(np.mean(x)))  # translation projection onto M^ell(0)
     h_eff = h / params.tau
     logz0 = log_partition(pot, grid, params.nu)
-    n_steps = int(math.ceil(T / h - 1e-12))
     records = []
     hx = None
     for k in range(1, n_steps + 1):

@@ -192,10 +192,20 @@ class TestRunExperiment:
             ("run", "h", "0", "jko"),
             ("run", "h", "nan", "jko"),
             ("run", "h", "-0.01", "jko"),
+            ("path", "kind", "tanh_ramp:0,1,1000,0.5", "fv"),
+            ("run", "verify_eb_tol", "nan", "fv"),
+            ("run", "verify_eb_tol", "-1e-3", "fv"),
+            ("run", "dt", "1e-300", "fv"),
+            ("run", "h", "1e-300", "jko"),
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, section, key, value, solver):
-        sections = {"model": {"potential": "quadratic:1"}, "grid": {}, "run": {"solver": solver, "T": "0.01"}}
+        sections = {
+            "model": {"potential": "quadratic:1"},
+            "path": {},
+            "grid": {},
+            "run": {"solver": solver, "T": "0.01"},
+        }
         sections[section][key] = value
         text = "".join(
             f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for sec, kv in sections.items()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfpk.core import (
+    MAX_STEPS,
     ConstraintPath,
     Density,
     Grid,
@@ -17,6 +18,7 @@ from cfpk.core import (
     normalize,
     polynomial_potential,
     quadratic_potential,
+    step_count,
     tanh_ramp_path,
 )
 from cfpk.errors import ContractViolation, DegenerateInputError
@@ -183,6 +185,23 @@ class TestConstraintPaths:
         for t in (0.5, 2.0, 4.0):
             fd = (p.ell(t + d) - p.ell(t - d)) / (2 * d)
             assert fd == pytest.approx(p.ell_dot(t), abs=1e-6)
+
+    def test_tanh_ramp_far_from_center(self):
+        # ell_dot stays finite and nonnegative where cosh(z)^2 overflows
+        p = tanh_ramp_path(0.0, 1.0, 0.1, 0.001)
+        for t in (-1.0, 0.45, 0.454, 2.0):
+            assert 0.0 <= p.ell_dot(t) < 1e-150
+        assert p.ell_dot(0.1) == pytest.approx(500.0)
+        # exp(2 t0/w) of the envelope overflows past t0/w ~ 355
+        with pytest.raises(ContractViolation, match="overflows"):
+            tanh_ramp_path(0.0, 1.0, 1000.0, 0.5)
+
+    def test_step_count_guard(self):
+        assert step_count(1.0, 1e-3) == 1000
+        assert step_count(float(MAX_STEPS), 1.0) == MAX_STEPS
+        for T, dt in ((MAX_STEPS + 1.0, 1.0), (1.0, 1e-300), (1e300, 1e-300)):
+            with pytest.raises(ContractViolation, match="exceeds the limit"):
+                step_count(T, dt)
 
     def test_params_validation(self):
         with pytest.raises(ContractViolation):

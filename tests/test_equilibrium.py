@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from cfpk.core import Grid, ModelParams, gaussian_density, moments
+from cfpk.core import Grid, ModelParams, density_from_values, gaussian_density, moments
 from cfpk.equilibrium import (
     energy_barrier,
     gibbs,
@@ -12,9 +14,11 @@ from cfpk.equilibrium import (
     lsi_constant,
     mean_derivative,
     solve_lambda,
+    tilted_family,
+    tilted_values,
 )
 from cfpk.errors import RangeError
-from cfpk.functionals import dissipation, relative_entropy
+from cfpk.functionals import dissipation, log_partition, relative_entropy
 from cfpk.sampling import random_density, set_mean
 
 from oracles import bisect_lambda, scan_barrier, scan_sigma_c
@@ -50,6 +54,52 @@ class TestGibbs:
         assert st.mean == pytest.approx(moments(st.density)[0], abs=1e-8)
 
 
+class TestTiltedFamily:
+    """gibbs and log_partition repeat the direct formulas' float operations."""
+
+    @staticmethod
+    def direct_gibbs(sigma, nu, pot, grid):
+        x = grid.x
+        arg = -(np.asarray(pot.h(x), dtype=float) - sigma * x) / (nu * nu)
+        shift = float(np.max(arg))
+        w = np.exp(arg - shift)
+        total = float(np.sum(w)) * grid.dx
+        dens = density_from_values(grid, w / total)
+        m1, _, var = moments(dens)
+        return shift + math.log(total), dens.values, m1, var
+
+    @staticmethod
+    def direct_log_partition(pot, grid, nu):
+        arg = -np.asarray(pot.h(grid.x), dtype=float) / (nu * nu)
+        a = float(np.max(arg))
+        return a + math.log(float(np.sum(np.exp(arg - a))) * grid.dx)
+
+    @pytest.mark.parametrize("nu", [0.3, 0.5, 0.8, 1.0, 1.7])
+    def test_bit_identical_to_direct_formulas(self, grid, quad_pot, dw_pot, nu):
+        odd_grid = Grid(-8.0, 9.0, 333)
+        for pot in (quad_pot, dw_pot):
+            for g in (grid, odd_grid):
+                assert log_partition(pot, g, nu) == self.direct_log_partition(pot, g, nu)
+                for sigma in (-1.7, -0.3, 0.0, 0.45, 1.2):
+                    log_z, values, m1, var = self.direct_gibbs(sigma, nu, pot, g)
+                    state = gibbs(sigma, nu, pot, g)
+                    assert state.log_z == log_z and state.mean == m1 and state.variance == var
+                    np.testing.assert_array_equal(state.density.values, values)
+                    x = g.x
+                    np.testing.assert_array_equal(
+                        tilted_values(sigma, pot, g), np.asarray(pot.h(x), dtype=float) - sigma * x
+                    )
+
+    def test_one_family_per_grid_with_read_only_arrays(self, grid, dw_pot):
+        family = tilted_family(dw_pot, grid)
+        assert tilted_family(dw_pot, grid) is family
+        np.testing.assert_array_equal(family.x, grid.x)
+        for arr in (family.x, family.x2, family.h):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
 class TestLambdaOfEll:
     def test_quadratic_identity(self, grid, quad_pot):
         for ell in (-1.0, 0.0, 0.7, 2.0):
@@ -66,6 +116,41 @@ class TestLambdaOfEll:
         oracle = bisect_lambda(1.0, 0.5, dw_pot, grid, -1.0, 2.0)
         assert sol.lam == pytest.approx(oracle, abs=1e-8)
         assert sol.state.mean == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        potential=hst.sampled_from(["quadratic", "doublewell"]),
+        nu=hst.sampled_from([0.5, 0.8, 1.0]),
+        ells=hst.lists(hst.floats(-3.0, 3.0), min_size=2, max_size=6),
+    )
+    def test_warm_start_matches_cold(self, grid, quad_pot, dw_pot, potential, nu, ells):
+        pot = quad_pot if potential == "quadratic" else dw_pot
+        lam_prev = None
+        for ell in ells:
+            warm = solve_lambda(ell, nu, pot, grid, start=lam_prev)
+            cold = solve_lambda(ell, nu, pot, grid)
+            assert warm.lam == pytest.approx(cold.lam, abs=1e-9)
+            assert warm.residual < 1e-10
+            lam_prev = warm.lam
+
+    def test_warm_start_counts_its_evaluations(self, grid, dw_pot):
+        cold = solve_lambda(0.4, 0.5, dw_pot, grid)
+        exact = solve_lambda(0.4, 0.5, dw_pot, grid, start=cold.lam)
+        assert exact.iterations == 1 and exact.lam == cold.lam
+        near = solve_lambda(0.41, 0.5, dw_pot, grid, start=cold.lam)
+        assert 2 <= near.iterations < solve_lambda(0.41, 0.5, dw_pot, grid).iterations
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("start", [3.0, 10.0, 1e3, -1e6, math.inf, math.nan])
+    def test_bad_start_falls_back_to_cold_solve(self, grid, dw_pot, start):
+        # from 3 and 10 (the cold solve's answer is 0.034) a Newton step
+        # fails to reduce |M1 - ell|; at 1e3, -1e6, inf and NaN the start
+        # state degenerates.  The bracketed solve takes over and gives the
+        # cold answer, and the failed evaluations are counted.
+        cold = solve_lambda(0.4, 0.5, dw_pot, grid)
+        sol = solve_lambda(0.4, 0.5, dw_pot, grid, start=start)
+        assert sol.lam == pytest.approx(cold.lam, abs=1e-9)
+        assert sol.iterations > cold.iterations
 
     def test_out_of_range(self, grid, quad_pot):
         with pytest.raises(RangeError):

@@ -11,7 +11,9 @@ from cfpk.core import (
     gaussian_density,
     moments,
 )
+from cfpk import fpsolver
 from cfpk.equilibrium import gibbs, solve_lambda
+from cfpk.errors import ContractViolation
 from cfpk.fpsolver import (
     _advance,
     _Stepper,
@@ -142,6 +144,17 @@ class TestRun:
             for p in (declared, bare)
         )
         np.testing.assert_array_equal(bare_rows, declared_rows)
+
+    def test_step_count_guard(self, grid, quad_pot, monkeypatch):
+        # a dt that schedules more than MAX_STEPS steps is refused before
+        # the first step
+        def no_step(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(fpsolver, "_advance", no_step)
+        rho0 = gaussian_density(grid, 0.0, 1.0)
+        with pytest.raises(ContractViolation, match="exceeds the limit"):
+            run(rho0, constant_path(0.0), 1e-300, quad_pot, ModelParams(), 1.0)
 
     def test_constraint_tracking_first_order(self, quad_pot):
         # time order of the constraint drift at fixed dx: successive

@@ -13,6 +13,7 @@ from cfpk.core import (
     moments,
     normalize,
 )
+from cfpk import transport
 from cfpk.equilibrium import solve_lambda
 from cfpk.errors import ContractViolation
 from cfpk.transport import (
@@ -146,6 +147,17 @@ class TestJkoRun:
         assert all(r.W2sq_step <= 1e-10 for r in recs)
         f_vals = [r.F for r in recs]
         assert max(f_vals) - min(f_vals) < 1e-5
+
+    def test_step_count_guard(self, grid, quad_pot, monkeypatch):
+        # an h that schedules more than MAX_STEPS steps is refused before
+        # the first step
+        def no_step(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(transport, "_inner_solve", no_step)
+        rho0 = gaussian_density(grid, 0.0, 1.0)
+        with pytest.raises(ContractViolation, match="exceeds the limit"):
+            jko_run(rho0, constant_path(0.0), 1e-300, 1.0, quad_pot, ModelParams())
 
     def test_constraint_tracking(self, grid, dw_pot):
         path = exp_decay_path(0.2, 0.3, 1.0)
