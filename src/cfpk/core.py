@@ -34,11 +34,11 @@ def require_positive(**values: float) -> None:
 
 
 def step_count(T: float, dt: float) -> int:
-    """ceil(T/dt) whole steps; ContractViolation beyond MAX_STEPS."""
+    """ceil(T/dt) whole steps, at least one; ContractViolation beyond MAX_STEPS."""
     steps = T / dt - 1e-12
     if not steps <= MAX_STEPS:
         raise ContractViolation(f"T/dt = {T / dt:.3g} steps exceeds the limit of {MAX_STEPS:.0e}")
-    return int(math.ceil(steps))
+    return max(1, int(math.ceil(steps)))
 
 
 @dataclass(frozen=True)

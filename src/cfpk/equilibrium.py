@@ -26,11 +26,13 @@ N_SIGMA = 33
 
 
 class TiltedFamily:
-    """The tilted Gibbs family gamma_{sigma,nu} bound to one grid.
+    """The model bound to one grid: the only place H and H' are sampled.
 
-    x, x^2 and H(x) are evaluated once and kept as read-only arrays;
-    `gibbs`, `solve_lambda`, `tilted_values` and `functionals.log_partition`
-    compute from them through `evaluate` and `tilted`.
+    x, x^2, H(x) and H'(x) are evaluated once and kept as read-only arrays.
+    `gibbs`, `solve_lambda`, `variance_range` and `functionals.log_partition`
+    compute the tilted Gibbs family gamma_{sigma,nu} from them through
+    `evaluate`; the free energy, the multiplier sigma, the dissipation and the
+    finite-volume stepper read `h` and `h1` directly.
     """
 
     def __init__(self, pot: Potential, grid: Grid):
@@ -39,7 +41,8 @@ class TiltedFamily:
         self.x = x
         self.x2 = x * x
         self.h = np.asarray(pot.h(x), dtype=float)
-        for arr in (self.x, self.x2, self.h):
+        self.h1 = np.asarray(pot.h1(x), dtype=float)
+        for arr in (self.x, self.x2, self.h, self.h1):
             arr.setflags(write=False)
 
     def tilted(self, sigma: float) -> np.ndarray:
@@ -213,8 +216,11 @@ def solve_lambda(
     )
 
 
-def tilted_values(sigma: float, pot: Potential, grid: Grid) -> np.ndarray:
-    return tilted_family(pot, grid).tilted(sigma)
+def variance_range(sigmas: np.ndarray, nu: float, pot: Potential, grid: Grid) -> tuple[float, float]:
+    """(min, max) of Var(gamma_{sigma,nu}) over the tilts `sigmas`."""
+    family = tilted_family(pot, grid)
+    variances = np.array([family.evaluate(float(s), nu)[1] for s in sigmas])
+    return float(np.min(variances)), float(np.max(variances))
 
 
 def local_minima(vals: np.ndarray) -> list[int]:
@@ -238,7 +244,7 @@ def local_minima(vals: np.ndarray) -> list[int]:
 def energy_barrier(sigma: float, pot: Potential, grid: Grid) -> float:
     """Largest minimax barrier from any local minimum of H - sigma*x to the
     global minimum (1D: the optimal path is the straight interval)."""
-    vals = tilted_values(sigma, pot, grid)
+    vals = tilted_family(pot, grid).tilted(sigma)
     mins = local_minima(vals)
     if len(mins) <= 1:
         return 0.0
@@ -255,7 +261,7 @@ def energy_barrier(sigma: float, pot: Potential, grid: Grid) -> float:
 
 def is_multimodal(sigma: float, pot: Potential, grid: Grid) -> bool:
     """True when H'(x) = sigma has more than one grid-resolved solution."""
-    diffs = np.asarray(pot.h1(grid.x), dtype=float) - sigma
+    diffs = tilted_family(pot, grid).h1 - sigma
     signs = np.sign(diffs)
     signs = signs[signs != 0.0]
     if signs.size < 2:
@@ -328,7 +334,7 @@ def landscape(
 
     delta_h_star = max((energy_barrier(float(s), pot, grid) for s in sigmas[multi]), default=0.0)
 
-    variances = np.array([gibbs(float(s), nu, pot, grid).variance for s in sigmas])
+    c_var, C_var = variance_range(sigmas, nu, pot, grid)
     lsi_samples = []
     for s in sigmas:
         c, method = lsi_constant(float(s), nu, pot, grid)
@@ -338,8 +344,8 @@ def landscape(
         spinodal_measure=spinodal,
         sigma_set=intervals,
         delta_h_star=delta_h_star,
-        c_var=float(np.min(variances)),
-        C_var=float(np.max(variances)),
+        c_var=c_var,
+        C_var=C_var,
         lsi_samples=lsi_samples,
     )
 

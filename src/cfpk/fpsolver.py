@@ -33,15 +33,14 @@ from .core import (
     Grid,
     ModelParams,
     Potential,
-    entropy,
     integrate,
     moments,
     require_positive,
     step_count,
 )
-from .equilibrium import solve_lambda
+from .equilibrium import solve_lambda, tilted_family
 from .errors import ContractViolation, StepError
-from .functionals import dissipation, log_partition, relative_entropy
+from .functionals import dissipation, free_energy, relative_entropy
 from .records import TrajectoryRecord
 from .transport import quantile_to_density, to_quantile
 
@@ -57,7 +56,7 @@ def sigma_of_state(
     rho: Density, t: float, pot: Potential, path: ConstraintPath, params: ModelParams
 ) -> float:
     """sigma(t) = int H'(x) rho(t,x) dx + tau * l'(t)."""
-    h1 = np.asarray(pot.h1(rho.grid.x), dtype=float)
+    h1 = tilted_family(pot, rho.grid).h1
     return integrate(h1 * rho.values, rho.grid) + params.tau * path.ell_dot(t)
 
 
@@ -72,7 +71,7 @@ def _bernoulli(w: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """The model bound to one grid and time step.
+    """The model's grid binding (`tilted_family`) at one time step.
 
     The interface flux is (nu^2/dx) * (upper_i rho_{i+1} - lower_i rho_i) with
     w = (H_{i+1} - H_i)/nu^2 - sigma dx/nu^2 and upper = lower + w, so one
@@ -90,17 +89,16 @@ class _Stepper:
         require_positive(dt=dt)
         nu2 = params.nu * params.nu
         dx = grid.dx
-        x = grid.x
+        family = tilted_family(pot, grid)
         self.n = grid.n
         self.dx = dx
         self.dt = dt
         self.tau = params.tau
         self.ell_dot = path.ell_dot
-        self.h = np.asarray(pot.h(x), dtype=float)
-        self.h1_dx = np.asarray(pot.h1(x), dtype=float) * dx
+        self.h1_dx = family.h1 * dx
         # int H' (div g) dx = dh1 @ g for an interface flux g (see _limited)
         self.dh1 = -np.diff(self.h1_dx)
-        self.w0 = np.diff(self.h) / nu2
+        self.w0 = np.diff(family.h) / nu2
         self.w_per_sigma = dx / nu2
         self.rate = nu2 / (params.tau * dx * dx)
 
@@ -259,8 +257,6 @@ def run(
     if abs(m1_0 - path.ell(0.0)) > 1e-8:
         rho0 = project_mean(rho0, path.ell(0.0))
     nu = params.nu
-    nu2 = nu * nu
-    logz0 = log_partition(pot, grid, nu)
     star = solve_lambda(path.ell_star, nu, pot, grid)
     gamma_star = star.state.density
     constant_ell = path.L0 == 0.0
@@ -274,9 +270,7 @@ def run(
         ell_t = path.ell(t)
         sig = sigma_of_state(dens, t, pot, path, params)
         m1, m2, _ = moments(dens)
-        s_val = entropy(dens)
-        e_val = integrate(op.h * vals, grid)
-        f_val = nu2 * s_val + e_val + nu2 * logz0
+        fe = free_energy(dens, pot, params)
         if constant_ell:
             lam_t, gamma_t = star.lam, gamma_star
         else:
@@ -289,9 +283,9 @@ def run(
             ell=ell_t,
             M1=m1,
             M2=m2,
-            F=f_val,
-            S=s_val,
-            E=e_val,
+            F=fe.F,
+            S=fe.S,
+            E=fe.E,
             D=dissipation(dens, sig, pot, params),
             Hrel_quasistatic=relative_entropy(dens, gamma_t),
             Hrel_star=relative_entropy(dens, gamma_star),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -35,8 +36,10 @@ class EnergyBreakdown:
     F: float
 
 
+@lru_cache(maxsize=16)
 def log_partition(pot: Potential, grid: Grid, nu: float) -> float:
-    """log Z0 = log int exp(-H/nu^2) dx: the untilted Gibbs state's log Z."""
+    """log Z0 = log int exp(-H/nu^2) dx: the untilted Gibbs state's log Z,
+    computed once per (pot, grid, nu)."""
     return tilted_family(pot, grid).evaluate(0.0, nu)[2]
 
 
@@ -44,7 +47,7 @@ def free_energy(rho: Density, pot: Potential, params: ModelParams) -> EnergyBrea
     """F(rho) = nu^2 S(rho) + E(rho) + nu^2 log Z0, nonnegative on P2."""
     nu2 = params.nu * params.nu
     s = entropy(rho)
-    e = integrate(np.asarray(pot.h(rho.grid.x), dtype=float) * rho.values, rho.grid)
+    e = integrate(tilted_family(pot, rho.grid).h * rho.values, rho.grid)
     logz0 = log_partition(pot, rho.grid, params.nu)
     return EnergyBreakdown(S=s, E=e, logZ0=logz0, F=nu2 * s + e + nu2 * logz0)
 
@@ -74,8 +77,7 @@ def grad_log(rho: Density) -> np.ndarray:
 def dissipation(rho: Density, sigma: float, pot: Potential, params: ModelParams) -> float:
     """D(rho, sigma) = int |nu^2 dlog(rho)/dx + H'(x) - sigma|^2 rho dx >= 0."""
     nu2 = params.nu * params.nu
-    x = rho.grid.x
-    velocity = nu2 * grad_log(rho) + np.asarray(pot.h1(x), dtype=float) - sigma
+    velocity = nu2 * grad_log(rho) + tilted_family(pot, rho.grid).h1 - sigma
     integrand = np.where(rho.values > VACUUM, velocity**2 * rho.values, 0.0)
     return integrate(integrand, rho.grid)
 

@@ -24,7 +24,7 @@ from .core import (
     moments,
     require_positive,
 )
-from .equilibrium import gibbs, landscape, lsi_constant, solve_lambda
+from .equilibrium import gibbs, landscape, lsi_constant, solve_lambda, tilted_family, variance_range
 from .errors import ContractViolation
 from .fpsolver import run as fv_run
 from .functionals import free_energy, relative_entropy
@@ -55,12 +55,7 @@ def verify_comparison(
     )
     nu4 = nu**4
     gap_sq = (eta - lam) ** 2
-    if gap_sq == 0.0:
-        c_lo, c_hi = state_lam.variance, state_lam.variance
-    else:
-        thetas = np.linspace(min(lam, eta), max(lam, eta), 33)
-        variances = np.array([gibbs(float(th), nu, pot, grid).variance for th in thetas])
-        c_lo, c_hi = float(np.min(variances)), float(np.max(variances))
+    c_lo, c_hi = variance_range(np.linspace(min(lam, eta), max(lam, eta), 33), nu, pot, grid)
     lower = 0.5 * c_lo * gap_sq / nu4
     upper = 0.5 * c_hi * gap_sq / nu4
     return {
@@ -126,6 +121,19 @@ def decay_bound_curve(
         integral = integral * decay + seg
         bound[i] = math.exp(-tau_rate * t[i]) * h0 + c_ell_sigma * integral
     return bound
+
+
+def decay_bound_audit(
+    records: list[TrajectoryRecord], nu: float, pot: Potential, grid: Grid, path: ConstraintPath
+) -> tuple[float, float, float]:
+    """The quantitative decay bound on a trajectory: (predicted rate,
+    C = max|lambda(ell)| + max|sigma|, max over records of H - bound)."""
+    predicted = predicted_relaxation_time(records, nu, pot, grid)
+    lam_max = float(np.max(np.abs([r.lam_ell for r in records])))
+    c_ell_sigma = lam_max + float(np.max(np.abs([r.sigma for r in records])))
+    bound = decay_bound_curve(records, predicted, c_ell_sigma, path)
+    h = np.array([r.Hrel_quasistatic for r in records])
+    return predicted, c_ell_sigma, float(np.max(h - bound))
 
 
 def fit_decay_rate(
@@ -231,20 +239,16 @@ def decay_experiment(
     record_every: int = 1,
     fit_tail: bool = False,
 ) -> DecayReport:
-    """Run the direct solver and audit the quantitative decay bound."""
+    """Run the direct solver and audit the quantitative decay bound; the
+    path's declared envelope is checked at the record times."""
     declared = path.kappa is not None and path.L0 is not None
     if not (declared or path.L0 == 0.0):
         raise ContractViolation("path must declare kappa/L0 or be constant")
     params = ModelParams(tau=tau, nu=nu)
     records = fv_run(rho0, path, dt, pot, params, T, record_every=record_every)
+    path.check_decay(np.array([r.t for r in records]))
     grid = rho0.grid
-    predicted = predicted_relaxation_time(records, nu, pot, grid)
-    lam_vals = np.array([r.lam_ell for r in records])
-    sig_vals = np.array([r.sigma for r in records])
-    c_ell_sigma = float(np.max(np.abs(lam_vals)) + np.max(np.abs(sig_vals)))
-    bound = decay_bound_curve(records, predicted, c_ell_sigma, path)
-    h = np.array([r.Hrel_quasistatic for r in records])
-    violation = float(np.max(h - bound))
+    predicted, c_ell_sigma, violation = decay_bound_audit(records, nu, pot, grid, path)
     rate, short = fit_decay_rate(records, tail_only=fit_tail)
     sigma_star = solve_lambda(path.ell_star, nu, pot, grid).lam
     stride = max(1, len(records) // 400)
@@ -267,8 +271,9 @@ def decay_experiment(
 def sigma_convergence_constant(nu: float, pot: Potential, grid: Grid, lam_ref: float) -> float:
     """Constant C of the multiplier-convergence estimate, assembled from the
     weighted-CKP chain: C = 4 * 8 C_H^2 / min(c-,c+)^2 * (1 + log C_M)."""
-    x = grid.x
-    c_h = float(np.max(np.abs(pot.h1(x)) / (1.0 + np.abs(x))))
+    family = tilted_family(pot, grid)
+    x = family.x
+    c_h = float(np.max(np.abs(family.h1) / (1.0 + np.abs(x))))
     cmin = min(pot.growth_constants)
     w_vals = 0.5 * cmin * (1.0 + np.abs(x))
     gamma = gibbs(lam_ref, nu, pot, grid).density
@@ -294,8 +299,7 @@ def verify_sigma_convergence(
     lam_vals = np.array([r.lam_ell for r in records])
     lo = float(min(np.min(sig), np.min(lam_vals), sigma_star)) - 1.0
     hi = float(max(np.max(sig), np.max(lam_vals), sigma_star)) + 1.0
-    thetas = np.linspace(lo, hi, 33)
-    c_var = float(np.min([gibbs(float(s), nu, pot, grid).variance for s in thetas]))
+    c_var = variance_range(np.linspace(lo, hi, 33), nu, pot, grid)[0]
     c_chain = sigma_convergence_constant(nu, pot, grid, sigma_star)
 
     params = ModelParams(tau=1.0, nu=nu)
@@ -354,10 +358,11 @@ def bimodal_side_data(
     limit state.
     """
     from .core import density_from_values
-    from .equilibrium import local_minima, tilted_values
+    from .equilibrium import local_minima
 
+    family = tilted_family(pot, grid)
     star = solve_lambda(ell_star, nu, pot, grid)
-    vals = tilted_values(star.lam, pot, grid)
+    vals = family.tilted(star.lam)
     mins = local_minima(vals)
     if len(mins) < 2:
         return well_prepared_data(ell_star, nu, pot, grid, shift=0.25)
@@ -365,8 +370,8 @@ def bimodal_side_data(
     i_a, i_b = sorted((mins[order[0]], mins[order[1]]))
     split = i_a + int(np.argmax(vals[i_a : i_b + 1]))
 
-    x = grid.x
-    h_vals = np.asarray(pot.h(x), dtype=float)
+    x = family.x
+    h_vals = family.h
     left = (np.arange(grid.n) < split).astype(float)
     nu2 = nu * nu
     sigma, theta = star.lam, 0.0

@@ -26,14 +26,12 @@ from .core import (
     ModelParams,
     Potential,
     density_from_values,
-    entropy,
-    integrate,
     moments,
     require_positive,
     step_count,
 )
 from .errors import ContractViolation, StepError
-from .functionals import log_partition
+from .functionals import free_energy, log_partition
 from .records import TrajectoryRecord
 
 KKT_TOL = 1e-9
@@ -295,9 +293,7 @@ def jko_run(
     if abs(float(np.mean(x)) - ell0) > 1e-8:
         x = x + (ell0 - float(np.mean(x)))  # translation projection onto M^ell(0)
     h_eff = h / params.tau
-    logz0 = log_partition(pot, grid, params.nu)
     records = []
-    hx = None
     for k in range(1, n_steps + 1):
         t_k = k * h
         ell_k = path.ell(t_k)
@@ -309,11 +305,7 @@ def jko_run(
         w2sq = float(np.mean((x_new - x) ** 2))
         dens = quantile_to_density(x_new, grid)
         m1, m2, _ = moments(dens)
-        s_val = entropy(dens)
-        if hx is None:
-            hx = np.asarray(pot.h(grid.x), dtype=float)
-        e_val = integrate(hx * dens.values, grid)
-        nu2 = params.nu * params.nu
+        fe = free_energy(dens, pot, params)
         records.append(
             TrajectoryRecord(
                 t=t_k,
@@ -321,9 +313,9 @@ def jko_run(
                 ell=ell_k,
                 M1=m1,
                 M2=m2,
-                F=nu2 * s_val + e_val + nu2 * logz0,
-                S=s_val,
-                E=e_val,
+                F=fe.F,
+                S=fe.S,
+                E=fe.E,
                 W2sq_step=w2sq,
                 kkt_residual=res,
                 density=dens,

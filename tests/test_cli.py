@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import cfpk.cli
 from cfpk.cli import (
     _read_sections,
     _resolve,
@@ -173,6 +174,33 @@ class TestRunExperiment:
         bad = write(tmp_path, "[model]\npotential = mystery\n")
         assert main(["simulate", "--config", bad]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,solver", [("verify", "fv"), ("simulate", "fv"), ("simulate", "jko")])
+    def test_horizon_below_one_step_takes_one_step(self, tmp_path, monkeypatch, command, solver):
+        # T = 1e-16 is far below dt = 1e-3 and h = 0.01: one whole step, not zero
+        lengths = []
+
+        def counted(run):
+            def wrapper(*args, **kwargs):
+                records = run(*args, **kwargs)
+                lengths.append(len(records))
+                return records
+            return wrapper
+
+        monkeypatch.setattr(cfpk.cli, "fv_run", counted(cfpk.cli.fv_run))
+        monkeypatch.setattr(cfpk.cli, "jko_run", counted(cfpk.cli.jko_run))
+        text = f"[model]\npotential = quadratic:1\n\n[grid]\nn = 256\n\n[run]\nsolver = {solver}\nT = 1e-16\n"
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        # FV records t = 0 and the step; JKO records the step only
+        assert lengths == [2 if solver == "fv" else 1]
+        summary = json.loads((out / "summary.json").read_text())
+        if command == "verify":
+            assert np.isfinite(summary["verify"]["energy_dissipation_audit"]["max_eb_residual"])
+        elif solver == "fv":
+            assert summary["fv"]["steps"] == 1 and np.isfinite(summary["fv"]["max_eb_residual"])
+        else:
+            assert len((out / "trajectory_jko.csv").read_text().splitlines()) == 2
 
     @pytest.mark.parametrize(
         "section,key,value,solver",

@@ -198,6 +198,7 @@ class TestConstraintPaths:
 
     def test_step_count_guard(self):
         assert step_count(1.0, 1e-3) == 1000
+        assert step_count(1e-16, 1e-3) == 1  # a positive horizon takes at least one step
         assert step_count(float(MAX_STEPS), 1.0) == MAX_STEPS
         for T, dt in ((MAX_STEPS + 1.0, 1.0), (1.0, 1e-300), (1e300, 1e-300)):
             with pytest.raises(ContractViolation, match="exceeds the limit"):

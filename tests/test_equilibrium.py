@@ -15,7 +15,7 @@ from cfpk.equilibrium import (
     mean_derivative,
     solve_lambda,
     tilted_family,
-    tilted_values,
+    variance_range,
 )
 from cfpk.errors import RangeError
 from cfpk.functionals import dissipation, log_partition, relative_entropy
@@ -87,17 +87,26 @@ class TestTiltedFamily:
                     np.testing.assert_array_equal(state.density.values, values)
                     x = g.x
                     np.testing.assert_array_equal(
-                        tilted_values(sigma, pot, g), np.asarray(pot.h(x), dtype=float) - sigma * x
+                        tilted_family(pot, g).tilted(sigma),
+                        np.asarray(pot.h(x), dtype=float) - sigma * x,
                     )
 
     def test_one_family_per_grid_with_read_only_arrays(self, grid, dw_pot):
         family = tilted_family(dw_pot, grid)
         assert tilted_family(dw_pot, grid) is family
         np.testing.assert_array_equal(family.x, grid.x)
-        for arr in (family.x, family.x2, family.h):
+        np.testing.assert_array_equal(family.h, dw_pot.h(grid.x))
+        np.testing.assert_array_equal(family.h1, dw_pot.h1(grid.x))
+        for arr in (family.x, family.x2, family.h, family.h1):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+
+    def test_variance_range_over_gibbs_states(self, grid, dw_pot):
+        sigmas = np.linspace(-1.5, 2.0, 9)
+        variances = [gibbs(float(s), 0.6, dw_pot, grid).variance for s in sigmas]
+        assert variance_range(sigmas, 0.6, dw_pot, grid) == (min(variances), max(variances))
 
 
 class TestLambdaOfEll:

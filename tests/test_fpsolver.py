@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from cfpk.core import (
     ConstraintPath,
@@ -10,6 +14,7 @@ from cfpk.core import (
     exp_decay_path,
     gaussian_density,
     moments,
+    polynomial_potential,
 )
 from cfpk import fpsolver
 from cfpk.equilibrium import gibbs, solve_lambda
@@ -51,6 +56,31 @@ class TestStep:
         new, sigma, _, _ = _advance(sol.state.density.values, 0.0, op)
         assert float(np.sum(np.abs(new - sol.state.density.values))) * grid.dx <= 1e-10
         assert sigma == pytest.approx(sol.lam, abs=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c1=hst.floats(-1.0, 1.0),
+        c2=hst.floats(-2.0, 2.0),
+        c3=hst.floats(-0.5, 0.5),
+        c4=hst.floats(0.1, 1.0),
+        nu=hst.floats(0.4, 1.2),
+        tilt=hst.floats(-1.0, 1.0),
+    )
+    def test_gibbs_states_are_fixed_points(self, c1, c2, c3, c4, nu, tilt):
+        # every grid Gibbs state of a random quartic is an exact steady state
+        # of the whole TR-BDF2 step.  These ranges keep the state below
+        # e^-50 of its peak at x = +-8, so int H' gamma = tilt to quadrature
+        # accuracy; denormal tail cells may leave the limiter a few 5e-324.
+        g = Grid(-8.0, 8.0, 512)
+        pot = polynomial_potential([0.0, c1, c2, c3, c4], g)
+        state = gibbs(tilt, nu, pot, g)
+        op = _Stepper(g, 1e-2, pot, constant_path(state.mean), ModelParams(nu=nu))
+        new, sigma, drift, limited = _advance(state.density.values, 0.0, op)
+        assert float(np.sum(np.abs(new - state.density.values))) * g.dx <= 1e-10
+        assert sigma == pytest.approx(tilt, abs=1e-8)
+        assert drift <= 1e-12
+        assert np.all(new >= 0.0)
+        assert limited <= 1e-300
 
     def test_positivity_and_mass(self, grid, dw_pot):
         # the whole TR-BDF2 step conserves mass and stays nonnegative; the
@@ -144,6 +174,26 @@ class TestRun:
             for p in (declared, bare)
         )
         np.testing.assert_array_equal(bare_rows, declared_rows)
+
+    def test_model_sampled_once_per_grid(self, dw_pot):
+        # the stepper, sigma, the free energy, the dissipation and every
+        # lambda solve of a run read one grid sampling of H and H'
+        calls = {"h": 0, "h1": 0}
+
+        def counted(name):
+            fn = getattr(dw_pot, name)
+
+            def wrapper(x):
+                calls[name] += 1
+                return fn(x)
+            return wrapper
+
+        pot = dataclasses.replace(dw_pot, h=counted("h"), h1=counted("h1"))
+        g = Grid(-12.0, 12.0, 512)
+        path = exp_decay_path(0.3, 0.4, 1.0)
+        recs = run(gaussian_density(g, path.ell(0.0), 1.0), path, 1e-3, pot, ModelParams(nu=0.8), 0.02)
+        assert len(recs) == 21
+        assert calls == {"h": 1, "h1": 1}
 
     def test_step_count_guard(self, grid, quad_pot, monkeypatch):
         # a dt that schedules more than MAX_STEPS steps is refused before

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfpk.core import (
+    ConstraintPath,
     Grid,
     ModelParams,
     constant_path,
@@ -160,6 +161,16 @@ class TestDecayExperiment:
         h0 = rep.samples[0][1]
         for t, hq, _, _ in rep.samples:
             assert hq <= math.exp(-tau * t) * (h0 + c_exp) + 1e-9
+
+    def test_false_envelope_is_refused(self, quad_pot):
+        # |ell_dot(t)| = 0.4 e^{-t} breaks a declared envelope of 0.2 e^{-t}
+        held = exp_decay_path(0.3, 0.4, 1.0)
+        broken = ConstraintPath(held.ell, held.ell_dot, held.ell_star, kappa=held.kappa, L0=0.5 * held.L0)
+        g = Grid(-12.0, 12.0, 256)
+        rho0 = gaussian_density(g, held.ell(0.0), 1.0)
+        decay_experiment(rho0, held, 1.0, quad_pot, 1e-2, 0.1)
+        with pytest.raises(ContractViolation, match="envelope"):
+            decay_experiment(rho0, broken, 1.0, quad_pot, 1e-2, 0.1)
 
     def test_fit_window_flag(self, quad_pot):
         # run stops while Hrel is still above the window: flagged, but a rate
