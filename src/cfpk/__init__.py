@@ -30,6 +30,6 @@ from .functionals import (
     relative_entropy,
     weighted_ckp,
 )
-from .transport import JkoStepResult, QuantileRep, jko_run, jko_step, to_quantile, w2
+from .transport import jko_run, to_quantile, w2
 
 __version__ = "0.1.0"

@@ -277,7 +277,7 @@ def _summarize_run(records, cfg: RunConfig) -> dict:
         "final_Hrel_star": records[-1].Hrel_star,
         "max_eb_residual": float(np.nanmax(eb)),
         "max_constraint_gap": float(np.max([abs(r.M1 - r.ell) for r in records])),
-        "steps": len(records) - 1,
+        "steps": core.step_count(cfg.T, cfg.dt),
         "limited_mass": float(sum(r.limited_mass for r in records)),
     }
 

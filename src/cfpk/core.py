@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,13 +62,20 @@ class Grid:
 
     @property
     def x(self) -> np.ndarray:
-        """Cell centers."""
-        return self.x_min + (np.arange(self.n) + 0.5) * self.dx
+        """Cell centers, one read-only array per grid."""
+        return _cell_centers(self)
 
     @property
     def edges(self) -> np.ndarray:
         """Cell interfaces, length n+1."""
         return self.x_min + np.arange(self.n + 1) * self.dx
+
+
+@lru_cache(maxsize=16)
+def _cell_centers(grid: Grid) -> np.ndarray:
+    x = grid.x_min + (np.arange(grid.n) + 0.5) * grid.dx
+    x.setflags(write=False)
+    return x
 
 
 def integrate(f_values: np.ndarray, grid: Grid) -> float:

@@ -104,11 +104,6 @@ def gibbs(sigma: float, nu: float, pot: Potential, grid: Grid) -> GibbsState:
     return _state(sigma, nu, grid, tilted_family(pot, grid).evaluate(sigma, nu))
 
 
-def mean_derivative(state: GibbsState) -> float:
-    """d M1(gamma_{lambda,nu}) / d lambda = Var / nu^2."""
-    return state.variance / (state.nu * state.nu)
-
-
 @dataclass(frozen=True)
 class LambdaSolve:
     lam: float

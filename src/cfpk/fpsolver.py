@@ -223,8 +223,7 @@ def project_mean(rho: Density, target: float) -> Density:
     """Translate a density so that its first moment equals target (the shift
     map x -> x + a, realized in quantile coordinates)."""
     q = to_quantile(rho, max(64, 2 * rho.grid.n))
-    a = target - float(np.mean(q.x_of_s))
-    return quantile_to_density(q.x_of_s + a, rho.grid)
+    return quantile_to_density(q + (target - float(np.mean(q))), rho.grid)
 
 
 def run(

@@ -31,22 +31,16 @@ from .core import (
     step_count,
 )
 from .errors import ContractViolation, StepError
-from .functionals import free_energy, log_partition
+from .functionals import free_energy
 from .records import TrajectoryRecord
 
 KKT_TOL = 1e-9
 MAX_NEWTON = 200
 
 
-@dataclass(frozen=True)
-class QuantileRep:
-    """Monotone quantile samples X(s_j) at midpoint levels s_j = (j+1/2)/m."""
-
-    x_of_s: np.ndarray
-
-
-def to_quantile(rho: Density, m: int) -> QuantileRep:
-    """Invert the piecewise-linear CDF of the cell histogram at midpoint levels.
+def to_quantile(rho: Density, m: int) -> np.ndarray:
+    """Monotone quantile samples X(s_j) at midpoint levels s_j = (j+1/2)/m,
+    from the inverse of the piecewise-linear CDF of the cell histogram.
 
     The samples are shifted by their (tiny) midpoint-sampling mean defect so
     that their sample mean equals the density's quadrature mean exactly: the
@@ -66,7 +60,7 @@ def to_quantile(rho: Density, m: int) -> QuantileRep:
     x = grid.edges[idx] + (s - cdf[idx]) * grid.dx / cell_mass
     x = np.maximum.accumulate(x)  # guard monotonicity against roundoff
     x = x + (moments(rho)[0] - float(np.mean(x)))
-    return QuantileRep(x_of_s=x)
+    return x
 
 
 def quantile_to_density(x_of_s: np.ndarray, grid: Grid) -> Density:
@@ -100,20 +94,9 @@ def quantile_to_density(x_of_s: np.ndarray, grid: Grid) -> Density:
 
 def w2(rho0: Density, rho1: Density, m: int = 1024) -> float:
     """Wasserstein-2 distance via midpoint quantile sampling."""
-    x0 = to_quantile(rho0, m).x_of_s
-    x1 = to_quantile(rho1, m).x_of_s
+    x0 = to_quantile(rho0, m)
+    x1 = to_quantile(rho1, m)
     return math.sqrt(float(np.mean((x0 - x1) ** 2)))
-
-
-@dataclass(frozen=True)
-class JkoStepResult:
-    rho_next: Density
-    sigma_k: float
-    w2_sq: float
-    free_energy: float
-    inner_iterations: int
-    kkt_residual: float
-    x_of_s: np.ndarray
 
 
 def _entropy_weights(m: int) -> np.ndarray:
@@ -125,14 +108,6 @@ def _entropy_weights(m: int) -> np.ndarray:
     c[0] = 1.5
     c[-1] = 1.5
     return c
-
-
-def _quantile_free_energy(x: np.ndarray, pot: Potential, nu: float, logz0: float) -> float:
-    m = len(x)
-    log_terms = np.log(m * np.diff(x))
-    s_ent = -(float(np.sum(log_terms)) + 0.5 * (log_terms[0] + log_terms[-1])) / m
-    e_pot = float(np.mean(pot.h(x)))
-    return nu * nu * s_ent + e_pot + nu * nu * logz0
 
 
 def _inner_solve(
@@ -155,12 +130,10 @@ def _inner_solve(
     cw = _entropy_weights(m)
     x = y + (ell_k - float(np.mean(y)))  # feasible translation start
 
-    def merit(xv: np.ndarray, delta: np.ndarray) -> float:
-        return float(
-            np.sum((xv - y) ** 2) / (2.0 * h_eff)
-            + np.sum(pot.h(xv))
-            - nu2 * np.sum(cw * np.log(delta))
-        )
+    def merit(xv: np.ndarray, delta: np.ndarray) -> tuple[float, np.ndarray]:
+        hv = pot.h(xv)
+        w2_term = np.sum((xv - y) ** 2) / (2.0 * h_eff)
+        return float(w2_term + np.sum(hv) - nu2 * np.sum(cw * np.log(delta))), hv
 
     def gradient(xv: np.ndarray, delta: np.ndarray) -> np.ndarray:
         invd = cw / delta
@@ -181,6 +154,8 @@ def _inner_solve(
     g = gradient(x, delta)
     mu = float(np.mean(g))
     res = float(np.max(np.abs(g - mu)))
+    base, hx = merit(x, delta)  # H is evaluated once per iterate
+    rhs = np.ones((m, 2))  # [-g, 1]; solve_banded leaves it unchanged
     it = 0
     while res > tol_at(x, delta, mu) and it < MAX_NEWTON:
         it += 1
@@ -188,15 +163,14 @@ def _inner_solve(
         diag = 1.0 / h_eff + np.asarray(pot.h2(x), dtype=float)
         diag[:-1] += nu2 * invd2
         diag[1:] += nu2 * invd2
-        off = -nu2 * invd2
+        ab = np.zeros((3, m))
+        ab[0, 1:] = ab[2, :-1] = -nu2 * invd2  # the diagonal is set per shift
+        rhs[:, 0] = -g
         shift = 0.0
         for _ in range(12):
-            ab = np.zeros((3, m))
-            ab[0, 1:] = off
             ab[1, :] = diag + shift
-            ab[2, :-1] = off
             try:
-                sol = solve_banded((1, 1), ab, np.column_stack([-g, np.ones(m)]))
+                sol = solve_banded((1, 1), ab, rhs)
             except np.linalg.LinAlgError:
                 shift = max(2.0 * shift, 1e-8)
                 continue
@@ -216,14 +190,15 @@ def _inner_solve(
         # backtrack: feasibility of increments, then Armijo decrease up to
         # the roundoff floor of the merit sum
         t = 1.0
-        base = merit(x, delta)
         slope = float(np.dot(g, p))
-        floor = 64.0 * np.finfo(float).eps * (abs(base) + float(np.sum(np.abs(pot.h(x)))))
+        floor = 64.0 * np.finfo(float).eps * (abs(base) + float(np.sum(np.abs(hx))))
         for _ in range(60):
             x_try = x + t * p
             d_try = np.diff(x_try)
-            if np.all(d_try > 0.0) and merit(x_try, d_try) <= base + 1e-4 * t * slope + floor:
-                break
+            if np.all(d_try > 0.0):
+                trial = merit(x_try, d_try)
+                if trial[0] <= base + 1e-4 * t * slope + floor:
+                    break
             t *= 0.5
         else:
             raise StepError(
@@ -231,6 +206,7 @@ def _inner_solve(
                 diagnostics={"kkt_residual": res, "iterations": it},
             )
         x, delta = x_try, d_try
+        base, hx = trial
         g = gradient(x, delta)
         mu = float(np.mean(g))
         res = float(np.max(np.abs(g - mu)))
@@ -240,35 +216,6 @@ def _inner_solve(
             diagnostics={"kkt_residual": res, "iterations": it},
         )
     return x, mu, it, res
-
-
-def jko_step(
-    rho_prev: Density,
-    ell_k: float,
-    h: float,
-    pot: Potential,
-    params: ModelParams,
-    m: int | None = None,
-) -> JkoStepResult:
-    """One constrained minimizing-movement step from a grid density."""
-    if h <= 0.0:
-        raise ContractViolation("need h > 0")
-    grid = rho_prev.grid
-    if m is None:
-        m = max(64, grid.n)
-    y = to_quantile(rho_prev, m).x_of_s
-    h_eff = h / params.tau
-    x, mu, it, res = _inner_solve(y, ell_k, h_eff, pot, params.nu)
-    logz0 = log_partition(pot, grid, params.nu)
-    return JkoStepResult(
-        rho_next=quantile_to_density(x, grid),
-        sigma_k=mu,
-        w2_sq=float(np.mean((x - y) ** 2)),
-        free_energy=_quantile_free_energy(x, pot, params.nu, logz0),
-        inner_iterations=it,
-        kkt_residual=res,
-        x_of_s=x,
-    )
 
 
 def jko_run(
@@ -282,13 +229,14 @@ def jko_run(
 ) -> list[TrajectoryRecord]:
     """Chain JKO steps on [0, T]; the state is carried in quantile coordinates
     between steps (no per-step grid roundtrip) and projected to the grid for
-    the per-step record."""
+    the per-step record.  This is the only stepping loop: one step from rho0
+    is the first record of a run with T = h."""
     require_positive(h=h, T=T)
     n_steps = step_count(T, h)
     grid = rho0.grid
     if m is None:
         m = max(64, grid.n)
-    x = to_quantile(rho0, m).x_of_s
+    x = to_quantile(rho0, m)
     ell0 = path.ell(0.0)
     if abs(float(np.mean(x)) - ell0) > 1e-8:
         x = x + (ell0 - float(np.mean(x)))  # translation projection onto M^ell(0)

@@ -101,6 +101,17 @@ def jko_gaussian_step_variance(v0: float, h: float) -> float:
     return s * s
 
 
+def quantile_free_energy(x: np.ndarray, pot, nu: float, logz0: float) -> float:
+    """F = nu^2 S + E + nu^2 log Z0 of a quantile chain state, written directly
+    in quantile coordinates (histogram-consistent entropy with half-weight end
+    increments), not through the grid projection the records use."""
+    m = len(x)
+    log_terms = np.log(m * np.diff(x))
+    s_ent = -(float(np.sum(log_terms)) + 0.5 * (log_terms[0] + log_terms[-1])) / m
+    e_pot = float(np.mean(pot.h(x)))
+    return nu * nu * s_ent + e_pot + nu * nu * logz0
+
+
 def exact_w2_histograms(rho0, rho1) -> float:
     """Exact Wasserstein-2 distance between two cell-histogram densities.
 

@@ -20,7 +20,7 @@ from cfpk.core import (
     gaussian_density,
     quadratic_potential,
 )
-from cfpk.equilibrium import gibbs, landscape, mean_derivative, solve_lambda
+from cfpk.equilibrium import gibbs, landscape, solve_lambda
 from cfpk.fpsolver import run as fv_run
 from cfpk.longtime import (
     ckp_chain_audit,
@@ -34,7 +34,6 @@ from cfpk.sampling import random_density
 from cfpk.transport import (
     discrete_sigma_series,
     jko_run,
-    jko_step,
     sum_w2sq,
     to_quantile,
     weak_form_residual,
@@ -72,7 +71,7 @@ def test_criterion_2_monotone_parametrization():
     for lam in np.linspace(-0.8, 0.8, 20):
         st = gibbs(float(lam), nu, pot, grid)
         fd = (gibbs(lam + d, nu, pot, grid).mean - gibbs(lam - d, nu, pot, grid).mean) / (2 * d)
-        worst = max(worst, abs(fd / mean_derivative(st) - 1.0))
+        worst = max(worst, abs(fd / (st.variance / st.nu**2) - 1.0))
     ok = worst <= 0.01
     assert report(2, ok, f"slope of lambda->M1 vs Var/nu^2: worst relative gap {worst:.2e} (<=1%)")
 
@@ -96,9 +95,10 @@ def test_criterion_4_jko_fixed_point():
     worst_w2, worst_sig = 0.0, 0.0
     for pot, ell, nu in ((quadratic_potential(1.0), 0.7, 1.0), (doublewell_potential(), 1.0, 0.5)):
         sol = solve_lambda(ell, nu, pot, grid)
-        res = jko_step(sol.state.density, ell, 1e-5, pot, ModelParams(nu=nu), m=2048)
-        worst_w2 = max(worst_w2, math.sqrt(res.w2_sq))
-        worst_sig = max(worst_sig, abs(res.sigma_k - sol.lam))
+        params = ModelParams(nu=nu)
+        rec = jko_run(sol.state.density, constant_path(ell), 1e-5, 1e-5, pot, params, m=2048)[0]
+        worst_w2 = max(worst_w2, math.sqrt(rec.W2sq_step))
+        worst_sig = max(worst_sig, abs(rec.sigma - sol.lam))
     ok = worst_w2 <= 1e-6 and worst_sig <= 1e-6
     assert report(
         4, ok, f"stationary step: W2 {worst_w2:.2e} (<=1e-6), sigma gap {worst_sig:.2e} (<=1e-6)"
@@ -154,7 +154,7 @@ def test_criterion_5_scheme_consistency():
     sums = {}
     for h in (0.04, 0.02, 0.01):
         recs = jko_run(rho0, path, h, 1.0, pot, params)
-        x_prev = to_quantile(rho0, grid.n).x_of_s
+        x_prev = to_quantile(rho0, grid.n)
         x_prev = x_prev + (path.ell(0.0) - float(np.mean(x_prev)))
         for r in recs:
             for zeta, sup2 in sups.items():

@@ -161,6 +161,15 @@ class TestRunExperiment:
         assert summary["decay"]["regime"] == "convex"
         assert (out / "trajectory_fv.csv").exists()
 
+    def test_simulate_reports_steps_not_records(self, tmp_path):
+        # 100 steps with a record every 10: 11 records, and "steps" counts steps
+        run = "[run]\nsolver = fv\nT = 0.1\ndt = 1e-3\nrecord_every = 10\n"
+        text = MINIMAL + "\n[grid]\nn = 256\n\n" + run
+        out = tmp_path / "steps"
+        assert main(["simulate", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        assert len((out / "trajectory_fv.csv").read_text().splitlines()) == 1 + 11
+        assert json.loads((out / "summary.json").read_text())["fv"]["steps"] == 100
+
     def test_echoed_config_reparses_identically(self, tmp_path):
         cfgfile = write(tmp_path, SMALL_VERIFY)
         out = tmp_path / "echo"

@@ -12,7 +12,6 @@ from cfpk.equilibrium import (
     is_multimodal,
     landscape,
     lsi_constant,
-    mean_derivative,
     solve_lambda,
     tilted_family,
     variance_range,
@@ -173,7 +172,7 @@ class TestLambdaOfEll:
         for lam in lams:
             st = gibbs(lam, nu, dw_pot, grid)
             fd = (gibbs(lam + d, nu, dw_pot, grid).mean - gibbs(lam - d, nu, dw_pot, grid).mean) / (2 * d)
-            assert fd == pytest.approx(mean_derivative(st), rel=0.01)
+            assert fd == pytest.approx(st.variance / st.nu**2, rel=0.01)
 
     def test_bi_lipschitz(self, grid, dw_pot):
         nu = 0.5

@@ -2,24 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from cfpk.core import (
+    ConstraintPath,
     Density,
     Grid,
     ModelParams,
     constant_path,
+    doublewell_potential,
     exp_decay_path,
     gaussian_density,
     moments,
     normalize,
+    quadratic_potential,
 )
 from cfpk import transport
 from cfpk.equilibrium import solve_lambda
 from cfpk.errors import ContractViolation
+from cfpk.sampling import random_density
 from cfpk.transport import (
     discrete_sigma_series,
     jko_run,
-    jko_step,
     quantile_to_density,
     sum_w2sq,
     to_quantile,
@@ -27,7 +32,12 @@ from cfpk.transport import (
     weak_form_residual,
 )
 
-from oracles import exact_w2_histograms, gaussian_w2, jko_gaussian_step_variance
+from oracles import (
+    exact_w2_histograms,
+    gaussian_w2,
+    jko_gaussian_step_variance,
+    quantile_free_energy,
+)
 
 
 class TestQuantile:
@@ -35,28 +45,28 @@ class TestQuantile:
         g = Grid(0.0, 1.0, 256)
         rho = normalize(Density(g, np.ones(g.n)))
         q = to_quantile(rho, 256)
-        assert np.max(np.abs(q.x_of_s - (np.arange(256) + 0.5) / 256)) < g.dx
+        assert np.max(np.abs(q - (np.arange(256) + 0.5) / 256)) < g.dx
 
     def test_median_of_gaussian(self, grid):
         rho = gaussian_density(grid, 0.0, 1.0)
         q = to_quantile(rho, 1000)
-        assert abs(q.x_of_s[499]) < grid.dx  # s = 0.4995 near the median
+        assert abs(q[499]) < grid.dx  # s = 0.4995 near the median
 
     def test_monotone(self, grid, dw_pot):
         from cfpk.equilibrium import gibbs
 
         rho = gibbs(0.0, 0.5, dw_pot, grid).density
         q = to_quantile(rho, 512)
-        assert np.all(np.diff(q.x_of_s) > 0.0)
+        assert np.all(np.diff(q) > 0.0)
 
     def test_mean_preserved_exactly(self, grid):
         rho = gaussian_density(grid, 0.37, 1.44)
         q = to_quantile(rho, 777)
-        assert float(np.mean(q.x_of_s)) == pytest.approx(moments(rho)[0], abs=1e-13)
+        assert float(np.mean(q)) == pytest.approx(moments(rho)[0], abs=1e-13)
 
     def test_roundtrip_w2(self, grid):
         rho = gaussian_density(grid, 0.3, 1.0)
-        back = quantile_to_density(to_quantile(rho, 2048).x_of_s, grid)
+        back = quantile_to_density(to_quantile(rho, 2048), grid)
         assert w2(rho, back, 2048) < 2.0 * grid.dx
         assert moments(back)[0] == pytest.approx(moments(rho)[0], abs=1e-10)
 
@@ -64,6 +74,57 @@ class TestQuantile:
         rho = gaussian_density(grid, 0.0, 1.0)
         with pytest.raises(ContractViolation):
             to_quantile(rho, 32)
+
+
+PROPERTY_GRID = Grid(-8.0, 8.0, 256)
+
+
+def random_quantiles(seed: int, m: int) -> np.ndarray:
+    """m strictly increasing samples spread over 1 to 8 length units inside
+    [-6, 6], with increments between 1/25 and 1 of the largest."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 5.0, m - 1))])
+    x *= rng.uniform(1.0, 8.0) / x[-1]
+    return x + (rng.uniform(-2.0, 2.0) - float(np.mean(x)))
+
+
+class TestQuantileProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), m=hst.integers(64, 512))
+    def test_density_has_unit_mass_and_the_quantile_mean(self, seed, m):
+        x = random_quantiles(seed, m)
+        dens = quantile_to_density(x, PROPERTY_GRID)
+        assert dens.mass() == pytest.approx(1.0, abs=1e-12)
+        assert moments(dens)[0] == pytest.approx(float(np.mean(x)), abs=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), m=hst.integers(64, 512))
+    def test_roundtrip_through_the_grid(self, seed, m):
+        # the histogram's CDF agrees with the quantile's at every cell edge
+        # up to the mean-restoring tilt, so each sample comes back within
+        # about one cell
+        x = random_quantiles(seed, m)
+        back = to_quantile(quantile_to_density(x, PROPERTY_GRID), m)
+        assert np.all(np.diff(back) > 0.0)
+        assert float(np.max(np.abs(back - x))) <= 2.0 * PROPERTY_GRID.dx
+        assert float(np.mean(back)) == pytest.approx(float(np.mean(x)), abs=1e-12)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        potential=hst.sampled_from(["quadratic", "doublewell"]),
+        nu=hst.sampled_from([0.6, 0.8, 1.0]),
+        ell_star=hst.floats(-0.5, 0.5),
+        amplitude=hst.floats(-0.5, 0.5),
+    )
+    def test_chain_quantiles_stay_increasing(self, seed, potential, nu, ell_star, amplitude):
+        pot = quadratic_potential(1.0) if potential == "quadratic" else doublewell_potential()
+        path = exp_decay_path(ell_star, amplitude, 1.0)
+        rho0 = random_density(PROPERTY_GRID, np.random.default_rng(seed), mean=path.ell(0.0))
+        recs = jko_run(rho0, path, 0.02, 0.1, pot, ModelParams(nu=nu))
+        for r in recs:
+            assert np.all(np.diff(r.quantile) > 0.0)
+            assert abs(r.M1 - r.ell) <= 1e-8
 
 
 class TestW2:
@@ -84,8 +145,6 @@ class TestW2:
 
     def test_symmetry_and_triangle(self, grid):
         rng = np.random.default_rng(12)
-        from cfpk.sampling import random_density
-
         a, b, c = (random_density(grid, rng) for _ in range(3))
         dab = w2(a, b, 1024)
         assert dab == pytest.approx(w2(b, a, 1024), abs=1e-14)
@@ -105,37 +164,46 @@ class TestW2:
 
 
 class TestJkoStep:
+    # one step of the chain: jko_run on [0, h]
+
     def test_fixed_point_quadratic(self, quad_pot):
         g = Grid(-12.0, 12.0, 8192)
         sol = solve_lambda(0.7, 1.0, quad_pot, g)
-        res = jko_step(sol.state.density, 0.7, 1e-5, quad_pot, ModelParams(), m=2048)
-        assert math.sqrt(res.w2_sq) <= 1e-6
-        assert abs(res.sigma_k - sol.lam) <= 1e-6
-        assert abs(moments(res.rho_next)[0] - 0.7) <= 1e-8
-        assert res.kkt_residual <= 1e-7
+        params = ModelParams()
+        rec = jko_run(sol.state.density, constant_path(0.7), 1e-5, 1e-5, quad_pot, params, m=2048)[0]
+        assert math.sqrt(rec.W2sq_step) <= 1e-6
+        assert abs(rec.sigma - sol.lam) <= 1e-6
+        assert abs(moments(rec.density)[0] - 0.7) <= 1e-8
+        assert rec.kkt_residual <= 1e-7
 
     def test_fixed_point_doublewell(self, dw_pot):
         g = Grid(-12.0, 12.0, 8192)
         sol = solve_lambda(1.0, 0.5, dw_pot, g)
-        res = jko_step(sol.state.density, 1.0, 1e-5, dw_pot, ModelParams(nu=0.5), m=2048)
-        assert math.sqrt(res.w2_sq) <= 1e-6
-        assert abs(res.sigma_k - sol.lam) <= 1e-6
+        params = ModelParams(nu=0.5)
+        rec = jko_run(sol.state.density, constant_path(1.0), 1e-5, 1e-5, dw_pot, params, m=2048)[0]
+        assert math.sqrt(rec.W2sq_step) <= 1e-6
+        assert abs(rec.sigma - sol.lam) <= 1e-6
 
     def test_gaussian_one_step_oracle(self, quad_pot):
         g = Grid(-12.0, 12.0, 4096)
         rho = gaussian_density(g, 0.5, 1.44)
         h = 0.01
-        res = jko_step(rho, 0.5, h, quad_pot, ModelParams(), m=4096)
-        m1, _, v = moments(res.rho_next)
+        rec = jko_run(rho, constant_path(0.5), h, h, quad_pot, ModelParams(), m=4096)[0]
+        m1, _, v = moments(rec.density)
         assert m1 == pytest.approx(0.5, abs=1e-8)
         v_oracle = jko_gaussian_step_variance(1.44, h)
         assert (v - 1.44) == pytest.approx(v_oracle - 1.44, rel=0.08)
 
     def test_constraint_enforced(self, grid, dw_pot):
+        # one step moves the mean from ell(0) = 0.1 to ell(h) = 0.35
         rho = gaussian_density(grid, 0.1, 0.8)
-        res = jko_step(rho, 0.35, 0.02, dw_pot, ModelParams(nu=0.8))
-        assert abs(moments(res.rho_next)[0] - 0.35) <= 1e-8
-        assert res.w2_sq >= 0.0
+        h = 0.02
+        path = ConstraintPath(
+            ell=lambda t: 0.1 + 0.25 * t / h, ell_dot=lambda t: 0.25 / h, ell_star=0.35
+        )
+        rec = jko_run(rho, path, h, h, dw_pot, ModelParams(nu=0.8))[0]
+        assert abs(moments(rec.density)[0] - 0.35) <= 1e-8
+        assert rec.W2sq_step >= 0.0
 
 
 class TestJkoRun:
@@ -171,13 +239,12 @@ class TestJkoRun:
         h = 0.02
         recs = jko_run(rho0, constant_path(0.3), h, 0.4, dw_pot, params)
         from cfpk.functionals import log_partition
-        from cfpk.transport import _quantile_free_energy
 
         # scheme inequality: F(rho_k) + W2^2/(2 h_eff) <= F(rho_{k-1})
         logz0 = log_partition(dw_pot, grid, params.nu)
         f_prev = None
         for r in recs:
-            f_here = _quantile_free_energy(r.quantile, dw_pot, params.nu, logz0)
+            f_here = quantile_free_energy(r.quantile, dw_pot, params.nu, logz0)
             if f_prev is not None:
                 assert f_here + r.W2sq_step / (2.0 * h) <= f_prev + 1e-10
             f_prev = f_here
@@ -207,7 +274,6 @@ class TestJkoRun:
         # minimality against the translated competitor:
         # F(rho_k) + W2^2(rho_k, rho_{k-1})/(2h) <= F(a rho_{k-1}) + a^2/(2h)
         from cfpk.functionals import log_partition
-        from cfpk.transport import _quantile_free_energy
 
         params = ModelParams(nu=0.8)
         path = exp_decay_path(0.2, 0.4, 1.0)
@@ -215,12 +281,12 @@ class TestJkoRun:
         h = 0.02
         recs = jko_run(rho0, path, h, 0.4, dw_pot, params)
         logz0 = log_partition(dw_pot, grid, params.nu)
-        x_prev = to_quantile(rho0, grid.n).x_of_s
+        x_prev = to_quantile(rho0, grid.n)
         x_prev = x_prev + (path.ell(0.0) - float(np.mean(x_prev)))
         for r in recs:
             a = r.ell - float(np.mean(x_prev))
-            lhs = _quantile_free_energy(r.quantile, dw_pot, params.nu, logz0) + r.W2sq_step / (2 * h)
-            rhs = _quantile_free_energy(x_prev + a, dw_pot, params.nu, logz0) + a * a / (2 * h)
+            lhs = quantile_free_energy(r.quantile, dw_pot, params.nu, logz0) + r.W2sq_step / (2 * h)
+            rhs = quantile_free_energy(x_prev + a, dw_pot, params.nu, logz0) + a * a / (2 * h)
             assert lhs <= rhs + 1e-10
             x_prev = r.quantile
 
@@ -257,7 +323,7 @@ class TestWeakForm:
         h = 0.02
         recs = jko_run(rho0, path, h, 0.5, dw_pot, params)
         zeta = (lambda x: x**2, lambda x: 2.0 * x, lambda x: 2.0 * np.ones_like(x))
-        x_prev = to_quantile(rho0, grid.n).x_of_s
+        x_prev = to_quantile(rho0, grid.n)
         x_prev = x_prev + (path.ell(0.0) - float(np.mean(x_prev)))
         for r in recs:
             res, bound = weak_form_residual(x_prev, r.quantile, r.sigma, h, *zeta, dw_pot, params)
@@ -273,7 +339,7 @@ class TestWeakForm:
         worst = {}
         for h in (0.04, 0.01):
             recs = jko_run(rho0, path, h, 0.4, dw_pot, params)
-            x_prev = to_quantile(rho0, grid.n).x_of_s
+            x_prev = to_quantile(rho0, grid.n)
             x_prev = x_prev + (path.ell(0.0) - float(np.mean(x_prev)))
             vals = []
             for r in recs:
