@@ -162,6 +162,19 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+def _nu_list(text: str) -> list[float]:
+    """Noise levels of a sweep: finite, > 0, and distinct under the
+    `trajectory_nu{nu:g}.csv` names they are written to."""
+    nus = _float_list(text)
+    for nu in nus:
+        if not (math.isfinite(nu) and nu > 0.0):
+            raise ValueError(f"need finite noise levels > 0, got {nu}")
+    names = [f"{nu:g}" for nu in nus]
+    if len(set(names)) != len(names):
+        raise ValueError(f"noise levels collide in their file names nu{{nu:g}}: {names}")
+    return nus
+
+
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -202,7 +215,7 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
         T=value("run", "T"),
         seed=value("run", "seed", int),
         initial=resolved["run"]["initial"],
-        nu_list=value("run", "nu_list", _float_list),
+        nu_list=value("run", "nu_list", _nu_list),
         ell=value("run", "ell", lambda v: float(v) if v else None),
         sigma_range=(value("run", "sigma_min"), value("run", "sigma_max")),
         record_every=value("run", "record_every", int),
@@ -337,7 +350,9 @@ def run_experiment(cfg: RunConfig) -> int:
         write_csv(report.records, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
 
     elif cfg.kind == "kramers_sweep":
-        sweep = kramers_sweep(cfg.pot, cfg.path.ell_star, cfg.nu_list, cfg.dt, cfg.grid)
+        sweep = kramers_sweep(
+            cfg.pot, cfg.path.ell_star, cfg.nu_list, cfg.dt, cfg.grid, tau=cfg.params.tau
+        )
         for nu_val, recs in sweep.pop("trajectories").items():
             write_csv(
                 recs, os.path.join(cfg.out_dir, f"trajectory_nu{nu_val:g}.csv"), FPSOLVER_COLUMNS

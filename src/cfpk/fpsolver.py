@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .core import (
     ConstraintPath,
@@ -33,13 +33,14 @@ from .core import (
     Grid,
     ModelParams,
     Potential,
+    constant_path,
     integrate,
     moments,
     require_positive,
     step_count,
 )
 from .equilibrium import solve_lambda, tilted_family
-from .errors import ContractViolation, StepError
+from .errors import ContractViolation, SolverError, StepError
 from .functionals import dissipation, free_energy, relative_entropy
 from .records import TrajectoryRecord
 from .transport import quantile_to_density, to_quantile
@@ -111,6 +112,110 @@ class _Stepper:
         lower = b - np.minimum(w, 0.0)
         b += np.maximum(w, 0.0)
         return lower, b
+
+
+GAP_BLOCK = 4  # inverse-iteration block size
+GAP_TOL = 1e-9  # converged when the Ritz residual |K v - mu v| <= GAP_TOL * mu
+GAP_MAX_ITER = 200
+
+
+def gap_rate(ell: float, nu: float, pot: Potential, grid: Grid, tau: float = 1.0) -> float:
+    """2 mu_1, the rate at which H(rho|gamma) decays near gamma = gamma_{lambda(ell)}.
+
+    Linearized at the grid Gibbs state with multiplier sigma = lambda(ell),
+    the stepper's own generator A (the Chang-Cooper flux difference of
+    `_Stepper.weights`, times its rate) becomes M = A - b (x^T A)/(x^T b),
+    with sigma eliminated by the constraint d/dt x^T rho = 0 and
+    b = d/dsigma [A(sigma) gamma].  Grid Gibbs states are exact steady states,
+    A(sigma) gamma_sigma = 0 for every sigma, so b = -A (x gamma)/nu^2.
+    Detailed balance makes M similar to the symmetric S - w w^T/(z^T w),
+    with S the symmetrized A (off-diagonal sqrt(lower upper), same
+    diagonal), z = sqrt(gamma) (x - m) and w = S z.  Its null vectors are
+    sqrt(gamma) (mass) and z (the mean mode, frozen by the constraint); mu_1
+    is the smallest eigenvalue of K = -(S - w w^T/(z^T w)) orthogonal to
+    both (Bovier, Gayrard & Klein, J. Eur. Math. Soc. 7, 2005; Menz &
+    Schlichting, Ann. Probab. 42, 2014).
+
+    mu_1 is found by block inverse iteration on K + delta I with
+    Rayleigh-Ritz on K: one factorization of the tridiagonal part, and per
+    iteration one multi-right-hand-side solve plus Sherman-Morrison for the
+    rank-one term.  Raises SolverError if the Ritz residual does not reach
+    GAP_TOL in GAP_MAX_ITER iterations.
+    """
+    lam = solve_lambda(ell, nu, pot, grid).lam
+    # A does not depend on the step or the path's rate, so any dt will do
+    op = _Stepper(grid, 1.0, pot, constant_path(ell), ModelParams(tau=tau, nu=nu))
+    lower, upper = op.weights(lam)
+    # P = -S: diagonal rate (lower_i + upper_{i-1}), off-diagonal -rate sqrt(lower_i upper_i)
+    p_off = -op.rate * np.sqrt(lower * upper)
+    p_diag = np.zeros(op.n)
+    p_diag[:-1] += lower
+    p_diag[1:] += upper
+    p_diag *= op.rate
+
+    def apply_p(v: np.ndarray) -> np.ndarray:
+        """P v for a vector or for the rows of a block."""
+        out = p_diag * v
+        out[..., :-1] += p_off * v[..., 1:]
+        out[..., 1:] += p_off * v[..., :-1]
+        return out
+
+    # sqrt(gamma) from the same exponents: gamma_{i+1}/gamma_i = e^{-w_i}
+    log_s = np.concatenate(([0.0], -0.5 * np.cumsum(op.w0 - lam * op.w_per_sigma)))
+    s = np.exp(log_s - log_s.max())
+    s /= np.linalg.norm(s)
+    x = tilted_family(pot, grid).x
+    m = float(s * s @ x)
+    z = s * (x - m)
+    pz = apply_p(z)  # = -w
+    c0 = float(z @ pz)
+    null = np.stack((s, z / np.linalg.norm(z)))
+
+    def apply_k(v: np.ndarray) -> np.ndarray:
+        return apply_p(v) - np.outer(v @ pz, pz) / c0
+
+    # K + delta I = T - pz pz^T/c0 with T = P + delta I tridiagonal and SPD;
+    # delta is small against the mean mode's Rayleigh quotient of P
+    delta = 1e-3 * c0 / float(z @ z)
+    dl, d, du, du2, ipiv, info = dgttrf(p_off, p_diag + delta, p_off)
+    if info != 0:
+        raise SolverError("gap_rate: tridiagonal factorization failed", diagnostics={"info": int(info)})
+
+    def solve_t(rows: np.ndarray) -> np.ndarray:
+        """T^{-1} applied to each row (LAPACK takes them as columns)."""
+        out, info = dgttrs(dl, d, du, du2, ipiv, rows.T)
+        if info != 0:
+            raise SolverError("gap_rate: tridiagonal solve failed", diagnostics={"info": int(info)})
+        return out.T
+
+    # Sherman-Morrison with T^{-1} pz = z - delta y, y = T^{-1} z: for v
+    # orthogonal to z, (K + delta)^{-1} v = T^{-1} v - (z - delta y)(y^T v)/den,
+    # den = |P y|^2 + delta y^T P y, a sum of nonnegative terms
+    y = solve_t(z[None])[0]
+    py = apply_p(y)
+    sm_dir = (z - delta * y) / float(py @ py + delta * (y @ py))
+
+    def orthonormal_deflated(v: np.ndarray) -> np.ndarray:
+        v = v - (v @ null.T) @ null
+        return np.linalg.qr(v.T)[0].T
+
+    # start from sqrt(gamma) times the standardized powers 2..5
+    xi = (x - m) / np.linalg.norm(z)
+    v = orthonormal_deflated(s * xi ** np.arange(2, 2 + GAP_BLOCK)[:, None])
+    residual = math.inf
+    for _ in range(GAP_MAX_ITER):
+        v = orthonormal_deflated(solve_t(v) - np.outer(v @ y, sm_dir))
+        kv = apply_k(v)
+        theta, vecs = np.linalg.eigh(0.5 * (v @ kv.T + kv @ v.T))
+        v, kv = vecs.T @ v, vecs.T @ kv
+        mu1 = float(theta[0])
+        residual = float(np.linalg.norm(kv[0] - mu1 * v[0]))
+        if residual <= GAP_TOL * mu1:
+            return 2.0 * mu1
+    raise SolverError(
+        "gap_rate: block inverse iteration did not converge",
+        diagnostics={"iterations": GAP_MAX_ITER, "residual": residual, "ell": ell, "nu": nu},
+    )
 
 
 def solve_banded(

@@ -150,3 +150,47 @@ def exact_w2_histograms(rho0, rho1) -> float:
 def quadrature_antiderivative(f_anti, a: float, b: float) -> float:
     """Definite integral from an analytic antiderivative."""
     return f_anti(b) - f_anti(a)
+
+
+def constrained_gap_dense(ell: float, nu: float, pot, grid, tau: float = 1.0) -> float:
+    """2 mu_1 of the linearized constrained Chang-Cooper generator by dense
+    eigenvalues.
+
+    M = A - b (x^T A)/(x^T b) at sigma = lambda(ell) (bisected), with
+    b = d/dsigma [A(sigma) gamma] taken by a complex step: one evaluation of
+    A at sigma + i*eps gives A in its real part and eps*b in its imaginary
+    part.  mu_1 is the third smallest -Re(eig M), past the mass and mean
+    null modes.  The weights need |(H_{i+1} - H_i - sigma dx)/nu^2| below
+    ~700, where e^w still fits a float.
+    """
+    n, dx, nu2 = grid.n, grid.dx, nu * nu
+    x = grid.x
+    h = np.asarray(pot.h(x), dtype=float)
+    lam = bisect_lambda(ell, nu, pot, grid, -10.0, 10.0)
+    eps = 1e-30
+    w = (np.diff(h) - complex(lam, eps) * dx) / nu2
+
+    def bernoulli(u):
+        """u / (e^u - 1); its Taylor series near 0, where the quotient
+        cancels in the complex step."""
+        small = np.abs(u.real) < 1e-2
+        safe = np.where(small, 1.0, u)
+        return np.where(small, 1.0 - u / 2.0 + u**2 / 12.0 - u**4 / 720.0, safe / np.expm1(safe))
+
+    lower, upper = bernoulli(w), bernoulli(-w)
+    assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
+    a = np.zeros((n, n), dtype=complex)
+    i = np.arange(n - 1)
+    a[i, i] -= lower
+    a[i, i + 1] += upper
+    a[i + 1, i + 1] -= upper
+    a[i + 1, i] += lower
+    a *= nu2 / (tau * dx * dx)
+    arg = -(h - lam * x) / nu2
+    gamma = np.exp(arg - np.max(arg))
+    gamma /= np.sum(gamma)
+    b = (a @ gamma).imag / eps
+    a = a.real
+    m = a - np.outer(b, x @ a) / (x @ b)
+    rates = np.sort(-np.linalg.eigvals(m).real)
+    return 2.0 * float(rates[2])

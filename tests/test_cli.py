@@ -170,6 +170,21 @@ class TestRunExperiment:
         assert len((out / "trajectory_fv.csv").read_text().splitlines()) == 1 + 11
         assert json.loads((out / "summary.json").read_text())["fv"]["steps"] == 100
 
+    def test_kramers_sweep_honours_tau(self, tmp_path):
+        # time scales with tau, so every fitted rate halves at tau = 2
+        rates = {}
+        for tau in ("1.0", "2.0"):
+            text = (
+                f"[model]\npotential = doublewell\ntau = {tau}\n\n[grid]\nn = 256\n\n"
+                "[run]\ndt = 2e-3\nnu_list = 1.2,1.0,0.9\n"
+            )
+            out = tmp_path / f"tau{tau}"
+            assert main(["kramers-sweep", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+            entries = json.loads((out / "summary.json").read_text())["kramers_sweep"]["entries"]
+            rates[tau] = [e["fitted_rate"] for e in entries]
+        for slow, fast in zip(rates["2.0"], rates["1.0"]):
+            assert slow == pytest.approx(0.5 * fast, rel=1e-3)
+
     def test_echoed_config_reparses_identically(self, tmp_path):
         cfgfile = write(tmp_path, SMALL_VERIFY)
         out = tmp_path / "echo"
@@ -210,6 +225,19 @@ class TestRunExperiment:
             assert summary["fv"]["steps"] == 1 and np.isfinite(summary["fv"]["max_eb_residual"])
         else:
             assert len((out / "trajectory_jko.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "nu_list",
+        ["0.8,0,0.5", "0.8,-0.6,0.5", "0.8,nan,0.5", "0.8,inf,0.5", "0.8,0.8000001,0.5"],
+        ids=["zero", "negative", "nan", "inf", "name-collision"],
+    )
+    def test_bad_nu_list_exit_code(self, tmp_path, capsys, nu_list):
+        text = f"[model]\npotential = doublewell\n\n[grid]\nn = 256\n\n[run]\nnu_list = {nu_list}\n"
+        out = tmp_path / "out"
+        assert main(["kramers-sweep", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "[run] nu_list" in err and "Traceback" not in err
+        assert not out.exists()  # refused at parse time, before any member runs
 
     @pytest.mark.parametrize(
         "section,key,value,solver",

@@ -11,10 +11,12 @@ from cfpk.core import (
     Grid,
     ModelParams,
     constant_path,
+    doublewell_potential,
     exp_decay_path,
     gaussian_density,
     moments,
     polynomial_potential,
+    quadratic_potential,
 )
 from cfpk import fpsolver
 from cfpk.equilibrium import gibbs, solve_lambda
@@ -22,12 +24,15 @@ from cfpk.errors import ContractViolation
 from cfpk.fpsolver import (
     _advance,
     _Stepper,
+    gap_rate,
     project_mean,
     run,
     sigma_of_state,
 )
 from cfpk.records import FPSOLVER_COLUMNS
 from cfpk.transport import w2
+
+from oracles import constrained_gap_dense
 
 
 class TestSigmaOfState:
@@ -262,6 +267,36 @@ class TestAuditScalingAtTau:
             worst_printed = max(worst_printed, abs(rate + d_mid - tau * pump))
         assert worst_scaled <= 1e-3
         assert worst_printed > 50.0 * worst_scaled
+
+
+class TestGapRate:
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize(
+        "pot,ell,nu",
+        [
+            (doublewell_potential(), 0.0, 0.8),
+            (doublewell_potential(), 0.5, 0.8),
+            (quadratic_potential(1.0), 0.3, 0.7),
+        ],
+        ids=["doublewell-ell0", "doublewell-ell0.5", "quadratic"],
+    )
+    def test_matches_dense_eigenvalues(self, n, pot, ell, nu):
+        g = Grid(-12.0, 12.0, n)
+        assert gap_rate(ell, nu, pot, g) == pytest.approx(
+            constrained_gap_dense(ell, nu, pot, g), rel=1e-8
+        )
+
+    @pytest.mark.parametrize("k", [1.0, 2.5])
+    def test_quadratic_mu1_is_2k(self, grid, k):
+        # the constraint removes the mean mode at k; the next OU mode is 2k
+        mu1 = 0.5 * gap_rate(0.3, 0.7, quadratic_potential(k), grid)
+        assert mu1 == pytest.approx(2.0 * k, rel=1e-3)
+
+    def test_rate_scales_with_one_over_tau(self, dw_pot):
+        g = Grid(-12.0, 12.0, 256)
+        assert gap_rate(0.0, 0.8, dw_pot, g, tau=2.0) == pytest.approx(
+            0.5 * gap_rate(0.0, 0.8, dw_pot, g, tau=1.0), rel=1e-12
+        )
 
 
 class TestProjectMean:

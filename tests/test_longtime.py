@@ -14,6 +14,7 @@ from cfpk.core import (
 )
 from cfpk.equilibrium import gibbs, solve_lambda
 from cfpk.errors import ContractViolation
+from cfpk.fpsolver import gap_rate
 from cfpk.fpsolver import run as fv_run
 from cfpk.functionals import free_energy, relative_entropy
 from cfpk.longtime import (
@@ -256,6 +257,34 @@ class TestPreparedData:
         assert moments(rho)[0] == pytest.approx(2.5, abs=1e-8)
         gamma = solve_lambda(2.5, nu, dw_pot, grid).state.density
         assert relative_entropy(rho, gamma) > 1e-6  # genuine perturbation
+
+
+class TestGapRateOracle:
+    def test_decay_fit_matches_gap_rate(self, grid, dw_pot):
+        # criterion 10's first member, run as kramers_sweep runs it
+        nu, dt = 0.8, 2e-3
+        gap = gap_rate(0.0, nu, dw_pot, grid)
+        horizon = 30.0 / gap
+        rho0 = bimodal_side_data(0.0, nu, dw_pot, grid, population=0.52)
+        report = decay_experiment(
+            rho0, constant_path(0.0), nu, dw_pot, dt, horizon,
+            record_every=round(horizon / dt / 2500), fit_tail=True,
+        )
+        assert not report.short_window
+        assert report.fitted_rate == pytest.approx(gap, rel=0.01)
+
+
+class TestKramersSweepGuards:
+    @pytest.mark.parametrize(
+        "nu_list",
+        [[0.8, 0.0, 0.5], [0.8, -0.6, 0.5], [0.8, math.nan, 0.5], [0.8, math.inf, 0.5], [0.8, 0.6, 0.8]],
+        ids=["zero", "negative", "nan", "inf", "duplicate"],
+    )
+    def test_bad_noise_levels_rejected(self, quad_pot, nu_list):
+        from cfpk.longtime import kramers_sweep
+
+        with pytest.raises(ContractViolation):
+            kramers_sweep(quad_pot, 0.0, nu_list, 2e-3, Grid(-12.0, 12.0, 128))
 
 
 class TestKramersSweepConvexControl:
