@@ -1,4 +1,5 @@
-"""Grids, densities, potentials and constraint paths.
+"""Grids, densities, potentials and constraint paths, and the one
+tridiagonal solver.
 
 Everything downstream (energy functionals, the variational stepper, the
 finite-volume solver) consumes the immutable value types defined here.  The
@@ -16,6 +17,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from .errors import ContractViolation, DegenerateInputError
 
@@ -40,6 +42,18 @@ def step_count(T: float, dt: float) -> int:
     if not steps <= MAX_STEPS:
         raise ContractViolation(f"T/dt = {T / dt:.3g} steps exceeds the limit of {MAX_STEPS:.0e}")
     return max(1, int(math.ceil(steps)))
+
+
+def solve_banded(
+    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Tridiagonal solve by LAPACK dgtsv (not scipy.linalg.solve_banded: the
+    arguments are the three diagonals), the one tridiagonal routine of the
+    package; overwrites every argument and returns (solution, LAPACK info),
+    info > 0 for an exactly singular system.  perfbench/tracing.py times the
+    FV and `gap_rate` solves through fpsolver's import of this name."""
+    _, _, _, x, info = dgtsv(sub, diag, sup, rhs, 1, 1, 1, 1)
+    return x, info
 
 
 @dataclass(frozen=True)

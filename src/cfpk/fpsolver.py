@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .core import (
     ConstraintPath,
@@ -37,6 +37,7 @@ from .core import (
     integrate,
     moments,
     require_positive,
+    solve_banded,
     step_count,
 )
 from .equilibrium import solve_lambda, tilted_family
@@ -114,11 +115,6 @@ class _Stepper:
         return lower, b
 
 
-GAP_BLOCK = 4  # inverse-iteration block size
-GAP_TOL = 1e-9  # converged when the Ritz residual |K v - mu v| <= GAP_TOL * mu
-GAP_MAX_ITER = 200
-
-
 def gap_rate(ell: float, nu: float, pot: Potential, grid: Grid, tau: float = 1.0) -> float:
     """2 mu_1, the rate at which H(rho|gamma) decays near gamma = gamma_{lambda(ell)}.
 
@@ -136,11 +132,15 @@ def gap_rate(ell: float, nu: float, pot: Potential, grid: Grid, tau: float = 1.0
     both (Bovier, Gayrard & Klein, J. Eur. Math. Soc. 7, 2005; Menz &
     Schlichting, Ann. Probab. 42, 2014).
 
-    mu_1 is found by block inverse iteration on K + delta I with
-    Rayleigh-Ritz on K: one factorization of the tridiagonal part, and per
-    iteration one multi-right-hand-side solve plus Sherman-Morrison for the
-    rank-one term.  Raises SolverError if the Ritz residual does not reach
-    GAP_TOL in GAP_MAX_ITER iterations.
+    With P = -S, K = P - P z z^T P/(z^T P z) is a rank-one downdate of the
+    tridiagonal P, so the eigenvalues of K interlace with those of P
+    (Golub, SIAM Rev. 15, 1973), and mu_1, the third eigenvalue of K, lies
+    in [d_1, d_2], the second and third eigenvalues of P.  In there the
+    inertia of P - mu bordered by P z, counted over either diagonal block
+    (Haynsworth, Linear Algebra Appl. 1, 1968), gives mu_1 < mu exactly when
+    phi(mu) = z^T z + mu z^T (P - mu)^{-1} z > 0.  mu_1 is bisected on the
+    sign of phi down to adjacent floats, one tridiagonal solve per step.
+    Raises SolverError if a solve finds P - mu singular.
     """
     lam = solve_lambda(ell, nu, pot, grid).lam
     # A does not depend on the step or the path's rate, so any dt will do
@@ -153,13 +153,6 @@ def gap_rate(ell: float, nu: float, pot: Potential, grid: Grid, tau: float = 1.0
     p_diag[1:] += upper
     p_diag *= op.rate
 
-    def apply_p(v: np.ndarray) -> np.ndarray:
-        """P v for a vector or for the rows of a block."""
-        out = p_diag * v
-        out[..., :-1] += p_off * v[..., 1:]
-        out[..., 1:] += p_off * v[..., :-1]
-        return out
-
     # sqrt(gamma) from the same exponents: gamma_{i+1}/gamma_i = e^{-w_i}
     log_s = np.concatenate(([0.0], -0.5 * np.cumsum(op.w0 - lam * op.w_per_sigma)))
     s = np.exp(log_s - log_s.max())
@@ -167,66 +160,24 @@ def gap_rate(ell: float, nu: float, pot: Potential, grid: Grid, tau: float = 1.0
     x = tilted_family(pot, grid).x
     m = float(s * s @ x)
     z = s * (x - m)
-    pz = apply_p(z)  # = -w
-    c0 = float(z @ pz)
-    null = np.stack((s, z / np.linalg.norm(z)))
+    zz = float(z @ z)
 
-    def apply_k(v: np.ndarray) -> np.ndarray:
-        return apply_p(v) - np.outer(v @ pz, pz) / c0
-
-    # K + delta I = T - pz pz^T/c0 with T = P + delta I tridiagonal and SPD;
-    # delta is small against the mean mode's Rayleigh quotient of P
-    delta = 1e-3 * c0 / float(z @ z)
-    dl, d, du, du2, ipiv, info = dgttrf(p_off, p_diag + delta, p_off)
-    if info != 0:
-        raise SolverError("gap_rate: tridiagonal factorization failed", diagnostics={"info": int(info)})
-
-    def solve_t(rows: np.ndarray) -> np.ndarray:
-        """T^{-1} applied to each row (LAPACK takes them as columns)."""
-        out, info = dgttrs(dl, d, du, du2, ipiv, rows.T)
+    d = eigvalsh_tridiagonal(p_diag, p_off, select="i", select_range=(1, 2))
+    lo, hi = float(d[0]), float(d[1])
+    while True:
+        mu = 0.5 * (lo + hi)
+        if not lo < mu < hi:
+            return 2.0 * hi
+        y, info = solve_banded(p_off.copy(), p_diag - mu, p_off.copy(), z.copy())
         if info != 0:
-            raise SolverError("gap_rate: tridiagonal solve failed", diagnostics={"info": int(info)})
-        return out.T
-
-    # Sherman-Morrison with T^{-1} pz = z - delta y, y = T^{-1} z: for v
-    # orthogonal to z, (K + delta)^{-1} v = T^{-1} v - (z - delta y)(y^T v)/den,
-    # den = |P y|^2 + delta y^T P y, a sum of nonnegative terms
-    y = solve_t(z[None])[0]
-    py = apply_p(y)
-    sm_dir = (z - delta * y) / float(py @ py + delta * (y @ py))
-
-    def orthonormal_deflated(v: np.ndarray) -> np.ndarray:
-        v = v - (v @ null.T) @ null
-        return np.linalg.qr(v.T)[0].T
-
-    # start from sqrt(gamma) times the standardized powers 2..5
-    xi = (x - m) / np.linalg.norm(z)
-    v = orthonormal_deflated(s * xi ** np.arange(2, 2 + GAP_BLOCK)[:, None])
-    residual = math.inf
-    for _ in range(GAP_MAX_ITER):
-        v = orthonormal_deflated(solve_t(v) - np.outer(v @ y, sm_dir))
-        kv = apply_k(v)
-        theta, vecs = np.linalg.eigh(0.5 * (v @ kv.T + kv @ v.T))
-        v, kv = vecs.T @ v, vecs.T @ kv
-        mu1 = float(theta[0])
-        residual = float(np.linalg.norm(kv[0] - mu1 * v[0]))
-        if residual <= GAP_TOL * mu1:
-            return 2.0 * mu1
-    raise SolverError(
-        "gap_rate: block inverse iteration did not converge",
-        diagnostics={"iterations": GAP_MAX_ITER, "residual": residual, "ell": ell, "nu": nu},
-    )
-
-
-def solve_banded(
-    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Tridiagonal solve by LAPACK dgtsv (not scipy.linalg.solve_banded: the
-    arguments are the three diagonals); overwrites every argument and returns
-    (solution, LAPACK info).  perfbench/tracing.py times the FV solves under
-    this name."""
-    _, _, _, x, info = dgtsv(sub, diag, sup, rhs, 1, 1, 1, 1)
-    return x, info
+            raise SolverError(
+                "gap_rate: P - mu is singular",
+                diagnostics={"info": int(info), "mu": mu, "ell": ell, "nu": nu},
+            )
+        if zz + mu * float(z @ y) > 0.0:
+            hi = mu
+        else:
+            lo = mu
 
 
 def _limited(base: np.ndarray, flux: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -375,11 +326,13 @@ def run(
         sig = sigma_of_state(dens, t, pot, path, params)
         m1, m2, _ = moments(dens)
         fe = free_energy(dens, pot, params)
+        h_star = relative_entropy(dens, gamma_star)
         if constant_ell:
-            lam_t, gamma_t = star.lam, gamma_star
+            # gamma_{lambda(ell(t))} is gamma_star
+            lam_t, h_quasistatic = star.lam, h_star
         else:
             sol = solve_lambda(ell_t, nu, pot, grid, start=lam_prev)
-            lam_t, gamma_t = sol.lam, sol.state.density
+            lam_t, h_quasistatic = sol.lam, relative_entropy(dens, sol.state.density)
             lam_prev = lam_t
         return TrajectoryRecord(
             t=t,
@@ -391,8 +344,8 @@ def run(
             S=fe.S,
             E=fe.E,
             D=dissipation(dens, sig, pot, params),
-            Hrel_quasistatic=relative_entropy(dens, gamma_t),
-            Hrel_star=relative_entropy(dens, gamma_star),
+            Hrel_quasistatic=h_quasistatic,
+            Hrel_star=h_star,
             lam_ell=lam_t,
             l1_star=integrate(np.abs(vals - gamma_star.values), grid),
             limited_mass=limited,

@@ -21,15 +21,25 @@ from .core import (
     ModelParams,
     Potential,
     constant_path,
+    density_from_values,
     moments,
     require_positive,
 )
-from .equilibrium import gibbs, landscape, lsi_constant, solve_lambda, tilted_family, variance_range
+from .equilibrium import (
+    gibbs,
+    landscape,
+    local_minima,
+    lsi_constant,
+    solve_lambda,
+    tilted_family,
+    variance_range,
+)
 from .errors import ContractViolation
-from .fpsolver import gap_rate
+from .fpsolver import gap_rate, project_mean
 from .fpsolver import run as fv_run
 from .functionals import free_energy, relative_entropy
 from .records import TrajectoryRecord
+from .sampling import set_mean
 
 FIT_WINDOW = (1e-10, 1e-2)
 COMPARISON_TOL = 1e-8
@@ -358,9 +368,6 @@ def bimodal_side_data(
     Without a barrier the state falls back to a small mean shift of the
     limit state.
     """
-    from .core import density_from_values
-    from .equilibrium import local_minima
-
     family = tilted_family(pot, grid)
     star = solve_lambda(ell_star, nu, pot, grid)
     vals = family.tilted(star.lam)
@@ -412,9 +419,6 @@ def well_prepared_data(ell_star: float, nu: float, pot: Potential, grid: Grid, s
     mean projection, while the translation-minus-tilt residue is a genuine
     small perturbation with the exact limit mean (its multiplier trace stays
     near lambda(ell*), outside the multimodal set when sigma* is)."""
-    from .fpsolver import project_mean
-    from .sampling import set_mean
-
     st = solve_lambda(ell_star, nu, pot, grid).state
     return set_mean(project_mean(st.density, ell_star + shift), ell_star)
 
@@ -465,7 +469,7 @@ def kramers_sweep(
         # fit_decay_rate sees the floor it excludes (its rule needs
         # h[-1] <= 30 h_min)
         horizon = min(30.0 / gap, 4200.0)
-        member_dt = min(0.012, max(2e-3, horizon / 3e5, dt))
+        member_dt = max(dt, min(0.012, horizon / 3e5))
         if well_prepared:
             rho0 = well_prepared_data(ell_star, nu, pot, grid)
         else:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .core import (
     ConstraintPath,
@@ -28,6 +27,7 @@ from .core import (
     density_from_values,
     moments,
     require_positive,
+    solve_banded,
     step_count,
 )
 from .errors import ContractViolation, StepError
@@ -155,23 +155,27 @@ def _inner_solve(
     mu = float(np.mean(g))
     res = float(np.max(np.abs(g - mu)))
     base, hx = merit(x, delta)  # H is evaluated once per iterate
-    rhs = np.ones((m, 2))  # [-g, 1]; solve_banded leaves it unchanged
+    rhs = np.ones((m, 2), order="F")  # [-g, 1], in LAPACK's column order
     it = 0
-    while res > tol_at(x, delta, mu) and it < MAX_NEWTON:
+    # "not <=": a NaN residual enters the loop and meets the finite check
+    while not res <= tol_at(x, delta, mu) and it < MAX_NEWTON:
         it += 1
         invd2 = cw / delta**2
         diag = 1.0 / h_eff + np.asarray(pot.h2(x), dtype=float)
         diag[:-1] += nu2 * invd2
         diag[1:] += nu2 * invd2
-        ab = np.zeros((3, m))
-        ab[0, 1:] = ab[2, :-1] = -nu2 * invd2  # the diagonal is set per shift
+        off = -nu2 * invd2
+        if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(g).all()):
+            raise StepError(
+                "non-finite Newton system in the JKO inner solve",
+                diagnostics={"kkt_residual": res, "iterations": it},
+            )
         rhs[:, 0] = -g
         shift = 0.0
         for _ in range(12):
-            ab[1, :] = diag + shift
-            try:
-                sol = solve_banded((1, 1), ab, rhs)
-            except np.linalg.LinAlgError:
+            # solve_banded overwrites its arguments
+            sol, info = solve_banded(off.copy(), diag + shift, off.copy(), rhs.copy(order="F"))
+            if info != 0:
                 shift = max(2.0 * shift, 1e-8)
                 continue
             z, wvec = sol[:, 0], sol[:, 1]
@@ -210,7 +214,7 @@ def _inner_solve(
         g = gradient(x, delta)
         mu = float(np.mean(g))
         res = float(np.max(np.abs(g - mu)))
-    if res > tol_at(x, delta, mu):
+    if not res <= tol_at(x, delta, mu):
         raise StepError(
             "JKO inner solve did not reach the KKT tolerance",
             diagnostics={"kkt_residual": res, "iterations": it},

@@ -185,6 +185,17 @@ class TestRunExperiment:
         for slow, fast in zip(rates["2.0"], rates["1.0"]):
             assert slow == pytest.approx(0.5 * fast, rel=1e-3)
 
+    def test_kramers_sweep_dt_is_a_floor(self, tmp_path):
+        # a configured dt below horizon / 3e5 and 0.012 is each member's step
+        text = (
+            "[model]\npotential = doublewell\n\n[grid]\nn = 256\n\n"
+            "[run]\ndt = 1e-3\nnu_list = 1.2,1.0,0.9\n"
+        )
+        out = tmp_path / "sweep"
+        assert main(["kramers-sweep", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        entries = json.loads((out / "summary.json").read_text())["kramers_sweep"]["entries"]
+        assert [e["dt"] for e in entries] == [1e-3] * 3
+
     def test_echoed_config_reparses_identically(self, tmp_path):
         cfgfile = write(tmp_path, SMALL_VERIFY)
         out = tmp_path / "echo"

@@ -269,16 +269,25 @@ class TestAuditScalingAtTau:
         assert worst_printed > 50.0 * worst_scaled
 
 
+_DENSE_GAP_CASES = [
+    ("doublewell-ell0", doublewell_potential(), 0.0, 0.8, (128, 256)),
+    ("doublewell-ell0.5", doublewell_potential(), 0.5, 0.8, (128, 256)),
+    ("quadratic", quadratic_potential(1.0), 0.3, 0.7, (128, 256)),
+    # mu_1 = d_2: the third eigenvalue of P is a mode that z does not see
+    ("doublewell-ell0-nu1.2", doublewell_potential(), 0.0, 1.2, (256,)),
+    # the Kramers case: d_1, the well-hopping mode of P, is tiny
+    ("doublewell-ell0-nu0.5", doublewell_potential(), 0.0, 0.5, (256,)),
+]
+
+
 class TestGapRate:
-    @pytest.mark.parametrize("n", [128, 256])
     @pytest.mark.parametrize(
-        "pot,ell,nu",
+        "n,pot,ell,nu",
         [
-            (doublewell_potential(), 0.0, 0.8),
-            (doublewell_potential(), 0.5, 0.8),
-            (quadratic_potential(1.0), 0.3, 0.7),
+            pytest.param(n, pot, ell, nu, id=f"{name}-{n}")
+            for name, pot, ell, nu, sizes in _DENSE_GAP_CASES
+            for n in sizes
         ],
-        ids=["doublewell-ell0", "doublewell-ell0.5", "quadratic"],
     )
     def test_matches_dense_eigenvalues(self, n, pot, ell, nu):
         g = Grid(-12.0, 12.0, n)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from cfpk.core import (
 )
 from cfpk import transport
 from cfpk.equilibrium import solve_lambda
-from cfpk.errors import ContractViolation
+from cfpk.errors import ContractViolation, StepError
 from cfpk.sampling import random_density
 from cfpk.transport import (
     discrete_sigma_series,
@@ -204,6 +205,44 @@ class TestJkoStep:
         rec = jko_run(rho, path, h, h, dw_pot, ModelParams(nu=0.8))[0]
         assert abs(moments(rec.density)[0] - 0.35) <= 1e-8
         assert rec.W2sq_step >= 0.0
+
+
+class TestInnerSolve:
+    # one Newton solve that moves the mean from 0.1 to 0.3 at h = 0.02
+
+    @pytest.fixture
+    def step(self, grid, dw_pot):
+        y = to_quantile(gaussian_density(grid, 0.1, 0.8), 256)
+        return y, 0.3, 0.02, dw_pot, 0.8
+
+    def test_singular_first_solve_is_shifted_and_retried(self, step, monkeypatch):
+        x_ref, mu_ref, _, _ = transport._inner_solve(*step)
+        real = transport.solve_banded
+        diags = []
+
+        def singular_once(sub, diag, sup, rhs):
+            diags.append(diag.copy())
+            if len(diags) == 1:
+                return rhs, 1
+            return real(sub, diag, sup, rhs)
+
+        monkeypatch.setattr(transport, "solve_banded", singular_once)
+        x, mu, _, _ = transport._inner_solve(*step)
+        np.testing.assert_array_equal(diags[1], diags[0] + 1e-8)
+        np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-9)
+        assert mu == pytest.approx(mu_ref, abs=1e-7)
+
+    def test_always_singular_is_a_step_error(self, step, monkeypatch):
+        monkeypatch.setattr(transport, "solve_banded", lambda sub, diag, sup, rhs: (rhs, 1))
+        with pytest.raises(StepError, match="could not be regularized"):
+            transport._inner_solve(*step)
+
+    @pytest.mark.parametrize("derivative", ["h1", "h2"])
+    def test_non_finite_newton_system_is_a_step_error(self, step, derivative):
+        y, ell_k, h_eff, pot, nu = step
+        broken = dataclasses.replace(pot, **{derivative: lambda x: np.full_like(x, np.nan)})
+        with pytest.raises(StepError, match="non-finite Newton system"):
+            transport._inner_solve(y, ell_k, h_eff, broken, nu)
 
 
 class TestJkoRun:
