@@ -15,7 +15,6 @@ from .core import (
     gaussian_density,
     integrate,
     moments,
-    normalize,
     polynomial_potential,
     quadratic_potential,
     tanh_ramp_path,

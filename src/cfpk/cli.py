@@ -118,26 +118,32 @@ def parse_path(spec: str) -> core.ConstraintPath:
 
 
 def _read_sections(path: str) -> dict[str, dict[str, str]]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     sections: dict[str, dict[str, str]] = {}
     current = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(("#", ";")):
-                continue
-            if stripped.startswith("[") and stripped.endswith("]"):
-                current = stripped[1:-1].strip()
-                sections.setdefault(current, {})
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"line {lineno}: expected 'key = value', got '{stripped}'")
-            if current is None:
-                raise ConfigError(f"line {lineno}: key outside any [section]")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key in sections[current]:
-                raise ConfigError(f"line {lineno}: duplicate key '{key}' in [{current}]")
-            sections[current][key] = value.strip()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith(("#", ";")):
+            continue
+        if stripped.startswith("[") and stripped.endswith("]"):
+            current = stripped[1:-1].strip()
+            sections.setdefault(current, {})
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got '{stripped}'")
+        if current is None:
+            raise ConfigError(f"line {lineno}: key outside any [section]")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key in sections[current]:
+            raise ConfigError(f"line {lineno}: duplicate key '{key}' in [{current}]")
+        sections[current][key] = value.strip()
     return sections
 
 
@@ -175,6 +181,13 @@ def _nu_list(text: str) -> list[float]:
     return nus
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError("need a seed >= 0")
+    return seed
+
+
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -202,6 +215,11 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
     if solver not in ("jko", "fv", "both"):
         raise ConfigError(f"unknown solver '{solver}'")
     pot.validate_on(grid)
+    s_min, s_max = value("run", "sigma_min"), value("run", "sigma_max")
+    if not -math.inf < s_min < s_max < math.inf:
+        raise ConfigError(
+            f"[run] sigma_min = {s_min}, sigma_max = {s_max}: need finite sigma_min < sigma_max"
+        )
     cfg = RunConfig(
         raw=resolved,
         pot=pot,
@@ -213,11 +231,11 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
         dt=value("run", "dt"),
         h=value("run", "h"),
         T=value("run", "T"),
-        seed=value("run", "seed", int),
+        seed=value("run", "seed", _seed),
         initial=resolved["run"]["initial"],
         nu_list=value("run", "nu_list", _nu_list),
         ell=value("run", "ell", lambda v: float(v) if v else None),
-        sigma_range=(value("run", "sigma_min"), value("run", "sigma_max")),
+        sigma_range=(s_min, s_max),
         record_every=value("run", "record_every", int),
         verify_eb_tol=value("run", "verify_eb_tol", _tolerance),
         out_dir=out_dir,
@@ -245,8 +263,6 @@ def _tail_check(cfg: RunConfig) -> None:
 
 
 def parse_config(path: str, out_dir: str = "out") -> RunConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     return build_config(_resolve(_read_sections(path)), out_dir)
 
 
@@ -296,7 +312,10 @@ def _summarize_run(records, cfg: RunConfig) -> dict:
 
 
 def run_experiment(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from None
     with open(os.path.join(cfg.out_dir, "config_resolved.cfg"), "w") as fh:
         fh.write(echo_config(cfg))
     summary: dict = {"kind": cfg.kind, "tail_report": cfg.tail_report}

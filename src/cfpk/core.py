@@ -122,23 +122,16 @@ class Density:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def mass(self) -> float:
-        return integrate(self.values, self.grid)
-
-
-def normalize(rho: Density) -> Density:
-    """Rescale to unit mass. Raises on zero/negative mass."""
-    m = rho.mass()
-    if m <= 0.0:
-        raise DegenerateInputError(f"cannot normalize density with mass {m}")
-    return Density(rho.grid, rho.values / m)
-
 
 def density_from_values(grid: Grid, values: np.ndarray) -> Density:
-    """Clip tiny negatives from roundoff, then normalize."""
-    vals = np.asarray(values, dtype=float).copy()
-    vals[vals < 0.0] = 0.0
-    return normalize(Density(grid, vals))
+    """The unit-mass Density of raw cell values, the one constructor from
+    values: clips tiny negatives from roundoff, divides by the midpoint mass
+    (DegenerateInputError when it is <= 0) and validates once."""
+    vals = np.maximum(np.asarray(values, dtype=float), 0.0)
+    m = integrate(vals, grid)
+    if m <= 0.0:
+        raise DegenerateInputError(f"cannot normalize density with mass {m}")
+    return Density(grid, vals / m)
 
 
 def moments(rho: Density) -> tuple[float, float, float]:

@@ -254,14 +254,26 @@ def energy_barrier(sigma: float, pot: Potential, grid: Grid) -> float:
     return barrier
 
 
+def multimodal_intervals(pot: Potential, grid: Grid) -> list[tuple[float, float]]:
+    """Maximal tilt intervals on which H'(x) = sigma has two or more
+    grid-resolved solutions, exact for the sampled H': the number of
+    solutions at sigma is the number of neighbouring-sample segments that
+    straddle sigma, so it changes only at sample values of H'."""
+    h1 = tilted_family(pot, grid).h1
+    lo = np.sort(np.minimum(h1[:-1], h1[1:]))
+    hi = np.sort(np.maximum(h1[:-1], h1[1:]))
+    levels = np.unique(h1)
+    # segments straddling the gap (levels[k], levels[k+1]): lo <= levels[k] < hi
+    count = np.searchsorted(lo, levels[:-1], side="right") - np.searchsorted(
+        hi, levels[:-1], side="right"
+    )
+    runs = np.flatnonzero(np.diff(np.concatenate([[0], (count >= 2).astype(int), [0]])))
+    return [(float(levels[i]), float(levels[j])) for i, j in zip(runs[::2], runs[1::2])]
+
+
 def is_multimodal(sigma: float, pot: Potential, grid: Grid) -> bool:
     """True when H'(x) = sigma has more than one grid-resolved solution."""
-    diffs = tilted_family(pot, grid).h1 - sigma
-    signs = np.sign(diffs)
-    signs = signs[signs != 0.0]
-    if signs.size < 2:
-        return False
-    return int(np.sum(signs[1:] != signs[:-1])) >= 2
+    return any(lo < sigma < hi for lo, hi in multimodal_intervals(pot, grid))
 
 
 @dataclass(frozen=True)
@@ -298,36 +310,18 @@ def landscape(
     h2x = np.asarray(pot.h2(x), dtype=float)
     spinodal = float(np.sum(h2x <= 0.0)) * grid.dx
 
-    sigmas = np.linspace(sigma_range[0], sigma_range[1], N_SIGMA)
-    multi = np.array([is_multimodal(s, pot, grid) for s in sigmas])
-
-    def refine(s_in: float, s_out: float) -> float:
-        # bisect the multimodality boundary to 1e-6
-        for _ in range(60):
-            mid = 0.5 * (s_in + s_out)
-            if is_multimodal(mid, pot, grid):
-                s_in = mid
-            else:
-                s_out = mid
-            if abs(s_out - s_in) < 1e-6:
-                break
-        return 0.5 * (s_in + s_out)
-
-    intervals: list[tuple[float, float]] = []
-    i = 0
-    while i < N_SIGMA:
-        if multi[i]:
-            j = i
-            while j + 1 < N_SIGMA and multi[j + 1]:
-                j += 1
-            left = refine(sigmas[i], sigmas[i - 1]) if i > 0 else sigmas[0]
-            right = refine(sigmas[j], sigmas[j + 1]) if j + 1 < N_SIGMA else sigmas[-1]
-            intervals.append((left, right))
-            i = j + 1
-        else:
-            i += 1
-
-    delta_h_star = max((energy_barrier(float(s), pot, grid) for s in sigmas[multi]), default=0.0)
+    s_min, s_max = sigma_range
+    intervals = [
+        (max(lo, s_min), min(hi, s_max))
+        for lo, hi in multimodal_intervals(pot, grid)
+        if lo < s_max and hi > s_min
+    ]
+    # the barrier at the tilt samples inside the set and at each interval's
+    # midpoint, so an interval narrower than the sample spacing is seen
+    sigmas = np.linspace(s_min, s_max, N_SIGMA)
+    probes = [float(s) for s in sigmas if any(lo < s < hi for lo, hi in intervals)]
+    probes += [0.5 * (lo + hi) for lo, hi in intervals]
+    delta_h_star = max((energy_barrier(s, pot, grid) for s in probes), default=0.0)
 
     c_var, C_var = variance_range(sigmas, nu, pot, grid)
     lsi_samples = []

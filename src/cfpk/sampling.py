@@ -22,7 +22,7 @@ def set_mean(dens: Density, mean: float) -> Density:
         if var <= 0.0:
             break
         alpha = (mean - m1) / var
-        dens = density_from_values(dens.grid, np.maximum(dens.values * (1.0 + alpha * (x - m1)), 0.0))
+        dens = density_from_values(dens.grid, dens.values * (1.0 + alpha * (x - m1)))
     m1, _, _ = moments(dens)
     if abs(m1 - mean) > 1e-8:
         raise ContractViolation(f"could not impose mean {mean}: reached {m1}")

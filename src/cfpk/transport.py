@@ -81,15 +81,15 @@ def quantile_to_density(x_of_s: np.ndarray, grid: Grid) -> Density:
     # mass outside the grid (if any) is assigned to the boundary cells
     cell_mass[0] += cdf_at_edges[0]
     cell_mass[-1] += 1.0 - cdf_at_edges[-1]
-    dens = density_from_values(grid, cell_mass / grid.dx)
     # the projection recenters mass within cells; tilt to restore the mean
     target = float(np.mean(x_of_s))
-    m1, _, var = moments(dens)
-    alpha = (target - m1) / var if var > 0.0 else 0.0
     x = grid.x
+    m1 = float(np.dot(x, cell_mass))  # the cell masses sum to 1 up to roundoff
+    var = float(np.dot(x * x, cell_mass)) - m1 * m1
+    alpha = (target - m1) / var if var > 0.0 else 0.0
     if abs(alpha) * float(np.max(np.abs(x - m1))) < 0.9:
-        dens = density_from_values(grid, dens.values * (1.0 + alpha * (x - m1)))
-    return dens
+        cell_mass *= 1.0 + alpha * (x - m1)
+    return density_from_values(grid, cell_mass / grid.dx)
 
 
 def w2(rho0: Density, rho1: Density, m: int = 1024) -> float:

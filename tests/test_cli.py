@@ -256,6 +256,10 @@ class TestRunExperiment:
             ("grid", "n", "7.5", "fv"),
             ("grid", "x_min", "abc", "fv"),
             ("run", "seed", "1.5", "fv"),
+            ("run", "seed", "-1", "fv"),
+            ("run", "sigma_min", "4", "fv"),
+            ("run", "sigma_max", "nan", "fv"),
+            ("run", "sigma_min", "-inf", "fv"),
             ("run", "nu_list", "0.5,abc", "fv"),
             ("run", "initial", "gaussian:0,abc", "fv"),
             ("model", "tau", "nan", "fv"),
@@ -289,3 +293,22 @@ class TestRunExperiment:
         assert main(["simulate", "--config", write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "case", ["config-directory", "config-not-utf8", "config-missing", "out-is-a-file"]
+    )
+    def test_unreadable_input_exit_code(self, tmp_path, capsys, case):
+        cfgfile = write(tmp_path, "[model]\npotential = quadratic:1\n\n[grid]\nn = 256\n\n[run]\nT = 0.01\n")
+        out = tmp_path / "out"
+        if case == "config-directory":
+            cfgfile = str(tmp_path)
+        elif case == "config-not-utf8":
+            (tmp_path / "run.cfg").write_bytes("[model]\n# r\u00e9gime\nnu = 1.0\n".encode("latin-1"))
+        elif case == "config-missing":
+            cfgfile = str(tmp_path / "nope.cfg")
+        else:
+            out.write_text("")
+        assert main(["simulate", "--config", cfgfile, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out.is_file() if case == "out-is-a-file" else not out.exists()

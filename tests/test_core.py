@@ -14,8 +14,8 @@ from cfpk.core import (
     exp_decay_path,
     gaussian_density,
     integrate,
+    density_from_values,
     moments,
-    normalize,
     polynomial_potential,
     quadratic_potential,
     step_count,
@@ -92,7 +92,7 @@ class TestDensity:
         g = Grid(-5.0, 5.0, 64)
         rng = np.random.default_rng(7)
         for _ in range(20):
-            rho = normalize(Density(g, rng.uniform(0.0, 1.0, g.n)))
+            rho = density_from_values(g, rng.uniform(0.0, 1.0, g.n))
             assert moments(rho)[2] >= 0.0
 
     def test_negative_values_rejected(self):
@@ -104,27 +104,36 @@ class TestDensity:
 
 
 class TestNormalize:
+    """density_from_values, the one constructor from raw values."""
+
     def test_constant_rescale(self):
         g = Grid(0.0, 1.0, 100)
-        rho = normalize(Density(g, 2.0 * np.ones(100)))
+        rho = density_from_values(g, 2.0 * np.ones(100))
         assert np.allclose(rho.values, 1.0)
 
     def test_idempotent(self):
         g = Grid(-8.0, 8.0, 512)
         rho = gaussian_density(g, 0.0, 1.0)
-        again = normalize(rho)
+        again = density_from_values(g, rho.values)
         assert np.max(np.abs(again.values - rho.values)) < 1e-14
 
     def test_small_mass_rescaled(self):
         g = Grid(-8.0, 8.0, 512)
         rho = gaussian_density(g, 0.0, 1.0)
-        scaled = normalize(Density(g, rho.values * 1e-3))
-        assert scaled.mass() == pytest.approx(1.0, abs=1e-12)
+        scaled = density_from_values(g, rho.values * 1e-3)
+        assert integrate(scaled.values, g) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_mass_rejected(self):
         g = Grid(0.0, 1.0, 16)
         with pytest.raises(DegenerateInputError):
-            normalize(Density(g, np.zeros(16)))
+            density_from_values(g, np.zeros(16))
+
+    def test_negatives_clipped(self):
+        g = Grid(0.0, 1.0, 16)
+        vals = np.ones(16)
+        vals[3] = -1e-17
+        rho = density_from_values(g, vals)
+        assert rho.values[3] == 0.0 and np.all(rho.values[np.arange(16) != 3] == 16.0 / 15.0)
 
 
 class TestPotentials:

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from cfpk.core import Grid, ModelParams, density_from_values, gaussian_density, moments
+from cfpk.core import (
+    Grid,
+    ModelParams,
+    density_from_values,
+    gaussian_density,
+    integrate,
+    moments,
+    polynomial_potential,
+)
 from cfpk.equilibrium import (
     energy_barrier,
     gibbs,
@@ -29,7 +37,7 @@ class TestGibbs:
         assert st.mean == pytest.approx(0.0, abs=1e-6)
         assert st.variance == pytest.approx(1.0, abs=1e-6)
         assert math.exp(st.log_z) == pytest.approx(math.sqrt(2.0 * math.pi), abs=1e-6)
-        assert st.density.mass() == pytest.approx(1.0, abs=1e-12)
+        assert integrate(st.density.values, grid) == pytest.approx(1.0, abs=1e-12)
 
     def test_tilt_shifts_mean(self, grid, quad_pot):
         st = gibbs(0.8, 1.0, quad_pot, grid)
@@ -226,6 +234,25 @@ class TestLandscape:
         assert hi == pytest.approx(sigma_c, abs=1e-3)
         assert lo == pytest.approx(-sigma_c, abs=1e-3)
         assert rep.delta_h_star == pytest.approx(1.0, abs=1e-3)
+
+    def test_sigma_set_between_tilt_samples(self, grid):
+        # H'(x) = x^3 - 0.3x + 0.09 has three roots only for sigma in
+        # 0.09 -+ 0.2 sqrt(0.1), which holds none of the 33 tilt samples
+        pot = polynomial_potential([0.1, 0.09, -0.15, 0.0, 0.25])
+        rep = landscape(0.5, pot, grid)
+        assert len(rep.sigma_set) == 1
+        lo, hi = rep.sigma_set[0]
+        assert lo == pytest.approx(0.09 - 0.2 * math.sqrt(0.1), abs=1e-6)
+        assert hi == pytest.approx(0.09 + 0.2 * math.sqrt(0.1), abs=1e-6)
+        assert is_multimodal(0.09, pot, grid) and not is_multimodal(0.0, pot, grid)
+        assert rep.delta_h_star == energy_barrier(0.5 * (lo + hi), pot, grid)
+        assert rep.delta_h_star == pytest.approx(energy_barrier(0.09, pot, grid), rel=1e-3)
+        assert rep.delta_h_star > 0.02
+
+    def test_sigma_set_clipped_to_the_range(self, grid, dw_pot):
+        full = landscape(0.5, dw_pot, grid, (-2.0, 2.0)).sigma_set
+        assert landscape(0.5, dw_pot, grid, (0.5, 2.0)).sigma_set == [(0.5, full[0][1])]
+        assert landscape(0.5, dw_pot, grid, (1.0, 2.0)).sigma_set == []
 
     def test_spinodal_measure(self, grid, dw_pot):
         rep = landscape(0.5, dw_pot, grid, (-2.0, 2.0))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cfpk.core import Density, Grid, ModelParams, gaussian_density, moments, normalize
+from cfpk.core import Grid, ModelParams, density_from_values, gaussian_density, moments
 from cfpk.equilibrium import gibbs
 from cfpk.errors import SupportMismatchError, WeightTooStrongError
 from cfpk.functionals import (
@@ -58,7 +58,7 @@ class TestFreeEnergy:
             f1 = free_energy(r1, quad_pot, params).F
             f2 = free_energy(r2, quad_pot, params).F
             for a in (0.25, 0.5, 0.75):
-                mix = normalize(Density(grid, a * r1.values + (1 - a) * r2.values))
+                mix = density_from_values(grid, a * r1.values + (1 - a) * r2.values)
                 fm = free_energy(mix, quad_pot, params).F
                 assert fm <= a * f1 + (1 - a) * f2 + 1e-10
 
@@ -85,7 +85,7 @@ class TestRelativeEntropy:
         rho = gaussian_density(grid, 0.0, 0.5)
         vals = rho.values.copy()
         vals[: grid.n // 2] = 0.0
-        gam = normalize(Density(grid, vals))
+        gam = density_from_values(grid, vals)
         with pytest.raises(SupportMismatchError):
             relative_entropy(rho, gam)
 

@@ -15,8 +15,9 @@ from cfpk.core import (
     doublewell_potential,
     exp_decay_path,
     gaussian_density,
+    density_from_values,
+    integrate,
     moments,
-    normalize,
     quadratic_potential,
 )
 from cfpk import transport
@@ -44,7 +45,7 @@ from oracles import (
 class TestQuantile:
     def test_uniform_identity(self):
         g = Grid(0.0, 1.0, 256)
-        rho = normalize(Density(g, np.ones(g.n)))
+        rho = density_from_values(g, np.ones(g.n))
         q = to_quantile(rho, 256)
         assert np.max(np.abs(q - (np.arange(256) + 0.5) / 256)) < g.dx
 
@@ -76,6 +77,25 @@ class TestQuantile:
         with pytest.raises(ContractViolation):
             to_quantile(rho, 32)
 
+    def test_one_validated_density_per_projection(self, grid, monkeypatch):
+        # a JKO step validates exactly one grid density: the projection
+        # builds no intermediate Density, and neither does the constructor
+        built = []
+        validate = Density.__post_init__
+
+        def counted(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(Density, "__post_init__", counted)
+        x = random_quantiles(5, 512)
+        dens = quantile_to_density(x, grid)
+        assert len(built) == 1 and built[0] is dens
+        assert moments(dens)[0] == pytest.approx(float(np.mean(x)), abs=1e-12)
+        built.clear()
+        rho = density_from_values(grid, np.exp(-grid.x**2))
+        assert len(built) == 1 and built[0] is rho
+
 
 PROPERTY_GRID = Grid(-8.0, 8.0, 256)
 
@@ -95,7 +115,7 @@ class TestQuantileProperties:
     def test_density_has_unit_mass_and_the_quantile_mean(self, seed, m):
         x = random_quantiles(seed, m)
         dens = quantile_to_density(x, PROPERTY_GRID)
-        assert dens.mass() == pytest.approx(1.0, abs=1e-12)
+        assert integrate(dens.values, dens.grid) == pytest.approx(1.0, abs=1e-12)
         assert moments(dens)[0] == pytest.approx(float(np.mean(x)), abs=1e-12)
 
     @settings(max_examples=20, deadline=None)
@@ -157,8 +177,8 @@ class TestW2:
         g = Grid(-2.0, 2.0, 32)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            a = normalize(Density(g, rng.uniform(0.1, 1.0, g.n)))
-            b = normalize(Density(g, rng.uniform(0.1, 1.0, g.n)))
+            a = density_from_values(g, rng.uniform(0.1, 1.0, g.n))
+            b = density_from_values(g, rng.uniform(0.1, 1.0, g.n))
             exact = exact_w2_histograms(a, b)
             sampled = w2(a, b, 1 << 17)
             assert sampled == pytest.approx(exact, abs=1e-6)
