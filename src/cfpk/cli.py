@@ -445,10 +445,7 @@ def _verify_battery(cfg: RunConfig) -> dict:
     gamma_star = solve_lambda(cfg.path.ell_star, nu, pot, grid).state.density
     stride = max(1, len(records) // 10)
     for r in records[::stride]:
-        dens = r.density
-        if dens is None:
-            continue
-        wl1, _, wbound = weighted_ckp(dens, gamma_star, weight)
+        wl1, _, wbound = weighted_ckp(r.density, gamma_star, weight)
         wckp_worst = max(wckp_worst, wl1 - wbound)
     for _ in range(5):
         rho = random_density(grid, rng)

@@ -2,9 +2,9 @@
 
 The tilted Gibbs family gamma_{sigma,nu} ~ exp(-(H - sigma x)/nu^2) contains
 the constrained free-energy minimizers: lambda(ell) is the tilt whose mean is
-ell.  The landscape scan measures the spinodal region, the multimodal tilt
-set, tilted-potential energy barriers and variance bounds; LSI constants are
-estimated from convexity or a Holley-Stroock-type perturbation bound.
+ell.  `multimodal_intervals` and `barrier_scan` answer the tilt-axis queries;
+`landscape` is the CLI report of those, the spinodal region, variance bounds
+and LSI constants (from convexity or a Holley-Stroock-type bound).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import ContractViolation, GridTooSmallError, RangeError, SolverErro
 # solve_lambda stops when |M1(gamma_lambda) - ell| < LAMBDA_TOL
 LAMBDA_TOL = 1e-10
 LAMBDA_MAX_ITER = 100
-# tilt samples of a landscape scan
+# tilt samples of a barrier scan or landscape report
 N_SIGMA = 33
 
 
@@ -117,9 +117,11 @@ def solve_lambda(
 ) -> LambdaSolve:
     """Invert M1(gamma_{lambda,nu}) = ell by safeguarded Newton.
 
-    The map is strictly increasing with derivative Var/nu^2, so Newton is
-    globally safe once a sign-change bracket is found; the bracket expands
-    geometrically from lambda_0 = ell * min(c_-, c_+).  Given a `start` tilt
+    The map is strictly increasing with derivative Var/nu^2, so a
+    sign-change bracket, expanded geometrically from lambda_0 = ell *
+    min(c_-, c_+), makes Newton safe once a step that leaves the bracket or
+    follows a step that raised |M1 - ell| bisects instead: on the S-shaped
+    mean map of a double well Newton can otherwise cycle inside the bracket.  Given a `start` tilt
     (the previous solve along a moving path), Newton runs from it first; a
     step that does not reduce |M1 - ell|, or a state that degenerates, falls
     back to the bracketed solve.  `iterations` counts every Gibbs evaluation.
@@ -192,14 +194,16 @@ def solve_lambda(
     if lam != lam0:
         val, ev = g(lam)
         iters += 1
+    grew = False
     for _ in range(LAMBDA_MAX_ITER):
         if abs(val) < LAMBDA_TOL:
             return solved(lam, val, ev, iters)
         lam_new = lam - val / (ev[1] / nu2)
-        if not (lo <= lam_new <= hi):
-            lam_new = 0.5 * (lo + hi)  # bisection fallback
+        if grew or not (lo <= lam_new <= hi):
+            lam_new = 0.5 * (lo + hi)
         val_new, ev_new = g(lam_new)
         iters += 1
+        grew = not abs(val_new) < abs(val)
         if val_new > 0.0:
             hi, hi_val = lam_new, val_new
         else:
@@ -219,21 +223,12 @@ def variance_range(sigmas: np.ndarray, nu: float, pot: Potential, grid: Grid) ->
 
 
 def local_minima(vals: np.ndarray) -> list[int]:
-    """Interior local minima of a sampled function (plateaus count once)."""
-    out = []
-    n = len(vals)
-    i = 1
-    while i < n - 1:
-        if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]:
-            j = i
-            while j + 1 < n - 1 and vals[j + 1] == vals[i]:
-                j += 1
-            if j + 1 < n and vals[j + 1] > vals[i]:
-                out.append(i)
-            i = j + 1
-        else:
-            i += 1
-    return out
+    """First index of each run of equal samples that is lower than the runs
+    on both sides; the runs touching either end never count."""
+    starts = np.flatnonzero(vals[1:] != vals[:-1]) + 1  # every run but the first
+    run_vals = vals[starts]
+    lower = (run_vals[:-1] < vals[starts[:-1] - 1]) & (run_vals[:-1] < run_vals[1:])
+    return starts[:-1][lower].tolist()
 
 
 def energy_barrier(sigma: float, pot: Potential, grid: Grid) -> float:
@@ -271,9 +266,23 @@ def multimodal_intervals(pot: Potential, grid: Grid) -> list[tuple[float, float]
     return [(float(levels[i]), float(levels[j])) for i, j in zip(runs[::2], runs[1::2])]
 
 
-def is_multimodal(sigma: float, pot: Potential, grid: Grid) -> bool:
-    """True when H'(x) = sigma has more than one grid-resolved solution."""
-    return any(lo < sigma < hi for lo, hi in multimodal_intervals(pot, grid))
+def barrier_scan(
+    pot: Potential, grid: Grid, sigma_range: tuple[float, float]
+) -> tuple[list[tuple[float, float]], float]:
+    """(multimodal tilt intervals clipped to `sigma_range`, DeltaH*), with
+    DeltaH* the largest energy barrier at the N_SIGMA tilt samples inside the
+    set and at each interval's midpoint, so an interval narrower than the
+    sample spacing is seen."""
+    s_min, s_max = sigma_range
+    intervals = [
+        (max(lo, s_min), min(hi, s_max))
+        for lo, hi in multimodal_intervals(pot, grid)
+        if lo < s_max and hi > s_min
+    ]
+    sigmas = np.linspace(s_min, s_max, N_SIGMA)
+    probes = [float(s) for s in sigmas if any(lo < s < hi for lo, hi in intervals)]
+    probes += [0.5 * (lo + hi) for lo, hi in intervals]
+    return intervals, max((energy_barrier(s, pot, grid) for s in probes), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -304,25 +313,14 @@ def landscape(
     grid: Grid,
     sigma_range: tuple[float, float] = (-3.0, 3.0),
 ) -> LandscapeReport:
-    """Scan the tilt axis: spinodal measure, multimodal intervals, barriers,
+    """The `cfpk landscape` report: spinodal measure, the barrier scan,
     variance bounds, and per-tilt LSI estimates."""
     x = grid.x
     h2x = np.asarray(pot.h2(x), dtype=float)
     spinodal = float(np.sum(h2x <= 0.0)) * grid.dx
 
-    s_min, s_max = sigma_range
-    intervals = [
-        (max(lo, s_min), min(hi, s_max))
-        for lo, hi in multimodal_intervals(pot, grid)
-        if lo < s_max and hi > s_min
-    ]
-    # the barrier at the tilt samples inside the set and at each interval's
-    # midpoint, so an interval narrower than the sample spacing is seen
-    sigmas = np.linspace(s_min, s_max, N_SIGMA)
-    probes = [float(s) for s in sigmas if any(lo < s < hi for lo, hi in intervals)]
-    probes += [0.5 * (lo + hi) for lo, hi in intervals]
-    delta_h_star = max((energy_barrier(s, pot, grid) for s in probes), default=0.0)
-
+    intervals, delta_h_star = barrier_scan(pot, grid, sigma_range)
+    sigmas = np.linspace(*sigma_range, N_SIGMA)
     c_var, C_var = variance_range(sigmas, nu, pot, grid)
     lsi_samples = []
     for s in sigmas:
@@ -345,10 +343,11 @@ def lsi_constant(sigma: float, nu: float, pot: Potential, grid: Grid) -> tuple[f
     Uniformly convex potentials give 1/k independent of sigma and nu.
     Otherwise a Holley-Stroock-type bound nu^-2 * 2 exp(2 C_H,sigma / nu^2)
     / min(c_-, c_+) is returned, where C_H,sigma is the energy barrier of the
-    tilted potential.  The plain lower-hull oscillation is tilt-independent
-    (envelopes commute with affine shifts) and therefore cannot reproduce the
-    barrier's decay as sigma leaves the multimodal set; the barrier is the
-    quantity the relaxation-rate scaling actually follows.
+    tilted potential; past float range it is inf, a vacuous bound.  The
+    plain lower-hull oscillation is tilt-independent (envelopes commute with
+    affine shifts) and therefore cannot reproduce the barrier's decay as
+    sigma leaves the multimodal set; the barrier is the quantity the
+    relaxation-rate scaling actually follows.
     """
     k = pot.convexity_lower_bound
     if k is not None and k > 0.0:
@@ -359,4 +358,7 @@ def lsi_constant(sigma: float, nu: float, pot: Potential, grid: Grid) -> tuple[f
         raise ContractViolation("Holley-Stroock branch needs positive growth constants")
     nu2 = nu * nu
     osc = energy_barrier(sigma, pot, grid)
-    return (2.0 / nu2) * math.exp(2.0 * osc / nu2) / cmin, "holley_stroock"
+    try:
+        return (2.0 / nu2) * math.exp(2.0 * osc / nu2) / cmin, "holley_stroock"
+    except OverflowError:
+        return math.inf, "holley_stroock"

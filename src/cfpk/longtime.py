@@ -26,10 +26,12 @@ from .core import (
     require_positive,
 )
 from .equilibrium import (
+    N_SIGMA,
+    barrier_scan,
     gibbs,
-    landscape,
     local_minima,
     lsi_constant,
+    multimodal_intervals,
     solve_lambda,
     tilted_family,
     variance_range,
@@ -66,7 +68,7 @@ def verify_comparison(
     )
     nu4 = nu**4
     gap_sq = (eta - lam) ** 2
-    c_lo, c_hi = variance_range(np.linspace(min(lam, eta), max(lam, eta), 33), nu, pot, grid)
+    c_lo, c_hi = variance_range(np.linspace(min(lam, eta), max(lam, eta), N_SIGMA), nu, pot, grid)
     lower = 0.5 * c_lo * gap_sq / nu4
     upper = 0.5 * c_hi * gap_sq / nu4
     return {
@@ -223,19 +225,14 @@ class DecayReport:
         }
 
 
-def classify_regime(
-    records: list[TrajectoryRecord], nu: float, pot: Potential, grid: Grid
-) -> str:
+def classify_regime(records: list[TrajectoryRecord], pot: Potential, grid: Grid) -> str:
+    """The run's regime: "convex" for a uniformly convex H, else "kramers"
+    when some record's multiplier lies in a closed interval of the
+    multimodal tilt set, else "unimodal"."""
     if pot.convexity_lower_bound is not None and pot.convexity_lower_bound > 0.0:
         return "convex"
     sig = np.array([r.sigma for r in records])
-    rng = (float(np.min(sig)) - 1.0, float(np.max(sig)) + 1.0)
-    scan = landscape(nu, pot, grid, sigma_range=rng)
-    if not scan.sigma_set:
-        return "unimodal"
-    inside = any(
-        np.any((sig >= lo) & (sig <= hi)) for lo, hi in scan.sigma_set
-    )
+    inside = any(np.any((sig >= lo) & (sig <= hi)) for lo, hi in multimodal_intervals(pot, grid))
     return "kramers" if inside else "unimodal"
 
 
@@ -271,7 +268,7 @@ def decay_experiment(
         fitted_rate=rate,
         predicted_tau=predicted,
         C_ell_sigma=c_ell_sigma,
-        regime=classify_regime(records, nu, pot, grid),
+        regime=classify_regime(records, pot, grid),
         samples=samples,
         bound_max_violation=violation,
         short_window=short,
@@ -310,7 +307,7 @@ def verify_sigma_convergence(
     lam_vals = np.array([r.lam_ell for r in records])
     lo = float(min(np.min(sig), np.min(lam_vals), sigma_star)) - 1.0
     hi = float(max(np.max(sig), np.max(lam_vals), sigma_star)) + 1.0
-    c_var = variance_range(np.linspace(lo, hi, 33), nu, pot, grid)[0]
+    c_var = variance_range(np.linspace(lo, hi, N_SIGMA), nu, pot, grid)[0]
     c_chain = sigma_convergence_constant(nu, pot, grid, sigma_star)
 
     params = ModelParams(tau=1.0, nu=nu)
@@ -459,7 +456,7 @@ def kramers_sweep(
     if len(set(nu_list)) != len(nu_list):
         raise ContractViolation(f"noise levels must be distinct, got {list(nu_list)}")
     require_positive(dt=dt, tau=tau)
-    delta_h_star = landscape(nu_list[0], pot, grid, sigma_range=(-2.0, 2.0)).delta_h_star
+    _, delta_h_star = barrier_scan(pot, grid, (-2.0, 2.0))
     entries = []
     for nu in nu_list:
         rate_guess = nu * nu * math.exp(-delta_h_star / (nu * nu))

@@ -77,6 +77,25 @@ def scan_barrier(pot, sigma: float, lo: float = -8.0, hi: float = 8.0, n: int = 
     return best
 
 
+def local_minima_loop(vals) -> list[int]:
+    """Interior local minima of a sampled function (plateaus count once), by
+    a scan over the samples."""
+    out = []
+    n = len(vals)
+    i = 1
+    while i < n - 1:
+        if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]:
+            j = i
+            while j + 1 < n - 1 and vals[j + 1] == vals[i]:
+                j += 1
+            if j + 1 < n and vals[j + 1] > vals[i]:
+                out.append(i)
+            i = j + 1
+        else:
+            i += 1
+    return out
+
+
 def scan_sigma_c(pot, lo: float = -8.0, hi: float = 8.0, n: int = 400001) -> float:
     """Edge of the multimodal tilt set: largest local max of H' over the
     region where H' decreases."""

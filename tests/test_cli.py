@@ -121,6 +121,20 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "ls" / "summary.json").read_text())
         assert summary["landscape"]["delta_h_star"] == pytest.approx(1.0, abs=1e-2)
 
+    def test_landscape_past_float_range(self, tmp_path):
+        # the LSI estimate at sigma = 0 is past float range at nu = 0.05
+        out = tmp_path / "ls_small_nu"
+        assert main(["landscape", "--potential", "doublewell", "--nu", "0.05", "--out", str(out)]) == 0
+        samples = json.loads((out / "summary.json").read_text())["landscape"]["lsi_samples"]
+        assert [s["sigma"] for s in samples if s["C_lsi"] == float("inf")] == [0.0]
+
+    def test_decay_past_float_range(self, tmp_path):
+        text = MINIMAL.replace("quadratic:1", "doublewell").replace("nu = 1.0", "nu = 0.05")
+        cfgfile = write(tmp_path, text + "\n[run]\nkind = decay\nT = 0.3\nrecord_every = 10\n")
+        out = tmp_path / "decay_small_nu"
+        assert main(["decay", "--config", cfgfile, "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["decay"]["predicted_tau"] == 0.0
+
     def test_simulate_writes_csv(self, tmp_path):
         cfgfile = write(tmp_path, MINIMAL + "\n[run]\nkind = simulate\nT = 0.05\nsolver = both\nh = 0.01\n")
         out = str(tmp_path / "sim")

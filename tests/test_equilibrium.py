@@ -17,9 +17,10 @@ from cfpk.core import (
 from cfpk.equilibrium import (
     energy_barrier,
     gibbs,
-    is_multimodal,
     landscape,
+    local_minima,
     lsi_constant,
+    multimodal_intervals,
     solve_lambda,
     tilted_family,
     variance_range,
@@ -28,7 +29,7 @@ from cfpk.errors import RangeError
 from cfpk.functionals import dissipation, log_partition, relative_entropy
 from cfpk.sampling import random_density, set_mean
 
-from oracles import bisect_lambda, scan_barrier, scan_sigma_c
+from oracles import bisect_lambda, local_minima_loop, scan_barrier, scan_sigma_c
 
 
 class TestGibbs:
@@ -133,6 +134,13 @@ class TestLambdaOfEll:
         assert sol.lam == pytest.approx(oracle, abs=1e-8)
         assert sol.state.mean == pytest.approx(1.0, abs=1e-9)
 
+    def test_newton_cycle_falls_back_to_bisection(self, grid, dw_pot):
+        # Newton from the bracket end cycles between lambda ~ -0.73 and ~ 2.6
+        sol = solve_lambda(1.421875, 0.8, dw_pot, grid)
+        oracle = bisect_lambda(1.421875, 0.8, dw_pot, grid, -1.0, 2.0)
+        assert sol.lam == pytest.approx(oracle, abs=1e-8)
+        assert sol.residual < 1e-10
+
     @settings(max_examples=25, deadline=None)
     @given(
         potential=hst.sampled_from(["quadratic", "doublewell"]),
@@ -211,6 +219,10 @@ class TestLambdaOfEll:
             assert free_energy(rho, dw_pot, ModelParams(nu=nu)).F >= f_min - 1e-8
 
 
+def in_multimodal_set(sigma, pot, grid):
+    return any(lo < sigma < hi for lo, hi in multimodal_intervals(pot, grid))
+
+
 class TestLandscape:
     def test_quadratic_trivial(self, grid, quad_pot):
         rep = landscape(1.0, quad_pot, grid, (-2.0, 2.0))
@@ -244,7 +256,7 @@ class TestLandscape:
         lo, hi = rep.sigma_set[0]
         assert lo == pytest.approx(0.09 - 0.2 * math.sqrt(0.1), abs=1e-6)
         assert hi == pytest.approx(0.09 + 0.2 * math.sqrt(0.1), abs=1e-6)
-        assert is_multimodal(0.09, pot, grid) and not is_multimodal(0.0, pot, grid)
+        assert in_multimodal_set(0.09, pot, grid) and not in_multimodal_set(0.0, pot, grid)
         assert rep.delta_h_star == energy_barrier(0.5 * (lo + hi), pot, grid)
         assert rep.delta_h_star == pytest.approx(energy_barrier(0.09, pot, grid), rel=1e-3)
         assert rep.delta_h_star > 0.02
@@ -261,9 +273,21 @@ class TestLandscape:
         assert rep.spinodal_measure == pytest.approx(width, abs=2 * grid.dx)
 
     def test_multimodality_predicate(self, grid, dw_pot, quad_pot):
-        assert is_multimodal(0.0, dw_pot, grid)
-        assert not is_multimodal(2.0, dw_pot, grid)
-        assert not is_multimodal(0.0, quad_pot, grid)
+        assert in_multimodal_set(0.0, dw_pot, grid)
+        assert not in_multimodal_set(2.0, dw_pot, grid)
+        assert not in_multimodal_set(0.0, quad_pot, grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(vals=hst.lists(hst.integers(-3, 3), max_size=40))
+    def test_local_minima_matches_the_loop(self, vals):
+        # small integer values make plateaus, also at both ends
+        arr = np.array(vals, dtype=float)
+        assert local_minima(arr) == local_minima_loop(arr)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 2.0])
+    def test_local_minima_of_the_tilted_doublewell(self, grid, dw_pot, sigma):
+        vals = tilted_family(dw_pot, grid).tilted(sigma)
+        assert local_minima(vals) == local_minima_loop(vals)
 
     def test_serialization(self, grid, dw_pot):
         rep = landscape(0.5, dw_pot, grid, (-2.0, 2.0))
@@ -293,6 +317,11 @@ class TestLsiConstant:
         # no barrier: O(nu^-2) only
         assert c == pytest.approx(2.0 / 0.25 / 2.0, rel=1e-9)
         assert energy_barrier(3.0, dw_pot, grid) == 0.0
+
+    def test_past_float_range_is_inf(self, grid, dw_pot):
+        # 2 DeltaH / nu^2 = 800 at nu = 0.05; the estimate is 2.2e300 at nu = 0.054
+        assert lsi_constant(0.0, 0.05, dw_pot, grid) == (math.inf, "holley_stroock")
+        assert 1e300 < lsi_constant(0.0, 0.054, dw_pot, grid)[0] < math.inf
 
     def test_empirical_lsi(self, grid, dw_pot):
         # H(rho|gamma_sigma) <= C_lsi D(rho, sigma)/nu^2 on random densities

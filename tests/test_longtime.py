@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cfpk.core import (
     gaussian_density,
     moments,
 )
-from cfpk.equilibrium import gibbs, solve_lambda
+from cfpk.equilibrium import gibbs, multimodal_intervals, solve_lambda
 from cfpk.errors import ContractViolation
 from cfpk.fpsolver import gap_rate
 from cfpk.fpsolver import run as fv_run
@@ -20,6 +21,7 @@ from cfpk.functionals import free_energy, relative_entropy
 from cfpk.longtime import (
     bimodal_side_data,
     ckp_chain_audit,
+    classify_regime,
     decay_experiment,
     fit_decay_rate,
     decay_bound_curve,
@@ -32,6 +34,25 @@ from cfpk.longtime import (
 from cfpk.sampling import random_density
 
 from oracles import gaussian_kl
+
+
+class TestClassifyRegime:
+    @staticmethod
+    def records(*sigmas):
+        return [SimpleNamespace(sigma=s) for s in sigmas]
+
+    def test_kramers_when_a_multiplier_enters_the_set(self, grid, dw_pot):
+        assert classify_regime(self.records(2.0, 1.0, 0.3), dw_pot, grid) == "kramers"
+        # the intervals are closed
+        (lo, hi), = multimodal_intervals(dw_pot, grid)
+        assert classify_regime(self.records(2.0, hi), dw_pot, grid) == "kramers"
+        assert classify_regime(self.records(lo, -2.0), dw_pot, grid) == "kramers"
+
+    def test_unimodal_outside_the_set(self, grid, dw_pot):
+        assert classify_regime(self.records(2.0, 2.0, 2.0), dw_pot, grid) == "unimodal"
+
+    def test_convex(self, grid, quad_pot):
+        assert classify_regime(self.records(0.0, 0.3), quad_pot, grid) == "convex"
 
 
 class TestComparisonSandwich:
