@@ -276,9 +276,21 @@ def echo_config(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
+def _finite_json(obj):
+    """`obj` with each non-finite float replaced by the string "inf", "-inf"
+    or "nan", so the dump is strict JSON."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
 def _json_dump(obj, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        json.dump(_finite_json(obj), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -429,7 +441,7 @@ def _verify_battery(cfg: RunConfig) -> dict:
         "pass": eb_max <= cfg.verify_eb_tol,
     }
 
-    tau_pred, _, bound_violation = decay_bound_audit(records, nu, pot, grid, cfg.path)
+    tau_pred, _, bound_violation = decay_bound_audit(records, cfg.params, pot, grid, cfg.path)
     contracts["quantitative_decay_bound"] = {
         "predicted_tau": tau_pred,
         "max_violation": bound_violation,

@@ -117,21 +117,28 @@ def solve_lambda(
 ) -> LambdaSolve:
     """Invert M1(gamma_{lambda,nu}) = ell by safeguarded Newton.
 
-    The map is strictly increasing with derivative Var/nu^2, so a
-    sign-change bracket, expanded geometrically from lambda_0 = ell *
-    min(c_-, c_+), makes Newton safe once a step that leaves the bracket or
-    follows a step that raised |M1 - ell| bisects instead: on the S-shaped
-    mean map of a double well Newton can otherwise cycle inside the bracket.  Given a `start` tilt
-    (the previous solve along a moving path), Newton runs from it first; a
-    step that does not reduce |M1 - ell|, or a state that degenerates, falls
-    back to the bracketed solve.  `iterations` counts every Gibbs evaluation.
+    The map is strictly increasing with derivative Var/nu^2, so the sign of
+    M1 - ell at each evaluated tilt narrows a bracket [lo, hi] around the
+    root.  Newton runs from `start` (the previous solve along a moving path)
+    or from lambda_0 = ell * min(c_-, c_+); a start that is not finite, or
+    whose state degenerates, is replaced by lambda_0.  While one end of the
+    bracket is missing, a step goes at most `reach` = max(1, |lambda|)/2 from
+    the first tilt, and `reach` doubles each time it binds: a full Newton step
+    off a flat tail of the mean map would throw the tilt to where the state
+    degenerates.  With both ends known, a step that leaves the bracket, or
+    follows a step that raised |M1 - ell|, bisects instead: on the S-shaped
+    mean map of a double well Newton can otherwise cycle inside the bracket.
+    `iterations` counts every Gibbs evaluation.
     """
     if not (grid.x_min < ell < grid.x_max):
         raise RangeError(f"target mean {ell} lies outside the grid [{grid.x_min}, {grid.x_max}]")
     family = tilted_family(pot, grid)
     nu2 = nu * nu
+    iters = 0
 
     def g(lam: float) -> tuple[float, tuple]:
+        nonlocal iters
+        iters += 1
         try:
             ev = family.evaluate(lam, nu)
         except GridTooSmallError as exc:
@@ -141,74 +148,37 @@ def solve_lambda(
             ) from exc
         return ev[0] - ell, ev
 
-    def solved(lam: float, val: float, ev: tuple, iters: int) -> LambdaSolve:
-        return LambdaSolve(lam, _state(lam, nu, grid, ev), iters, abs(val))
-
-    iters = 0
-    if start is not None:
-        try:
-            lam = start
-            iters += 1
-            val, ev = g(lam)
-            for _ in range(LAMBDA_MAX_ITER):
-                if abs(val) < LAMBDA_TOL:
-                    return solved(lam, val, ev, iters)
-                lam_new = lam - val / (ev[1] / nu2)
-                iters += 1
-                val_new, ev_new = g(lam_new)
-                if not abs(val_new) < abs(val):
-                    break
-                lam, val, ev = lam_new, val_new, ev_new
-        except RangeError:
-            pass
-
     lam0 = ell * min(pot.growth_constants)
-    val0, ev0 = g(lam0)
-    iters += 1
-    if abs(val0) < LAMBDA_TOL:
-        return solved(lam0, val0, ev0, iters)
-
-    # geometric bracket expansion; monotonicity of the mean gives the sign logic
-    step = max(1.0, abs(lam0)) * 0.5
-    lo, lo_val = lam0, val0
-    hi, hi_val = lam0, val0
-    for _ in range(80):
-        if lo_val > 0.0:
-            lo = lo - step
-            lo_val, _ = g(lo)
-            iters += 1
-        elif hi_val < 0.0:
-            hi = hi + step
-            hi_val, _ = g(hi)
-            iters += 1
-        else:
-            break
-        step *= 2.0
-    else:
-        raise RangeError(
-            f"mean {ell} unreachable on this grid: bracket [{lo}, {hi}] "
-            f"gives means [{lo_val + ell}, {hi_val + ell}]"
-        )
-
-    lam, val, ev = (lo, lo_val, ev0) if abs(lo_val) < abs(hi_val) else (hi, hi_val, ev0)
-    if lam != lam0:
+    lam = start if start is not None and math.isfinite(start) else lam0
+    try:
         val, ev = g(lam)
-        iters += 1
+    except RangeError:
+        if lam == lam0:
+            raise
+        lam = lam0
+        val, ev = g(lam)
+
+    lo, hi = -math.inf, math.inf
+    reach = 0.5 * max(1.0, abs(lam))
     grew = False
     for _ in range(LAMBDA_MAX_ITER):
         if abs(val) < LAMBDA_TOL:
-            return solved(lam, val, ev, iters)
-        lam_new = lam - val / (ev[1] / nu2)
-        if grew or not (lo <= lam_new <= hi):
-            lam_new = 0.5 * (lo + hi)
-        val_new, ev_new = g(lam_new)
-        iters += 1
-        grew = not abs(val_new) < abs(val)
-        if val_new > 0.0:
-            hi, hi_val = lam_new, val_new
+            return LambdaSolve(lam, _state(lam, nu, grid, ev), iters, abs(val))
+        if val > 0.0:
+            hi = lam
         else:
-            lo, lo_val = lam_new, val_new
-        lam, val, ev = lam_new, val_new, ev_new
+            lo = lam
+        step = -val / (ev[1] / nu2)
+        bracketed = lo > -math.inf and hi < math.inf
+        if not bracketed and abs(step) > reach:
+            step = math.copysign(reach, step)
+            reach *= 2.0
+        lam_new = lam + step
+        if bracketed and (grew or not lo < lam_new < hi):
+            lam_new = 0.5 * (lo + hi)
+        val_new, ev = g(lam_new)
+        grew = not abs(val_new) < abs(val)
+        lam, val = lam_new, val_new
     raise SolverError(
         f"lambda(ell) did not converge in {LAMBDA_MAX_ITER} iterations",
         diagnostics={"bracket": (lo, hi), "residual": val, "ell": ell},

@@ -299,7 +299,7 @@ def run(
     relative entropies against the quasistationary state gamma_{lambda(ell(t))}
     and the limit state gamma_{lambda(ell*)}, the negative mass the
     positivity limiter kept out in the steps since the previous record, and the energy-balance audit
-    eb_residual = |dF/dt + D - tau sigma l'| on record spacing (trapezoid in
+    eb_residual = |dF/dt + D/tau - sigma l'| on record spacing (trapezoid in
     the rate terms, NaN on the first record).
     """
     require_positive(T=T)
@@ -372,8 +372,6 @@ def run(
         dt_rec = r1.t - r0.t
         rate = (r1.F - r0.F) / dt_rec
         d_mid = 0.5 * (r1.D + r0.D)
-        pump = 0.5 * params.tau * (
-            r1.sigma * path.ell_dot(r1.t) + r0.sigma * path.ell_dot(r0.t)
-        )
-        r1.eb_residual = abs(rate + d_mid - pump)
+        pump = 0.5 * (r1.sigma * path.ell_dot(r1.t) + r0.sigma * path.ell_dot(r0.t))
+        r1.eb_residual = abs(rate + d_mid / params.tau - pump)
     return records

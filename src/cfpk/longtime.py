@@ -103,7 +103,7 @@ def verify_quasistationary_derivative(
     path: ConstraintPath,
     params: ModelParams,
 ) -> float:
-    """Max residual of d/dt H(rho|gamma_{lambda(ell(t))}) = -D + l'(sigma - lambda(ell))
+    """Max residual of nu^2 d/dt H(rho|gamma_{lambda(ell(t))}) = -D/tau + l'(sigma - lambda(ell))
     over interior record times, using centered differences."""
     if len(records) < 3:
         raise ContractViolation("need at least 3 records for a centered difference")
@@ -111,8 +111,8 @@ def verify_quasistationary_derivative(
     for i in range(1, len(records) - 1):
         r0, r1, r2 = records[i - 1], records[i], records[i + 1]
         dt2 = r2.t - r0.t
-        lhs = (r2.Hrel_quasistatic - r0.Hrel_quasistatic) / dt2
-        rhs = -r1.D + path.ell_dot(r1.t) * (r1.sigma - r1.lam_ell)
+        lhs = params.nu * params.nu * (r2.Hrel_quasistatic - r0.Hrel_quasistatic) / dt2
+        rhs = -r1.D / params.tau + path.ell_dot(r1.t) * (r1.sigma - r1.lam_ell)
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -137,11 +137,15 @@ def decay_bound_curve(
 
 
 def decay_bound_audit(
-    records: list[TrajectoryRecord], nu: float, pot: Potential, grid: Grid, path: ConstraintPath
+    records: list[TrajectoryRecord],
+    params: ModelParams,
+    pot: Potential,
+    grid: Grid,
+    path: ConstraintPath,
 ) -> tuple[float, float, float]:
     """The quantitative decay bound on a trajectory: (predicted rate,
     C = max|lambda(ell)| + max|sigma|, max over records of H - bound)."""
-    predicted = predicted_relaxation_time(records, nu, pot, grid)
+    predicted = predicted_relaxation_time(records, params, pot, grid)
     lam_max = float(np.max(np.abs([r.lam_ell for r in records])))
     c_ell_sigma = lam_max + float(np.max(np.abs([r.sigma for r in records])))
     bound = decay_bound_curve(records, predicted, c_ell_sigma, path)
@@ -187,16 +191,17 @@ def fit_decay_rate(
 
 
 def predicted_relaxation_time(
-    records: list[TrajectoryRecord], nu: float, pot: Potential, grid: Grid
+    records: list[TrajectoryRecord], params: ModelParams, pot: Potential, grid: Grid
 ) -> float:
-    """1 / C_LSI with the LSI constant maximized over tilts up to the
-    observed multiplier norm."""
+    """1 / (tau C_LSI), k / tau for a k-convex H, with the LSI constant
+    maximized over tilts up to the observed multiplier norm: the generator's
+    rates scale as 1/tau."""
     if pot.convexity_lower_bound is not None and pot.convexity_lower_bound > 0.0:
-        return pot.convexity_lower_bound
+        return pot.convexity_lower_bound / params.tau
     sig_max = float(np.max(np.abs([r.sigma for r in records])))
     sigmas = np.linspace(-sig_max, sig_max, 17) if sig_max > 0 else [0.0]
-    c = max(lsi_constant(float(s), nu, pot, grid)[0] for s in sigmas)
-    return 1.0 / c
+    c = max(lsi_constant(float(s), params.nu, pot, grid)[0] for s in sigmas)
+    return 1.0 / (params.tau * c)
 
 
 @dataclass
@@ -256,7 +261,7 @@ def decay_experiment(
     records = fv_run(rho0, path, dt, pot, params, T, record_every=record_every)
     path.check_decay(np.array([r.t for r in records]))
     grid = rho0.grid
-    predicted, c_ell_sigma, violation = decay_bound_audit(records, nu, pot, grid, path)
+    predicted, c_ell_sigma, violation = decay_bound_audit(records, params, pot, grid, path)
     rate, short = fit_decay_rate(records, tail_only=fit_tail)
     sigma_star = solve_lambda(path.ell_star, nu, pot, grid).lam
     stride = max(1, len(records) // 400)

@@ -215,7 +215,7 @@ def test_criterion_7_energy_dissipation_audit():
     ratio = base / refined
     refinement_ok = ratio >= 3.0
     no_limiting = limited_base == 0.0 and limited_refined == 0.0
-    report(7, magnitude_ok, f"max |dF/dt + D - tau sigma l'| = {base:.2e} (<=1e-3)")
+    report(7, magnitude_ok, f"max |dF/dt + D/tau - sigma l'| = {base:.2e} (<=1e-3)")
     report(
         7, refinement_ok,
         f"residual fall under dt halving (with dx refinement): {ratio:.2f}x (>=3x required; "

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,11 +123,17 @@ class TestRunExperiment:
         assert summary["landscape"]["delta_h_star"] == pytest.approx(1.0, abs=1e-2)
 
     def test_landscape_past_float_range(self, tmp_path):
-        # the LSI estimate at sigma = 0 is past float range at nu = 0.05
+        # the LSI estimate at sigma = 0 is past float range at nu = 0.05; a
+        # strict parser reads the summary, where it is the string "inf"
         out = tmp_path / "ls_small_nu"
         assert main(["landscape", "--potential", "doublewell", "--nu", "0.05", "--out", str(out)]) == 0
-        samples = json.loads((out / "summary.json").read_text())["landscape"]["lsi_samples"]
-        assert [s["sigma"] for s in samples if s["C_lsi"] == float("inf")] == [0.0]
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        samples = summary["landscape"]["lsi_samples"]
+        assert [s["sigma"] for s in samples if s["C_lsi"] == "inf"] == [0.0]
 
     def test_decay_past_float_range(self, tmp_path):
         text = MINIMAL.replace("quadratic:1", "doublewell").replace("nu = 1.0", "nu = 0.05")
@@ -155,6 +162,16 @@ class TestRunExperiment:
             assert code == 0
             outs.append((tmp_path / name / "summary.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_verify_convex_config_at_tau(self, tmp_path):
+        # the energy-balance audit divides D by tau: at tau = 4 it reads
+        # about 2e-5, where |dF/dt + D - tau sigma l'| reads 0.72
+        text = (Path(__file__).parent.parent / "configs" / "convex.cfg").read_text()
+        cfgfile = write(tmp_path, text.replace("tau = 1.0", "tau = 4"))
+        out = tmp_path / "tau4"
+        assert main(["verify", "--config", cfgfile, "--out", str(out), "--seed", "0"]) == 0
+        audit = json.loads((out / "summary.json").read_text())["verify"]["energy_dissipation_audit"]
+        assert audit["max_eb_residual"] <= 1e-3
 
     def test_verify_reports_contracts(self, tmp_path):
         cfgfile = write(tmp_path, SMALL_VERIFY)

@@ -15,6 +15,7 @@ from cfpk.core import (
     polynomial_potential,
 )
 from cfpk.equilibrium import (
+    TiltedFamily,
     energy_barrier,
     gibbs,
     landscape,
@@ -30,6 +31,9 @@ from cfpk.functionals import dissipation, log_partition, relative_entropy
 from cfpk.sampling import random_density, set_mean
 
 from oracles import bisect_lambda, local_minima_loop, scan_barrier, scan_sigma_c
+
+# asymmetric double well whose lambda_0 = ell * H''(10) lies far from lambda(ell)
+ASYMMETRIC = polynomial_potential([0.1, 0.09, -0.15, 0.0, 0.25])
 
 
 class TestGibbs:
@@ -164,17 +168,53 @@ class TestLambdaOfEll:
         near = solve_lambda(0.41, 0.5, dw_pot, grid, start=cold.lam)
         assert 2 <= near.iterations < solve_lambda(0.41, 0.5, dw_pot, grid).iterations
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("start", [3.0, 10.0, 1e3, -1e6, math.inf, math.nan])
-    def test_bad_start_falls_back_to_cold_solve(self, grid, dw_pot, start):
-        # from 3 and 10 (the cold solve's answer is 0.034) a Newton step
-        # fails to reduce |M1 - ell|; at 1e3, -1e6, inf and NaN the start
-        # state degenerates.  The bracketed solve takes over and gives the
-        # cold answer, and the failed evaluations are counted.
+    def test_bad_start_falls_back_to_cold_solve(self, grid, dw_pot, start, monkeypatch):
+        # 3 and 10 lie far from the answer, 0.034, and the loop runs from
+        # them; at 1e3 and -1e6 the start state degenerates, and inf and NaN
+        # are never evaluated: lambda_0 replaces those starts.  Every Gibbs
+        # evaluation, the degenerate one included, is counted.
         cold = solve_lambda(0.4, 0.5, dw_pot, grid)
+        calls = []
+        evaluate = TiltedFamily.evaluate
+
+        def counted(family, sigma, nu):
+            calls.append(sigma)
+            return evaluate(family, sigma, nu)
+
+        monkeypatch.setattr(TiltedFamily, "evaluate", counted)
         sol = solve_lambda(0.4, 0.5, dw_pot, grid, start=start)
         assert sol.lam == pytest.approx(cold.lam, abs=1e-9)
-        assert sol.iterations > cold.iterations
+        assert sol.iterations == len(calls)
+        assert all(math.isfinite(s) for s in calls)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        potential=hst.sampled_from(["quadratic", "doublewell", "polynomial"]),
+        nu=hst.floats(0.3, 1.5),
+        ell=hst.floats(-6.0, 6.0),
+        start_kind=hst.sampled_from(["none", "near", "wide", "inf", "nan"]),
+        offset=hst.floats(-0.5, 0.5),
+        wide=hst.floats(-60.0, 60.0),
+    )
+    def test_agrees_with_bisection_from_any_start(
+        self, grid, quad_pot, dw_pot, potential, nu, ell, start_kind, offset, wide
+    ):
+        # without the reach cap a full Newton step from a far start (a wide
+        # one, or ASYMMETRIC's lambda_0) lands where the state degenerates
+        # and raises RangeError
+        pot = {"quadratic": quad_pot, "doublewell": dw_pot, "polynomial": ASYMMETRIC}[potential]
+        oracle = bisect_lambda(ell, nu, pot, grid, -300.0, 300.0)
+        start = {
+            "none": None,
+            "near": oracle + offset,
+            "wide": wide,
+            "inf": math.inf,
+            "nan": math.nan,
+        }[start_kind]
+        sol = solve_lambda(ell, nu, pot, grid, start=start)
+        assert sol.lam == pytest.approx(oracle, rel=1e-8, abs=1e-8)
+        assert sol.residual < 1e-10
 
     def test_out_of_range(self, grid, quad_pot):
         with pytest.raises(RangeError):

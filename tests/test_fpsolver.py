@@ -247,15 +247,20 @@ class TestRun:
 
 
 class TestAuditScalingAtTau:
-    def test_energy_rate_carries_one_over_tau(self, quad_pot):
-        # the shipped audit column implements |dF/dt + D - tau sigma l'|; at
-        # tau != 1 the rate that actually balances is dF/dt = -D/tau + sigma l'
+    @staticmethod
+    def forced_run(pot, tau):
         g = Grid(-11.2, 12.8, 1024)
         path = exp_decay_path(0.5, 0.3, 1.0)
+        rho0 = solve_lambda(path.ell(0.0), 1.0, pot, g).state.density
+        recs = run(rho0, path, 1e-3, pot, ModelParams(tau=tau, nu=1.0), 2.0, record_every=5)
+        return path, recs
+
+    def test_energy_rate_carries_one_over_tau(self, quad_pot):
+        # at tau != 1 the rate that balances is dF/dt = -D/tau + sigma l',
+        # the form the eb_residual column implements; the form with tau on
+        # the pump, |dF/dt + D - tau sigma l'|, is off by far more
         tau = 2.0
-        rho0 = solve_lambda(path.ell(0.0), 1.0, quad_pot, g).state.density
-        recs = run(rho0, path, 1e-3, quad_pot,
-                   ModelParams(tau=tau, nu=1.0), 2.0, record_every=5)
+        path, recs = self.forced_run(quad_pot, tau)
         worst_scaled = 0.0
         worst_printed = 0.0
         for r0, r1 in zip(recs[:-1], recs[1:]):
@@ -267,6 +272,10 @@ class TestAuditScalingAtTau:
             worst_printed = max(worst_printed, abs(rate + d_mid - tau * pump))
         assert worst_scaled <= 1e-3
         assert worst_printed > 50.0 * worst_scaled
+
+    def test_eb_residual_column_balances_at_tau(self, quad_pot):
+        _, recs = self.forced_run(quad_pot, 2.0)
+        assert float(np.nanmax([r.eb_residual for r in recs])) <= 1e-3
 
 
 _DENSE_GAP_CASES = [

@@ -147,6 +147,16 @@ class TestQuasistationaryDerivative:
         res = verify_quasistationary_derivative(recs, quad_pot, path, ModelParams())
         assert res <= 1e-3
 
+    @pytest.mark.parametrize("nu,tau", [(0.8, 1.0), (1.0, 2.0), (0.8, 2.0)])
+    def test_doublewell_moving_ell_at_nu_and_tau(self, grid, dw_pot, nu, tau):
+        # nu^2 dH/dt = -D/tau + l'(sigma - lambda): the unscaled balance is
+        # off by 5e-3 at nu = 0.8 and 0.18 at tau = 2
+        path = exp_decay_path(0.5, 0.3, 1.0)
+        params = ModelParams(tau=tau, nu=nu)
+        rho0 = solve_lambda(path.ell(0.0), nu, dw_pot, grid).state.density
+        recs = fv_run(rho0, path, 1e-3, dw_pot, params, 2.0)
+        assert verify_quasistationary_derivative(recs, dw_pot, path, params) <= 1e-4
+
     def test_too_short(self, grid, dw_pot):
         path = constant_path(0.2)
         sol = solve_lambda(0.2, 0.8, dw_pot, grid)
@@ -170,6 +180,18 @@ class TestDecayExperiment:
         h0 = rep.samples[0][1]
         worst = max(s[1] - math.exp(-s[0]) * h0 for s in rep.samples)
         assert worst <= 1e-10
+
+    def test_predicted_rate_carries_one_over_tau(self, quad_pot):
+        # criterion 8's run with tau = 8, and dt and T scaled by 8: every
+        # rate of the generator is 1/8 of criterion 8's, so the predicted
+        # rate k/tau bounds H from above at every record
+        tau = 8.0
+        g = Grid(0.5 - 12.0, 0.5 + 12.0, 1024)
+        rho0 = gaussian_density(g, 0.5, 1.5**2)
+        rep = decay_experiment(rho0, constant_path(0.5), 1.0, quad_pot,
+                               tau * 1e-3, tau * 10.0, tau=tau, record_every=5)
+        assert rep.predicted_tau == pytest.approx(1.0 / tau)
+        assert rep.bound_max_violation == 0.0
 
     def test_exp_decay_kappa_gt_tau(self, quad_pot):
         # H(t) <= e^{-tau t}(H(0) + C) with C = C_ls * L0/(kappa - tau)
