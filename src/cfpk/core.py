@@ -142,11 +142,20 @@ def moments(rho: Density) -> tuple[float, float, float]:
     return m1, m2, max(m2 - m1 * m1, 0.0)
 
 
+def _log_density(v: np.ndarray) -> np.ndarray:
+    """log(max(v, LOG_FLOOR)), the one log of a density's values."""
+    return np.log(np.maximum(v, LOG_FLOOR))
+
+
+def _entropy_integrand(v: np.ndarray, log_v: np.ndarray) -> np.ndarray:
+    """v log v, zero where v = 0."""
+    return np.where(v > 0.0, v * log_v, 0.0)
+
+
 def entropy(rho: Density) -> float:
     """Boltzmann entropy integral S(rho) = int rho log rho."""
     v = rho.values
-    integrand = np.where(v > 0.0, v * np.log(np.maximum(v, LOG_FLOOR)), 0.0)
-    return integrate(integrand, rho.grid)
+    return integrate(_entropy_integrand(v, _log_density(v)), rho.grid)
 
 
 @dataclass(frozen=True)

@@ -28,22 +28,20 @@ N_SIGMA = 33
 class TiltedFamily:
     """The model bound to one grid: the only place H and H' are sampled.
 
-    x, x^2, H(x) and H'(x) are evaluated once and kept as read-only arrays.
-    `gibbs`, `solve_lambda`, `variance_range` and `functionals.log_partition`
-    compute the tilted Gibbs family gamma_{sigma,nu} from them through
-    `evaluate`; the free energy, the multiplier sigma, the dissipation and the
-    finite-volume stepper read `h` and `h1` directly.
+    H(x), x, x^2 and H'(x) are sampled once into the rows of one read-only
+    (4, n) array `basis` (views `h`, `x`, `x2`, `h1`); `basis @ rho` gives E,
+    M1, M2 and int H' rho at once.  `gibbs`, `solve_lambda`, `variance_range`
+    and `functionals.log_partition` compute gamma_{sigma,nu} through
+    `evaluate`; the free energy, sigma, the dissipation and the FV stepper
+    read `h` and `h1`.
     """
 
     def __init__(self, pot: Potential, grid: Grid):
         x = grid.x
         self.dx = grid.dx
-        self.x = x
-        self.x2 = x * x
-        self.h = np.asarray(pot.h(x), dtype=float)
-        self.h1 = np.asarray(pot.h1(x), dtype=float)
-        for arr in (self.x, self.x2, self.h, self.h1):
-            arr.setflags(write=False)
+        self.basis = np.stack([pot.h(x), x, x * x, pot.h1(x)], dtype=float)
+        self.basis.setflags(write=False)
+        self.h, self.x, self.x2, self.h1 = self.basis
 
     def tilted(self, sigma: float) -> np.ndarray:
         """H(x) - sigma x."""

@@ -33,6 +33,8 @@ from .core import (
     Grid,
     ModelParams,
     Potential,
+    _entropy_integrand,
+    _log_density,
     constant_path,
     integrate,
     moments,
@@ -42,7 +44,7 @@ from .core import (
 )
 from .equilibrium import solve_lambda, tilted_family
 from .errors import ContractViolation, SolverError, StepError
-from .functionals import dissipation, free_energy, relative_entropy
+from .functionals import _breakdown, _dissipation_integrand, _kl_integrand, _vanishing, log_partition
 from .records import TrajectoryRecord
 from .transport import quantile_to_density, to_quantile
 
@@ -243,8 +245,9 @@ def _advance(values: np.ndarray, t: float, op: _Stepper) -> tuple[np.ndarray, fl
     start of the step, the mass drift |mass - 1| of the step before
     renormalization, and the negative mass the two explicit updates would
     have made without the positivity limiter (see `_limited`).  Each
-    implicit solve keeps the StepError gate on negative output; tiny
-    negatives from roundoff are clipped.
+    implicit solve keeps the StepError gate on negative or NaN output; tiny
+    negatives from roundoff are clipped.  A step mass that is not finite and
+    positive (an inf passes that gate) is a StepError too.
     """
     dt = op.dt
     a_trap = 0.5 * GAMMA * dt * op.rate
@@ -271,6 +274,8 @@ def _advance(values: np.ndarray, t: float, op: _Stepper) -> tuple[np.ndarray, fl
         negative += negative_bdf2
     new = _implicit(rhs, sigma_next, BDF2_DT * dt * op.rate, op, "bdf2")
     mass = float(np.sum(new)) * op.dx
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise StepError("step mass is not finite and positive", diagnostics={"mass": mass})
     new /= mass
     return new, sigma, abs(mass - 1.0), negative
 
@@ -301,6 +306,13 @@ def run(
     positivity limiter kept out in the steps since the previous record, and the energy-balance audit
     eb_residual = |dF/dt + D/tau - sigma l'| on record spacing (trapezoid in
     the rate terms, NaN on the first record).
+
+    `make_record` reads rho in one pass: E, M1, M2 and int H' rho come from
+    one product `basis @ rho`, and one log rho serves the integrands of
+    `entropy`, `relative_entropy` and `dissipation`.  Each lambda(ell(t))
+    starts from the last two lambdas, extrapolated linearly in t.  A record's
+    Density is built and validated only for `keep_densities`; otherwise rho0
+    was, `_implicit` rejects negative or NaN values and `_advance` an inf.
     """
     require_positive(T=T)
     if record_every < 1:
@@ -311,49 +323,41 @@ def run(
     m1_0, _, _ = moments(rho0)
     if abs(m1_0 - path.ell(0.0)) > 1e-8:
         rho0 = project_mean(rho0, path.ell(0.0))
-    nu = params.nu
+    nu, dx = params.nu, grid.dx
+    family = tilted_family(pot, grid)
+    logz0 = log_partition(pot, grid, nu)
     star = solve_lambda(path.ell_star, nu, pot, grid)
-    gamma_star = star.state.density
-    constant_ell = path.L0 == 0.0
-
-    records: list[TrajectoryRecord] = []
-    lam_prev = None  # lambda(ell) of the previous record, the warm start of the next solve
+    g_star = star.state.density.values
+    star_zero, log_star = _vanishing(g_star), _log_density(g_star)
+    warm = None  # (t, lambda, dlambda/dt) at the previous record of a moving path
 
     def make_record(vals: np.ndarray, t: float, limited: float) -> TrajectoryRecord:
-        nonlocal lam_prev
-        dens = Density(grid, vals)
+        nonlocal warm
         ell_t = path.ell(t)
-        sig = sigma_of_state(dens, t, pot, path, params)
-        m1, m2, _ = moments(dens)
-        fe = free_energy(dens, pot, params)
-        h_star = relative_entropy(dens, gamma_star)
-        if constant_ell:
+        e, m1, m2, h1_rho = (family.basis @ vals * dx).tolist()
+        sigma = h1_rho + params.tau * path.ell_dot(t)
+        log_r = _log_density(vals)
+        fe = _breakdown(float(_entropy_integrand(vals, log_r).sum()) * dx, e, logz0, nu)
+        h_star = float(_kl_integrand(vals, log_r, star_zero, log_star).sum()) * dx
+        if path.L0 == 0.0:
             # gamma_{lambda(ell(t))} is gamma_star
             lam_t, h_quasistatic = star.lam, h_star
         else:
-            sol = solve_lambda(ell_t, nu, pot, grid, start=lam_prev)
-            lam_t, h_quasistatic = sol.lam, relative_entropy(dens, sol.state.density)
-            lam_prev = lam_t
+            start = None if warm is None else warm[1] + warm[2] * (t - warm[0])
+            sol = solve_lambda(ell_t, nu, pot, grid, start=start)
+            lam_t, g = sol.lam, sol.state.density.values
+            warm = (t, lam_t, 0.0 if warm is None else (lam_t - warm[1]) / (t - warm[0]))
+            h_quasistatic = float(_kl_integrand(vals, log_r, _vanishing(g), _log_density(g)).sum()) * dx
+        d = _dissipation_integrand(vals, log_r, dx, family.h1, sigma, nu * nu)
         return TrajectoryRecord(
-            t=t,
-            sigma=sig,
-            ell=ell_t,
-            M1=m1,
-            M2=m2,
-            F=fe.F,
-            S=fe.S,
-            E=fe.E,
-            D=dissipation(dens, sig, pot, params),
-            Hrel_quasistatic=h_quasistatic,
-            Hrel_star=h_star,
-            lam_ell=lam_t,
-            l1_star=integrate(np.abs(vals - gamma_star.values), grid),
-            limited_mass=limited,
-            density=dens if keep_densities else None,
+            t=t, sigma=sigma, ell=ell_t, M1=m1, M2=m2, F=fe.F, S=fe.S, E=e, D=float(d.sum()) * dx,
+            Hrel_quasistatic=h_quasistatic, Hrel_star=h_star, lam_ell=lam_t,
+            l1_star=float(np.abs(vals - g_star).sum()) * dx, limited_mass=limited,
+            density=Density(grid, vals) if keep_densities else None,
         )
 
     vals = rho0.values
-    records.append(make_record(vals, 0.0, 0.0))
+    records = [make_record(vals, 0.0, 0.0)]
     limited = 0.0
     for k in range(1, n_steps + 1):
         try:

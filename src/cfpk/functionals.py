@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Density, Grid, LOG_FLOOR, ModelParams, Potential, entropy, integrate
+from .core import Density, Grid, ModelParams, Potential, _log_density, entropy, integrate
 from .equilibrium import tilted_family
 from .errors import SupportMismatchError, WeightTooStrongError
 
@@ -43,13 +43,27 @@ def log_partition(pot: Potential, grid: Grid, nu: float) -> float:
     return tilted_family(pot, grid).evaluate(0.0, nu)[2]
 
 
+def _breakdown(s: float, e: float, logz0: float, nu: float) -> EnergyBreakdown:
+    return EnergyBreakdown(S=s, E=e, logZ0=logz0, F=nu * nu * s + e + nu * nu * logz0)
+
+
 def free_energy(rho: Density, pot: Potential, params: ModelParams) -> EnergyBreakdown:
     """F(rho) = nu^2 S(rho) + E(rho) + nu^2 log Z0, nonnegative on P2."""
-    nu2 = params.nu * params.nu
-    s = entropy(rho)
     e = integrate(tilted_family(pot, rho.grid).h * rho.values, rho.grid)
-    logz0 = log_partition(pot, rho.grid, params.nu)
-    return EnergyBreakdown(S=s, E=e, logZ0=logz0, F=nu2 * s + e + nu2 * logz0)
+    return _breakdown(entropy(rho), e, log_partition(pot, rho.grid, params.nu), params.nu)
+
+
+def _vanishing(g: np.ndarray) -> np.ndarray | None:
+    """The mask g <= 0, or None (after one reduction) when g > 0 throughout."""
+    return None if g.min() > 0.0 else g <= 0.0
+
+
+def _kl_integrand(r: np.ndarray, log_r: np.ndarray, g_zero: np.ndarray | None, log_g: np.ndarray) -> np.ndarray:
+    """r (log r - log g), zero where r = 0; SupportMismatchError where r > 0
+    on the mask `g_zero = _vanishing(g)`."""
+    if g_zero is not None and np.any(r[g_zero] > 0.0):
+        raise SupportMismatchError("reference density vanishes on the support of rho")
+    return np.where(r > 0.0, r * (log_r - log_g), 0.0)
 
 
 def relative_entropy(rho: Density, gamma: Density) -> float:
@@ -58,28 +72,23 @@ def relative_entropy(rho: Density, gamma: Density) -> float:
     Computed as rho (log rho - log gamma) with a shared floor, which is
     cancellation-safe for nearly equal inputs.
     """
-    r = rho.values
-    g = gamma.values
-    if np.any((g <= 0.0) & (r > 0.0)):
-        raise SupportMismatchError("reference density vanishes on the support of rho")
-    log_r = np.log(np.maximum(r, LOG_FLOOR))
-    log_g = np.log(np.maximum(g, LOG_FLOOR))
-    integrand = np.where(r > 0.0, r * (log_r - log_g), 0.0)
-    return integrate(integrand, rho.grid)
+    r, g = rho.values, gamma.values
+    return integrate(_kl_integrand(r, _log_density(r), _vanishing(g), _log_density(g)), rho.grid)
 
 
-def grad_log(rho: Density) -> np.ndarray:
-    """d/dx log(max(rho, floor)): centered in the interior, one-sided at the
-    first and last cell."""
-    return np.gradient(np.log(np.maximum(rho.values, LOG_FLOOR)), rho.grid.dx, edge_order=1)
+def _dissipation_integrand(
+    r: np.ndarray, log_r: np.ndarray, dx: float, h1: np.ndarray, sigma: float, nu2: float
+) -> np.ndarray:
+    """|nu^2 dlog(r)/dx + H' - sigma|^2 r (centered, one-sided at the ends), 0 in vacuum cells."""
+    velocity = nu2 * np.gradient(log_r, dx, edge_order=1) + h1 - sigma
+    return np.where(r > VACUUM, velocity**2 * r, 0.0)
 
 
 def dissipation(rho: Density, sigma: float, pot: Potential, params: ModelParams) -> float:
     """D(rho, sigma) = int |nu^2 dlog(rho)/dx + H'(x) - sigma|^2 rho dx >= 0."""
-    nu2 = params.nu * params.nu
-    velocity = nu2 * grad_log(rho) + tilted_family(pot, rho.grid).h1 - sigma
-    integrand = np.where(rho.values > VACUUM, velocity**2 * rho.values, 0.0)
-    return integrate(integrand, rho.grid)
+    r, grid, h1 = rho.values, rho.grid, tilted_family(pot, rho.grid).h1
+    integrand = _dissipation_integrand(r, _log_density(r), grid.dx, h1, sigma, params.nu * params.nu)
+    return integrate(integrand, grid)
 
 
 def ckp_l1_bound(rho: Density, gamma: Density) -> tuple[float, float]:

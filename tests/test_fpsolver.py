@@ -11,7 +11,9 @@ from cfpk.core import (
     Grid,
     ModelParams,
     constant_path,
+    density_from_values,
     doublewell_potential,
+    entropy,
     exp_decay_path,
     gaussian_density,
     moments,
@@ -19,8 +21,8 @@ from cfpk.core import (
     quadratic_potential,
 )
 from cfpk import fpsolver
-from cfpk.equilibrium import gibbs, solve_lambda
-from cfpk.errors import ContractViolation
+from cfpk.equilibrium import TiltedFamily, gibbs, solve_lambda
+from cfpk.errors import ContractViolation, StepError, SupportMismatchError
 from cfpk.fpsolver import (
     _advance,
     _Stepper,
@@ -29,7 +31,9 @@ from cfpk.fpsolver import (
     run,
     sigma_of_state,
 )
+from cfpk.functionals import dissipation, free_energy, log_partition, relative_entropy
 from cfpk.records import FPSOLVER_COLUMNS
+from cfpk.sampling import random_density, set_mean
 from cfpk.transport import w2
 
 from oracles import constrained_gap_dense
@@ -91,7 +95,7 @@ class TestStep:
         # the whole TR-BDF2 step conserves mass and stays nonnegative; the
         # positivity limiter acts only at the two stiff boundary cells here
         rng = np.random.default_rng(8)
-        from cfpk.sampling import random_density
+        from cfpk.sampling import random_density, set_mean
 
         params = ModelParams(nu=0.7)
         for _ in range(10):
@@ -211,6 +215,26 @@ class TestRun:
         with pytest.raises(ContractViolation, match="exceeds the limit"):
             run(rho0, constant_path(0.0), 1e-300, quad_pot, ModelParams(), 1.0)
 
+    def test_infinite_step_mass_is_a_step_error(self, grid, quad_pot, monkeypatch):
+        # an inf from the step's last solve passes the implicit gate's
+        # min >= 0; the step's mass check names it and the step, before the
+        # renormalization makes NaN of it
+        solve = fpsolver.solve_banded
+        calls = []
+
+        def one_inf(*args):
+            x, info = solve(*args)
+            calls.append(None)
+            if len(calls) == 2:  # the BDF2 stage of the first step
+                x[len(x) // 2] = np.inf
+            return x, info
+
+        monkeypatch.setattr(fpsolver, "solve_banded", one_inf)
+        rho0 = gaussian_density(grid, 0.0, 1.0)
+        with pytest.raises(StepError, match="step mass") as exc:
+            run(rho0, constant_path(0.0), 1e-3, quad_pot, ModelParams(), 0.01)
+        assert exc.value.diagnostics == {"mass": np.inf, "step": 1}
+
     def test_constraint_tracking_first_order(self, quad_pot):
         # time order of the constraint drift at fixed dx: successive
         # differences of M1(t) between dt, dt/2 and dt/4 cancel the O(dx^2)
@@ -244,6 +268,108 @@ class TestRun:
                    ModelParams(nu=0.8), 1.0, record_every=5)
         f = np.array([r.F for r in recs])
         assert float(np.max(np.diff(f))) <= 1e-9
+
+
+ASYMMETRIC = polynomial_potential([0.1, 0.09, -0.15, 0.0, 0.25])
+
+
+def moving_path(ell, ell_dot, ell_star):
+    """A path at mean `ell` with rate `ell_dot` (L0 != 0, so it is moving)."""
+    return ConstraintPath(ell=lambda t: ell, ell_dot=lambda t: ell_dot, ell_star=ell_star, L0=1.0)
+
+
+class TestRecordKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        potential=hst.sampled_from(["quadratic", "doublewell", "polynomial"]),
+        nu=hst.floats(0.3, 1.5),
+        seed=hst.integers(0, 2**32 - 1),
+        sigma_q=hst.floats(-1.5, 1.5),
+        sigma_star=hst.floats(-1.5, 1.5),
+        tau=hst.floats(0.25, 4.0),
+        ell_dot=hst.floats(-2.0, 2.0),
+    )
+    def test_matches_public_functionals(
+        self, grid, quad_pot, dw_pot, potential, nu, seed, sigma_q, sigma_star, tau, ell_dot
+    ):
+        # a run's first record is the record kernel on rho0 (the step is
+        # held, so later records read rho0 too).  The linear moments come
+        # from one matrix product, summed in another order than the public
+        # functions' sums, so each agrees to 1e-13 of the magnitude of the
+        # terms it sums; S, D and both relative entropies share the public
+        # integrands and sums
+        pot = {"quadratic": quad_pot, "doublewell": dw_pot, "polynomial": ASYMMETRIC}[potential]
+        params = ModelParams(tau=tau, nu=nu)
+        ell = gibbs(sigma_q, nu, pot, grid).mean
+        path = moving_path(ell, ell_dot, gibbs(sigma_star, nu, pot, grid).mean)
+        gamma_q = solve_lambda(ell, nu, pot, grid).state.density
+        gamma_star = solve_lambda(path.ell_star, nu, pot, grid).state.density
+        # rho vanishes where either reference does, as a solution would, and
+        # has mean ell, so the run does not project it
+        raw = random_density(grid, np.random.default_rng(seed)).values
+        both = gamma_q.values * gamma_star.values > 0.0
+        rho = set_mean(density_from_values(grid, np.where(both, raw, 0.0)), ell)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fpsolver, "_advance", lambda vals, t, op: (vals, 0.0, 0.0, 0.0))
+            rec = run(rho, path, 1e-3, pot, params, 1e-3)[0]
+
+        x, h, h1 = grid.x, pot.h(grid.x), pot.h1(grid.x)
+        m1, m2, _ = moments(rho)
+        fe = free_energy(rho, pot, params)
+
+        def close(value, expected, scale):
+            assert abs(value - expected) <= 1e-13 * scale
+
+        def absolute(f):
+            return float(np.sum(np.abs(f) * rho.values)) * grid.dx
+
+        close(rec.M1, m1, absolute(x))
+        close(rec.M2, m2, m2)
+        close(rec.E, fe.E, absolute(h))
+        close(rec.sigma, sigma_of_state(rho, 0.0, pot, path, params), absolute(h1) + tau * abs(ell_dot))
+        close(rec.F, fe.F, nu**2 * (abs(fe.S) + abs(log_partition(pot, grid, nu))) + absolute(h))
+        assert rec.S == pytest.approx(entropy(rho), rel=1e-13, abs=1e-15)
+        assert rec.Hrel_quasistatic == pytest.approx(relative_entropy(rho, gamma_q), rel=1e-13, abs=1e-15)
+        assert rec.Hrel_star == pytest.approx(relative_entropy(rho, gamma_star), rel=1e-13, abs=1e-15)
+        assert rec.D == pytest.approx(dissipation(rho, rec.sigma, pot, params), rel=1e-13)
+        assert rec.density is None
+
+    @pytest.mark.parametrize("moving", [False, True])
+    def test_support_mismatch_is_kept(self, grid, quad_pot, moving):
+        # at nu = 0.3 the Gibbs states underflow to 0 near the ends, where a
+        # random density is still positive
+        rho = random_density(grid, np.random.default_rng(3), mean=0.2)
+        path = moving_path(0.2, 0.1, 0.2) if moving else constant_path(0.2)
+        gamma = solve_lambda(0.2, 0.3, quad_pot, grid).state.density
+        with pytest.raises(SupportMismatchError):
+            relative_entropy(rho, gamma)
+        with pytest.raises(SupportMismatchError):
+            run(rho, path, 1e-3, quad_pot, ModelParams(nu=0.3), 1e-3)
+
+    def test_extrapolated_warm_start(self, grid, dw_pot, monkeypatch):
+        # verify_forced's run for 300 steps with a record every step: each
+        # record solve starts from the last two records' lambdas, extrapolated
+        # in t, and takes about two Gibbs evaluations (three from the
+        # previous lambda alone)
+        nu = 0.8
+        path = exp_decay_path(0.3, 0.4, 1.0)
+        rho0 = solve_lambda(path.ell(0.0), nu, dw_pot, grid).state.density
+        star = solve_lambda(path.ell_star, nu, dw_pot, grid)
+        calls = []
+        evaluate = TiltedFamily.evaluate
+
+        def counted(family, sigma, nu):
+            calls.append(sigma)
+            return evaluate(family, sigma, nu)
+
+        monkeypatch.setattr(TiltedFamily, "evaluate", counted)
+        recs = run(rho0, path, 1e-3, dw_pot, ModelParams(nu=nu), 0.3)
+        monkeypatch.undo()
+        assert len(recs) == 301
+        assert (len(calls) - star.iterations) / len(recs) <= 2.1
+        for r in recs:
+            assert r.lam_ell == pytest.approx(solve_lambda(r.ell, nu, dw_pot, grid).lam, abs=1e-9)
 
 
 class TestAuditScalingAtTau:
