@@ -30,10 +30,10 @@ class TiltedFamily:
 
     H(x), x, x^2 and H'(x) are sampled once into the rows of one read-only
     (4, n) array `basis` (views `h`, `x`, `x2`, `h1`); `basis @ rho` gives E,
-    M1, M2 and int H' rho at once.  `gibbs`, `solve_lambda`, `variance_range`
-    and `functionals.log_partition` compute gamma_{sigma,nu} through
-    `evaluate`; the free energy, sigma, the dissipation and the FV stepper
-    read `h` and `h1`.
+    M1, M2 and int H' rho at once.  `exponent` is the one Gibbs exponent:
+    `evaluate` (for `gibbs`, `solve_lambda`, `variance_range` and log Z0)
+    exponentiates it and the FV record reads log gamma from it.  The free
+    energy, sigma, the dissipation and the FV stepper read `h` and `h1`.
     """
 
     def __init__(self, pot: Potential, grid: Grid):
@@ -47,6 +47,10 @@ class TiltedFamily:
         """H(x) - sigma x."""
         return self.h - sigma * self.x
 
+    def exponent(self, sigma: float, nu: float) -> np.ndarray:
+        """-(H(x) - sigma x)/nu^2, so log gamma_{sigma,nu} = exponent - log Z."""
+        return -self.tilted(sigma) / (nu * nu)
+
     def evaluate(self, sigma: float, nu: float) -> tuple[float, float, float, np.ndarray]:
         """(mean, variance, log Z, normalized values) of gamma_{sigma,nu}.
 
@@ -54,7 +58,7 @@ class TiltedFamily:
         values are normalized a second time by their own midpoint sum, so a
         state carries unit mass to roundoff.
         """
-        arg = -(self.h - sigma * self.x) / (nu * nu)
+        arg = self.exponent(sigma, nu)
         shift = float(arg.max())
         w = np.exp(arg - shift)
         total = float(w.sum()) * self.dx

@@ -44,7 +44,7 @@ from .core import (
 )
 from .equilibrium import solve_lambda, tilted_family
 from .errors import ContractViolation, SolverError, StepError
-from .functionals import _breakdown, _dissipation_integrand, _kl_integrand, _vanishing, log_partition
+from .functionals import _breakdown, _dissipation_integrand, _kl_integrand, log_partition
 from .records import TrajectoryRecord
 from .transport import quantile_to_density, to_quantile
 
@@ -141,19 +141,17 @@ def gap_rate(ell: float, nu: float, pot: Potential, grid: Grid, tau: float = 1.0
     inertia of P - mu bordered by P z, counted over either diagonal block
     (Haynsworth, Linear Algebra Appl. 1, 1968), gives mu_1 < mu exactly when
     phi(mu) = z^T z + mu z^T (P - mu)^{-1} z > 0.  mu_1 is bisected on the
-    sign of phi down to adjacent floats, one tridiagonal solve per step.
-    Raises SolverError if a solve finds P - mu singular.
+    sign of phi down to adjacent floats, one tridiagonal solve per step, on
+    P at unit rate: `_Stepper.rate` = nu^2/(tau dx^2) multiplies the result,
+    so it scales exactly as 1/tau.  Raises SolverError if P - mu is singular.
     """
     lam = solve_lambda(ell, nu, pot, grid).lam
     # A does not depend on the step or the path's rate, so any dt will do
     op = _Stepper(grid, 1.0, pot, constant_path(ell), ModelParams(tau=tau, nu=nu))
     lower, upper = op.weights(lam)
-    # P = -S: diagonal rate (lower_i + upper_{i-1}), off-diagonal -rate sqrt(lower_i upper_i)
-    p_off = -op.rate * np.sqrt(lower * upper)
-    p_diag = np.zeros(op.n)
-    p_diag[:-1] += lower
-    p_diag[1:] += upper
-    p_diag *= op.rate
+    # P = -S at unit rate: diagonal lower_i + upper_{i-1}, off-diagonal -sqrt(lower_i upper_i)
+    p_off = -np.sqrt(lower * upper)
+    p_diag = np.append(lower, 0.0) + np.insert(upper, 0, 0.0)
 
     # sqrt(gamma) from the same exponents: gamma_{i+1}/gamma_i = e^{-w_i}
     log_s = np.concatenate(([0.0], -0.5 * np.cumsum(op.w0 - lam * op.w_per_sigma)))
@@ -169,7 +167,7 @@ def gap_rate(ell: float, nu: float, pot: Potential, grid: Grid, tau: float = 1.0
     while True:
         mu = 0.5 * (lo + hi)
         if not lo < mu < hi:
-            return 2.0 * hi
+            return 2.0 * hi * op.rate
         y, info = solve_banded(p_off.copy(), p_diag - mu, p_off.copy(), z.copy())
         if info != 0:
             raise SolverError(
@@ -303,16 +301,17 @@ def run(
     Per-record quantities: recomputed sigma, free energy split, dissipation,
     relative entropies against the quasistationary state gamma_{lambda(ell(t))}
     and the limit state gamma_{lambda(ell*)}, the negative mass the
-    positivity limiter kept out in the steps since the previous record, and the energy-balance audit
-    eb_residual = |dF/dt + D/tau - sigma l'| on record spacing (trapezoid in
-    the rate terms, NaN on the first record).
+    positivity limiter kept out in the steps since the previous record, and
+    the energy-balance audit eb_residual = |dF/dt + D/tau - sigma l'| on
+    record spacing (trapezoid in the rate terms, NaN on the first record).
 
     `make_record` reads rho in one pass: E, M1, M2 and int H' rho come from
-    one product `basis @ rho`, and one log rho serves the integrands of
-    `entropy`, `relative_entropy` and `dissipation`.  Each lambda(ell(t))
+    one product `basis @ rho`, and one log rho serves S, D and both relative
+    entropies, whose log gamma = `exponent` - log Z stays finite where gamma
+    underflows to 0 (`relative_entropy` raises there).  Each lambda(ell(t))
     starts from the last two lambdas, extrapolated linearly in t.  A record's
-    Density is built and validated only for `keep_densities`; otherwise rho0
-    was, `_implicit` rejects negative or NaN values and `_advance` an inf.
+    Density is built only for `keep_densities`; otherwise rho0 was validated,
+    `_implicit` rejects negative or NaN values and `_advance` an inf.
     """
     require_positive(T=T)
     if record_every < 1:
@@ -328,7 +327,7 @@ def run(
     logz0 = log_partition(pot, grid, nu)
     star = solve_lambda(path.ell_star, nu, pot, grid)
     g_star = star.state.density.values
-    star_zero, log_star = _vanishing(g_star), _log_density(g_star)
+    log_star = family.exponent(star.lam, nu) - star.state.log_z
     warm = None  # (t, lambda, dlambda/dt) at the previous record of a moving path
 
     def make_record(vals: np.ndarray, t: float, limited: float) -> TrajectoryRecord:
@@ -338,16 +337,16 @@ def run(
         sigma = h1_rho + params.tau * path.ell_dot(t)
         log_r = _log_density(vals)
         fe = _breakdown(float(_entropy_integrand(vals, log_r).sum()) * dx, e, logz0, nu)
-        h_star = float(_kl_integrand(vals, log_r, star_zero, log_star).sum()) * dx
+        h_star = float(_kl_integrand(vals, log_r, log_star).sum()) * dx
         if path.L0 == 0.0:
             # gamma_{lambda(ell(t))} is gamma_star
             lam_t, h_quasistatic = star.lam, h_star
         else:
             start = None if warm is None else warm[1] + warm[2] * (t - warm[0])
             sol = solve_lambda(ell_t, nu, pot, grid, start=start)
-            lam_t, g = sol.lam, sol.state.density.values
+            lam_t, log_g = sol.lam, family.exponent(sol.lam, nu) - sol.state.log_z
             warm = (t, lam_t, 0.0 if warm is None else (lam_t - warm[1]) / (t - warm[0]))
-            h_quasistatic = float(_kl_integrand(vals, log_r, _vanishing(g), _log_density(g)).sum()) * dx
+            h_quasistatic = float(_kl_integrand(vals, log_r, log_g).sum()) * dx
         d = _dissipation_integrand(vals, log_r, dx, family.h1, sigma, nu * nu)
         return TrajectoryRecord(
             t=t, sigma=sigma, ell=ell_t, M1=m1, M2=m2, F=fe.F, S=fe.S, E=e, D=float(d.sum()) * dx,

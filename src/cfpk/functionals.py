@@ -53,16 +53,8 @@ def free_energy(rho: Density, pot: Potential, params: ModelParams) -> EnergyBrea
     return _breakdown(entropy(rho), e, log_partition(pot, rho.grid, params.nu), params.nu)
 
 
-def _vanishing(g: np.ndarray) -> np.ndarray | None:
-    """The mask g <= 0, or None (after one reduction) when g > 0 throughout."""
-    return None if g.min() > 0.0 else g <= 0.0
-
-
-def _kl_integrand(r: np.ndarray, log_r: np.ndarray, g_zero: np.ndarray | None, log_g: np.ndarray) -> np.ndarray:
-    """r (log r - log g), zero where r = 0; SupportMismatchError where r > 0
-    on the mask `g_zero = _vanishing(g)`."""
-    if g_zero is not None and np.any(r[g_zero] > 0.0):
-        raise SupportMismatchError("reference density vanishes on the support of rho")
+def _kl_integrand(r: np.ndarray, log_r: np.ndarray, log_g: np.ndarray) -> np.ndarray:
+    """r (log r - log g), zero where r = 0."""
     return np.where(r > 0.0, r * (log_r - log_g), 0.0)
 
 
@@ -73,7 +65,9 @@ def relative_entropy(rho: Density, gamma: Density) -> float:
     cancellation-safe for nearly equal inputs.
     """
     r, g = rho.values, gamma.values
-    return integrate(_kl_integrand(r, _log_density(r), _vanishing(g), _log_density(g)), rho.grid)
+    if g.min() <= 0.0 and np.any(r[g <= 0.0] > 0.0):
+        raise SupportMismatchError("reference density vanishes on the support of rho")
+    return integrate(_kl_integrand(r, _log_density(r), _log_density(g)), rho.grid)
 
 
 def _dissipation_integrand(

@@ -453,6 +453,7 @@ def kramers_sweep(
     eigenvalue, so fit_over_gap exceeds 1 (1.16 at nu = 1.2) and the horizon
     from mu_1 is the conservative, longer one.  `predicted_scale` is the
     Arrhenius guess nu^2 e^{-DeltaH*/nu^2} and `ratio` the fit over it.
+    `regression_slope` is NaN unless every fitted rate is finite and > 0.
     """
     if len(nu_list) < 3 and not well_prepared:
         raise ContractViolation("need at least 3 noise levels for the regression")
@@ -499,7 +500,7 @@ def kramers_sweep(
         })
 
     slope = float("nan")
-    if len(entries) >= 2:
+    if len(entries) >= 2 and all(0.0 < e["fitted_rate"] < math.inf for e in entries):
         xs = np.array([2.0 * math.log(e["nu"]) - delta_h_star / e["nu"] ** 2 for e in entries])
         ys = np.array([math.log(e["fitted_rate"]) for e in entries])
         slope = float(np.polyfit(xs, ys, 1)[0])

@@ -213,3 +213,19 @@ def constrained_gap_dense(ell: float, nu: float, pot, grid, tau: float = 1.0) ->
     m = a - np.outer(b, x @ a) / (x @ b)
     rates = np.sort(-np.linalg.eigvals(m).real)
     return 2.0 * float(rates[2])
+
+
+def gibbs_relative_entropy(r, x, h, sigma: float, nu: float, dx: float) -> float:
+    """H(rho | gamma_{sigma,nu}) in long double, with no value of gamma formed.
+
+    Sums rho (log rho - (sigma x - H)/nu^2 + log Z) over the cells with
+    rho > 0, where log Z = log sum exp((sigma x - H)/nu^2) dx is its own
+    max-shifted long-double sum; so it stays finite where gamma underflows.
+    """
+    ld = np.longdouble
+    r, x, h = (np.asarray(a, dtype=ld) for a in (r, x, h))
+    arg = (ld(sigma) * x - h) / (ld(nu) * ld(nu))
+    shift = np.max(arg)
+    log_z = shift + np.log(np.sum(np.exp(arg - shift)) * ld(dx))
+    pos = r > 0
+    return float(np.sum(r[pos] * (np.log(r[pos]) - arg[pos] + log_z)) * ld(dx))

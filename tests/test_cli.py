@@ -227,6 +227,37 @@ class TestRunExperiment:
         entries = json.loads((out / "summary.json").read_text())["kramers_sweep"]["entries"]
         assert [e["dt"] for e in entries] == [1e-3] * 3
 
+    def test_kramers_sweep_rate_below_zero(self, tmp_path):
+        # n = 8 fits a negative rate at nu = 1.2; the slope is "nan", not a traceback
+        text = (
+            "[model]\npotential = doublewell\n\n[path]\nkind = constant:0.2\n\n[grid]\nn = 8\n\n"
+            "[run]\ndt = 1e-2\nnu_list = 1.2,1.0,0.9\n"
+        )
+        out = tmp_path / "sweep8"
+        assert main(["kramers-sweep", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["kramers_sweep"]["regression_slope"] == "nan"
+
+    @pytest.mark.parametrize(
+        "command,model,path,extra",
+        [
+            # the reference Gibbs state underflows to 0 on cells where rho > 0
+            ("simulate", "quadratic:1\nnu = 0.3", "exp_decay:0.2,0.1,1.0", "[run]\nT = 0.01\n"),
+            ("decay", "doublewell\nnu = 0.3", "exp_decay:0.3,0.4,1.0", "[run]\nT = 0.2\n"),
+            ("simulate", "polynomial:0,0,0.5,0,0.1\nnu = 1", "tanh_ramp:0,0.5,0.5,0.2",
+             "[grid]\nn = 256\n\n[run]\nT = 0.05\n"),
+        ],
+        ids=["quadratic", "doublewell", "polynomial"],
+    )
+    def test_reference_underflow_completes(self, tmp_path, command, model, path, extra):
+        text = f"[model]\npotential = {model}\n\n[path]\nkind = {path}\n\n{extra}"
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        rows = (out / "trajectory_fv.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        cols = [header.index("Hrel_quasistatic"), header.index("Hrel_star")]
+        values = np.array([[float(row.split(",")[c]) for c in cols] for row in rows[1:]])
+        assert len(values) > 1 and np.all(np.isfinite(values))
+
     def test_echoed_config_reparses_identically(self, tmp_path):
         cfgfile = write(tmp_path, SMALL_VERIFY)
         out = tmp_path / "echo"

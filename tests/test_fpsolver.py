@@ -36,7 +36,7 @@ from cfpk.records import FPSOLVER_COLUMNS
 from cfpk.sampling import random_density, set_mean
 from cfpk.transport import w2
 
-from oracles import constrained_gap_dense
+from oracles import constrained_gap_dense, gibbs_relative_entropy
 
 
 class TestSigmaOfState:
@@ -296,14 +296,16 @@ class TestRecordKernel:
         # held, so later records read rho0 too).  The linear moments come
         # from one matrix product, summed in another order than the public
         # functions' sums, so each agrees to 1e-13 of the magnitude of the
-        # terms it sums; S, D and both relative entropies share the public
-        # integrands and sums
+        # terms it sums; S and D share the public integrands and sums.  The
+        # relative entropies take log gamma from the Gibbs exponent, so where
+        # 0 < gamma < 1e-300 they differ from `relative_entropy`'s floored
+        # log by design: each is checked against the long-double oracle
         pot = {"quadratic": quad_pot, "doublewell": dw_pot, "polynomial": ASYMMETRIC}[potential]
         params = ModelParams(tau=tau, nu=nu)
         ell = gibbs(sigma_q, nu, pot, grid).mean
         path = moving_path(ell, ell_dot, gibbs(sigma_star, nu, pot, grid).mean)
-        gamma_q = solve_lambda(ell, nu, pot, grid).state.density
-        gamma_star = solve_lambda(path.ell_star, nu, pot, grid).state.density
+        sol_q, sol_star = solve_lambda(ell, nu, pot, grid), solve_lambda(path.ell_star, nu, pot, grid)
+        gamma_q, gamma_star = sol_q.state.density, sol_star.state.density
         # rho vanishes where either reference does, as a solution would, and
         # has mean ell, so the run does not project it
         raw = random_density(grid, np.random.default_rng(seed)).values
@@ -330,22 +332,31 @@ class TestRecordKernel:
         close(rec.sigma, sigma_of_state(rho, 0.0, pot, path, params), absolute(h1) + tau * abs(ell_dot))
         close(rec.F, fe.F, nu**2 * (abs(fe.S) + abs(log_partition(pot, grid, nu))) + absolute(h))
         assert rec.S == pytest.approx(entropy(rho), rel=1e-13, abs=1e-15)
-        assert rec.Hrel_quasistatic == pytest.approx(relative_entropy(rho, gamma_q), rel=1e-13, abs=1e-15)
-        assert rec.Hrel_star == pytest.approx(relative_entropy(rho, gamma_star), rel=1e-13, abs=1e-15)
+        for value, lam in ((rec.Hrel_quasistatic, sol_q.lam), (rec.Hrel_star, sol_star.lam)):
+            oracle = gibbs_relative_entropy(rho.values, x, h, lam, nu, grid.dx)
+            assert value == pytest.approx(oracle, rel=1e-13, abs=1e-15)
         assert rec.D == pytest.approx(dissipation(rho, rec.sigma, pot, params), rel=1e-13)
         assert rec.density is None
 
     @pytest.mark.parametrize("moving", [False, True])
     def test_support_mismatch_is_kept(self, grid, quad_pot, moving):
         # at nu = 0.3 the Gibbs states underflow to 0 near the ends, where a
-        # random density is still positive
+        # random density is still positive: `relative_entropy` refuses that
+        # pair, while the record reads log gamma from the Gibbs exponent,
+        # finite on every cell, and runs to the end
+        nu = 0.3
         rho = random_density(grid, np.random.default_rng(3), mean=0.2)
         path = moving_path(0.2, 0.1, 0.2) if moving else constant_path(0.2)
-        gamma = solve_lambda(0.2, 0.3, quad_pot, grid).state.density
+        star = solve_lambda(0.2, nu, quad_pot, grid)
         with pytest.raises(SupportMismatchError):
-            relative_entropy(rho, gamma)
-        with pytest.raises(SupportMismatchError):
-            run(rho, path, 1e-3, quad_pot, ModelParams(nu=0.3), 1e-3)
+            relative_entropy(rho, star.state.density)
+        recs = run(rho, path, 1e-3, quad_pot, ModelParams(nu=nu), 2e-3, keep_densities=True)
+        assert len(recs) == 3
+        x, h = grid.x, quad_pot.h(grid.x)
+        for r in recs:
+            for value, lam in ((r.Hrel_quasistatic, r.lam_ell), (r.Hrel_star, star.lam)):
+                oracle = gibbs_relative_entropy(r.density.values, x, h, lam, nu, grid.dx)
+                assert value == pytest.approx(oracle, rel=1e-13)
 
     def test_extrapolated_warm_start(self, grid, dw_pot, monkeypatch):
         # verify_forced's run for 300 steps with a record every step: each
@@ -440,6 +451,16 @@ class TestGapRate:
         g = Grid(-12.0, 12.0, 256)
         assert gap_rate(0.0, 0.8, dw_pot, g, tau=2.0) == pytest.approx(
             0.5 * gap_rate(0.0, 0.8, dw_pot, g, tau=1.0), rel=1e-12
+        )
+
+    def test_tiny_tau_scales_exactly(self, dw_pot):
+        # the rate nu^2/(tau dx^2) is factored out of the bisection: at
+        # tau = 1e-300 P's entries would near float range and the
+        # eigenvalue solver failed; now only the result scales
+        g = Grid(-12.0, 12.0, 256)
+        tau = 1e-300
+        assert gap_rate(0.0, 0.8, dw_pot, g, tau=tau) == pytest.approx(
+            gap_rate(0.0, 0.8, dw_pot, g) / tau, rel=1e-15
         )
 
 

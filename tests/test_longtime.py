@@ -330,6 +330,18 @@ class TestKramersSweepGuards:
             kramers_sweep(quad_pot, 0.0, nu_list, 2e-3, Grid(-12.0, 12.0, 128))
 
 
+class TestKramersSweepRegression:
+    def test_rate_below_zero_gives_nan_slope(self, dw_pot):
+        # n = 8: every member fits a short window, and the nu = 1.2 rate is
+        # negative, so there is no log(rate) to regress
+        from cfpk.longtime import kramers_sweep
+
+        out = kramers_sweep(dw_pot, 0.2, [1.2, 1.0, 0.9], 1e-2, Grid(-12.0, 12.0, 8))
+        rates = [e["fitted_rate"] for e in out["entries"]]
+        assert min(rates) < 0.0 < max(rates)
+        assert math.isnan(out["regression_slope"])
+
+
 class TestKramersSweepConvexControl:
     def test_no_barrier_rates_are_scale_free(self, quad_pot):
         from cfpk.longtime import kramers_sweep
