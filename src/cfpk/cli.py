@@ -308,7 +308,7 @@ def _initial_density(cfg: RunConfig) -> Density:
     raise ConfigError(f"unknown initial condition '{spec}'")
 
 
-def _summarize_run(records, cfg: RunConfig) -> dict:
+def _summarize_run(records) -> dict:
     eb = [r.eb_residual for r in records[1:]]
     return {
         "final_t": records[-1].t,
@@ -318,7 +318,7 @@ def _summarize_run(records, cfg: RunConfig) -> dict:
         "final_Hrel_star": records[-1].Hrel_star,
         "max_eb_residual": float(np.nanmax(eb)),
         "max_constraint_gap": float(np.max([abs(r.M1 - r.ell) for r in records])),
-        "steps": core.step_count(cfg.T, cfg.dt),
+        "steps": sum(r.steps for r in records),
         "limited_mass": float(sum(r.limited_mass for r in records)),
     }
 
@@ -341,7 +341,7 @@ def run_experiment(cfg: RunConfig) -> int:
                 record_every=cfg.record_every,
             )
             write_csv(recs, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
-            summary["fv"] = _summarize_run(recs, cfg)
+            summary["fv"] = _summarize_run(recs)
         if cfg.solver in ("jko", "both"):
             recs = jko_run(rho0, cfg.path, cfg.h, cfg.T, cfg.pot, cfg.params)
             write_csv(recs, os.path.join(cfg.out_dir, "trajectory_jko.csv"), TRANSPORT_COLUMNS)

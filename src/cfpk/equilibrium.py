@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -84,20 +84,30 @@ def tilted_family(pot: Potential, grid: Grid) -> TiltedFamily:
 
 @dataclass(frozen=True)
 class GibbsState:
-    """Tilted Gibbs density with cached partition data and moments."""
+    """Tilted Gibbs density with cached partition data and moments.
+
+    `values` are the normalized cell values (read-only); the validated
+    `density` is built from them on first read.
+    """
 
     sigma: float
     nu: float
     log_z: float
-    density: Density
+    grid: Grid
+    values: np.ndarray
     mean: float
     variance: float
+
+    @cached_property
+    def density(self) -> Density:
+        return Density(self.grid, self.values)
 
 
 def _state(sigma: float, nu: float, grid: Grid, ev: tuple) -> GibbsState:
     mean, var, log_z, values = ev
+    values.setflags(write=False)
     return GibbsState(
-        sigma=sigma, nu=nu, log_z=log_z, density=Density(grid, values), mean=mean, variance=var
+        sigma=sigma, nu=nu, log_z=log_z, grid=grid, values=values, mean=mean, variance=var
     )
 
 

@@ -2,12 +2,14 @@
 
 Each step is one TR-BDF2 step (Bank et al., IEEE Trans. CAD 4, 1985; Hosea &
 Shampine, Appl. Numer. Math. 20, 1996) of the drift-diffusion operator in
-conservative flux form: a trapezoid stage to t + gamma*dt, then a BDF2 stage
-to t + dt, with gamma = 2 - sqrt(2).  The nonlocal multiplier
+conservative flux form: a trapezoid stage to t + gamma*h, then a BDF2 stage
+to t + h, with gamma = 2 - sqrt(2).  The nonlocal multiplier
 sigma = int H' rho dx + tau l'(t) is predicted at each stage time from the
 explicit flux that the trapezoid stage computes anyway,
-sigma(t + c dt) ~ int H' (rho + c dt f0) dx + tau l'(t + c dt), which is
-second-order accurate and needs no extra solve and no step history.
+sigma(t + c h) ~ int H' (rho + c h f0) dx + tau l'(t + c h), which is
+second-order accurate and needs no extra solve and no step history.  Between
+two records the step h grows from the given dt up to the record spacing,
+controlled by the step's embedded error estimate (see `run`).
 
 The Chang-Cooper/exponential-fitting weights (Chang & Cooper, J. Comput.
 Phys. 6, 1970) use exact tilted-potential differences, so grid-sampled Gibbs
@@ -55,6 +57,33 @@ BDF2_DT = (1.0 - GAMMA) / (2.0 - GAMMA)
 BDF2_NEW = 1.0 / (GAMMA * (2.0 - GAMMA))
 BDF2_OLD = (1.0 - GAMMA) ** 2 / (GAMMA * (2.0 - GAMMA))
 
+# Embedded error estimate (Hosea & Shampine): the local error is
+# C h^3 y''' + O(h^4) with C = (-3 gamma^2 + 4 gamma - 2)/(12 (2 - gamma)),
+# and h^3 y''' ~ 2 h^2 f[t, t + gamma h, t + h], the second divided difference
+# of f over the stage times.  The stage values give h f there: with q the
+# explicit half of the trapezoid stage, h f(t) = (2/gamma)(q - rho),
+# h f(t + gamma h) = (2/gamma)(rho_gamma - rho) - h f(t) and
+# h f(t + h) = (rho_next - BDF2_NEW rho_gamma + BDF2_OLD rho)/BDF2_DT, so
+# est = EST_Q q + EST_GAMMA rho_gamma + EST_NEW rho_next + EST_RHO rho, and a
+# constant state has none.
+_C2 = (-3.0 * GAMMA**2 + 4.0 * GAMMA - 2.0) / (6.0 * (2.0 - GAMMA))
+EST_Q = 2.0 * (2.0 - GAMMA) * _C2 / (GAMMA**2 * (1.0 - GAMMA))
+EST_NEW = _C2 / (BDF2_DT * (1.0 - GAMMA))
+EST_GAMMA = -2.0 * _C2 / (GAMMA**2 * (1.0 - GAMMA)) - BDF2_NEW * EST_NEW
+EST_RHO = -(EST_Q + EST_GAMMA + EST_NEW)
+# A step longer than dt is accepted when its filtered estimate has
+# ||est||_1 / h <= ERR_TOL dt^2, an error per unit time that falls as dt^2
+# when dt is refined, as the error of fixed dt steps does.  At 0.01 a run
+# forced at |l'| ~ 0.3 keeps every step at dt, so it still refines as a
+# fixed-dt run (at 0.015 some steps grow), while a relaxing run grows its
+# steps once it nears equilibrium.
+ERR_TOL = 0.01
+# Step-size control (Hairer & Wanner, Solving ODEs II, IV.8).  The error per
+# unit time is O(h^2): h_new = h min(FAC_MAX, max(FAC_MIN, SAFETY (tol/err)^(1/2))).
+SAFETY = 0.9
+FAC_MIN = 0.2
+FAC_MAX = 2.0
+
 
 def sigma_of_state(
     rho: Density, t: float, pot: Potential, path: ConstraintPath, params: ModelParams
@@ -75,28 +104,19 @@ def _bernoulli(w: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """The model's grid binding (`tilted_family`) at one time step.
+    """The model's grid binding (`tilted_family`) for the steps of one run.
 
     The interface flux is (nu^2/dx) * (upper_i rho_{i+1} - lower_i rho_i) with
     w = (H_{i+1} - H_i)/nu^2 - sigma dx/nu^2 and upper = lower + w, so one
     weight evaluation per sigma gives both.
     """
 
-    def __init__(
-        self,
-        grid: Grid,
-        dt: float,
-        pot: Potential,
-        path: ConstraintPath,
-        params: ModelParams,
-    ):
-        require_positive(dt=dt)
+    def __init__(self, grid: Grid, pot: Potential, path: ConstraintPath, params: ModelParams):
         nu2 = params.nu * params.nu
         dx = grid.dx
         family = tilted_family(pot, grid)
         self.n = grid.n
         self.dx = dx
-        self.dt = dt
         self.tau = params.tau
         self.ell_dot = path.ell_dot
         self.h1_dx = family.h1 * dx
@@ -146,8 +166,8 @@ def gap_rate(ell: float, nu: float, pot: Potential, grid: Grid, tau: float = 1.0
     so it scales exactly as 1/tau.  Raises SolverError if P - mu is singular.
     """
     lam = solve_lambda(ell, nu, pot, grid).lam
-    # A does not depend on the step or the path's rate, so any dt will do
-    op = _Stepper(grid, 1.0, pot, constant_path(ell), ModelParams(tau=tau, nu=nu))
+    # A does not depend on the path's rate
+    op = _Stepper(grid, pot, constant_path(ell), ModelParams(tau=tau, nu=nu))
     lower, upper = op.weights(lam)
     # P = -S at unit rate: diagonal lower_i + upper_{i-1}, off-diagonal -sqrt(lower_i upper_i)
     p_off = -np.sqrt(lower * upper)
@@ -212,15 +232,21 @@ def _limited(base: np.ndarray, flux: np.ndarray, dx: float) -> tuple[np.ndarray,
     return new, flux, negative
 
 
-def _implicit(rhs: np.ndarray, sigma: float, a: float, op: _Stepper, stage: str) -> np.ndarray:
-    """Solve (I - a L(sigma)) u = rhs, L the flux difference at unit rate."""
+def _system(sigma: float, a: float, op: _Stepper) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The diagonals of I - a L(sigma), L the flux difference at unit rate."""
     lower, upper = op.weights(sigma)
     lower *= -a
     upper *= -a
-    diag = np.ones(op.n)
-    diag[:-1] -= lower
+    diag = np.empty(op.n)
+    np.subtract(1.0, lower, out=diag[:-1])
+    diag[-1] = 1.0
     diag[1:] -= upper
-    new, info = solve_banded(lower, diag, upper, rhs)
+    return lower, diag, upper
+
+
+def _implicit(rhs: np.ndarray, system: tuple, sigma: float, stage: str) -> np.ndarray:
+    """Solve system u = rhs; overwrites both."""
+    new, info = solve_banded(*system, rhs)
     if info != 0:
         raise StepError(
             "tridiagonal solve failed", diagnostics={"info": int(info), "sigma": sigma, "stage": stage}
@@ -236,18 +262,27 @@ def _implicit(rhs: np.ndarray, sigma: float, a: float, op: _Stepper, stage: str)
     return new
 
 
-def _advance(values: np.ndarray, t: float, op: _Stepper) -> tuple[np.ndarray, float, float, float]:
-    """One TR-BDF2 step from (t, values).
+def _advance(
+    values: np.ndarray, t: float, dt: float, op: _Stepper, filter_above: float | None = None
+) -> tuple[np.ndarray, float, float, float, float]:
+    """One TR-BDF2 step of length dt from (t, values).
 
     `values` has unit mass.  Returns the renormalized values, sigma at the
     start of the step, the mass drift |mass - 1| of the step before
-    renormalization, and the negative mass the two explicit updates would
-    have made without the positivity limiter (see `_limited`).  Each
-    implicit solve keeps the StepError gate on negative or NaN output; tiny
-    negatives from roundoff are clipped.  A step mass that is not finite and
-    positive (an inf passes that gate) is a StepError too.
+    renormalization, the negative mass the two explicit updates would have
+    made without the positivity limiter (see `_limited`), and err, NaN unless
+    `filter_above` is given.  Then err = ||est||_1 / dt for the step's
+    embedded error estimate est filtered through the BDF2 stage matrix
+    I - (gamma/2) dt L (Shampine's filter, which keeps stiff components from
+    inflating the estimate).  That matrix is an M-matrix with unit column
+    sums, so its inverse never raises the L1 norm: where the unfiltered err
+    is at most `filter_above`, it is returned as the bound it is and the
+    filter solve is skipped.  The estimate only reads the stages, so the new
+    values do not depend on it.  Each implicit solve keeps the StepError gate
+    on negative or NaN output; tiny negatives from roundoff are clipped.  A
+    step mass that is not finite and positive (an inf passes that gate) is a
+    StepError too.
     """
-    dt = op.dt
     a_trap = 0.5 * GAMMA * dt * op.rate
     h1_rho = float(op.h1_dx @ values)
     sigma = h1_rho + op.tau * op.ell_dot(t)
@@ -260,7 +295,11 @@ def _advance(values: np.ndarray, t: float, op: _Stepper) -> tuple[np.ndarray, fl
     sigma_next = h1_rho + (2.0 / GAMMA) * h1_half + op.tau * op.ell_dot(t + dt)
 
     rhs, flux, negative = _limited(values, flux, op.dx)
-    rho_gamma = _implicit(rhs, sigma_gamma, a_trap, op, "trapezoid")
+    estimate = filter_above is not None
+    if estimate:  # the trapezoid solve overwrites q
+        est = EST_Q * rhs
+        est += EST_RHO * values
+    rho_gamma = _implicit(rhs, _system(sigma_gamma, a_trap, op), sigma_gamma, "trapezoid")
     rhs = BDF2_NEW * rho_gamma - BDF2_OLD * values
     if not rhs.min() >= 0.0:
         # the same combination, rho_gamma + BDF2_OLD (rho_gamma - values),
@@ -270,12 +309,21 @@ def _advance(values: np.ndarray, t: float, op: _Stepper) -> tuple[np.ndarray, fl
         flux *= BDF2_OLD
         rhs, _, negative_bdf2 = _limited(rho_gamma, flux, op.dx)
         negative += negative_bdf2
-    new = _implicit(rhs, sigma_next, BDF2_DT * dt * op.rate, op, "bdf2")
-    mass = float(np.sum(new)) * op.dx
+    a_bdf2 = BDF2_DT * dt * op.rate
+    new = _implicit(rhs, _system(sigma_next, a_bdf2, op), sigma_next, "bdf2")
+    mass = float(new.sum()) * op.dx
     if not (math.isfinite(mass) and mass > 0.0):
         raise StepError("step mass is not finite and positive", diagnostics={"mass": mass})
+    err = math.nan
+    if estimate:
+        est += EST_GAMMA * rho_gamma
+        est += EST_NEW * new
+        err = float(np.abs(est).sum()) * op.dx / dt
+        if err > filter_above:  # the matrix the BDF2 stage just solved
+            est, _ = solve_banded(*_system(sigma_next, a_bdf2, op), est)
+            err = float(np.abs(est).sum()) * op.dx / dt
     new /= mass
-    return new, sigma, abs(mass - 1.0), negative
+    return new, sigma, abs(mass - 1.0), negative, err
 
 
 def project_mean(rho: Density, target: float) -> Density:
@@ -283,6 +331,11 @@ def project_mean(rho: Density, target: float) -> Density:
     map x -> x + a, realized in quantile coordinates)."""
     q = to_quantile(rho, max(64, 2 * rho.grid.n))
     return quantile_to_density(q + (target - float(np.mean(q))), rho.grid)
+
+
+def _factor(ratio: float) -> float:
+    """SAFETY (tol/err)^(1/2) for err = ratio * tol; inf at err = 0."""
+    return SAFETY / math.sqrt(ratio) if ratio > 0.0 else math.inf
 
 
 def run(
@@ -295,15 +348,31 @@ def run(
     record_every: int = 1,
     keep_densities: bool = False,
 ) -> list[TrajectoryRecord]:
-    """Integrate on [0, T] with TR-BDF2 steps, recording diagnostics every
-    `record_every` steps.
+    """Integrate on [0, T] with TR-BDF2 steps of at least dt, recording
+    diagnostics at t = k dt for k = j * `record_every` and at exactly T.
+
+    [0, T] is cut into slots of dt; where dt does not divide T the last slot
+    runs on to T, so it is up to 2 dt long, and a horizon below dt is one
+    slot of dt, ending at dt.  So no step and no record interval is shorter
+    than dt: the energy audit's difference quotient over a sliver would be
+    roundoff.  A step spans m >= 1 whole slots and never passes a record:
+    between two records it grows from dt up to the record spacing.  Where
+    the next record is one slot away the step is that slot, with no
+    estimate.  Otherwise the step forms its embedded error estimate (see
+    `_advance`), and standard control sets the next step from it.  A step of
+    m > 1 slots is retried with fewer slots when ||est||_1 / h exceeds
+    ERR_TOL dt^2 or when it would engage the positivity limiter; a one-slot
+    step is always accepted, as every step was at fixed dt.  So with
+    `record_every` = 1 every step is the dt step from k dt, bit for bit
+    (where dt divides T), and a run takes at most ceil(T/dt) steps.
 
     Per-record quantities: recomputed sigma, free energy split, dissipation,
     relative entropies against the quasistationary state gamma_{lambda(ell(t))}
     and the limit state gamma_{lambda(ell*)}, the negative mass the
-    positivity limiter kept out in the steps since the previous record, and
-    the energy-balance audit eb_residual = |dF/dt + D/tau - sigma l'| on
-    record spacing (trapezoid in the rate terms, NaN on the first record).
+    positivity limiter kept out and the number of steps taken since the
+    previous record, and the energy-balance audit
+    eb_residual = |dF/dt + D/tau - sigma l'| on record spacing (trapezoid in
+    the rate terms, NaN on the first record).
 
     `make_record` reads rho in one pass: E, M1, M2 and int H' rho come from
     one product `basis @ rho`, and one log rho serves S, D and both relative
@@ -313,12 +382,17 @@ def run(
     Density is built only for `keep_densities`; otherwise rho0 was validated,
     `_implicit` rejects negative or NaN values and `_advance` an inf.
     """
-    require_positive(T=T)
+    require_positive(T=T, dt=dt)
     if record_every < 1:
         raise ContractViolation(f"need record_every >= 1, got {record_every}")
     grid = rho0.grid
-    op = _Stepper(grid, dt, pot, path, params)
+    op = _Stepper(grid, pot, path, params)
     n_steps = step_count(T, dt)
+    t_end = max(T, dt)
+    stretched = t_end / dt < n_steps - 1e-12  # dt does not divide T
+    if stretched:  # the last whole slot runs on to T
+        n_steps -= 1
+    tol = ERR_TOL * dt * dt
     m1_0, _, _ = moments(rho0)
     if abs(m1_0 - path.ell(0.0)) > 1e-8:
         rho0 = project_mean(rho0, path.ell(0.0))
@@ -326,11 +400,11 @@ def run(
     family = tilted_family(pot, grid)
     logz0 = log_partition(pot, grid, nu)
     star = solve_lambda(path.ell_star, nu, pot, grid)
-    g_star = star.state.density.values
+    g_star = star.state.values
     log_star = family.exponent(star.lam, nu) - star.state.log_z
     warm = None  # (t, lambda, dlambda/dt) at the previous record of a moving path
 
-    def make_record(vals: np.ndarray, t: float, limited: float) -> TrajectoryRecord:
+    def make_record(vals: np.ndarray, t: float, limited: float, steps: int) -> TrajectoryRecord:
         nonlocal warm
         ell_t = path.ell(t)
         e, m1, m2, h1_rho = (family.basis @ vals * dx).tolist()
@@ -351,23 +425,44 @@ def run(
         return TrajectoryRecord(
             t=t, sigma=sigma, ell=ell_t, M1=m1, M2=m2, F=fe.F, S=fe.S, E=e, D=float(d.sum()) * dx,
             Hrel_quasistatic=h_quasistatic, Hrel_star=h_star, lam_ell=lam_t,
-            l1_star=float(np.abs(vals - g_star).sum()) * dx, limited_mass=limited,
+            l1_star=float(np.abs(vals - g_star).sum()) * dx, limited_mass=limited, steps=steps,
             density=Density(grid, vals) if keep_densities else None,
         )
 
     vals = rho0.values
-    records = [make_record(vals, 0.0, 0.0)]
-    limited = 0.0
-    for k in range(1, n_steps + 1):
-        try:
-            vals, _, _, c = _advance(vals, (k - 1) * dt, op)
-        except StepError as exc:
-            exc.diagnostics["step"] = k
-            raise
+    records = [make_record(vals, 0.0, 0.0, 0)]
+    k, limited, taken = 0, 0.0, 0
+    size, grow = 1.0, FAC_MAX  # the proposed step in slots and its largest growth factor
+    while k < n_steps:
+        k_rec = min(n_steps, (k // record_every + 1) * record_every)
+        m = min(k_rec - k, max(1, int(size)))
+        while True:
+            span = t_end - k * dt if stretched and k + m == n_steps else m * dt
+            # the next step has at most `top` slots, so an err below `level`
+            # sets it no matter how far below (see _advance)
+            top = min(record_every, m * grow)
+            level = (SAFETY * m / top) ** 2 * tol if k_rec - k > 1 else None
+            try:
+                new, _, _, c, err = _advance(vals, k * dt, span, op, level)
+            except StepError as exc:
+                exc.diagnostics["step"] = sum(r.steps for r in records) + taken + 1
+                raise
+            ratio = err / tol
+            if m == 1 or (c == 0.0 and ratio <= 1.0):
+                break
+            # retry with fewer slots, at least one
+            size = m * (0.5 if c > 0.0 else max(FAC_MIN, _factor(ratio)))
+            m = max(1, min(m - 1, int(size)))
+            grow = 1.0
+        if not math.isnan(ratio):
+            size = min(top, m * max(FAC_MIN, _factor(ratio)))
+            grow = FAC_MAX
+        vals, k = new, k + m
         limited += c
-        if k % record_every == 0 or k == n_steps:
-            records.append(make_record(vals, k * dt, limited))
-            limited = 0.0
+        taken += 1
+        if k == k_rec:
+            records.append(make_record(vals, t_end if k == n_steps else k * dt, limited, taken))
+            limited, taken = 0.0, 0
 
     # energy-balance audit on record spacing
     for i in range(1, len(records)):

@@ -454,6 +454,11 @@ def kramers_sweep(
     from mu_1 is the conservative, longer one.  `predicted_scale` is the
     Arrhenius guess nu^2 e^{-DeltaH*/nu^2} and `ratio` the fit over it.
     `regression_slope` is NaN unless every fitted rate is finite and > 0.
+
+    A member's `dt` is max(dt, min(0.012, horizon/3e5)), the smallest step of
+    its `fpsolver.run`: records fall every `rec_every` slots of dt (about
+    2500 per member) and the last one at the horizon, and between records
+    the steps grow up to the record spacing.  `steps` counts the steps taken.
     """
     if len(nu_list) < 3 and not well_prepared:
         raise ContractViolation("need at least 3 noise levels for the regression")
@@ -496,6 +501,7 @@ def kramers_sweep(
             "regime": report.regime,
             "short_window": report.short_window,
             "limited_mass": float(sum(r.limited_mass for r in report.records)),
+            "steps": sum(r.steps for r in report.records),
             "records": report.records,
         })
 

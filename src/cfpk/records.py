@@ -39,6 +39,7 @@ class TrajectoryRecord:
     lam_ell: float = float("nan")
     l1_star: float = float("nan")
     limited_mass: float = float("nan")  # FV: negative mass limited out since the last record
+    steps: int = 0  # FV: steps taken since the last record
     density: Optional[Density] = field(default=None, repr=False, compare=False)
     quantile: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cfpk.cli
+import cfpk.fpsolver
 from cfpk.cli import (
     _read_sections,
     _resolve,
@@ -192,14 +193,20 @@ class TestRunExperiment:
         assert summary["decay"]["regime"] == "convex"
         assert (out / "trajectory_fv.csv").exists()
 
-    def test_simulate_reports_steps_not_records(self, tmp_path):
-        # 100 steps with a record every 10: 11 records, and "steps" counts steps
+    def test_simulate_reports_steps_not_records(self, tmp_path, monkeypatch):
+        # 100 slots of dt with a record every 10: 11 records, and "steps"
+        # counts the steps taken.  The Gibbs start is a fixed point, so the
+        # steps grow past dt and no attempt is rejected: one step per call
+        calls = []
+        advance = cfpk.fpsolver._advance
+        monkeypatch.setattr(cfpk.fpsolver, "_advance", lambda *args: calls.append(0) or advance(*args))
         run = "[run]\nsolver = fv\nT = 0.1\ndt = 1e-3\nrecord_every = 10\n"
         text = MINIMAL + "\n[grid]\nn = 256\n\n" + run
         out = tmp_path / "steps"
         assert main(["simulate", "--config", write(tmp_path, text), "--out", str(out)]) == 0
         assert len((out / "trajectory_fv.csv").read_text().splitlines()) == 1 + 11
-        assert json.loads((out / "summary.json").read_text())["fv"]["steps"] == 100
+        steps = json.loads((out / "summary.json").read_text())["fv"]["steps"]
+        assert steps == len(calls) and 10 < steps < 100
 
     def test_kramers_sweep_honours_tau(self, tmp_path):
         # time scales with tau, so every fitted rate halves at tau = 2

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cfpk.core import (
     moments,
     polynomial_potential,
     quadratic_potential,
+    step_count,
 )
 from cfpk import fpsolver
 from cfpk.equilibrium import TiltedFamily, gibbs, solve_lambda
@@ -32,6 +34,7 @@ from cfpk.fpsolver import (
     sigma_of_state,
 )
 from cfpk.functionals import dissipation, free_energy, log_partition, relative_entropy
+from cfpk.longtime import bimodal_side_data
 from cfpk.records import FPSOLVER_COLUMNS
 from cfpk.sampling import random_density, set_mean
 from cfpk.transport import w2
@@ -61,8 +64,8 @@ class TestStep:
     def test_stationary_state_fixed(self, grid, dw_pot):
         nu = 0.5
         sol = solve_lambda(0.3, nu, dw_pot, grid)
-        op = _Stepper(grid, 1e-2, dw_pot, constant_path(0.3), ModelParams(nu=nu))
-        new, sigma, _, _ = _advance(sol.state.density.values, 0.0, op)
+        op = _Stepper(grid, dw_pot, constant_path(0.3), ModelParams(nu=nu))
+        new, sigma, _, _, _ = _advance(sol.state.density.values, 0.0, 1e-2, op)
         assert float(np.sum(np.abs(new - sol.state.density.values))) * grid.dx <= 1e-10
         assert sigma == pytest.approx(sol.lam, abs=1e-8)
 
@@ -83,8 +86,8 @@ class TestStep:
         g = Grid(-8.0, 8.0, 512)
         pot = polynomial_potential([0.0, c1, c2, c3, c4], g)
         state = gibbs(tilt, nu, pot, g)
-        op = _Stepper(g, 1e-2, pot, constant_path(state.mean), ModelParams(nu=nu))
-        new, sigma, drift, limited = _advance(state.density.values, 0.0, op)
+        op = _Stepper(g, pot, constant_path(state.mean), ModelParams(nu=nu))
+        new, sigma, drift, limited, _ = _advance(state.density.values, 0.0, 1e-2, op)
         assert float(np.sum(np.abs(new - state.density.values))) * g.dx <= 1e-10
         assert sigma == pytest.approx(tilt, abs=1e-8)
         assert drift <= 1e-12
@@ -101,16 +104,16 @@ class TestStep:
         for _ in range(10):
             rho = random_density(grid, rng)
             path = exp_decay_path(0.0, float(rng.normal()), 1.0)  # random tau l'(0)
-            op = _Stepper(grid, 0.01, dw_pot, path, params)
-            vals, _, drift, _ = _advance(rho.values, 0.0, op)
+            op = _Stepper(grid, dw_pot, path, params)
+            vals, _, drift, _, _ = _advance(rho.values, 0.0, 0.01, op)
             assert np.all(vals >= 0.0)
             assert drift <= 1e-12
         # a one-cell spike drives both explicit updates far negative: the
         # limiter keeps the step nonnegative and mass-conserving
         spike = np.zeros(grid.n)
         spike[grid.n // 2] = 1.0 / grid.dx
-        op = _Stepper(grid, 0.01, dw_pot, constant_path(0.0), params)
-        vals, _, drift, limited = _advance(spike, 0.0, op)
+        op = _Stepper(grid, dw_pot, constant_path(0.0), params)
+        vals, _, drift, limited, _ = _advance(spike, 0.0, 0.01, op)
         assert limited > 0.1
         assert np.all(vals >= 0.0)
         assert drift <= 1e-12
@@ -124,7 +127,7 @@ class TestStep:
         for n, dt in ((256, 4e-3), (512, 2e-3), (1024, 1e-3)):
             g = Grid(-12.0, 12.0, n)
             rho = gaussian_density(g, path.ell(0.0), 1.3)
-            new, _, _, _ = _advance(rho.values, 0.0, _Stepper(g, dt, quad_pot, path, ModelParams()))
+            new, _, _, _, _ = _advance(rho.values, 0.0, dt, _Stepper(g, quad_pot, path, ModelParams()))
             gaps[dt] = abs(moments(Density(g, new))[0] - path.ell(dt))
         assert gaps[4e-3] / gaps[2e-3] == pytest.approx(8.0, rel=0.25)
         assert gaps[2e-3] / gaps[1e-3] == pytest.approx(8.0, rel=0.25)
@@ -270,6 +273,131 @@ class TestRun:
         assert float(np.max(np.diff(f))) <= 1e-9
 
 
+def accepted_steps(log):
+    """(t, h, limited) of the accepted steps among logged `_advance` calls:
+    an attempt is retried from the same t, so the last call from each t is
+    the one taken."""
+    return [call for call, after in zip(log, log[1:] + [None]) if after is None or after[0] != call[0]]
+
+
+class TestAdaptiveSteps:
+    @staticmethod
+    def logged(monkeypatch):
+        """Log (t, h, limited) of every `_advance` call, rejected ones too."""
+        log = []
+        advance = fpsolver._advance
+
+        def wrapper(*args):
+            out = advance(*args)
+            log.append((args[1], args[2], out[3]))
+            return out
+
+        monkeypatch.setattr(fpsolver, "_advance", wrapper)
+        return log
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_steps=hst.integers(1, 12),
+        dt=hst.floats(1e-4, 2e-2),
+        nu=hst.floats(0.5, 1.2),
+        seed=hst.integers(0, 2**32 - 1),
+        moving=hst.booleans(),
+    )
+    def test_record_every_one_is_the_fixed_dt_loop(self, dw_pot, n_steps, dt, nu, seed, moving):
+        # with a record every slot each step is the plain dt step from k dt,
+        # bit for bit: no estimate, no retry, and the last record at T = n dt
+        g = Grid(-8.0, 8.0, 128)
+        path = exp_decay_path(0.2, 0.3, 1.0) if moving else constant_path(0.2)
+        params = ModelParams(nu=nu)
+        rho0 = set_mean(random_density(g, np.random.default_rng(seed)), path.ell(0.0))
+        T = n_steps * dt
+        recs = run(rho0, path, dt, dw_pot, params, T, keep_densities=True)
+        assert [r.t for r in recs] == [k * dt for k in range(n_steps + 1)]
+        assert [r.steps for r in recs] == [0] + [1] * n_steps
+        op = _Stepper(g, dw_pot, path, params)
+        vals = recs[0].density.values
+        for k in range(n_steps):
+            vals = _advance(vals, k * dt, dt, op)[0]
+            np.testing.assert_array_equal(recs[k + 1].density.values, vals)
+
+    @pytest.mark.parametrize("record_every", [1, 5])
+    def test_ends_at_T_when_dt_does_not_divide_it(self, quad_pot, record_every):
+        # 33 slots of dt = 0.03 cover T = 1, the last one running on to T
+        # (0.04 long), and the run ends at T, where the variance oracle is
+        # met (it ended at 1.02, 6.8e-3 away, before)
+        g = Grid(0.5 - 12.0, 0.5 + 12.0, 1024)
+        rho0 = gaussian_density(g, 0.5, 1.5**2)
+        recs = run(rho0, constant_path(0.5), 0.03, quad_pot, ModelParams(), 1.0, record_every=record_every)
+        assert recs[-1].t == 1.0
+        assert recs[-2].t == pytest.approx(0.03 * (32 - 32 % record_every))
+        oracle = 1.0 + (1.5**2 - 1.0) * np.exp(-2.0)
+        assert recs[-1].M2 - recs[-1].M1**2 == pytest.approx(oracle, abs=1e-3)
+
+    def test_steps_are_at_least_dt_and_land_on_records(self, quad_pot, monkeypatch):
+        # a Gaussian near the Gibbs state, with a dt that does not divide T:
+        # each step taken spans whole slots of dt except the last, which
+        # runs on to T, none is shorter than dt, steps grow past dt, and no
+        # more steps are taken than step_count(T, dt)
+        g = Grid(-12.0, 12.0, 256)
+        dt, T = 1e-3, 0.3005
+        log = self.logged(monkeypatch)
+        recs = run(gaussian_density(g, 0.3, 1.02), constant_path(0.3), dt, quad_pot, ModelParams(), T,
+                   record_every=7)
+        taken = accepted_steps(log)
+        assert taken[0][0] == 0.0 and recs[-1].t == T
+        for (t, h, _), after in zip(taken, taken[1:]):
+            assert after[0] == pytest.approx(t + h, rel=1e-14)
+        for t, h, _ in taken[:-1]:
+            assert h == round(h / dt) * dt >= dt
+        t, h, _ = taken[-1]
+        assert h > dt and t + h == pytest.approx(T, rel=1e-14)
+        assert max(h for _, h, _ in taken[:-1]) > dt
+        assert sum(r.steps for r in recs) == len(taken) <= step_count(T, dt)
+
+    def test_gibbs_state_steps_grow_to_the_record_spacing(self, grid, dw_pot):
+        # a grid Gibbs state is a fixed point of every step, whatever its
+        # length: its estimate is roundoff, the steps double up to the record
+        # spacing, and the state stays put
+        nu = 0.5
+        sol = solve_lambda(0.3, nu, dw_pot, grid)
+        recs = run(sol.state.density, constant_path(0.3), 1e-3, dw_pot, ModelParams(nu=nu), 0.5,
+                   record_every=50)
+        assert len(recs) == 11
+        assert max(r.l1_star for r in recs) <= 1e-12
+        assert max(abs(r.M1 - 0.3) for r in recs) <= 1e-10
+        assert all(r.limited_mass == 0.0 for r in recs)
+        assert recs[1].steps < 50 and [r.steps for r in recs[-5:]] == [1] * 5
+
+    def test_bimodal_side_data_is_never_limited(self, grid, dw_pot):
+        # a Kramers-sweep member at nu = 1.2 (record_every = 2): a first step
+        # of two slots would limit 7e-5 of negative mass, so the run starts
+        # at dt, and grows to two slots only where nothing is limited
+        nu = 1.2
+        rho0 = bimodal_side_data(0.0, nu, dw_pot, grid, population=0.52)
+        op = _Stepper(grid, dw_pot, constant_path(0.0), ModelParams(nu=nu))
+        assert _advance(rho0.values, 0.0, 4e-3, op)[3] > 0.0
+        recs = run(rho0, constant_path(0.0), 2e-3, dw_pot, ModelParams(nu=nu), 2.0, record_every=2)
+        assert sum(r.limited_mass for r in recs) == 0.0
+        assert sum(r.steps for r in recs) < 1000
+
+    def test_limited_steps_are_retried(self, grid, dw_pot, monkeypatch):
+        # with the error test off, a one-cell spike on the stiff side of the
+        # double well: the dt steps limit (and are taken, as at fixed dt), a
+        # longer step that would limit is retried, and none that is taken does
+        monkeypatch.setattr(fpsolver, "ERR_TOL", math.inf)
+        log = self.logged(monkeypatch)
+        dt = 2e-3
+        spike = np.zeros(grid.n)
+        spike[600] = 1.0 / grid.dx
+        rho0 = Density(grid, spike)
+        recs = run(rho0, constant_path(float(grid.x[600])), dt, dw_pot, ModelParams(nu=0.7), 20 * dt,
+                   record_every=8)
+        taken = accepted_steps(log)
+        assert any(lim > 0.0 and h > dt for _, h, lim in log)
+        assert all(lim == 0.0 for _, h, lim in taken if h > dt)
+        assert sum(r.limited_mass for r in recs) == pytest.approx(sum(lim for _, _, lim in taken))
+
+
 ASYMMETRIC = polynomial_potential([0.1, 0.09, -0.15, 0.0, 0.25])
 
 
@@ -313,7 +441,7 @@ class TestRecordKernel:
         rho = set_mean(density_from_values(grid, np.where(both, raw, 0.0)), ell)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fpsolver, "_advance", lambda vals, t, op: (vals, 0.0, 0.0, 0.0))
+            mp.setattr(fpsolver, "_advance", lambda vals, t, dt, op, level: (vals, 0.0, 0.0, 0.0, 0.0))
             rec = run(rho, path, 1e-3, pot, params, 1e-3)[0]
 
         x, h, h1 = grid.x, pot.h(grid.x), pot.h1(grid.x)
