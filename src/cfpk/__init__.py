@@ -19,7 +19,7 @@ from .core import (
     quadratic_potential,
     tanh_ramp_path,
 )
-from .equilibrium import GibbsState, LandscapeReport, gibbs, landscape, lsi_constant
+from .equilibrium import GibbsState, gibbs, landscape, lsi_constant
 from .fpsolver import sigma_of_state
 from .functionals import (
     EnergyBreakdown,

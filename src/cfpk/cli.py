@@ -84,7 +84,7 @@ class RunConfig:
     tail_report: dict[str, float] = field(default_factory=dict)
 
 
-def parse_potential(spec: str) -> core.Potential:
+def parse_potential(spec: str, grid: Grid | None = None) -> core.Potential:
     name, _, args = spec.partition(":")
     name = name.strip()
     if name == "quadratic":
@@ -94,7 +94,7 @@ def parse_potential(spec: str) -> core.Potential:
     if name == "polynomial":
         if not args:
             raise ConfigError("polynomial potential needs coefficients, e.g. polynomial:0,0,0.5")
-        return core.polynomial_potential([float(v) for v in args.split(",")])
+        return core.polynomial_potential([float(v) for v in args.split(",")], grid)
     raise ConfigError(f"unknown potential '{spec}'")
 
 
@@ -204,9 +204,9 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw}: {exc}") from exc
 
-    pot = value("model", "potential", parse_potential)
-    path = value("path", "kind", parse_path)
     grid = Grid(x_min=value("grid", "x_min"), x_max=value("grid", "x_max"), n=value("grid", "n", int))
+    pot = value("model", "potential", lambda spec: parse_potential(spec, grid))
+    path = value("path", "kind", parse_path)
     params = ModelParams(tau=value("model", "tau"), nu=value("model", "nu"))
     kind = resolved["run"]["kind"]
     if kind not in KINDS:
@@ -367,28 +367,24 @@ def run_experiment(cfg: RunConfig) -> int:
         print(f"lambda({ell:g}) = {sol.lam:.12g}")
 
     elif cfg.kind == "landscape":
-        report = landscape(cfg.params.nu, cfg.pot, cfg.grid, sigma_range=cfg.sigma_range)
-        summary["landscape"] = report.to_dict()
+        summary["landscape"] = landscape(cfg.params.nu, cfg.pot, cfg.grid, sigma_range=cfg.sigma_range)
 
     elif cfg.kind == "decay":
         rho0 = _initial_density(cfg)
-        report = decay_experiment(
+        summary["decay"], recs = decay_experiment(
             rho0, cfg.path, cfg.params.nu, cfg.pot, cfg.dt, cfg.T,
             tau=cfg.params.tau, record_every=cfg.record_every,
         )
-        summary["decay"] = report.to_dict()
-        summary["decay"]["limited_mass"] = float(sum(r.limited_mass for r in report.records))
-        write_csv(report.records, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
+        write_csv(recs, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
 
     elif cfg.kind == "kramers_sweep":
-        sweep = kramers_sweep(
+        summary["kramers_sweep"], trajectories = kramers_sweep(
             cfg.pot, cfg.path.ell_star, cfg.nu_list, cfg.dt, cfg.grid, tau=cfg.params.tau
         )
-        for nu_val, recs in sweep.pop("trajectories").items():
+        for nu_val, recs in trajectories.items():
             write_csv(
                 recs, os.path.join(cfg.out_dir, f"trajectory_nu{nu_val:g}.csv"), FPSOLVER_COLUMNS
             )
-        summary["kramers_sweep"] = sweep
 
     elif cfg.kind == "verify":
         contracts = _verify_battery(cfg)

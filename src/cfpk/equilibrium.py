@@ -267,56 +267,30 @@ def barrier_scan(
     return intervals, max((energy_barrier(s, pot, grid) for s in probes), default=0.0)
 
 
-@dataclass(frozen=True)
-class LandscapeReport:
-    spinodal_measure: float
-    sigma_set: list[tuple[float, float]]
-    delta_h_star: float
-    c_var: float
-    C_var: float
-    lsi_samples: list[tuple[float, float, str]]
-
-    def to_dict(self) -> dict:
-        return {
-            "spinodal_measure": self.spinodal_measure,
-            "sigma_intervals": [list(iv) for iv in self.sigma_set],
-            "delta_h_star": self.delta_h_star,
-            "c_var": self.c_var,
-            "C_var": self.C_var,
-            "lsi_samples": [
-                {"sigma": s, "C_lsi": c, "method": m} for (s, c, m) in self.lsi_samples
-            ],
-        }
-
-
 def landscape(
     nu: float,
     pot: Potential,
     grid: Grid,
     sigma_range: tuple[float, float] = (-3.0, 3.0),
-) -> LandscapeReport:
-    """The `cfpk landscape` report: spinodal measure, the barrier scan,
-    variance bounds, and per-tilt LSI estimates."""
-    x = grid.x
-    h2x = np.asarray(pot.h2(x), dtype=float)
-    spinodal = float(np.sum(h2x <= 0.0)) * grid.dx
-
+) -> dict:
+    """The `landscape` block of `cfpk landscape`'s summary.json: spinodal
+    measure, the barrier scan, variance bounds, and per-tilt LSI estimates."""
+    h2x = np.asarray(pot.h2(grid.x), dtype=float)
     intervals, delta_h_star = barrier_scan(pot, grid, sigma_range)
     sigmas = np.linspace(*sigma_range, N_SIGMA)
     c_var, C_var = variance_range(sigmas, nu, pot, grid)
     lsi_samples = []
     for s in sigmas:
         c, method = lsi_constant(float(s), nu, pot, grid)
-        lsi_samples.append((float(s), c, method))
-
-    return LandscapeReport(
-        spinodal_measure=spinodal,
-        sigma_set=intervals,
-        delta_h_star=delta_h_star,
-        c_var=c_var,
-        C_var=C_var,
-        lsi_samples=lsi_samples,
-    )
+        lsi_samples.append({"sigma": float(s), "C_lsi": c, "method": method})
+    return {
+        "spinodal_measure": float(np.sum(h2x <= 0.0)) * grid.dx,
+        "sigma_intervals": [list(iv) for iv in intervals],
+        "delta_h_star": delta_h_star,
+        "c_var": c_var,
+        "C_var": C_var,
+        "lsi_samples": lsi_samples,
+    }
 
 
 def lsi_constant(sigma: float, nu: float, pot: Potential, grid: Grid) -> tuple[float, str]:

@@ -10,7 +10,6 @@ contracts are one-sided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,32 +203,6 @@ def predicted_relaxation_time(
     return 1.0 / (params.tau * c)
 
 
-@dataclass
-class DecayReport:
-    fitted_rate: float
-    predicted_tau: float
-    C_ell_sigma: float
-    regime: str
-    samples: list[tuple[float, float, float, float]]
-    bound_max_violation: float
-    short_window: bool
-    records: list[TrajectoryRecord] | None = None  # full trajectory, not serialized
-
-    def to_dict(self) -> dict:
-        return {
-            "fitted_rate": self.fitted_rate,
-            "predicted_tau": self.predicted_tau,
-            "C_ell_sigma": self.C_ell_sigma,
-            "regime": self.regime,
-            "bound_max_violation": self.bound_max_violation,
-            "short_window": self.short_window,
-            "samples": [
-                {"t": s[0], "Hrel_quasistatic": s[1], "Hrel_star": s[2], "sigma_gap": s[3]}
-                for s in self.samples
-            ],
-        }
-
-
 def classify_regime(records: list[TrajectoryRecord], pot: Potential, grid: Grid) -> str:
     """The run's regime: "convex" for a uniformly convex H, else "kramers"
     when some record's multiplier lies in a closed interval of the
@@ -250,10 +223,10 @@ def decay_experiment(
     T: float,
     tau: float = 1.0,
     record_every: int = 1,
-    fit_tail: bool = False,
-) -> DecayReport:
+) -> tuple[dict, list[TrajectoryRecord]]:
     """Run the direct solver and audit the quantitative decay bound; the
-    path's declared envelope is checked at the record times."""
+    path's declared envelope is checked at the record times.  Returns the
+    `decay` block of `cfpk decay`'s summary.json and the records."""
     declared = path.kappa is not None and path.L0 is not None
     if not (declared or path.L0 == 0.0):
         raise ContractViolation("path must declare kappa/L0 or be constant")
@@ -262,23 +235,28 @@ def decay_experiment(
     path.check_decay(np.array([r.t for r in records]))
     grid = rho0.grid
     predicted, c_ell_sigma, violation = decay_bound_audit(records, params, pot, grid, path)
-    rate, short = fit_decay_rate(records, tail_only=fit_tail)
+    rate, short = fit_decay_rate(records)
     sigma_star = solve_lambda(path.ell_star, nu, pot, grid).lam
     stride = max(1, len(records) // 400)
-    samples = [
-        (r.t, r.Hrel_quasistatic, r.Hrel_star, abs(r.sigma - sigma_star))
-        for r in records[::stride]
-    ]
-    return DecayReport(
-        fitted_rate=rate,
-        predicted_tau=predicted,
-        C_ell_sigma=c_ell_sigma,
-        regime=classify_regime(records, pot, grid),
-        samples=samples,
-        bound_max_violation=violation,
-        short_window=short,
-        records=records,
-    )
+    block = {
+        "fitted_rate": rate,
+        "predicted_tau": predicted,
+        "C_ell_sigma": c_ell_sigma,
+        "regime": classify_regime(records, pot, grid),
+        "bound_max_violation": violation,
+        "short_window": short,
+        "limited_mass": float(sum(r.limited_mass for r in records)),
+        "samples": [
+            {
+                "t": r.t,
+                "Hrel_quasistatic": r.Hrel_quasistatic,
+                "Hrel_star": r.Hrel_star,
+                "sigma_gap": abs(r.sigma - sigma_star),
+            }
+            for r in records[::stride]
+        ],
+    }
+    return block, records
 
 
 def sigma_convergence_constant(nu: float, pot: Potential, grid: Grid, lam_ref: float) -> float:
@@ -433,9 +411,12 @@ def kramers_sweep(
     grid: Grid,
     well_prepared: bool = False,
     tau: float = 1.0,
-) -> dict:
+) -> tuple[dict, dict[float, list[TrajectoryRecord]]]:
     """Fit decay rates across noise levels and regress log(rate) against
     2 log(nu) - DeltaH*/nu^2; `dt` is a floor on each member's step.
+    Returns the `kramers_sweep` block of summary.json and each member's
+    records by nu.  A member is one `fpsolver.run`, one `fit_decay_rate`
+    (tail only, unless `well_prepared`) and one `classify_regime`.
 
     The constraint freezes the mean, which removes the odd well-hopping mode,
     the one mode with Kramers scaling.  So the regression slope measures the
@@ -469,6 +450,7 @@ def kramers_sweep(
     require_positive(dt=dt, tau=tau)
     _, delta_h_star = barrier_scan(pot, grid, (-2.0, 2.0))
     entries = []
+    trajectories = {}
     for nu in nu_list:
         rate_guess = nu * nu * math.exp(-delta_h_star / (nu * nu))
         gap = gap_rate(ell_star, nu, pot, grid, tau=tau)
@@ -485,24 +467,25 @@ def kramers_sweep(
             # into the multimodal set, lowering the barrier mid-run
             rho0 = bimodal_side_data(ell_star, nu, pot, grid, population=0.52)
         rec_every = max(1, int(round(horizon / member_dt / 2500)))
-        report = decay_experiment(
-            rho0, constant_path(ell_star), nu, pot, member_dt, horizon, tau=tau,
-            record_every=rec_every, fit_tail=not well_prepared,
+        records = fv_run(
+            rho0, constant_path(ell_star), member_dt, pot, ModelParams(tau=tau, nu=nu), horizon,
+            record_every=rec_every,
         )
+        trajectories[nu] = records
+        rate, short = fit_decay_rate(records, tail_only=not well_prepared)
         entries.append({
             "nu": nu,
-            "fitted_rate": report.fitted_rate,
+            "fitted_rate": rate,
             "gap_rate": gap,
-            "fit_over_gap": report.fitted_rate / gap,
+            "fit_over_gap": rate / gap,
             "horizon": horizon,
             "dt": member_dt,
             "predicted_scale": rate_guess,
-            "ratio": report.fitted_rate / rate_guess if rate_guess > 0 else float("nan"),
-            "regime": report.regime,
-            "short_window": report.short_window,
-            "limited_mass": float(sum(r.limited_mass for r in report.records)),
-            "steps": sum(r.steps for r in report.records),
-            "records": report.records,
+            "ratio": rate / rate_guess if rate_guess > 0 else float("nan"),
+            "regime": classify_regime(records, pot, grid),
+            "short_window": short,
+            "limited_mass": float(sum(r.limited_mass for r in records)),
+            "steps": sum(r.steps for r in records),
         })
 
     slope = float("nan")
@@ -510,12 +493,11 @@ def kramers_sweep(
         xs = np.array([2.0 * math.log(e["nu"]) - delta_h_star / e["nu"] ** 2 for e in entries])
         ys = np.array([math.log(e["fitted_rate"]) for e in entries])
         slope = float(np.polyfit(xs, ys, 1)[0])
-    trajectories = {e["nu"]: e.pop("records") for e in entries}
-    return {
+    block = {
         "delta_h_star": delta_h_star,
         "entries": entries,
         "regression_slope": slope,
         # every member always runs; the key stays for readers of summary.json
         "partial": False,
-        "trajectories": trajectories,
     }
+    return block, trajectories

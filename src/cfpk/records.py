@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -44,14 +45,11 @@ class TrajectoryRecord:
     quantile: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_csv(records: list[TrajectoryRecord], path: str, columns: list[str]) -> None:
     """Fixed column order, 17 significant digits: byte-identical across runs."""
+    row = ",".join(["%.17g"] * len(columns))
+    values = attrgetter(*columns)
     lines = [",".join(columns)]
-    for r in records:
-        lines.append(",".join(_fmt(getattr(r, c)) for c in columns))
+    lines.extend(row % values(r) for r in records)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

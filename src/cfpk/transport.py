@@ -233,7 +233,7 @@ def jko_run(
 ) -> list[TrajectoryRecord]:
     """Chain JKO steps on [0, T]; the state is carried in quantile coordinates
     between steps (no per-step grid roundtrip) and projected to the grid for
-    the per-step record.  This is the only stepping loop: one step from rho0
+    the per-step record.  This is the only JKO stepping loop: one step from rho0
     is the first record of a run with T = h."""
     require_positive(h=h, T=T)
     n_steps = step_count(T, h)

@@ -238,21 +238,21 @@ def test_criterion_8_quantitative_decay():
     pot = quadratic_potential(1.0)
     rho0 = gaussian_density(grid, 0.5, 1.5**2)
     t0 = time.monotonic()
-    rep = decay_experiment(rho0, constant_path(0.5), 1.0, pot, 1e-3,
-                           10.0, record_every=5)
+    rep, _ = decay_experiment(rho0, constant_path(0.5), 1.0, pot, 1e-3,
+                              10.0, record_every=5)
     elapsed = time.monotonic() - t0
-    h0 = rep.samples[0][1]
-    worst = max(s[1] - math.exp(-s[0]) * h0 for s in rep.samples)
+    h0 = rep["samples"][0]["Hrel_quasistatic"]
+    worst = max(s["Hrel_quasistatic"] - math.exp(-s["t"]) * h0 for s in rep["samples"])
     ok = (
-        rep.predicted_tau == pytest.approx(1.0)
+        rep["predicted_tau"] == pytest.approx(1.0)
         and worst <= 1e-10
-        and rep.fitted_rate >= 1.0
+        and rep["fitted_rate"] >= 1.0
         and elapsed < 30.0
     )
     assert report(
         8, ok,
         f"H(t) <= e^-t H(0) pointwise (worst slack {worst:.1e}), fitted rate "
-        f"{rep.fitted_rate:.2f} (>=1, oracle ~4), {elapsed:.1f}s (<30s)",
+        f"{rep['fitted_rate']:.2f} (>=1, oracle ~4), {elapsed:.1f}s (<30s)",
     )
 
 
@@ -300,14 +300,14 @@ def test_criterion_10_regime_study():
     grid = Grid(-12.0, 12.0, 1024)
     pot = doublewell_potential()
     t0 = time.monotonic()
-    sweep = kramers_sweep(pot, 0.0, [0.8, 0.6, 0.5], 2e-3, grid)
+    sweep, _ = kramers_sweep(pot, 0.0, [0.8, 0.6, 0.5], 2e-3, grid)
     rates = [e["fitted_rate"] for e in sweep["entries"]]
     slope = sweep["regression_slope"]
     monotone = rates[0] > rates[1] > rates[2]
     slope_ok = 0.5 <= slope <= 1.5
 
-    prepared = kramers_sweep(pot, 2.5, [0.8, 0.6, 0.5], 2e-3, grid,
-                             well_prepared=True)
+    prepared, _ = kramers_sweep(pot, 2.5, [0.8, 0.6, 0.5], 2e-3, grid,
+                                well_prepared=True)
     elapsed = time.monotonic() - t0
     by_nu = {e["nu"]: e for e in prepared["entries"]}
     kramers_ratio = (0.25 / 0.64) * math.exp(-(1 / 0.25 - 1 / 0.64) * sweep["delta_h_star"])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -381,3 +382,78 @@ class TestRunExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert out.is_file() if case == "out-is-a-file" else not out.exists()
+
+
+class TestPolynomialDomain:
+    def test_landscape_certifies_on_the_configured_grid(self, tmp_path):
+        # H'' = 224 - 30x + x^2 is -1 at x = 15: convex on [-10, 10] but not
+        # on the [-20, 20] grid, so no convexity certificate may be declared
+        text = (
+            "[model]\npotential = polynomial:0,0,112,-5,0.08333333333333333\n\n"
+            "[grid]\nx_min = -20.0\nx_max = 20.0\nn = 1024\n"
+        )
+        out = tmp_path / "poly"
+        assert main(["landscape", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        samples = json.loads((out / "summary.json").read_text())["landscape"]["lsi_samples"]
+        assert {s["method"] for s in samples} == {"holley_stroock"}
+
+
+class TestWriteCsv:
+    def test_special_values_match_format_spec(self, tmp_path):
+        from cfpk.records import TrajectoryRecord, write_csv
+
+        values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.5e-310, 1.0 / 3.0, -1e300]
+        recs = [TrajectoryRecord(t=v, sigma=-v, ell=0.0, M1=v, M2=0.0, F=0.0, S=0.0, E=0.0)
+                for v in values]
+        path = tmp_path / "rows.csv"
+        write_csv(recs, str(path), ["t", "sigma", "M1"])
+        expected = "t,sigma,M1\n" + "".join(f"{v:.17g},{-v:.17g},{v:.17g}\n" for v in values)
+        assert path.read_bytes() == expected.encode()
+
+
+SMALL_MODEL = "[model]\npotential = {pot}\nnu = 1.0\n\n[path]\nkind = {path}\n\n[grid]\nn = {n}\n\n"
+
+# each kind's summary.json block keys, as the CLI has always written them
+SUMMARY_BLOCKS = [
+    ("simulate", "fv", SMALL_MODEL.format(pot="quadratic:1", path="constant:0.5", n=256)
+     + "[run]\nsolver = fv\nT = 0.05\n",
+     {"final_F", "final_Hrel_quasistatic", "final_Hrel_star", "final_sigma", "final_t",
+      "limited_mass", "max_constraint_gap", "max_eb_residual", "steps"}, {}),
+    ("simulate", "jko", SMALL_MODEL.format(pot="quadratic:1", path="constant:0.5", n=256)
+     + "[run]\nsolver = jko\nT = 0.05\n",
+     {"final_F", "final_sigma", "max_constraint_gap", "max_kkt_residual", "sum_W2sq"}, {}),
+    ("decay", "decay", SMALL_MODEL.format(pot="doublewell", path="exp_decay:0.3,0.4,1.0", n=256)
+     + "[run]\nT = 0.3\nrecord_every = 10\n",
+     {"C_ell_sigma", "bound_max_violation", "fitted_rate", "limited_mass", "predicted_tau",
+      "regime", "samples", "short_window"},
+     {"samples": {"Hrel_quasistatic", "Hrel_star", "sigma_gap", "t"}}),
+    ("landscape", "landscape", SMALL_MODEL.format(pot="doublewell", path="constant:0", n=256),
+     {"C_var", "c_var", "delta_h_star", "lsi_samples", "sigma_intervals", "spinodal_measure"},
+     {"lsi_samples": {"C_lsi", "method", "sigma"}}),
+    ("kramers-sweep", "kramers_sweep", SMALL_MODEL.format(pot="doublewell", path="constant:0.2", n=16)
+     + "[run]\ndt = 1e-2\nnu_list = 1.2,1.0,0.9\n",
+     {"delta_h_star", "entries", "partial", "regression_slope"},
+     {"entries": {"dt", "fit_over_gap", "fitted_rate", "gap_rate", "horizon", "limited_mass", "nu",
+                  "predicted_scale", "ratio", "regime", "short_window", "steps"}}),
+    ("equilibrium", "equilibrium", SMALL_MODEL.format(pot="quadratic:1", path="constant:0.7", n=256),
+     {"ell", "iterations", "lambda", "log_Z", "residual", "variance"}, {}),
+]
+
+
+class TestSummaryBlocks:
+    @pytest.mark.parametrize(
+        "command,block,text,keys,nested", SUMMARY_BLOCKS, ids=[b[1] for b in SUMMARY_BLOCKS]
+    )
+    def test_block_keys_and_byte_identical_trees(self, tmp_path, command, block, text, keys, nested):
+        cfgfile = write(tmp_path, text)
+        trees = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main([command, "--config", cfgfile, "--out", str(out)]) == 0
+            trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert trees[0] == trees[1]
+        summary = json.loads(trees[0]["summary.json"])
+        assert set(summary) == {"kind", "tail_report", block}
+        assert set(summary[block]) == keys
+        for key, item_keys in nested.items():
+            assert summary[block][key] and all(set(item) == item_keys for item in summary[block][key])

@@ -168,6 +168,15 @@ class TestPotentials:
         assert pot.h1(x)[0] == pytest.approx(2.0)
         assert pot.h2(x)[0] == pytest.approx(1.0)
 
+    def test_polynomial_constants_from_the_grid_interval(self, grid):
+        # H'' = 2 + x^2: the certificate is its minimum 2 at x = 0, where
+        # the even grid has no cell center; c-+ are H'' at x_min and x_max
+        pot = polynomial_potential([0.0, 0.0, 1.0, 0.0, 1.0 / 12.0], grid)
+        assert pot.convexity_lower_bound == 2.0
+        assert pot.growth_constants == (146.0, 146.0)
+        fallback = polynomial_potential([0.0, 0.0, 1.0, 0.0, 1.0 / 12.0])
+        assert fallback.growth_constants == (102.0, 102.0)  # |x| = 10
+
     def test_polynomial_must_confine(self):
         with pytest.raises(ContractViolation):
             polynomial_potential([0.0, 1.0])  # linear, not confining

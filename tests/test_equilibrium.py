@@ -242,8 +242,8 @@ class TestLambdaOfEll:
             lam2 = solve_lambda(l2, nu, dw_pot, grid).lam
             gap = abs(lam1 - lam2)
             # slope of M1 wrt lambda lies in [c_var, C_var]/nu^2
-            assert gap >= abs(l1 - l2) * nu * nu / scan.C_var - 1e-9
-            assert gap <= abs(l1 - l2) * nu * nu / scan.c_var + 1e-9
+            assert gap >= abs(l1 - l2) * nu * nu / scan["C_var"] - 1e-9
+            assert gap <= abs(l1 - l2) * nu * nu / scan["c_var"] + 1e-9
 
     def test_constrained_minimality(self, grid, dw_pot):
         # F(rho) >= F(gamma_{lambda(ell)}) for random rho on the manifold
@@ -266,11 +266,11 @@ def in_multimodal_set(sigma, pot, grid):
 class TestLandscape:
     def test_quadratic_trivial(self, grid, quad_pot):
         rep = landscape(1.0, quad_pot, grid, (-2.0, 2.0))
-        assert rep.spinodal_measure == 0.0
-        assert rep.sigma_set == []
-        assert rep.delta_h_star == 0.0
-        assert rep.c_var == pytest.approx(1.0, abs=1e-6)
-        assert rep.C_var == pytest.approx(1.0, abs=1e-6)
+        assert rep["spinodal_measure"] == 0.0
+        assert rep["sigma_intervals"] == []
+        assert rep["delta_h_star"] == 0.0
+        assert rep["c_var"] == pytest.approx(1.0, abs=1e-6)
+        assert rep["C_var"] == pytest.approx(1.0, abs=1e-6)
 
     def test_doublewell_barrier(self, grid, dw_pot):
         assert energy_barrier(0.0, dw_pot, grid) == pytest.approx(1.0, abs=1e-3)
@@ -280,37 +280,37 @@ class TestLandscape:
 
     def test_doublewell_sigma_set(self, grid, dw_pot):
         rep = landscape(0.5, dw_pot, grid, (-2.0, 2.0))
-        assert len(rep.sigma_set) == 1
-        lo, hi = rep.sigma_set[0]
+        assert len(rep["sigma_intervals"]) == 1
+        lo, hi = rep["sigma_intervals"][0]
         sigma_c = scan_sigma_c(dw_pot)
         assert hi == pytest.approx(sigma_c, abs=1e-3)
         assert lo == pytest.approx(-sigma_c, abs=1e-3)
-        assert rep.delta_h_star == pytest.approx(1.0, abs=1e-3)
+        assert rep["delta_h_star"] == pytest.approx(1.0, abs=1e-3)
 
     def test_sigma_set_between_tilt_samples(self, grid):
         # H'(x) = x^3 - 0.3x + 0.09 has three roots only for sigma in
         # 0.09 -+ 0.2 sqrt(0.1), which holds none of the 33 tilt samples
         pot = polynomial_potential([0.1, 0.09, -0.15, 0.0, 0.25])
         rep = landscape(0.5, pot, grid)
-        assert len(rep.sigma_set) == 1
-        lo, hi = rep.sigma_set[0]
+        assert len(rep["sigma_intervals"]) == 1
+        lo, hi = rep["sigma_intervals"][0]
         assert lo == pytest.approx(0.09 - 0.2 * math.sqrt(0.1), abs=1e-6)
         assert hi == pytest.approx(0.09 + 0.2 * math.sqrt(0.1), abs=1e-6)
         assert in_multimodal_set(0.09, pot, grid) and not in_multimodal_set(0.0, pot, grid)
-        assert rep.delta_h_star == energy_barrier(0.5 * (lo + hi), pot, grid)
-        assert rep.delta_h_star == pytest.approx(energy_barrier(0.09, pot, grid), rel=1e-3)
-        assert rep.delta_h_star > 0.02
+        assert rep["delta_h_star"] == energy_barrier(0.5 * (lo + hi), pot, grid)
+        assert rep["delta_h_star"] == pytest.approx(energy_barrier(0.09, pot, grid), rel=1e-3)
+        assert rep["delta_h_star"] > 0.02
 
     def test_sigma_set_clipped_to_the_range(self, grid, dw_pot):
-        full = landscape(0.5, dw_pot, grid, (-2.0, 2.0)).sigma_set
-        assert landscape(0.5, dw_pot, grid, (0.5, 2.0)).sigma_set == [(0.5, full[0][1])]
-        assert landscape(0.5, dw_pot, grid, (1.0, 2.0)).sigma_set == []
+        full = landscape(0.5, dw_pot, grid, (-2.0, 2.0))["sigma_intervals"]
+        assert landscape(0.5, dw_pot, grid, (0.5, 2.0))["sigma_intervals"] == [[0.5, full[0][1]]]
+        assert landscape(0.5, dw_pot, grid, (1.0, 2.0))["sigma_intervals"] == []
 
     def test_spinodal_measure(self, grid, dw_pot):
         rep = landscape(0.5, dw_pot, grid, (-2.0, 2.0))
         # H'' <= 0 exactly on |x| <= sqrt(2^(2/3) - 1)
         width = 2.0 * math.sqrt(2.0 ** (2.0 / 3.0) - 1.0)
-        assert rep.spinodal_measure == pytest.approx(width, abs=2 * grid.dx)
+        assert rep["spinodal_measure"] == pytest.approx(width, abs=2 * grid.dx)
 
     def test_multimodality_predicate(self, grid, dw_pot, quad_pot):
         assert in_multimodal_set(0.0, dw_pot, grid)
@@ -330,8 +330,7 @@ class TestLandscape:
         assert local_minima(vals) == local_minima_loop(vals)
 
     def test_serialization(self, grid, dw_pot):
-        rep = landscape(0.5, dw_pot, grid, (-2.0, 2.0))
-        d = rep.to_dict()
+        d = landscape(0.5, dw_pot, grid, (-2.0, 2.0))
         for key in ("spinodal_measure", "sigma_intervals", "delta_h_star", "c_var", "C_var", "lsi_samples"):
             assert key in d
 

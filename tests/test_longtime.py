@@ -101,7 +101,7 @@ class TestComparisonSandwich:
             rho = random_density(grid, rng, mean=ell)
             h_here = relative_entropy(rho, solve_lambda(ell, nu, dw_pot, grid).state.density)
             h_star = relative_entropy(rho, solve_lambda(ell_star, nu, dw_pot, grid).state.density)
-            allowance = scan.C_var / (2.0 * scan.c_var**2) * (ell_star - ell) ** 2
+            allowance = scan["C_var"] / (2.0 * scan["c_var"]**2) * (ell_star - ell) ** 2
             assert h_star <= h_here + allowance + 1e-8
 
 
@@ -170,15 +170,15 @@ class TestDecayExperiment:
     def test_convex_constant_ell(self, quad_pot):
         g = Grid(0.5 - 12.0, 0.5 + 12.0, 1024)
         rho0 = gaussian_density(g, 0.5, 1.5**2)
-        rep = decay_experiment(rho0, constant_path(0.5), 1.0, quad_pot,
-                               1e-3, 10.0, record_every=5)
-        assert rep.regime == "convex"
-        assert rep.predicted_tau == pytest.approx(1.0)
-        assert rep.fitted_rate >= 1.0
-        assert rep.fitted_rate == pytest.approx(4.0, rel=0.15)  # Gaussian oracle
-        assert rep.bound_max_violation <= 1e-8
-        h0 = rep.samples[0][1]
-        worst = max(s[1] - math.exp(-s[0]) * h0 for s in rep.samples)
+        rep, _ = decay_experiment(rho0, constant_path(0.5), 1.0, quad_pot,
+                                  1e-3, 10.0, record_every=5)
+        assert rep["regime"] == "convex"
+        assert rep["predicted_tau"] == pytest.approx(1.0)
+        assert rep["fitted_rate"] >= 1.0
+        assert rep["fitted_rate"] == pytest.approx(4.0, rel=0.15)  # Gaussian oracle
+        assert rep["bound_max_violation"] <= 1e-8
+        h0 = rep["samples"][0]["Hrel_quasistatic"]
+        worst = max(s["Hrel_quasistatic"] - math.exp(-s["t"]) * h0 for s in rep["samples"])
         assert worst <= 1e-10
 
     def test_predicted_rate_carries_one_over_tau(self, quad_pot):
@@ -188,22 +188,23 @@ class TestDecayExperiment:
         tau = 8.0
         g = Grid(0.5 - 12.0, 0.5 + 12.0, 1024)
         rho0 = gaussian_density(g, 0.5, 1.5**2)
-        rep = decay_experiment(rho0, constant_path(0.5), 1.0, quad_pot,
-                               tau * 1e-3, tau * 10.0, tau=tau, record_every=5)
-        assert rep.predicted_tau == pytest.approx(1.0 / tau)
-        assert rep.bound_max_violation == 0.0
+        rep, _ = decay_experiment(rho0, constant_path(0.5), 1.0, quad_pot,
+                                  tau * 1e-3, tau * 10.0, tau=tau, record_every=5)
+        assert rep["predicted_tau"] == pytest.approx(1.0 / tau)
+        assert rep["bound_max_violation"] == 0.0
 
     def test_exp_decay_kappa_gt_tau(self, quad_pot):
         # H(t) <= e^{-tau t}(H(0) + C) with C = C_ls * L0/(kappa - tau)
         g = Grid(-11.2, 12.8, 1024)
         path = exp_decay_path(0.5, 0.3, 2.0)
         rho0 = gaussian_density(g, path.ell(0.0), 1.2)
-        rep = decay_experiment(rho0, path, 1.0, quad_pot, 1e-3, 8.0,
-                               record_every=5)
-        tau = rep.predicted_tau
-        c_exp = rep.C_ell_sigma * path.L0 / (path.kappa - tau)
-        h0 = rep.samples[0][1]
-        for t, hq, _, _ in rep.samples:
+        rep, _ = decay_experiment(rho0, path, 1.0, quad_pot, 1e-3, 8.0,
+                                  record_every=5)
+        tau = rep["predicted_tau"]
+        c_exp = rep["C_ell_sigma"] * path.L0 / (path.kappa - tau)
+        h0 = rep["samples"][0]["Hrel_quasistatic"]
+        for s in rep["samples"]:
+            t, hq = s["t"], s["Hrel_quasistatic"]
             assert hq <= math.exp(-tau * t) * (h0 + c_exp) + 1e-9
 
     def test_false_envelope_is_refused(self, quad_pot):
@@ -221,10 +222,10 @@ class TestDecayExperiment:
         # is still reported from the available samples
         g = Grid(-11.0, 13.0, 512)
         rho0 = gaussian_density(g, 0.5, 4.0)
-        rep = decay_experiment(rho0, constant_path(0.5), 1.0, quad_pot,
-                               1e-3, 0.05)
-        assert rep.short_window
-        assert np.isfinite(rep.fitted_rate)
+        rep, _ = decay_experiment(rho0, constant_path(0.5), 1.0, quad_pot,
+                                  1e-3, 0.05)
+        assert rep["short_window"]
+        assert np.isfinite(rep["fitted_rate"])
 
 
 class TestSigmaConvergence:
@@ -264,13 +265,13 @@ class TestSigmaConvergence:
         g = Grid(-11.2, 12.8, 1024)
         path = exp_decay_path(0.5, 0.3, 0.7)
         rho0 = gaussian_density(g, path.ell(0.0), 1.0)
-        rep = decay_experiment(rho0, path, 1.0, quad_pot,
-                               1e-3, 6.0, record_every=5)
-        ts = np.array([s[0] for s in rep.samples])
-        gap = np.array([s[3] for s in rep.samples])
+        rep, _ = decay_experiment(rho0, path, 1.0, quad_pot,
+                                  1e-3, 6.0, record_every=5)
+        ts = np.array([s["t"] for s in rep["samples"]])
+        gap = np.array([s["sigma_gap"] for s in rep["samples"]])
         mask = (gap > 1e-11) & (ts > 0.5) & (ts < 4.0)
         slope = -np.polyfit(ts[mask], np.log(gap[mask]), 1)[0]
-        assert slope >= rep.fitted_rate / 2.0 - 1e-6
+        assert slope >= rep["fitted_rate"] / 2.0 - 1e-6
 
 
 class TestCkpChain:
@@ -309,12 +310,13 @@ class TestGapRateOracle:
         gap = gap_rate(0.0, nu, dw_pot, grid)
         horizon = 30.0 / gap
         rho0 = bimodal_side_data(0.0, nu, dw_pot, grid, population=0.52)
-        report = decay_experiment(
-            rho0, constant_path(0.0), nu, dw_pot, dt, horizon,
-            record_every=round(horizon / dt / 2500), fit_tail=True,
+        records = fv_run(
+            rho0, constant_path(0.0), dt, dw_pot, ModelParams(nu=nu), horizon,
+            record_every=round(horizon / dt / 2500),
         )
-        assert not report.short_window
-        assert report.fitted_rate == pytest.approx(gap, rel=0.01)
+        fitted_rate, short_window = fit_decay_rate(records, tail_only=True)
+        assert not short_window
+        assert fitted_rate == pytest.approx(gap, rel=0.01)
 
 
 class TestKramersSweepGuards:
@@ -336,7 +338,7 @@ class TestKramersSweepRegression:
         # negative, so there is no log(rate) to regress
         from cfpk.longtime import kramers_sweep
 
-        out = kramers_sweep(dw_pot, 0.2, [1.2, 1.0, 0.9], 1e-2, Grid(-12.0, 12.0, 8))
+        out, _ = kramers_sweep(dw_pot, 0.2, [1.2, 1.0, 0.9], 1e-2, Grid(-12.0, 12.0, 8))
         rates = [e["fitted_rate"] for e in out["entries"]]
         assert min(rates) < 0.0 < max(rates)
         assert math.isnan(out["regression_slope"])
@@ -347,7 +349,7 @@ class TestKramersSweepConvexControl:
         from cfpk.longtime import kramers_sweep
 
         g = Grid(-12.0, 12.0, 512)
-        out = kramers_sweep(quad_pot, 0.0, [1.0, 0.8, 0.6], 2e-3, g)
+        out, _ = kramers_sweep(quad_pot, 0.0, [1.0, 0.8, 0.6], 2e-3, g)
         assert out["delta_h_star"] == 0.0
         rates = [e["fitted_rate"] for e in out["entries"]]
         assert all(e["regime"] == "convex" for e in out["entries"])
