@@ -90,6 +90,8 @@ def parse_potential(spec: str, grid: Grid | None = None) -> core.Potential:
     if name == "quadratic":
         return core.quadratic_potential(float(args or "1"))
     if name == "doublewell":
+        if args:
+            raise ConfigError(f"doublewell potential takes no arguments, got '{spec}'")
         return core.doublewell_potential()
     if name == "polynomial":
         if not args:
@@ -253,7 +255,7 @@ def _tail_check(cfg: RunConfig) -> None:
             state = solve_lambda(ell, nu, cfg.pot, cfg.grid).state
         except CfpkError as exc:
             raise ConfigError(f"tail check failed to build gamma at {label}={ell}: {exc}") from exc
-        boundary = max(float(state.density.values[0]), float(state.density.values[-1]))
+        boundary = max(float(state.values[0]), float(state.values[-1]))
         cfg.tail_report[f"boundary_density_{label}"] = boundary
         if boundary > TAIL_LIMIT:
             raise ConfigError(
@@ -450,7 +452,7 @@ def _verify_battery(cfg: RunConfig) -> dict:
     wckp_worst = -math.inf
     cmin = min(pot.growth_constants)
     weight = lambda x: 0.5 * cmin * (1.0 + np.abs(x))  # noqa: E731
-    gamma_star = solve_lambda(cfg.path.ell_star, nu, pot, grid).state.density
+    gamma_star = solve_lambda(cfg.path.ell_star, nu, pot, grid).state
     stride = max(1, len(records) // 10)
     for r in records[::stride]:
         wl1, _, wbound = weighted_ckp(r.density, gamma_star, weight)

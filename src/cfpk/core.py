@@ -167,7 +167,7 @@ class ModelParams:
     nu: float = 1.0
 
     def __post_init__(self):
-        require_positive(tau=self.tau, nu=self.nu)
+        require_positive(tau=self.tau, nu=self.nu, nu_squared=self.nu * self.nu)
 
 
 @dataclass(frozen=True)

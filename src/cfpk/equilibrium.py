@@ -32,8 +32,9 @@ class TiltedFamily:
     (4, n) array `basis` (views `h`, `x`, `x2`, `h1`); `basis @ rho` gives E,
     M1, M2 and int H' rho at once.  `exponent` is the one Gibbs exponent:
     `evaluate` (for `gibbs`, `solve_lambda`, `variance_range` and log Z0)
-    exponentiates it and the FV record reads log gamma from it.  The free
-    energy, sigma, the dissipation and the FV stepper read `h` and `h1`.
+    exponentiates it, and `GibbsState.log_values` reads log gamma from it
+    for every relative entropy (the public one and the FV record's).  The
+    free energy, sigma, the dissipation and the FV stepper read `h` and `h1`.
     """
 
     def __init__(self, pot: Potential, grid: Grid):
@@ -87,7 +88,8 @@ class GibbsState:
     """Tilted Gibbs density with cached partition data and moments.
 
     `values` are the normalized cell values (read-only); the validated
-    `density` is built from them on first read.
+    `density` and `log_values` = exponent - log Z, the log of gamma that
+    stays finite where `values` underflow to 0, are built on first read.
     """
 
     sigma: float
@@ -97,23 +99,29 @@ class GibbsState:
     values: np.ndarray
     mean: float
     variance: float
+    family: TiltedFamily
 
     @cached_property
     def density(self) -> Density:
         return Density(self.grid, self.values)
 
+    @cached_property
+    def log_values(self) -> np.ndarray:
+        log_g = self.family.exponent(self.sigma, self.nu) - self.log_z
+        log_g.setflags(write=False)
+        return log_g
 
-def _state(sigma: float, nu: float, grid: Grid, ev: tuple) -> GibbsState:
+
+def _state(sigma: float, nu: float, grid: Grid, family: TiltedFamily, ev: tuple) -> GibbsState:
     mean, var, log_z, values = ev
     values.setflags(write=False)
-    return GibbsState(
-        sigma=sigma, nu=nu, log_z=log_z, grid=grid, values=values, mean=mean, variance=var
-    )
+    return GibbsState(sigma, nu, log_z, grid, values, mean, var, family)
 
 
 def gibbs(sigma: float, nu: float, pot: Potential, grid: Grid) -> GibbsState:
     """Normalized gamma_{sigma,nu} with max-shifted partition sum."""
-    return _state(sigma, nu, grid, tilted_family(pot, grid).evaluate(sigma, nu))
+    family = tilted_family(pot, grid)
+    return _state(sigma, nu, grid, family, family.evaluate(sigma, nu))
 
 
 @dataclass(frozen=True)
@@ -175,7 +183,7 @@ def solve_lambda(
     grew = False
     for _ in range(LAMBDA_MAX_ITER):
         if abs(val) < LAMBDA_TOL:
-            return LambdaSolve(lam, _state(lam, nu, grid, ev), iters, abs(val))
+            return LambdaSolve(lam, _state(lam, nu, grid, family, ev), iters, abs(val))
         if val > 0.0:
             hi = lam
         else:

@@ -13,10 +13,6 @@ class DegenerateInputError(CfpkError):
     """Input density has zero or negative mass, or is otherwise unusable."""
 
 
-class SupportMismatchError(CfpkError):
-    """Reference density vanishes where the test density does not."""
-
-
 class GridTooSmallError(CfpkError):
     """The truncated domain cannot represent the requested state."""
 

@@ -376,11 +376,11 @@ def run(
 
     `make_record` reads rho in one pass: E, M1, M2 and int H' rho come from
     one product `basis @ rho`, and one log rho serves S, D and both relative
-    entropies, whose log gamma = `exponent` - log Z stays finite where gamma
-    underflows to 0 (`relative_entropy` raises there).  Each lambda(ell(t))
-    starts from the last two lambdas, extrapolated linearly in t.  A record's
-    Density is built only for `keep_densities`; otherwise rho0 was validated,
-    `_implicit` rejects negative or NaN values and `_advance` an inf.
+    entropies, which read log gamma from the states' `log_values`, as
+    `relative_entropy` does.  Each lambda(ell(t)) starts from the last two
+    lambdas, extrapolated linearly in t.  A record's Density is built only for
+    `keep_densities`; otherwise rho0 was validated, `_implicit` rejects
+    negative or NaN values and `_advance` an inf.
     """
     require_positive(T=T, dt=dt)
     if record_every < 1:
@@ -401,7 +401,6 @@ def run(
     logz0 = log_partition(pot, grid, nu)
     star = solve_lambda(path.ell_star, nu, pot, grid)
     g_star = star.state.values
-    log_star = family.exponent(star.lam, nu) - star.state.log_z
     warm = None  # (t, lambda, dlambda/dt) at the previous record of a moving path
 
     def make_record(vals: np.ndarray, t: float, limited: float, steps: int) -> TrajectoryRecord:
@@ -411,14 +410,14 @@ def run(
         sigma = h1_rho + params.tau * path.ell_dot(t)
         log_r = _log_density(vals)
         fe = _breakdown(float(_entropy_integrand(vals, log_r).sum()) * dx, e, logz0, nu)
-        h_star = float(_kl_integrand(vals, log_r, log_star).sum()) * dx
+        h_star = float(_kl_integrand(vals, log_r, star.state.log_values).sum()) * dx
         if path.L0 == 0.0:
             # gamma_{lambda(ell(t))} is gamma_star
             lam_t, h_quasistatic = star.lam, h_star
         else:
             start = None if warm is None else warm[1] + warm[2] * (t - warm[0])
             sol = solve_lambda(ell_t, nu, pot, grid, start=start)
-            lam_t, log_g = sol.lam, family.exponent(sol.lam, nu) - sol.state.log_z
+            lam_t, log_g = sol.lam, sol.state.log_values
             warm = (t, lam_t, 0.0 if warm is None else (lam_t - warm[1]) / (t - warm[0]))
             h_quasistatic = float(_kl_integrand(vals, log_r, log_g).sum()) * dx
         d = _dissipation_integrand(vals, log_r, dx, family.h1, sigma, nu * nu)

@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .core import Density, Grid, ModelParams, Potential, _log_density, entropy, integrate
-from .equilibrium import tilted_family
-from .errors import SupportMismatchError, WeightTooStrongError
+from .equilibrium import GibbsState, tilted_family
+from .errors import WeightTooStrongError
 
 # Cells below this density are treated as exact vacuum in the dissipation:
 # rho |dlog rho|^2 -> 0 for Gaussian-type tails, and finite differences of
@@ -58,16 +58,14 @@ def _kl_integrand(r: np.ndarray, log_r: np.ndarray, log_g: np.ndarray) -> np.nda
     return np.where(r > 0.0, r * (log_r - log_g), 0.0)
 
 
-def relative_entropy(rho: Density, gamma: Density) -> float:
-    """Kullback-Leibler divergence int rho log(rho/gamma).
+def relative_entropy(rho: Density, gamma: GibbsState) -> float:
+    """H(rho|gamma) = int rho (log rho - log gamma) against a Gibbs state.
 
-    Computed as rho (log rho - log gamma) with a shared floor, which is
-    cancellation-safe for nearly equal inputs.
+    log gamma = exponent - log Z is read from `gamma.log_values`, as the FV
+    record reads it, so it stays finite where gamma's values underflow to 0.
     """
-    r, g = rho.values, gamma.values
-    if g.min() <= 0.0 and np.any(r[g <= 0.0] > 0.0):
-        raise SupportMismatchError("reference density vanishes on the support of rho")
-    return integrate(_kl_integrand(r, _log_density(r), _log_density(g)), rho.grid)
+    r = rho.values
+    return integrate(_kl_integrand(r, _log_density(r), gamma.log_values), rho.grid)
 
 
 def _dissipation_integrand(
@@ -92,7 +90,7 @@ def dissipation(rho: Density, sigma: float, pot: Potential, params: ModelParams)
     return integrate(integrand, grid)
 
 
-def ckp_l1_bound(rho: Density, gamma: Density) -> tuple[float, float]:
+def ckp_l1_bound(rho: Density, gamma: GibbsState) -> tuple[float, float]:
     """(l1 distance, sqrt(2 H(rho|gamma))); the first never exceeds the second
     beyond quadrature tolerance."""
     l1 = integrate(np.abs(rho.values - gamma.values), rho.grid)
@@ -101,7 +99,7 @@ def ckp_l1_bound(rho: Density, gamma: Density) -> tuple[float, float]:
 
 
 def weighted_ckp(
-    rho: Density, gamma: Density, w: Callable[[np.ndarray], np.ndarray]
+    rho: Density, gamma: GibbsState, w: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[float, float, float]:
     """Weighted CKP: int w|rho-gamma| <= sqrt(2 (1 + log Cw) H(rho|gamma)).
 

@@ -62,9 +62,7 @@ def verify_comparison(
         raise ContractViolation(f"rho has mean {m1}, expected ell={ell}")
     sol = solve_lambda(ell, nu, pot, grid)
     lam, state_lam = sol.lam, sol.state
-    diff = relative_entropy(rho, gibbs(eta, nu, pot, grid).density) - relative_entropy(
-        rho, state_lam.density
-    )
+    diff = relative_entropy(rho, gibbs(eta, nu, pot, grid)) - relative_entropy(rho, state_lam)
     nu4 = nu**4
     gap_sq = (eta - lam) ** 2
     c_lo, c_hi = variance_range(np.linspace(min(lam, eta), max(lam, eta), N_SIGMA), nu, pot, grid)
@@ -91,7 +89,7 @@ def verify_free_energy_identity(
     lhs = (
         free_energy(rho, pot, params).F
         - free_energy(st.density, pot, params).F
-        - nu * nu * relative_entropy(rho, st.density)
+        - nu * nu * relative_entropy(rho, st)
     )
     return abs(lhs - eta * (ell - st.mean))
 
@@ -267,7 +265,7 @@ def sigma_convergence_constant(nu: float, pot: Potential, grid: Grid, lam_ref: f
     c_h = float(np.max(np.abs(family.h1) / (1.0 + np.abs(x))))
     cmin = min(pot.growth_constants)
     w_vals = 0.5 * cmin * (1.0 + np.abs(x))
-    gamma = gibbs(lam_ref, nu, pot, grid).density
+    gamma = gibbs(lam_ref, nu, pot, grid)
     with np.errstate(over="ignore"):
         c_m = float(np.sum(np.exp(w_vals**2) * gamma.values)) * grid.dx
     if not np.isfinite(c_m):

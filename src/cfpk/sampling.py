@@ -43,8 +43,7 @@ def random_density(grid: Grid, rng: np.random.Generator, mean: float | None = No
     weights = rng.uniform(0.2, 1.0, size=n_bumps)
     mid = 0.5 * (grid.x_min + grid.x_max) if mean is None else mean
     x = grid.x
-    # broad faint background keeps samples positive across the whole grid,
-    # so relative entropies against them stay finite
+    # broad faint background keeps samples positive across the whole grid
     vals = 1e-9 * np.exp(-0.5 * ((x - mid) / (0.25 * span)) ** 2)
     for c, s, wgt in zip(centers - np.average(centers, weights=weights), widths, weights):
         vals += wgt * np.exp(-0.5 * ((x - mid - c) / s) ** 2) / s

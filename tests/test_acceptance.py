@@ -280,7 +280,7 @@ def test_criterion_9_identity_and_inequality_suites():
     recs = fv_run(rho0, path, 1e-3, pot, ModelParams(nu=nu), 2.0,
                   record_every=10, keep_densities=True)
     ckp_worst = ckp_chain_audit(recs)
-    gamma_star = solve_lambda(path.ell_star, nu, pot, grid).state.density
+    gamma_star = solve_lambda(path.ell_star, nu, pot, grid).state
     cmin = min(pot.growth_constants)
     weight = lambda x: 0.5 * cmin * (1.0 + np.abs(x))  # noqa: E731
     wckp_worst = -math.inf

@@ -186,6 +186,18 @@ class TestRunExperiment:
                      "ckp_chain", "weighted_ckp"):
             assert checks[name]["pass"], (name, checks[name])
 
+    @pytest.mark.parametrize(
+        "potential,ell", [("quadratic:1", "0.2"), ("doublewell", "0.3")], ids=["quadratic", "doublewell"]
+    )
+    def test_verify_passes_at_small_nu(self, tmp_path, potential, ell):
+        # at nu = 0.3 the Gibbs references underflow to 0 where the identity
+        # suite's random densities are still positive
+        out = tmp_path / "v"
+        argv = ["verify", "--nu", "0.3", "--potential", potential, "--ell", ell, "--out", str(out)]
+        assert main(argv) == 0
+        checks = json.loads((out / "summary.json").read_text())["verify"]
+        assert all(entry["pass"] for entry in checks.values()), checks
+
     def test_decay_writes_report_and_trajectory(self, tmp_path):
         cfgfile = write(tmp_path, MINIMAL + "\n[run]\nkind = decay\nT = 0.3\nrecord_every = 10\n")
         out = tmp_path / "decay"
@@ -280,6 +292,13 @@ class TestRunExperiment:
         assert main(["simulate", "--config", bad]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_nu_squared_exit_code(self, tmp_path, capsys):
+        # nu = 1e200 is finite, but nu^2 is inf
+        argv = ["equilibrium", "--nu", "1e200", "--ell", "0.1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nu_squared" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command,solver", [("verify", "fv"), ("simulate", "fv"), ("simulate", "jko")])
     def test_horizon_below_one_step_takes_one_step(self, tmp_path, monkeypatch, command, solver):
         # T = 1e-16 is far below dt = 1e-3 and h = 0.01: one whole step, not zero
@@ -334,6 +353,7 @@ class TestRunExperiment:
             ("run", "initial", "gaussian:0,abc", "fv"),
             ("model", "tau", "nan", "fv"),
             ("model", "nu", "nan", "fv"),
+            ("model", "potential", "doublewell:3", "fv"),
             ("run", "dt", "nan", "fv"),
             ("run", "T", "nan", "fv"),
             ("run", "record_every", "0", "fv"),

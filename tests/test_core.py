@@ -227,3 +227,6 @@ class TestConstraintPaths:
             ModelParams(tau=0.0, nu=1.0)
         with pytest.raises(ContractViolation):
             ModelParams(tau=1.0, nu=-1.0)
+        for nu in (1e200, 1e-200):  # nu^2 overflows to inf or underflows to 0
+            with pytest.raises(ContractViolation, match="nu_squared"):
+                ModelParams(nu=nu)

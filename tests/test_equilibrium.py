@@ -368,7 +368,7 @@ class TestLsiConstant:
         for nu in (1.0, 0.5):
             for sigma in (0.0, 0.4):
                 c, _ = lsi_constant(sigma, nu, dw_pot, grid)
-                gam = gibbs(sigma, nu, dw_pot, grid).density
+                gam = gibbs(sigma, nu, dw_pot, grid)
                 for _ in range(10):
                     rho = random_density(grid, rng)
                     h = relative_entropy(rho, gam)

@@ -24,7 +24,7 @@ from cfpk.core import (
 )
 from cfpk import fpsolver
 from cfpk.equilibrium import TiltedFamily, gibbs, solve_lambda
-from cfpk.errors import ContractViolation, StepError, SupportMismatchError
+from cfpk.errors import ContractViolation, StepError
 from cfpk.fpsolver import (
     _advance,
     _Stepper,
@@ -424,20 +424,20 @@ class TestRecordKernel:
         # held, so later records read rho0 too).  The linear moments come
         # from one matrix product, summed in another order than the public
         # functions' sums, so each agrees to 1e-13 of the magnitude of the
-        # terms it sums; S and D share the public integrands and sums.  The
-        # relative entropies take log gamma from the Gibbs exponent, so where
-        # 0 < gamma < 1e-300 they differ from `relative_entropy`'s floored
-        # log by design: each is checked against the long-double oracle
+        # terms it sums; S, D and the relative entropies share the public
+        # integrands and sums, and each relative entropy is also checked
+        # against the long-double oracle
         pot = {"quadratic": quad_pot, "doublewell": dw_pot, "polynomial": ASYMMETRIC}[potential]
         params = ModelParams(tau=tau, nu=nu)
         ell = gibbs(sigma_q, nu, pot, grid).mean
         path = moving_path(ell, ell_dot, gibbs(sigma_star, nu, pot, grid).mean)
         sol_q, sol_star = solve_lambda(ell, nu, pot, grid), solve_lambda(path.ell_star, nu, pot, grid)
-        gamma_q, gamma_star = sol_q.state.density, sol_star.state.density
         # rho vanishes where either reference does, as a solution would, and
-        # has mean ell, so the run does not project it
+        # has mean ell, so the run does not project it; it stays positive
+        # where a reference lies below 1e-300 (a product of the two would
+        # underflow there)
         raw = random_density(grid, np.random.default_rng(seed)).values
-        both = gamma_q.values * gamma_star.values > 0.0
+        both = (sol_q.state.values > 0.0) & (sol_star.state.values > 0.0)
         rho = set_mean(density_from_values(grid, np.where(both, raw, 0.0)), ell)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -460,27 +460,29 @@ class TestRecordKernel:
         close(rec.sigma, sigma_of_state(rho, 0.0, pot, path, params), absolute(h1) + tau * abs(ell_dot))
         close(rec.F, fe.F, nu**2 * (abs(fe.S) + abs(log_partition(pot, grid, nu))) + absolute(h))
         assert rec.S == pytest.approx(entropy(rho), rel=1e-13, abs=1e-15)
-        for value, lam in ((rec.Hrel_quasistatic, sol_q.lam), (rec.Hrel_star, sol_star.lam)):
-            oracle = gibbs_relative_entropy(rho.values, x, h, lam, nu, grid.dx)
+        for value, sol in ((rec.Hrel_quasistatic, sol_q), (rec.Hrel_star, sol_star)):
+            assert value == pytest.approx(relative_entropy(rho, sol.state), rel=1e-13, abs=1e-15)
+            oracle = gibbs_relative_entropy(rho.values, x, h, sol.lam, nu, grid.dx)
             assert value == pytest.approx(oracle, rel=1e-13, abs=1e-15)
         assert rec.D == pytest.approx(dissipation(rho, rec.sigma, pot, params), rel=1e-13)
         assert rec.density is None
 
     @pytest.mark.parametrize("moving", [False, True])
-    def test_support_mismatch_is_kept(self, grid, quad_pot, moving):
+    def test_finite_where_gamma_underflows(self, grid, quad_pot, moving):
         # at nu = 0.3 the Gibbs states underflow to 0 near the ends, where a
-        # random density is still positive: `relative_entropy` refuses that
-        # pair, while the record reads log gamma from the Gibbs exponent,
-        # finite on every cell, and runs to the end
+        # random density is still positive: `relative_entropy` and the record
+        # read log gamma from the Gibbs exponent, finite on every cell, so
+        # both match the long-double oracle and the run goes to the end
         nu = 0.3
         rho = random_density(grid, np.random.default_rng(3), mean=0.2)
         path = moving_path(0.2, 0.1, 0.2) if moving else constant_path(0.2)
         star = solve_lambda(0.2, nu, quad_pot, grid)
-        with pytest.raises(SupportMismatchError):
-            relative_entropy(rho, star.state.density)
+        x, h = grid.x, quad_pot.h(grid.x)
+        assert star.state.values.min() == 0.0
+        oracle = gibbs_relative_entropy(rho.values, x, h, star.lam, nu, grid.dx)
+        assert relative_entropy(rho, star.state) == pytest.approx(oracle, rel=1e-13)
         recs = run(rho, path, 1e-3, quad_pot, ModelParams(nu=nu), 2e-3, keep_densities=True)
         assert len(recs) == 3
-        x, h = grid.x, quad_pot.h(grid.x)
         for r in recs:
             for value, lam in ((r.Hrel_quasistatic, r.lam_ell), (r.Hrel_star, star.lam)):
                 oracle = gibbs_relative_entropy(r.density.values, x, h, lam, nu, grid.dx)

@@ -99,8 +99,8 @@ class TestComparisonSandwich:
             ell = float(rng.uniform(-0.5, 0.5))
             ell_star = float(rng.uniform(-0.8, 0.8))
             rho = random_density(grid, rng, mean=ell)
-            h_here = relative_entropy(rho, solve_lambda(ell, nu, dw_pot, grid).state.density)
-            h_star = relative_entropy(rho, solve_lambda(ell_star, nu, dw_pot, grid).state.density)
+            h_here = relative_entropy(rho, solve_lambda(ell, nu, dw_pot, grid).state)
+            h_star = relative_entropy(rho, solve_lambda(ell_star, nu, dw_pot, grid).state)
             allowance = scan["C_var"] / (2.0 * scan["c_var"]**2) * (ell_star - ell) ** 2
             assert h_star <= h_here + allowance + 1e-8
 
@@ -114,7 +114,7 @@ class TestFreeEnergyIdentity:
         rho = random_density(grid, np.random.default_rng(1), mean=ell)
         f_rho = free_energy(rho, dw_pot, ModelParams(nu=nu)).F
         f_gam = free_energy(sol.state.density, dw_pot, ModelParams(nu=nu)).F
-        h = relative_entropy(rho, sol.state.density)
+        h = relative_entropy(rho, sol.state)
         assert f_rho - f_gam == pytest.approx(nu * nu * h, abs=1e-8)
 
     def test_rho_equals_gamma(self, grid, dw_pot):
@@ -299,7 +299,7 @@ class TestPreparedData:
         nu = 0.6
         rho = well_prepared_data(2.5, nu, dw_pot, grid, shift=0.1)
         assert moments(rho)[0] == pytest.approx(2.5, abs=1e-8)
-        gamma = solve_lambda(2.5, nu, dw_pot, grid).state.density
+        gamma = solve_lambda(2.5, nu, dw_pot, grid).state
         assert relative_entropy(rho, gamma) > 1e-6  # genuine perturbation
 
 
