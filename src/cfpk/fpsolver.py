@@ -163,7 +163,9 @@ def gap_rate(ell: float, nu: float, pot: Potential, grid: Grid, tau: float = 1.0
     phi(mu) = z^T z + mu z^T (P - mu)^{-1} z > 0.  mu_1 is bisected on the
     sign of phi down to adjacent floats, one tridiagonal solve per step, on
     P at unit rate: `_Stepper.rate` = nu^2/(tau dx^2) multiplies the result,
-    so it scales exactly as 1/tau.  Raises SolverError if P - mu is singular.
+    so it scales exactly as 1/tau.  Raises SolverError if P - mu is singular,
+    or if mu_1 <= 1000 eps max diag(P), where its roundoff scatter across
+    grids, about 6 eps max diag(P) / mu_1 relative, would pass 1%.
     """
     lam = solve_lambda(ell, nu, pot, grid).lam
     # A does not depend on the path's rate
@@ -187,7 +189,7 @@ def gap_rate(ell: float, nu: float, pot: Potential, grid: Grid, tau: float = 1.0
     while True:
         mu = 0.5 * (lo + hi)
         if not lo < mu < hi:
-            return 2.0 * hi * op.rate
+            break
         y, info = solve_banded(p_off.copy(), p_diag - mu, p_off.copy(), z.copy())
         if info != 0:
             raise SolverError(
@@ -198,6 +200,11 @@ def gap_rate(ell: float, nu: float, pot: Potential, grid: Grid, tau: float = 1.0
             hi = mu
         else:
             lo = mu
+    floor = 1000.0 * np.finfo(float).eps * float(p_diag.max())
+    if hi <= floor:
+        diagnostics = {"mu1": hi * op.rate, "floor": floor * op.rate, "nu": nu, "n": grid.n}
+        raise SolverError("gap_rate: mu_1 is below its precision floor", diagnostics=diagnostics)
+    return 2.0 * hi * op.rate
 
 
 def _limited(base: np.ndarray, flux: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -309,8 +316,9 @@ def _advance(
         flux *= BDF2_OLD
         rhs, _, negative_bdf2 = _limited(rho_gamma, flux, op.dx)
         negative += negative_bdf2
-    a_bdf2 = BDF2_DT * dt * op.rate
-    new = _implicit(rhs, _system(sigma_next, a_bdf2, op), sigma_next, "bdf2")
+    system = _system(sigma_next, BDF2_DT * dt * op.rate, op)
+    # dgtsv overwrites its arguments: the estimate's filter reuses the matrix
+    new = _implicit(rhs, [d.copy() for d in system] if estimate else system, sigma_next, "bdf2")
     mass = float(new.sum()) * op.dx
     if not (math.isfinite(mass) and mass > 0.0):
         raise StepError("step mass is not finite and positive", diagnostics={"mass": mass})
@@ -320,7 +328,7 @@ def _advance(
         est += EST_NEW * new
         err = float(np.abs(est).sum()) * op.dx / dt
         if err > filter_above:  # the matrix the BDF2 stage just solved
-            est, _ = solve_banded(*_system(sigma_next, a_bdf2, op), est)
+            est, _ = solve_banded(*system, est)
             err = float(np.abs(est).sum()) * op.dx / dt
     new /= mass
     return new, sigma, abs(mass - 1.0), negative, err

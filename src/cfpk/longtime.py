@@ -44,6 +44,9 @@ from .sampling import set_mean
 
 FIT_WINDOW = (1e-10, 1e-2)
 COMPARISON_TOL = 1e-8
+# a sweep member's horizon and record density in e-folds of gap_rate
+HORIZON_EFOLDS = 30.0
+RECORDS_PER_EFOLD = 16
 
 
 def verify_comparison(
@@ -416,28 +419,30 @@ def kramers_sweep(
     records by nu.  A member is one `fpsolver.run`, one `fit_decay_rate`
     (tail only, unless `well_prepared`) and one `classify_regime`.
 
-    The constraint freezes the mean, which removes the odd well-hopping mode,
-    the one mode with Kramers scaling.  So the regression slope measures the
-    constrained model, not Arrhenius law: on the double well at
+    The regressor assumes an Arrhenius prefactor nu^2, which the constrained
+    model lacks: on the double well at ell* = 0, `gap_rate` over nu in
+    [0.2, 0.5] follows log rate = 1.28 - 1.002/nu^2 - 2.22 log nu, the full
+    barrier with a prefactor near nu^-2.2.  So the slope is pre-asymptotic: at
     nu = 0.8, 0.6, 0.5 it is about 0.54, and `gap_rate`'s own rates give the
     same slope.  A slope away from 1 is not a fit defect.
 
-    Each member runs for 30 / gap_rate, with gap_rate = 2 mu_1 the exact decay
-    rate of H(rho|gamma) at gamma_{lambda(ell*)} on this grid (see
-    `fpsolver.gap_rate`), capped at 4200.  Every entry reports `gap_rate` and
-    `fit_over_gap`.  The fit follows the slowest mode that the constraint
-    changes, while mu_1 is the slowest mode overall.  On the double well at
-    nu >= 1 the two differ: mu_1 is an even mode of the unconstrained
-    generator, and the fit follows the constrained generator's second
-    eigenvalue, so fit_over_gap exceeds 1 (1.16 at nu = 1.2) and the horizon
-    from mu_1 is the conservative, longer one.  `predicted_scale` is the
-    Arrhenius guess nu^2 e^{-DeltaH*/nu^2} and `ratio` the fit over it.
+    Each member runs for HORIZON_EFOLDS / gap_rate, capped at 4200, with
+    gap_rate = 2 mu_1 the exact decay rate of H(rho|gamma) at
+    gamma_{lambda(ell*)} on this grid (see `fpsolver.gap_rate`).  Every entry
+    reports `gap_rate` and `fit_over_gap`.  The fit follows the slowest mode
+    that the constraint changes, while mu_1 is the slowest mode overall.  On
+    the double well at nu >= 1 the two differ: mu_1 is an even mode of the
+    unconstrained generator, and the fit follows the constrained generator's
+    second eigenvalue, so fit_over_gap exceeds 1 (1.16 at nu = 1.2) and the
+    horizon from mu_1 is the conservative, longer one.  `predicted_scale` is
+    the Arrhenius guess nu^2 e^{-DeltaH*/nu^2} and `ratio` the fit over it.
     `regression_slope` is NaN unless every fitted rate is finite and > 0.
 
     A member's `dt` is max(dt, min(0.012, horizon/3e5)), the smallest step of
-    its `fpsolver.run`: records fall every `rec_every` slots of dt (about
-    2500 per member) and the last one at the horizon, and between records
-    the steps grow up to the record spacing.  `steps` counts the steps taken.
+    its `fpsolver.run`.  Records fall every `rec_every` slots of dt, the
+    number nearest horizon / (RECORDS_PER_EFOLD HORIZON_EFOLDS), so 480 per
+    member, and at the horizon; between records the steps grow up to the
+    record spacing.  `steps` counts the steps taken.
     """
     if len(nu_list) < 3 and not well_prepared:
         raise ContractViolation("need at least 3 noise levels for the regression")
@@ -449,14 +454,15 @@ def kramers_sweep(
     _, delta_h_star = barrier_scan(pot, grid, (-2.0, 2.0))
     entries = []
     trajectories = {}
-    for nu in nu_list:
+    # a gap below gap_rate's precision floor stops the sweep before any step
+    gaps = [gap_rate(ell_star, nu, pot, grid, tau=tau) for nu in nu_list]
+    for nu, gap in zip(nu_list, gaps):
         rate_guess = nu * nu * math.exp(-delta_h_star / (nu * nu))
-        gap = gap_rate(ell_star, nu, pot, grid, tau=tau)
         # H starts near 1e-2 and settles on a floor near 1e-11: about 21
-        # e-folds at rate gap, so 30/gap reaches the floor with margin, and
+        # e-folds at rate gap, so 30 e-folds reach the floor with margin, and
         # fit_decay_rate sees the floor it excludes (its rule needs
         # h[-1] <= 30 h_min)
-        horizon = min(30.0 / gap, 4200.0)
+        horizon = min(HORIZON_EFOLDS / gap, 4200.0)
         member_dt = max(dt, min(0.012, horizon / 3e5))
         if well_prepared:
             rho0 = well_prepared_data(ell_star, nu, pot, grid)
@@ -464,7 +470,7 @@ def kramers_sweep(
             # small asymmetry: a large one tilts the running multiplier far
             # into the multimodal set, lowering the barrier mid-run
             rho0 = bimodal_side_data(ell_star, nu, pot, grid, population=0.52)
-        rec_every = max(1, int(round(horizon / member_dt / 2500)))
+        rec_every = max(1, round(horizon / member_dt / (RECORDS_PER_EFOLD * HORIZON_EFOLDS)))
         records = fv_run(
             rho0, constant_path(ell_star), member_dt, pot, ModelParams(tau=tau, nu=nu), horizon,
             record_every=rec_every,

@@ -326,6 +326,21 @@ class TestRunExperiment:
         else:
             assert len((out / "trajectory_jko.csv").read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("nu_list", ["0.17,0.5,0.8", "0.5,0.8,0.17"])
+    def test_unresolved_gap_exit_code(self, tmp_path, capsys, monkeypatch, nu_list):
+        # mu_1 at nu = 0.17 is below gap_rate's precision floor on the
+        # default grid (n = 1024): refused before any member takes a step
+        def no_step(*args):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(cfpk.fpsolver, "_advance", no_step)
+        text = f"[model]\npotential = doublewell\n\n[run]\nnu_list = {nu_list}\n"
+        out = tmp_path / "out"
+        assert main(["kramers-sweep", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "precision floor" in err and "Traceback" not in err
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize(
         "nu_list",
         ["0.8,0,0.5", "0.8,-0.6,0.5", "0.8,nan,0.5", "0.8,inf,0.5", "0.8,0.8000001,0.5"],

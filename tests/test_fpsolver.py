@@ -24,7 +24,7 @@ from cfpk.core import (
 )
 from cfpk import fpsolver
 from cfpk.equilibrium import TiltedFamily, gibbs, solve_lambda
-from cfpk.errors import ContractViolation, StepError
+from cfpk.errors import ContractViolation, SolverError, StepError
 from cfpk.fpsolver import (
     _advance,
     _Stepper,
@@ -582,6 +582,21 @@ class TestGapRate:
         assert gap_rate(0.0, 0.8, dw_pot, g, tau=2.0) == pytest.approx(
             0.5 * gap_rate(0.0, 0.8, dw_pot, g, tau=1.0), rel=1e-12
         )
+
+    def test_refuses_mu1_below_precision_floor(self, dw_pot):
+        # at nu = 0.17 mu_1 is within a factor of 1000 eps max diag(P) of zero:
+        # its value changes with the grid, and a horizon from it is noise
+        with pytest.raises(SolverError) as info:
+            gap_rate(0.0, 0.17, dw_pot, Grid(-12.0, 12.0, 1024))
+        diag = info.value.diagnostics
+        assert diag["mu1"] <= diag["floor"]
+        assert (diag["nu"], diag["n"]) == (0.17, 1024)
+
+    def test_accepts_nu_0_2_on_the_fitted_law(self, dw_pot):
+        # mu_1 is about 4400 eps max diag(P) here, and the rate follows
+        # log rate = 1.28 - 1.002/nu^2 - 2.22 log nu, fitted over [0.2, 0.5]
+        rate = gap_rate(0.0, 0.2, dw_pot, Grid(-12.0, 12.0, 1024))
+        assert math.log(rate) == pytest.approx(1.28 - 1.002 / 0.04 - 2.22 * math.log(0.2), abs=0.02)
 
     def test_tiny_tau_scales_exactly(self, dw_pot):
         # the rate nu^2/(tau dx^2) is factored out of the bisection: at

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,11 @@ from cfpk.errors import ContractViolation
 from cfpk.fpsolver import gap_rate
 from cfpk.fpsolver import run as fv_run
 from cfpk.functionals import free_energy, relative_entropy
+from cfpk import longtime
+from cfpk.cli import parse_config
 from cfpk.longtime import (
+    HORIZON_EFOLDS,
+    RECORDS_PER_EFOLD,
     bimodal_side_data,
     ckp_chain_audit,
     classify_regime,
@@ -312,11 +317,69 @@ class TestGapRateOracle:
         rho0 = bimodal_side_data(0.0, nu, dw_pot, grid, population=0.52)
         records = fv_run(
             rho0, constant_path(0.0), dt, dw_pot, ModelParams(nu=nu), horizon,
-            record_every=round(horizon / dt / 2500),
+            record_every=round(horizon / dt / (RECORDS_PER_EFOLD * HORIZON_EFOLDS)),
         )
         fitted_rate, short_window = fit_decay_rate(records, tail_only=True)
         assert not short_window
         assert fitted_rate == pytest.approx(gap, rel=0.01)
+
+
+class _MemberRun(Exception):
+    pass
+
+
+class TestKramersSweepRecords:
+    @staticmethod
+    def member(monkeypatch, dw_pot, gap):
+        # the horizon, step and record spacing a member with this gap_rate
+        # passes to fv_run, which is stopped before its first step
+        seen = {}
+
+        def stop(rho0, path, dt, pot, params, T, record_every=1):
+            seen.update(dt=dt, T=T, spacing=record_every * dt)
+            raise _MemberRun
+
+        monkeypatch.setattr(longtime, "gap_rate", lambda *args, **kwargs: gap)
+        monkeypatch.setattr(longtime, "fv_run", stop)
+        with pytest.raises(_MemberRun):
+            longtime.kramers_sweep(
+                dw_pot, 0.0, [0.8], 2e-3, Grid(-12.0, 12.0, 256), well_prepared=True
+            )
+        return seen
+
+    @pytest.mark.parametrize("gap", [2.0, 0.5, 0.02])
+    def test_sixteen_records_per_efold(self, monkeypatch, dw_pot, gap):
+        seen = self.member(monkeypatch, dw_pot, gap)
+        assert seen["T"] == 30.0 / gap
+        assert abs(seen["spacing"] - 1.0 / (16.0 * gap)) <= seen["dt"]
+
+    def test_capped_horizon_keeps_480_records(self, monkeypatch, dw_pot):
+        seen = self.member(monkeypatch, dw_pot, 1e-4)
+        assert seen["T"] == 4200.0
+        assert seen["T"] / seen["spacing"] >= 480
+
+    def test_benchmark_sweep_fit_windows(self, tmp_path, monkeypatch):
+        # the sweep of perfbench/configs/fv_kramers_sweep.cfg; the spy counts
+        # the points of each member's tail fit (the last polyfit is the
+        # regression over the members)
+        path = Path(__file__).parent.parent / "perfbench" / "configs" / "fv_kramers_sweep.cfg"
+        cfg = parse_config(str(path), out_dir=str(tmp_path / "out"))
+        fit_points = []
+        polyfit = np.polyfit
+
+        def spy(x, y, deg):
+            fit_points.append(len(x))
+            return polyfit(x, y, deg)
+
+        monkeypatch.setattr(np, "polyfit", spy)
+        out, trajectories = longtime.kramers_sweep(
+            cfg.pot, cfg.path.ell_star, cfg.nu_list, cfg.dt, cfg.grid, tau=cfg.params.tau
+        )
+        assert len(fit_points) == len(cfg.nu_list) + 1
+        for entry, points in zip(out["entries"], fit_points):
+            assert 470 <= len(trajectories[entry["nu"]]) <= 510
+            assert not entry["short_window"]
+            assert points >= 100
 
 
 class TestKramersSweepGuards:
