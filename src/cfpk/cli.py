@@ -21,7 +21,7 @@ from . import core
 from .core import Density, Grid, ModelParams
 from .equilibrium import landscape, solve_lambda
 from .errors import CfpkError, ConfigError
-from .fpsolver import run as fv_run
+from .fpsolver import record_count, run as fv_run
 from .functionals import ckp_l1_bound, weighted_ckp
 from .longtime import (
     ckp_chain_audit,
@@ -427,9 +427,11 @@ def _verify_battery(cfg: RunConfig) -> dict:
 
     # trajectory audits on the configured model
     rho0 = _initial_density(cfg)
+    # weighted_ckp reads the densities of about ten records, and only those are kept
+    stride = max(1, record_count(cfg.T, cfg.dt, cfg.record_every) // 10)
     records = fv_run(
         rho0, cfg.path, cfg.dt, pot, cfg.params, cfg.T,
-        record_every=cfg.record_every, keep_densities=True,
+        record_every=cfg.record_every, keep_densities=stride,
     )
     eb_max = float(np.nanmax([r.eb_residual for r in records[1:]]))
     contracts["energy_dissipation_audit"] = {
@@ -453,7 +455,6 @@ def _verify_battery(cfg: RunConfig) -> dict:
     cmin = min(pot.growth_constants)
     weight = lambda x: 0.5 * cmin * (1.0 + np.abs(x))  # noqa: E731
     gamma_star = solve_lambda(cfg.path.ell_star, nu, pot, grid).state
-    stride = max(1, len(records) // 10)
     for r in records[::stride]:
         wl1, _, wbound = weighted_ckp(r.density, gamma_star, weight)
         wckp_worst = max(wckp_worst, wl1 - wbound)

@@ -143,14 +143,18 @@ def moments(rho: Density) -> tuple[float, float, float]:
     return m1, m2, max(m2 - m1 * m1, 0.0)
 
 
-def _log_density(v: np.ndarray) -> np.ndarray:
-    """log(max(v, LOG_FLOOR)), the one log of a density's values."""
-    return np.log(np.maximum(v, LOG_FLOOR))
+def _log_density(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log(max(v, LOG_FLOOR)), the one log of a density's values (into `out`
+    if given, as for the integrands below)."""
+    out = np.maximum(v, LOG_FLOOR, out=out)
+    return np.log(out, out=out)
 
 
-def _entropy_integrand(v: np.ndarray, log_v: np.ndarray) -> np.ndarray:
+def _entropy_integrand(v: np.ndarray, log_v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """v log v, zero where v = 0."""
-    return np.where(v > 0.0, v * log_v, 0.0)
+    out = np.multiply(v, log_v, out=out)
+    out[~(v > 0.0)] = 0.0
+    return out
 
 
 def entropy(rho: Density) -> float:

@@ -31,10 +31,11 @@ class TiltedFamily:
     H(x), x, x^2 and H'(x) are sampled once into the rows of one read-only
     (4, n) array `basis` (views `h`, `x`, `x2`, `h1`); `basis @ rho` gives E,
     M1, M2 and int H' rho at once.  `exponent` is the one Gibbs exponent:
-    `evaluate` (for `gibbs`, `solve_lambda`, `variance_range` and log Z0)
-    exponentiates it, and `GibbsState.log_values` reads log gamma from it
-    for every relative entropy (the public one and the FV record's).  The
-    free energy, sigma, the dissipation and the FV stepper read `h` and `h1`.
+    `evaluate`, the one Gibbs kernel, exponentiates it over an array of
+    tilts (for `gibbs`, `solve_lambdas`, `variance_range` and log Z0), and
+    `GibbsState.log_values` and the FV record block read log gamma from it
+    for every relative entropy.  The free energy, sigma, the dissipation and
+    the FV stepper read `h` and `h1`.
     """
 
     def __init__(self, pot: Potential, grid: Grid):
@@ -44,37 +45,51 @@ class TiltedFamily:
         self.basis.setflags(write=False)
         self.h, self.x, self.x2, self.h1 = self.basis
 
-    def tilted(self, sigma: float) -> np.ndarray:
-        """H(x) - sigma x."""
-        return self.h - sigma * self.x
+    def tilted(self, sigma, out: np.ndarray | None = None) -> np.ndarray:
+        """H(x) - sigma x; for a 1-D array of K tilts, the (K, n) rows (into
+        `out` if given)."""
+        out = np.multiply.outer(sigma, self.x, out=out)
+        return np.subtract(self.h, out, out=out)
 
-    def exponent(self, sigma: float, nu: float) -> np.ndarray:
+    def exponent(self, sigma, nu: float, out: np.ndarray | None = None) -> np.ndarray:
         """-(H(x) - sigma x)/nu^2, so log gamma_{sigma,nu} = exponent - log Z."""
-        return -self.tilted(sigma) / (nu * nu)
+        arg = self.tilted(sigma, out)
+        return np.divide(arg, -(nu * nu), out=arg)
 
-    def evaluate(self, sigma: float, nu: float) -> tuple[float, float, float, np.ndarray]:
-        """(mean, variance, log Z, normalized values) of gamma_{sigma,nu}.
+    def evaluate(
+        self, sigma: np.ndarray, nu: float, strict: bool = True, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(mean, variance, log Z, values) of gamma_{sigma,nu} for each tilt of
+        the 1-D array `sigma`: three (K,) arrays and the (K, n) normalized values.
 
-        The partition sum is taken of the max-shifted exponential, and the
-        values are normalized a second time by their own midpoint sum, so a
-        state carries unit mass to roundoff.
+        The one Gibbs kernel.  Each partition sum is taken of the max-shifted
+        exponential, and the values are normalized a second time by their own
+        midpoint sum, so a state carries unit mass to roundoff; the moments
+        come from one product of the values with the rows x, x^2 of `basis`.
+        Every sum runs along a row, so a lane repeats the float operations of
+        a one-tilt batch and does not depend on the other lanes.  A lane whose
+        partition sum is not finite and positive, or whose state concentrates
+        in one cell, has a variance that is not > 0: GridTooSmallError, or
+        with `strict` False, returned as it is.  The values are written into
+        `out` if it is given.
         """
-        arg = self.exponent(sigma, nu)
-        shift = float(arg.max())
-        w = np.exp(arg - shift)
-        total = float(w.sum()) * self.dx
-        if not np.isfinite(total) or total <= 0.0:
-            raise GridTooSmallError(f"partition sum degenerate for sigma={sigma}, nu={nu}")
-        values = w / total
-        values /= float(values.sum() * self.dx)
-        m1 = float((self.x * values).sum() * self.dx)
-        m2 = float((self.x2 * values).sum() * self.dx)
-        var = max(m2 - m1 * m1, 0.0)
-        if var <= 0.0:
+        sigma = np.asarray(sigma, dtype=float)
+        w = self.exponent(sigma, nu, out)
+        shift = w.max(axis=1)
+        w -= shift[:, None]
+        np.exp(w, out=w)
+        total = w.sum(axis=1) * self.dx
+        w /= total[:, None]
+        w /= (w.sum(axis=1) * self.dx)[:, None]
+        m1, m2 = (w[:, None, :] * self.basis[1:3]).sum(axis=2).T * self.dx
+        var = np.maximum(m2 - m1 * m1, 0.0)
+        if strict and not (var > 0.0).all():
             raise GridTooSmallError(
-                f"Gibbs state at sigma={sigma}, nu={nu} concentrates in one cell; enlarge n"
+                f"Gibbs state at sigma={sigma[~(var > 0.0)][0]}, nu={nu} degenerates on this grid; enlarge n"
             )
-        return m1, var, shift + math.log(total), values
+        # math.log, not np.log: the vectorized log may differ in the last bit
+        log_z = shift + np.array([math.log(t) for t in total.tolist()])
+        return m1, var, log_z, w
 
 
 @lru_cache(maxsize=16)
@@ -112,16 +127,18 @@ class GibbsState:
         return log_g
 
 
-def _state(sigma: float, nu: float, grid: Grid, family: TiltedFamily, ev: tuple) -> GibbsState:
+def _state(sigma: float, nu: float, grid: Grid, family: TiltedFamily, ev: tuple, i: int) -> GibbsState:
+    """Lane i of an `evaluate` result as a GibbsState."""
     mean, var, log_z, values = ev
-    values.setflags(write=False)
-    return GibbsState(sigma, nu, log_z, grid, values, mean, var, family)
+    row = values[i]
+    row.setflags(write=False)
+    return GibbsState(sigma, nu, float(log_z[i]), grid, row, float(mean[i]), float(var[i]), family)
 
 
 def gibbs(sigma: float, nu: float, pot: Potential, grid: Grid) -> GibbsState:
     """Normalized gamma_{sigma,nu} with max-shifted partition sum."""
     family = tilted_family(pot, grid)
-    return _state(sigma, nu, grid, family, family.evaluate(sigma, nu))
+    return _state(sigma, nu, grid, family, family.evaluate([sigma], nu), 0)
 
 
 @dataclass(frozen=True)
@@ -132,14 +149,15 @@ class LambdaSolve:
     residual: float
 
 
-def solve_lambda(
-    ell: float, nu: float, pot: Potential, grid: Grid, start: float | None = None
-) -> LambdaSolve:
-    """Invert M1(gamma_{lambda,nu}) = ell by safeguarded Newton.
+def solve_lambdas(
+    ells: np.ndarray, nu: float, pot: Potential, grid: Grid, starts: np.ndarray | None = None
+) -> list[LambdaSolve]:
+    """Invert M1(gamma_{lambda,nu}) = ell by safeguarded Newton for each
+    target of `ells`, one lane each, all lanes in one loop.
 
     The map is strictly increasing with derivative Var/nu^2, so the sign of
-    M1 - ell at each evaluated tilt narrows a bracket [lo, hi] around the
-    root.  Newton runs from `start` (the previous solve along a moving path)
+    M1 - ell at each evaluated tilt narrows a lane's bracket [lo, hi] around
+    its root.  Newton runs from `starts` (predictions along a moving path)
     or from lambda_0 = ell * min(c_-, c_+); a start that is not finite, or
     whose state degenerates, is replaced by lambda_0.  While one end of the
     bracket is missing, a step goes at most `reach` = max(1, |lambda|)/2 from
@@ -148,67 +166,105 @@ def solve_lambda(
     degenerates.  With both ends known, a step that leaves the bracket, or
     follows a step that raised |M1 - ell|, bisects instead: on the S-shaped
     mean map of a double well Newton can otherwise cycle inside the bracket.
-    `iterations` counts every Gibbs evaluation.
+    A lane leaves the loop once |M1 - ell| < LAMBDA_TOL.  Each iteration
+    evaluates the lanes still in it with one `evaluate` call, and keeps each
+    lane's bracket in Python floats, so a lane takes the steps of its own
+    one-lane solve, bit for bit.  `iterations` counts a lane's evaluations.
     """
-    if not (grid.x_min < ell < grid.x_max):
-        raise RangeError(f"target mean {ell} lies outside the grid [{grid.x_min}, {grid.x_max}]")
+    ells = np.asarray(ells, dtype=float)
+    outside = ~((grid.x_min < ells) & (ells < grid.x_max))
+    if outside.any():
+        raise RangeError(
+            f"target mean {ells[outside][0]} lies outside the grid [{grid.x_min}, {grid.x_max}]"
+        )
     family = tilted_family(pot, grid)
     nu2 = nu * nu
-    iters = 0
+    k = len(ells)
+    ell = ells.tolist()
 
-    def g(lam: float) -> tuple[float, tuple]:
-        nonlocal iters
-        iters += 1
-        try:
-            ev = family.evaluate(lam, nu)
-        except GridTooSmallError as exc:
-            raise RangeError(
-                f"mean {ell} pushes the tilt to lambda={lam} where the state "
-                f"degenerates on this grid"
-            ) from exc
-        return ev[0] - ell, ev
+    def degenerate(i: int, lam: float) -> RangeError:
+        return RangeError(
+            f"mean {ell[i]} pushes the tilt to lambda={lam} where the state degenerates on this grid"
+        )
 
-    lam0 = ell * min(pot.growth_constants)
-    lam = start if start is not None and math.isfinite(start) else lam0
-    try:
-        val, ev = g(lam)
-    except RangeError:
-        if lam == lam0:
-            raise
-        lam = lam0
-        val, ev = g(lam)
+    c = min(pot.growth_constants)
+    lam0 = [e * c for e in ell]
+    lam = list(lam0)
+    if starts is not None:
+        lam = [s if math.isfinite(s) else s0 for s, s0 in zip(np.asarray(starts, dtype=float).tolist(), lam0)]
+    values = np.empty((k, grid.n))
+    mean, var, log_z = (a.tolist() for a in family.evaluate(lam, nu, strict=False, out=values)[:3])
+    iterations = [1] * k
 
-    lo, hi = -math.inf, math.inf
-    reach = 0.5 * max(1.0, abs(lam))
-    grew = False
+    def accept(lanes: list[int], ev: tuple) -> None:
+        for i, m_i, v_i, z_i in zip(lanes, *(a.tolist() for a in ev[:3])):
+            if not v_i > 0.0:
+                raise degenerate(i, lam[i])
+            mean[i], var[i], log_z[i] = m_i, v_i, z_i
+            iterations[i] += 1
+
+    fell = [i for i in range(k) if not var[i] > 0.0]
+    for i in fell:
+        if lam[i] == lam0[i]:
+            raise degenerate(i, lam[i])
+        lam[i] = lam0[i]
+    if fell:
+        ev = family.evaluate([lam0[i] for i in fell], nu, strict=False)
+        values[fell] = ev[3]
+        accept(fell, ev)
+
+    val = [m - e for m, e in zip(mean, ell)]
+    lo, hi = [-math.inf] * k, [math.inf] * k
+    reach = [0.5 * max(1.0, abs(x)) for x in lam]
+    grew = [False] * k
+    lanes = list(range(k))
+    work = np.empty_like(values)  # the values of the lanes still in the loop
     for _ in range(LAMBDA_MAX_ITER):
-        if abs(val) < LAMBDA_TOL:
-            return LambdaSolve(lam, _state(lam, nu, grid, family, ev), iters, abs(val))
-        if val > 0.0:
-            hi = lam
-        else:
-            lo = lam
-        step = -val / (ev[1] / nu2)
-        bracketed = lo > -math.inf and hi < math.inf
-        if not bracketed and abs(step) > reach:
-            step = math.copysign(reach, step)
-            reach *= 2.0
-        lam_new = lam + step
-        if bracketed and (grew or not lo < lam_new < hi):
-            lam_new = 0.5 * (lo + hi)
-        val_new, ev = g(lam_new)
-        grew = not abs(val_new) < abs(val)
-        lam, val = lam_new, val_new
+        lanes = [i for i in lanes if not abs(val[i]) < LAMBDA_TOL]
+        if not lanes:
+            ev = (mean, var, log_z, values)
+            return [
+                LambdaSolve(lam[i], _state(lam[i], nu, grid, family, ev, i), iterations[i], abs(val[i]))
+                for i in range(k)
+            ]
+        for i in lanes:
+            if val[i] > 0.0:
+                hi[i] = lam[i]
+            else:
+                lo[i] = lam[i]
+            step = -val[i] / (var[i] / nu2)
+            bracketed = lo[i] > -math.inf and hi[i] < math.inf
+            if not bracketed and abs(step) > reach[i]:
+                step = math.copysign(reach[i], step)
+                reach[i] *= 2.0
+            x = lam[i] + step
+            if bracketed and (grew[i] or not lo[i] < x < hi[i]):
+                x = 0.5 * (lo[i] + hi[i])
+            lam[i] = x
+        ev = family.evaluate([lam[i] for i in lanes], nu, strict=False, out=work[: len(lanes)])
+        values[lanes] = ev[3]
+        accept(lanes, ev)
+        for i in lanes:
+            val_new = mean[i] - ell[i]
+            grew[i] = not abs(val_new) < abs(val[i])
+            val[i] = val_new
+    i = lanes[0]
     raise SolverError(
         f"lambda(ell) did not converge in {LAMBDA_MAX_ITER} iterations",
-        diagnostics={"bracket": (lo, hi), "residual": val, "ell": ell},
+        diagnostics={"bracket": (lo[i], hi[i]), "residual": val[i], "ell": ell[i]},
     )
+
+
+def solve_lambda(
+    ell: float, nu: float, pot: Potential, grid: Grid, start: float | None = None
+) -> LambdaSolve:
+    """lambda(ell) from `start` or lambda_0: the one-lane `solve_lambdas`."""
+    return solve_lambdas([ell], nu, pot, grid, None if start is None else [start])[0]
 
 
 def variance_range(sigmas: np.ndarray, nu: float, pot: Potential, grid: Grid) -> tuple[float, float]:
     """(min, max) of Var(gamma_{sigma,nu}) over the tilts `sigmas`."""
-    family = tilted_family(pot, grid)
-    variances = np.array([family.evaluate(float(s), nu)[1] for s in sigmas])
+    variances = tilted_family(pot, grid).evaluate(sigmas, nu)[1]
     return float(np.min(variances)), float(np.max(variances))
 
 

@@ -44,7 +44,7 @@ from .core import (
     solve_banded,
     step_count,
 )
-from .equilibrium import solve_lambda, tilted_family
+from .equilibrium import solve_lambda, solve_lambdas, tilted_family
 from .errors import ContractViolation, SolverError, StepError
 from .functionals import _breakdown, _dissipation_integrand, _kl_integrand, log_partition
 from .records import TrajectoryRecord
@@ -83,6 +83,10 @@ ERR_TOL = 0.01
 SAFETY = 0.9
 FAC_MIN = 0.2
 FAC_MAX = 2.0
+# Rows of the record block: `run` computes record diagnostics this many
+# states at a time.  32 costs the same per record and keeps 0.4 MB more in
+# buffers; 128 costs more.
+RECORD_BLOCK = 16
 
 
 def sigma_of_state(
@@ -346,6 +350,92 @@ def _factor(ratio: float) -> float:
     return SAFETY / math.sqrt(ratio) if ratio > 0.0 else math.inf
 
 
+def _slots(T: float, dt: float) -> tuple[int, float, bool]:
+    """(number of whole dt slots, end time max(T, dt), whether the last slot
+    runs on to T because dt does not divide T)."""
+    n_steps = step_count(T, dt)
+    t_end = max(T, dt)
+    stretched = t_end / dt < n_steps - 1e-12
+    return n_steps - stretched, t_end, stretched
+
+
+def record_count(T: float, dt: float, record_every: int) -> int:
+    """The number of records `run` makes on [0, T]."""
+    return -(-_slots(T, dt)[0] // record_every) + 1
+
+
+class _RecordBlock:
+    """Record states, buffered and turned into TrajectoryRecords RECORD_BLOCK
+    at a time (see `run`)."""
+
+    def __init__(self, grid: Grid, pot: Potential, path: ConstraintPath, params: ModelParams, keep: int):
+        self.grid, self.pot, self.path, self.params, self.keep = grid, pot, path, params, keep
+        self.family = tilted_family(pot, grid)
+        self.logz0 = log_partition(pot, grid, params.nu)
+        self.star = solve_lambda(path.ell_star, params.nu, pot, grid)
+        # the last converged lambda(ell) solve, (lambda, ell, Var), on a moving path
+        if path.L0 != 0.0:
+            first = solve_lambda(path.ell(0.0), params.nu, pot, grid)
+            self.anchor = (first.lam, path.ell(0.0), first.state.variance)
+        # the block's states, log rho and one integrand at a time
+        self.rows, self.log_r, self.work = np.empty((3, RECORD_BLOCK, grid.n))
+        self.pending: list[tuple] = []
+        self.records: list[TrajectoryRecord] = []
+
+    def add(self, vals: np.ndarray, t: float, limited: float, steps: int) -> None:
+        index = len(self.records) + len(self.pending)
+        keep = self.keep and index % self.keep == 0
+        self.rows[len(self.pending)] = vals
+        self.pending.append((t, limited, steps, Density(self.grid, vals) if keep else None))
+        if len(self.pending) == len(self.rows):
+            self.flush()
+
+    def flush(self) -> None:
+        if not self.pending:
+            return
+        path, tau, nu = self.path, self.params.tau, self.params.nu
+        nu2, dx, family, star = nu * nu, self.grid.dx, self.family, self.star
+        k = len(self.pending)
+        block, log_r, work = self.rows[:k], self.log_r[:k], self.work[:k]
+        times = [p[0] for p in self.pending]
+        ells = np.array([path.ell(t) for t in times])
+        # one stacked product, basis @ rho for each row: a matrix-vector
+        # product per row, as one state's record takes it (a matrix-matrix
+        # product orders its sums by the block's shape)
+        e, m1, m2, h1_rho = (family.basis @ block[:, :, None])[:, :, 0].T * dx
+        sigma = h1_rho + tau * np.array([path.ell_dot(t) for t in times])
+        _log_density(block, out=log_r)
+        s = _entropy_integrand(block, log_r, out=work).sum(axis=1) * dx
+        f = _breakdown(s, e, self.logz0, nu).F
+        h_star = _kl_integrand(block, log_r, star.state.log_values, out=work).sum(axis=1) * dx
+        if path.L0 == 0.0:
+            # gamma_{lambda(ell(t))} is gamma_star
+            lam, h_quasistatic = np.full(k, star.lam), h_star
+        else:
+            lam_a, ell_a, var_a = self.anchor
+            sols = solve_lambdas(ells, nu, self.pot, self.grid, lam_a + (ells - ell_a) * nu2 / var_a)
+            self.anchor = (sols[-1].lam, ells[-1], sols[-1].state.variance)
+            lam = np.array([sol.lam for sol in sols])
+            log_g = family.exponent(lam, nu, out=work)
+            log_g -= np.array([sol.state.log_z for sol in sols])[:, None]
+            h_quasistatic = _kl_integrand(block, log_r, log_g, out=work).sum(axis=1) * dx
+        d = _dissipation_integrand(block, log_r, dx, family.h1, sigma[:, None], nu2, out=work)
+        d = d.sum(axis=1) * dx
+        np.subtract(block, star.state.values, out=work)
+        l1_star = np.abs(work, out=work).sum(axis=1) * dx
+        columns = {
+            "sigma": sigma, "ell": ells, "M1": m1, "M2": m2, "F": f, "S": s, "E": e, "D": d,
+            "Hrel_quasistatic": h_quasistatic, "Hrel_star": h_star, "lam_ell": lam, "l1_star": l1_star,
+        }
+        rows = zip(*(c.tolist() for c in columns.values()))
+        for (t, limited, steps, density), row in zip(self.pending, rows):
+            fields = dict(zip(columns, row))
+            self.records.append(
+                TrajectoryRecord(t=t, limited_mass=limited, steps=steps, density=density, **fields)
+            )
+        self.pending = []
+
+
 def run(
     rho0: Density,
     path: ConstraintPath,
@@ -354,7 +444,7 @@ def run(
     params: ModelParams,
     T: float,
     record_every: int = 1,
-    keep_densities: bool = False,
+    keep_densities: int = 0,
 ) -> list[TrajectoryRecord]:
     """Integrate on [0, T] with TR-BDF2 steps of at least dt, recording
     diagnostics at t = k dt for k = j * `record_every` and at exactly T.
@@ -382,63 +472,39 @@ def run(
     eb_residual = |dF/dt + D/tau - sigma l'| on record spacing (trapezoid in
     the rate terms, NaN on the first record).
 
-    `make_record` reads rho in one pass: E, M1, M2 and int H' rho come from
-    one product `basis @ rho`, and one log rho serves S, D and both relative
-    entropies, which read log gamma from the states' `log_values`, as
-    `relative_entropy` does.  Each lambda(ell(t)) starts from the last two
-    lambdas, extrapolated linearly in t.  A record's Density is built only for
-    `keep_densities`; otherwise rho0 was validated, `_implicit` rejects
-    negative or NaN values and `_advance` an inf.
+    Record states are buffered, and their diagnostics are computed
+    RECORD_BLOCK rows at a time, when the block is full and at the end of
+    the run.  E, M1, M2 and int H' rho of the block come from one stacked
+    product `basis @ rho` over its rows; one log rho serves S, D and both
+    relative entropies, each a row-wise sum, with log gamma the Gibbs
+    exponent minus log Z, as in `relative_entropy`.  So a record does not
+    depend on the block it falls in.  lambda(ell(t)) depends on the path
+    only, so a block's lambdas are one `solve_lambdas` batch.  Each lane
+    starts from the tangent predictor lambda_a + (ell - ell_a) nu^2 / Var_a,
+    since d lambda / d ell = nu^2 / Var, at the last converged lane (a cold
+    solve of lambda(ell(0)) before the first block).  A record gets its
+    Density only for a `keep_densities` stride > 0, on records 0, stride,
+    2 stride, ...; otherwise rho0 was validated, `_implicit` rejects negative
+    or NaN values and `_advance` an inf.  A StepError names the step it
+    failed in, counted over the run.
     """
     require_positive(T=T, dt=dt)
-    if record_every < 1:
-        raise ContractViolation(f"need record_every >= 1, got {record_every}")
+    if record_every < 1 or keep_densities < 0:
+        raise ContractViolation(
+            f"need record_every >= 1 and keep_densities >= 0, got {record_every}, {keep_densities}"
+        )
     grid = rho0.grid
     op = _Stepper(grid, pot, path, params)
-    n_steps = step_count(T, dt)
-    t_end = max(T, dt)
-    stretched = t_end / dt < n_steps - 1e-12  # dt does not divide T
-    if stretched:  # the last whole slot runs on to T
-        n_steps -= 1
+    n_steps, t_end, stretched = _slots(T, dt)
     tol = ERR_TOL * dt * dt
     m1_0, _, _ = moments(rho0)
     if abs(m1_0 - path.ell(0.0)) > 1e-8:
         rho0 = project_mean(rho0, path.ell(0.0))
-    nu, dx = params.nu, grid.dx
-    family = tilted_family(pot, grid)
-    logz0 = log_partition(pot, grid, nu)
-    star = solve_lambda(path.ell_star, nu, pot, grid)
-    g_star = star.state.values
-    warm = None  # (t, lambda, dlambda/dt) at the previous record of a moving path
-
-    def make_record(vals: np.ndarray, t: float, limited: float, steps: int) -> TrajectoryRecord:
-        nonlocal warm
-        ell_t = path.ell(t)
-        e, m1, m2, h1_rho = (family.basis @ vals * dx).tolist()
-        sigma = h1_rho + params.tau * path.ell_dot(t)
-        log_r = _log_density(vals)
-        fe = _breakdown(float(_entropy_integrand(vals, log_r).sum()) * dx, e, logz0, nu)
-        h_star = float(_kl_integrand(vals, log_r, star.state.log_values).sum()) * dx
-        if path.L0 == 0.0:
-            # gamma_{lambda(ell(t))} is gamma_star
-            lam_t, h_quasistatic = star.lam, h_star
-        else:
-            start = None if warm is None else warm[1] + warm[2] * (t - warm[0])
-            sol = solve_lambda(ell_t, nu, pot, grid, start=start)
-            lam_t, log_g = sol.lam, sol.state.log_values
-            warm = (t, lam_t, 0.0 if warm is None else (lam_t - warm[1]) / (t - warm[0]))
-            h_quasistatic = float(_kl_integrand(vals, log_r, log_g).sum()) * dx
-        d = _dissipation_integrand(vals, log_r, dx, family.h1, sigma, nu * nu)
-        return TrajectoryRecord(
-            t=t, sigma=sigma, ell=ell_t, M1=m1, M2=m2, F=fe.F, S=fe.S, E=e, D=float(d.sum()) * dx,
-            Hrel_quasistatic=h_quasistatic, Hrel_star=h_star, lam_ell=lam_t,
-            l1_star=float(np.abs(vals - g_star).sum()) * dx, limited_mass=limited, steps=steps,
-            density=Density(grid, vals) if keep_densities else None,
-        )
+    block = _RecordBlock(grid, pot, path, params, keep_densities)
 
     vals = rho0.values
-    records = [make_record(vals, 0.0, 0.0, 0)]
-    k, limited, taken = 0, 0.0, 0
+    block.add(vals, 0.0, 0.0, 0)
+    k, limited, taken, steps_done = 0, 0.0, 0, 0
     size, grow = 1.0, FAC_MAX  # the proposed step in slots and its largest growth factor
     while k < n_steps:
         k_rec = min(n_steps, (k // record_every + 1) * record_every)
@@ -452,7 +518,7 @@ def run(
             try:
                 new, _, _, c, err = _advance(vals, k * dt, span, op, level)
             except StepError as exc:
-                exc.diagnostics["step"] = sum(r.steps for r in records) + taken + 1
+                exc.diagnostics["step"] = steps_done + 1
                 raise
             ratio = err / tol
             if m == 1 or (c == 0.0 and ratio <= 1.0):
@@ -467,9 +533,12 @@ def run(
         vals, k = new, k + m
         limited += c
         taken += 1
+        steps_done += 1
         if k == k_rec:
-            records.append(make_record(vals, t_end if k == n_steps else k * dt, limited, taken))
+            block.add(vals, t_end if k == n_steps else k * dt, limited, taken)
             limited, taken = 0.0, 0
+    block.flush()
+    records = block.records
 
     # energy-balance audit on record spacing
     for i in range(1, len(records)):

@@ -40,7 +40,7 @@ class EnergyBreakdown:
 def log_partition(pot: Potential, grid: Grid, nu: float) -> float:
     """log Z0 = log int exp(-H/nu^2) dx: the untilted Gibbs state's log Z,
     computed once per (pot, grid, nu)."""
-    return tilted_family(pot, grid).evaluate(0.0, nu)[2]
+    return float(tilted_family(pot, grid).evaluate([0.0], nu)[2][0])
 
 
 def _breakdown(s: float, e: float, logz0: float, nu: float) -> EnergyBreakdown:
@@ -53,9 +53,14 @@ def free_energy(rho: Density, pot: Potential, params: ModelParams) -> EnergyBrea
     return _breakdown(entropy(rho), e, log_partition(pot, rho.grid, params.nu), params.nu)
 
 
-def _kl_integrand(r: np.ndarray, log_r: np.ndarray, log_g: np.ndarray) -> np.ndarray:
-    """r (log r - log g), zero where r = 0."""
-    return np.where(r > 0.0, r * (log_r - log_g), 0.0)
+def _kl_integrand(
+    r: np.ndarray, log_r: np.ndarray, log_g: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """r (log r - log g), zero where r = 0; `out` may be `log_g`."""
+    out = np.subtract(log_r, log_g, out=out)
+    out *= r
+    out[~(r > 0.0)] = 0.0
+    return out
 
 
 def relative_entropy(rho: Density, gamma: GibbsState) -> float:
@@ -69,18 +74,28 @@ def relative_entropy(rho: Density, gamma: GibbsState) -> float:
 
 
 def _dissipation_integrand(
-    r: np.ndarray, log_r: np.ndarray, dx: float, h1: np.ndarray, sigma: float, nu2: float
+    r: np.ndarray, log_r: np.ndarray, dx: float, h1: np.ndarray, sigma, nu2: float, out=None
 ) -> np.ndarray:
     """|nu^2 dlog(r)/dx + H' - sigma|^2 r (centered, one-sided at the ends), 0 in vacuum cells.
 
-    The derivative is `np.gradient(log_r, dx, edge_order=1)`, written out
-    with the same float operations, without its per-call overhead."""
-    grad = np.empty_like(log_r)
-    grad[1:-1] = (log_r[2:] - log_r[:-2]) / (2.0 * dx)
-    grad[0] = (log_r[1] - log_r[0]) / dx
-    grad[-1] = (log_r[-1] - log_r[-2]) / dx
-    velocity = nu2 * grad + h1 - sigma
-    return np.where(r > VACUUM, velocity**2 * r, 0.0)
+    The derivative is `np.gradient(log_r, dx, edge_order=1)` along the last
+    axis, written out with the same float operations, without its per-call
+    overhead.  `r` may be a (K, n) block with a (K, 1) column of sigmas, and
+    `out` a buffer other than `log_r`."""
+    grad = np.empty_like(log_r) if out is None else out
+    inner = grad[..., 1:-1]
+    np.subtract(log_r[..., 2:], log_r[..., :-2], out=inner)
+    inner /= 2.0 * dx
+    grad[..., 0] = (log_r[..., 1] - log_r[..., 0]) / dx
+    grad[..., -1] = (log_r[..., -1] - log_r[..., -2]) / dx
+    # the velocity nu^2 grad + H' - sigma, squared, times r
+    grad *= nu2
+    grad += h1
+    grad -= sigma
+    np.square(grad, out=grad)
+    grad *= r
+    grad[~(r > VACUUM)] = 0.0
+    return grad
 
 
 def dissipation(rho: Density, sigma: float, pot: Potential, params: ModelParams) -> float:

@@ -22,7 +22,9 @@ from cfpk.equilibrium import (
     local_minima,
     lsi_constant,
     multimodal_intervals,
+    LAMBDA_TOL,
     solve_lambda,
+    solve_lambdas,
     tilted_family,
     variance_range,
 )
@@ -178,9 +180,9 @@ class TestLambdaOfEll:
         calls = []
         evaluate = TiltedFamily.evaluate
 
-        def counted(family, sigma, nu):
-            calls.append(sigma)
-            return evaluate(family, sigma, nu)
+        def counted(family, sigma, nu, strict=True, out=None):
+            calls.extend(np.asarray(sigma).tolist())
+            return evaluate(family, sigma, nu, strict, out)
 
         monkeypatch.setattr(TiltedFamily, "evaluate", counted)
         sol = solve_lambda(0.4, 0.5, dw_pot, grid, start=start)
@@ -215,6 +217,45 @@ class TestLambdaOfEll:
         sol = solve_lambda(ell, nu, pot, grid, start=start)
         assert sol.lam == pytest.approx(oracle, rel=1e-8, abs=1e-8)
         assert sol.residual < 1e-10
+
+    def test_batch_lanes_repeat_their_one_lane_solves(self, grid, dw_pot):
+        # one batch mixing lanes that converge at their first evaluation,
+        # lanes one Newton step away, and, at nu = 0.3 near ell = 0, cold
+        # lanes whose Newton steps overshoot and bisect (8 evaluations for
+        # ell = 0.05, from 0.1 through -0.384): every lane ends where its own
+        # one-lane solve from the same start ends, bit for bit, with the same
+        # number of evaluations
+        nu = 0.3
+        exact = [solve_lambda(ell, nu, dw_pot, grid).lam for ell in (0.3, -0.4)]
+        ells = np.array([0.05, 0.3, -0.4, 0.31, 0.2, -0.002])
+        starts = np.array([math.nan, exact[0], exact[1], exact[0], math.nan, 0.5])
+        batch = solve_lambdas(ells, nu, dw_pot, grid, starts)
+        assert [sol.iterations for sol in batch[:3]] == [8, 1, 1]
+        for sol, ell, start in zip(batch, ells, starts):
+            one = solve_lambda(float(ell), nu, dw_pot, grid, start=float(start))
+            assert (sol.lam, sol.iterations, sol.residual) == (one.lam, one.iterations, one.residual)
+            assert sol.residual < LAMBDA_TOL
+            assert abs(sol.state.mean - ell) < LAMBDA_TOL
+            assert (sol.state.mean, sol.state.variance, sol.state.log_z) == (
+                one.state.mean, one.state.variance, one.state.log_z,
+            )
+            np.testing.assert_array_equal(sol.state.values, one.state.values)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        potential=hst.sampled_from(["quadratic", "doublewell", "polynomial"]),
+        nu=hst.floats(0.3, 1.5),
+        ells=hst.lists(hst.floats(-4.0, 4.0), min_size=1, max_size=8),
+        offsets=hst.lists(hst.floats(-2.0, 2.0), min_size=8, max_size=8),
+    )
+    def test_batch_agrees_with_one_lane_solves(self, grid, quad_pot, dw_pot, potential, nu, ells, offsets):
+        pot = {"quadratic": quad_pot, "doublewell": dw_pot, "polynomial": ASYMMETRIC}[potential]
+        starts = np.array(ells) + np.array(offsets[: len(ells)])
+        batch = solve_lambdas(np.array(ells), nu, pot, grid, starts)
+        for sol, ell, start in zip(batch, ells, starts):
+            one = solve_lambda(ell, nu, pot, grid, start=float(start))
+            assert (sol.lam, sol.iterations) == (one.lam, one.iterations)
+            assert sol.residual < LAMBDA_TOL
 
     def test_out_of_range(self, grid, quad_pot):
         with pytest.raises(RangeError):

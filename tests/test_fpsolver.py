@@ -30,6 +30,7 @@ from cfpk.fpsolver import (
     _Stepper,
     gap_rate,
     project_mean,
+    record_count,
     run,
     sigma_of_state,
 )
@@ -488,29 +489,105 @@ class TestRecordKernel:
                 oracle = gibbs_relative_entropy(r.density.values, x, h, lam, nu, grid.dx)
                 assert value == pytest.approx(oracle, rel=1e-13)
 
-    def test_extrapolated_warm_start(self, grid, dw_pot, monkeypatch):
-        # verify_forced's run for 300 steps with a record every step: each
-        # record solve starts from the last two records' lambdas, extrapolated
-        # in t, and takes about two Gibbs evaluations (three from the
-        # previous lambda alone)
+    def test_block_lambdas_start_from_tangent_predictor(self, grid, dw_pot, monkeypatch):
+        # verify_forced's run for 300 steps with a record every step: a
+        # block's lambdas are one batch, each lane starting from the tangent
+        # predictor of the last converged lane (lambda(ell(0)), solved cold,
+        # for the first block), and a record takes about two Gibbs
+        # evaluations, counted per lane, in about two batch evaluations per
+        # block.  The cold solves of lambda(ell*) and lambda(ell(0)) are in
+        # the count; the first is taken out, as with one solve per record.
         nu = 0.8
         path = exp_decay_path(0.3, 0.4, 1.0)
         rho0 = solve_lambda(path.ell(0.0), nu, dw_pot, grid).state.density
         star = solve_lambda(path.ell_star, nu, dw_pot, grid)
-        calls = []
+        lanes = []
         evaluate = TiltedFamily.evaluate
 
-        def counted(family, sigma, nu):
-            calls.append(sigma)
-            return evaluate(family, sigma, nu)
+        def counted(family, sigma, nu, strict=True, out=None):
+            lanes.append(len(sigma))
+            return evaluate(family, sigma, nu, strict, out)
 
         monkeypatch.setattr(TiltedFamily, "evaluate", counted)
         recs = run(rho0, path, 1e-3, dw_pot, ModelParams(nu=nu), 0.3)
         monkeypatch.undo()
         assert len(recs) == 301
-        assert (len(calls) - star.iterations) / len(recs) <= 2.1
+        assert (sum(lanes) - star.iterations) / len(recs) <= 2.1
+        blocks = math.ceil(len(recs) / fpsolver.RECORD_BLOCK)
+        assert sum(size > 1 for size in lanes) <= 3 * blocks
         for r in recs:
             assert r.lam_ell == pytest.approx(solve_lambda(r.ell, nu, dw_pot, grid).lam, abs=1e-9)
+
+    def test_records_do_not_depend_on_block_size(self, grid, dw_pot, monkeypatch):
+        # 101 records: three full blocks of 32 and a last one of 5, against a
+        # block of one.  Every sum runs along a row, so the diagnostics of
+        # rho agree to 1e-12 relative (bit for bit here).  lambda(ell(t))
+        # lanes start from other predictions and stop within LAMBDA_TOL, so
+        # lam_ell agrees to 1e-9 and Hrel_quasistatic, which starts at 0, to
+        # 1e-13 absolute.
+        nu = 0.8
+        path = exp_decay_path(0.3, 0.4, 1.0)
+        rho0 = solve_lambda(path.ell(0.0), nu, dw_pot, grid).state.density
+        runs = {}
+        for size in (1, 32):
+            monkeypatch.setattr(fpsolver, "RECORD_BLOCK", size)
+            runs[size] = run(rho0, path, 1e-3, dw_pot, ModelParams(nu=nu), 0.2, record_every=2)
+        assert len(runs[1]) == 101
+        tolerance = {"lam_ell": {"abs": 1e-9}, "Hrel_quasistatic": {"rel": 1e-12, "abs": 1e-13}}
+        for one, block in zip(runs[1], runs[32]):
+            for f in dataclasses.fields(one):
+                if f.name in ("density", "quantile", "W2sq_step", "kkt_residual"):
+                    continue
+                a, b = getattr(one, f.name), getattr(block, f.name)
+                if f.name == "eb_residual" and math.isnan(a):
+                    assert math.isnan(b)
+                    continue
+                assert b == pytest.approx(a, **tolerance.get(f.name, {"rel": 1e-12, "abs": 0.0})), f.name
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        slots=hst.integers(1, 60),
+        frac=hst.sampled_from([0.0, 0.3, 0.99]),
+        record_every=hst.integers(1, 9),
+        stride=hst.integers(1, 7),
+    )
+    def test_record_count_and_density_stride(self, quad_pot, slots, frac, record_every, stride):
+        # record_count predicts the records of a run (the CLI picks its
+        # density stride from it), and keep_densities = s keeps the
+        # densities of records 0, s, 2s, ...; the step is held, so this
+        # tests the record times only
+        g = Grid(-8.0, 8.0, 64)
+        dt = 0.01
+        T = (slots + frac) * dt
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fpsolver, "_advance", lambda vals, t, dt, op, level: (vals, 0.0, 0.0, 0.0, 0.0))
+            recs = run(gaussian_density(g, 0.0, 1.0), constant_path(0.0), dt, quad_pot, ModelParams(), T,
+                       record_every=record_every, keep_densities=stride)
+        assert len(recs) == record_count(T, dt, record_every)
+        assert [r.density is not None for r in recs] == [i % stride == 0 for i in range(len(recs))]
+
+    def test_negative_density_stride_is_refused(self, grid, quad_pot):
+        with pytest.raises(ContractViolation, match="keep_densities >= 0"):
+            run(gaussian_density(grid, 0.0, 1.0), constant_path(0.0), 1e-3, quad_pot, ModelParams(), 0.01,
+                keep_densities=-1)
+
+    def test_step_error_names_the_step_inside_a_block(self, grid, quad_pot, monkeypatch):
+        # records are buffered, so a step's number is a running count, not a
+        # sum over the records made so far: step 40 of a record_every = 1
+        # run fails with records 32 to 39 still in the block
+        advance = fpsolver._advance
+        calls = []
+
+        def fail_at_40(*args):
+            calls.append(None)
+            if len(calls) == 40:
+                raise StepError("injected step failure")
+            return advance(*args)
+
+        monkeypatch.setattr(fpsolver, "_advance", fail_at_40)
+        with pytest.raises(StepError, match="injected") as exc:
+            run(gaussian_density(grid, 0.0, 1.0), constant_path(0.0), 1e-3, quad_pot, ModelParams(), 0.1)
+        assert exc.value.diagnostics == {"step": 40}
 
 
 class TestAuditScalingAtTau:
