@@ -29,6 +29,6 @@ from .functionals import (
     relative_entropy,
     weighted_ckp,
 )
-from .transport import jko_run, to_quantile, w2
+from .transport import jko_run, to_quantile
 
 __version__ = "0.1.0"

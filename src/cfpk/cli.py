@@ -50,7 +50,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "seed": "0",
         "initial": "gibbs",
         "nu_list": "0.8,0.6,0.5",
-        "ell": "",
         "sigma_min": "-3.0",
         "sigma_max": "3.0",
         "record_every": "1",
@@ -76,7 +75,6 @@ class RunConfig:
     seed: int
     initial: str
     nu_list: list[float]
-    ell: float | None
     sigma_range: tuple[float, float]
     record_every: int
     verify_eb_tol: float
@@ -236,7 +234,6 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
         seed=value("run", "seed", _seed),
         initial=resolved["run"]["initial"],
         nu_list=value("run", "nu_list", _nu_list),
-        ell=value("run", "ell", lambda v: float(v) if v else None),
         sigma_range=(s_min, s_max),
         record_every=value("run", "record_every", int),
         verify_eb_tol=value("run", "verify_eb_tol", _tolerance),
@@ -356,7 +353,7 @@ def run_experiment(cfg: RunConfig) -> int:
             }
 
     elif cfg.kind == "equilibrium":
-        ell = cfg.ell if cfg.ell is not None else cfg.path.ell_star
+        ell = cfg.path.ell_star
         sol = solve_lambda(ell, cfg.params.nu, cfg.pot, cfg.grid)
         summary["equilibrium"] = {
             "ell": ell,
@@ -500,7 +497,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             sections["run"]["seed"] = str(args.seed)
         if args.ell is not None:
-            sections["run"]["ell"] = repr(args.ell)
             sections["path"]["kind"] = f"constant:{args.ell!r}"
         if args.nu is not None:
             sections["model"]["nu"] = repr(args.nu)

@@ -255,11 +255,9 @@ def solve_lambdas(
     )
 
 
-def solve_lambda(
-    ell: float, nu: float, pot: Potential, grid: Grid, start: float | None = None
-) -> LambdaSolve:
-    """lambda(ell) from `start` or lambda_0: the one-lane `solve_lambdas`."""
-    return solve_lambdas([ell], nu, pot, grid, None if start is None else [start])[0]
+def solve_lambda(ell: float, nu: float, pot: Potential, grid: Grid) -> LambdaSolve:
+    """lambda(ell) from lambda_0: the one-lane `solve_lambdas`."""
+    return solve_lambdas([ell], nu, pot, grid)[0]
 
 
 def variance_range(sigmas: np.ndarray, nu: float, pot: Potential, grid: Grid) -> tuple[float, float]:

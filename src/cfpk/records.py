@@ -41,7 +41,9 @@ class TrajectoryRecord:
     l1_star: float = float("nan")
     limited_mass: float = float("nan")  # FV: negative mass limited out since the last record
     steps: int = 0  # FV: steps taken since the last record
+    # FV: the state on the records a `keep_densities` stride selects
     density: Optional[Density] = field(default=None, repr=False, compare=False)
+    # JKO: the chain state; its grid density is quantile_to_density(quantile, grid)
     quantile: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 

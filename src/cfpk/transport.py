@@ -13,9 +13,6 @@ with the discrete Lagrange multiplier
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -90,13 +87,6 @@ def quantile_to_density(x_of_s: np.ndarray, grid: Grid) -> Density:
     if abs(alpha) * float(np.max(np.abs(x - m1))) < 0.9:
         cell_mass *= 1.0 + alpha * (x - m1)
     return density_from_values(grid, cell_mass / grid.dx)
-
-
-def w2(rho0: Density, rho1: Density, m: int = 1024) -> float:
-    """Wasserstein-2 distance via midpoint quantile sampling."""
-    x0 = to_quantile(rho0, m)
-    x1 = to_quantile(rho1, m)
-    return math.sqrt(float(np.mean((x0 - x1) ** 2)))
 
 
 def _entropy_weights(m: int) -> np.ndarray:
@@ -270,75 +260,11 @@ def jko_run(
                 E=fe.E,
                 W2sq_step=w2sq,
                 kkt_residual=res,
-                density=dens,
                 quantile=x_new,
             )
         )
         x = x_new
     return records
-
-
-@dataclass(frozen=True)
-class SigmaSeries:
-    """The discrete multiplier sigma^k of a JKO chain with step h.
-
-    sigma_h(t) holds the value of the multiplier active during its step, i.e.
-    sigma^k on [(k-1)h, kh); sigma_tilde is the linear interpolant through
-    (kh, sigma^k).
-    """
-
-    values: np.ndarray
-    h: float
-
-    def piecewise_constant(self, t: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.floor(np.asarray(t, dtype=float) / self.h).astype(int), 0, len(self.values) - 1)
-        return self.values[idx]
-
-    def sup_gap(self) -> float:
-        """sup_t |sigma_h(t) - sigma_tilde_h(t)| = max adjacent increment."""
-        if len(self.values) < 2:
-            return 0.0
-        return float(np.max(np.abs(np.diff(self.values))))
-
-
-def discrete_sigma_series(records: list[TrajectoryRecord]) -> SigmaSeries:
-    if not records:
-        raise ContractViolation("empty trajectory")
-    values = np.array([r.sigma for r in records])
-    h = records[0].t if len(records) == 1 else float(records[1].t - records[0].t)
-    return SigmaSeries(values=values, h=h)
-
-
-def weak_form_residual(
-    x_prev: np.ndarray,
-    x_next: np.ndarray,
-    sigma_k: float,
-    h: float,
-    zeta,
-    zeta_x,
-    zeta_xx,
-    pot: Potential,
-    params: ModelParams,
-    sup_zeta_xx: float | None = None,
-) -> tuple[float, float]:
-    """Residual of the time-discrete weak formulation against a test function,
-    and its theoretical bound sup|zeta''|/2 * tau * W2^2 / h.
-
-    Push-forward integrals are evaluated exactly in quantile coordinates.
-    The bound's sup defaults to the max over the current samples; pass the
-    global sup for a strict audit.
-    """
-    nu2 = params.nu * params.nu
-    time_term = params.tau * (float(np.mean(zeta(x_next))) - float(np.mean(zeta(x_prev)))) / h
-    flux_term = float(
-        np.mean((np.asarray(pot.h1(x_next)) - sigma_k) * zeta_x(x_next) - nu2 * zeta_xx(x_next))
-    )
-    residual = abs(time_term + flux_term)
-    w2sq = float(np.mean((x_next - x_prev) ** 2))
-    if sup_zeta_xx is None:
-        sup_zeta_xx = float(np.max(np.abs(zeta_xx(x_next))))
-    bound = 0.5 * sup_zeta_xx * params.tau * w2sq / h
-    return residual, bound
 
 
 def sum_w2sq(records: list[TrajectoryRecord]) -> float:

@@ -248,14 +248,42 @@ class TestRunExperiment:
         assert [e["dt"] for e in entries] == [1e-3] * 3
 
     def test_kramers_sweep_rate_below_zero(self, tmp_path):
-        # n = 8 fits a negative rate at nu = 1.2; the slope is "nan", not a traceback
+        # at n = 8 the nu = 1.2 trace rises: its rate and the slope are "nan", not a traceback
         text = (
             "[model]\npotential = doublewell\n\n[path]\nkind = constant:0.2\n\n[grid]\nn = 8\n\n"
             "[run]\ndt = 1e-2\nnu_list = 1.2,1.0,0.9\n"
         )
         out = tmp_path / "sweep8"
         assert main(["kramers-sweep", "--config", write(tmp_path, text), "--out", str(out)]) == 0
-        assert json.loads((out / "summary.json").read_text())["kramers_sweep"]["regression_slope"] == "nan"
+        block = json.loads((out / "summary.json").read_text())["kramers_sweep"]
+        assert block["regression_slope"] == "nan"
+        assert block["entries"][0]["fitted_rate"] == "nan"
+
+    def test_decay_rising_trace_has_no_rate(self, tmp_path):
+        # the shipped convex config starts at the Gibbs state, so H(rho|gamma)
+        # only rises from 0 on the constraint drift's noise (to about 3e-10):
+        # a trace that rises is not a decay rate
+        config = str(Path(__file__).parent.parent / "configs" / "convex.cfg")
+        out = tmp_path / "decay"
+        assert main(["decay", "--config", config, "--out", str(out)]) == 0
+        block = json.loads((out / "summary.json").read_text())["decay"]
+        assert block["fitted_rate"] == "nan" and block["short_window"] is True
+        assert max(s["Hrel_quasistatic"] for s in block["samples"]) < 1e-8
+
+    def test_one_ell_per_run(self, tmp_path, capsys):
+        # the equilibrium target is the path's ell*, so the tail check sees it;
+        # on the default double well a [run] ell = 11.5 key used to skip that
+        # check and report lambda = 20.4 at boundary density 1.38, exit code 0
+        run = "[run]\nkind = equilibrium\n"
+        for text, message in (
+            (run + "ell = 11.5\n", "unknown config keys: [run] ell"),
+            ("[path]\nkind = constant:11.5\n\n" + run, "boundary density"),
+        ):
+            cfgfile = write(tmp_path, text)
+            assert main(["equilibrium", "--config", cfgfile, "--out", str(tmp_path / "eq")]) == 2
+            assert message in capsys.readouterr().err
+        assert main(["equilibrium", "--ell", "11.5", "--out", str(tmp_path / "eq")]) == 2
+        assert "boundary density" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command,model,path,extra",

@@ -157,7 +157,7 @@ class TestLambdaOfEll:
         pot = quad_pot if potential == "quadratic" else dw_pot
         lam_prev = None
         for ell in ells:
-            warm = solve_lambda(ell, nu, pot, grid, start=lam_prev)
+            warm = solve_lambdas([ell], nu, pot, grid, [lam_prev])[0]
             cold = solve_lambda(ell, nu, pot, grid)
             assert warm.lam == pytest.approx(cold.lam, abs=1e-9)
             assert warm.residual < 1e-10
@@ -165,9 +165,9 @@ class TestLambdaOfEll:
 
     def test_warm_start_counts_its_evaluations(self, grid, dw_pot):
         cold = solve_lambda(0.4, 0.5, dw_pot, grid)
-        exact = solve_lambda(0.4, 0.5, dw_pot, grid, start=cold.lam)
+        exact = solve_lambdas([0.4], 0.5, dw_pot, grid, [cold.lam])[0]
         assert exact.iterations == 1 and exact.lam == cold.lam
-        near = solve_lambda(0.41, 0.5, dw_pot, grid, start=cold.lam)
+        near = solve_lambdas([0.41], 0.5, dw_pot, grid, [cold.lam])[0]
         assert 2 <= near.iterations < solve_lambda(0.41, 0.5, dw_pot, grid).iterations
 
     @pytest.mark.parametrize("start", [3.0, 10.0, 1e3, -1e6, math.inf, math.nan])
@@ -185,7 +185,7 @@ class TestLambdaOfEll:
             return evaluate(family, sigma, nu, strict, out)
 
         monkeypatch.setattr(TiltedFamily, "evaluate", counted)
-        sol = solve_lambda(0.4, 0.5, dw_pot, grid, start=start)
+        sol = solve_lambdas([0.4], 0.5, dw_pot, grid, [start])[0]
         assert sol.lam == pytest.approx(cold.lam, abs=1e-9)
         assert sol.iterations == len(calls)
         assert all(math.isfinite(s) for s in calls)
@@ -214,7 +214,7 @@ class TestLambdaOfEll:
             "inf": math.inf,
             "nan": math.nan,
         }[start_kind]
-        sol = solve_lambda(ell, nu, pot, grid, start=start)
+        sol = solve_lambdas([ell], nu, pot, grid, [start])[0]
         assert sol.lam == pytest.approx(oracle, rel=1e-8, abs=1e-8)
         assert sol.residual < 1e-10
 
@@ -232,7 +232,7 @@ class TestLambdaOfEll:
         batch = solve_lambdas(ells, nu, dw_pot, grid, starts)
         assert [sol.iterations for sol in batch[:3]] == [8, 1, 1]
         for sol, ell, start in zip(batch, ells, starts):
-            one = solve_lambda(float(ell), nu, dw_pot, grid, start=float(start))
+            one = solve_lambdas([float(ell)], nu, dw_pot, grid, [float(start)])[0]
             assert (sol.lam, sol.iterations, sol.residual) == (one.lam, one.iterations, one.residual)
             assert sol.residual < LAMBDA_TOL
             assert abs(sol.state.mean - ell) < LAMBDA_TOL
@@ -253,7 +253,7 @@ class TestLambdaOfEll:
         starts = np.array(ells) + np.array(offsets[: len(ells)])
         batch = solve_lambdas(np.array(ells), nu, pot, grid, starts)
         for sol, ell, start in zip(batch, ells, starts):
-            one = solve_lambda(ell, nu, pot, grid, start=float(start))
+            one = solve_lambdas([ell], nu, pot, grid, [float(start)])[0]
             assert (sol.lam, sol.iterations) == (one.lam, one.iterations)
             assert sol.residual < LAMBDA_TOL
 

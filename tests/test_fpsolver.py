@@ -38,9 +38,8 @@ from cfpk.functionals import dissipation, free_energy, log_partition, relative_e
 from cfpk.longtime import bimodal_side_data
 from cfpk.records import FPSOLVER_COLUMNS
 from cfpk.sampling import random_density, set_mean
-from cfpk.transport import w2
 
-from oracles import constrained_gap_dense, gibbs_relative_entropy
+from oracles import constrained_gap_dense, gibbs_relative_entropy, w2
 
 
 class TestSigmaOfState:
@@ -697,7 +696,7 @@ class TestProjectMean:
 class TestCrossValidation:
     def test_jko_and_fv_agree(self, dw_pot):
         # same data, constant ell: the two solvers converge to each other
-        from cfpk.transport import jko_run
+        from cfpk.transport import jko_run, quantile_to_density
 
         g = Grid(-12.0, 12.0, 1024)
         nu = 0.8
@@ -713,7 +712,8 @@ class TestCrossValidation:
             for r in jk:
                 k = round(r.t / 0.01)
                 if 0 <= k < len(fv) and fv[k].density is not None:
-                    worst = max(worst, w2(r.density, fv[k].density, 1024))
+                    jko_rho = quantile_to_density(r.quantile, g)
+                    worst = max(worst, w2(jko_rho, fv[k].density, 1024))
             gaps[h] = worst
         assert gaps[0.02] < gaps[0.04]
         assert gaps[0.02] < 0.05

@@ -32,13 +32,11 @@ from cfpk.longtime import (
     decay_bound_curve,
     verify_comparison,
     verify_free_energy_identity,
-    verify_quasistationary_derivative,
-    verify_sigma_convergence,
     well_prepared_data,
 )
 from cfpk.sampling import random_density
 
-from oracles import gaussian_kl
+from oracles import gaussian_kl, verify_quasistationary_derivative, verify_sigma_convergence
 
 
 class TestClassifyRegime:
@@ -264,9 +262,11 @@ class TestSigmaConvergence:
         assert rep["worst_sigma_slack"] <= 1e-8
 
     def test_sigma_gap_decays_at_half_rate(self, quad_pot):
-        # log-slope of |sigma - sigma*| at least fitted_rate/2 in the tail
-        # (kappa != 1 here: at kappa = 1, sigma = ell + ell_dot is identically
-        # sigma* for the quadratic potential)
+        # log-slope of |sigma - sigma*| at least half the certified rate k/tau
+        # in the tail (kappa != 1 here: at kappa = 1, sigma = ell + ell_dot is
+        # identically sigma* for the quadratic potential).  The start has the
+        # Gibbs shape, so H(rho|gamma) only rises on the constraint drift's
+        # noise (to about 4e-10) and has no fitted rate to compare with
         g = Grid(-11.2, 12.8, 1024)
         path = exp_decay_path(0.5, 0.3, 0.7)
         rho0 = gaussian_density(g, path.ell(0.0), 1.0)
@@ -276,7 +276,8 @@ class TestSigmaConvergence:
         gap = np.array([s["sigma_gap"] for s in rep["samples"]])
         mask = (gap > 1e-11) & (ts > 0.5) & (ts < 4.0)
         slope = -np.polyfit(ts[mask], np.log(gap[mask]), 1)[0]
-        assert slope >= rep["fitted_rate"] / 2.0 - 1e-6
+        assert math.isnan(rep["fitted_rate"])
+        assert slope >= rep["predicted_tau"] / 2.0 - 1e-6
 
 
 class TestCkpChain:
@@ -397,13 +398,13 @@ class TestKramersSweepGuards:
 
 class TestKramersSweepRegression:
     def test_rate_below_zero_gives_nan_slope(self, dw_pot):
-        # n = 8: every member fits a short window, and the nu = 1.2 rate is
-        # negative, so there is no log(rate) to regress
+        # n = 8: every member fits a short window, and the nu = 1.2 trace
+        # rises, so it has no rate and there is no log(rate) to regress
         from cfpk.longtime import kramers_sweep
 
         out, _ = kramers_sweep(dw_pot, 0.2, [1.2, 1.0, 0.9], 1e-2, Grid(-12.0, 12.0, 8))
         rates = [e["fitted_rate"] for e in out["entries"]]
-        assert min(rates) < 0.0 < max(rates)
+        assert math.isnan(rates[0]) and min(rates[1:]) > 0.0
         assert math.isnan(out["regression_slope"])
 
 
