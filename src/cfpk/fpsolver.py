@@ -382,11 +382,11 @@ class _RecordBlock:
         self.pending: list[tuple] = []
         self.records: list[TrajectoryRecord] = []
 
-    def add(self, vals: np.ndarray, t: float, limited: float, steps: int) -> None:
+    def add(self, vals: np.ndarray, t: float, limited: float, drift: float, steps: int) -> None:
         index = len(self.records) + len(self.pending)
         keep = self.keep and index % self.keep == 0
         self.rows[len(self.pending)] = vals
-        self.pending.append((t, limited, steps, Density(self.grid, vals) if keep else None))
+        self.pending.append((t, limited, drift, steps, Density(self.grid, vals) if keep else None))
         if len(self.pending) == len(self.rows):
             self.flush()
 
@@ -428,11 +428,11 @@ class _RecordBlock:
             "Hrel_quasistatic": h_quasistatic, "Hrel_star": h_star, "lam_ell": lam, "l1_star": l1_star,
         }
         rows = zip(*(c.tolist() for c in columns.values()))
-        for (t, limited, steps, density), row in zip(self.pending, rows):
+        for (t, limited, drift, steps, density), row in zip(self.pending, rows):
             fields = dict(zip(columns, row))
-            self.records.append(
-                TrajectoryRecord(t=t, limited_mass=limited, steps=steps, density=density, **fields)
-            )
+            self.records.append(TrajectoryRecord(
+                t=t, limited_mass=limited, mass_drift=drift, steps=steps, density=density, **fields
+            ))
         self.pending = []
 
 
@@ -457,18 +457,24 @@ def run(
     between two records it grows from dt up to the record spacing.  Where
     the next record is one slot away the step is that slot, with no
     estimate.  Otherwise the step forms its embedded error estimate (see
-    `_advance`), and standard control sets the next step from it.  A step of
-    m > 1 slots is retried with fewer slots when ||est||_1 / h exceeds
-    ERR_TOL dt^2 or when it would engage the positivity limiter; a one-slot
-    step is always accepted, as every step was at fixed dt.  So with
-    `record_every` = 1 every step is the dt step from k dt, bit for bit
-    (where dt divides T), and a run takes at most ceil(T/dt) steps.
+    `_advance`), and standard control sets the next step from it, to at
+    most FAC_MAX times the proposed step and at most `record_every` slots.
+    A step cut short to land on a record counts that cap from the proposal
+    it was cut from, not from its own slots, so once the estimate allows it
+    a relaxing run takes one step per record.  A step of m > 1 slots is
+    retried with fewer slots when ||est||_1 / h exceeds ERR_TOL dt^2 or when
+    it would engage the positivity limiter, and the step after a retry is
+    capped at the retried one; a one-slot step is always accepted, as every
+    step was at fixed dt.  So with `record_every` = 1 every step is the dt
+    step from k dt, bit for bit (where dt divides T), and a run takes at
+    most ceil(T/dt) steps.
 
     Per-record quantities: recomputed sigma, free energy split, dissipation,
     relative entropies against the quasistationary state gamma_{lambda(ell(t))}
     and the limit state gamma_{lambda(ell*)}, the negative mass the
-    positivity limiter kept out and the number of steps taken since the
-    previous record, and the energy-balance audit
+    positivity limiter kept out, the largest step mass drift |mass - 1|
+    before renormalization and the number of steps taken since the previous
+    record, and the energy-balance audit
     eb_residual = |dF/dt + D/tau - sigma l'| on record spacing (trapezoid in
     the rate terms, NaN on the first record).
 
@@ -503,20 +509,22 @@ def run(
     block = _RecordBlock(grid, pot, path, params, keep_densities)
 
     vals = rho0.values
-    block.add(vals, 0.0, 0.0, 0)
-    k, limited, taken, steps_done = 0, 0.0, 0, 0
+    block.add(vals, 0.0, 0.0, 0.0, 0)
+    k, limited, drift, taken, steps_done = 0, 0.0, 0.0, 0, 0
     size, grow = 1.0, FAC_MAX  # the proposed step in slots and its largest growth factor
     while k < n_steps:
         k_rec = min(n_steps, (k // record_every + 1) * record_every)
-        m = min(k_rec - k, max(1, int(size)))
+        # the next step grows from the proposal, not from a step the record cut short
+        base = max(1, int(size))
+        m = min(k_rec - k, base)
         while True:
             span = t_end - k * dt if stretched and k + m == n_steps else m * dt
             # the next step has at most `top` slots, so an err below `level`
             # sets it no matter how far below (see _advance)
-            top = min(record_every, m * grow)
+            top = min(record_every, base * grow)
             level = (SAFETY * m / top) ** 2 * tol if k_rec - k > 1 else None
             try:
-                new, _, _, c, err = _advance(vals, k * dt, span, op, level)
+                new, _, d, c, err = _advance(vals, k * dt, span, op, level)
             except StepError as exc:
                 exc.diagnostics["step"] = steps_done + 1
                 raise
@@ -525,18 +533,19 @@ def run(
                 break
             # retry with fewer slots, at least one
             size = m * (0.5 if c > 0.0 else max(FAC_MIN, _factor(ratio)))
-            m = max(1, min(m - 1, int(size)))
+            m = base = max(1, min(m - 1, int(size)))
             grow = 1.0
         if not math.isnan(ratio):
             size = min(top, m * max(FAC_MIN, _factor(ratio)))
             grow = FAC_MAX
         vals, k = new, k + m
         limited += c
+        drift = max(drift, d)
         taken += 1
         steps_done += 1
         if k == k_rec:
-            block.add(vals, t_end if k == n_steps else k * dt, limited, taken)
-            limited, taken = 0.0, 0
+            block.add(vals, t_end if k == n_steps else k * dt, limited, drift, taken)
+            limited, drift, taken = 0.0, 0.0, 0
     block.flush()
     records = block.records
 

@@ -356,7 +356,9 @@ def kramers_sweep(
     its `fpsolver.run`.  Records fall every `rec_every` slots of dt, the
     number nearest horizon / (RECORDS_PER_EFOLD HORIZON_EFOLDS), so 480 per
     member, and at the horizon; between records the steps grow up to the
-    record spacing.  `steps` counts the steps taken.
+    record spacing, and a step cut short by a record does not cap the next
+    one, so once the error estimate allows it a member takes one step per
+    record.  `steps` counts the steps taken.
     """
     if len(nu_list) < 3 and not well_prepared:
         raise ContractViolation("need at least 3 noise levels for the regression")

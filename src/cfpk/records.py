@@ -13,14 +13,16 @@ from .core import Density
 TRANSPORT_COLUMNS = ["t", "sigma", "ell", "M1", "M2", "F", "S", "E", "W2sq_step", "kkt_residual"]
 FPSOLVER_COLUMNS = [
     "t", "sigma", "ell", "M1", "M2", "F", "S", "E",
-    "D", "eb_residual", "Hrel_quasistatic", "Hrel_star",
+    "D", "eb_residual", "Hrel_quasistatic", "Hrel_star", "limited_mass", "mass_drift",
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class TrajectoryRecord:
     """One time-step of diagnostics; solver-specific fields stay NaN when
-    the producing solver does not define them."""
+    the producing solver does not define them.  Slotted: a run holds
+    thousands of records, and a slot costs 8 bytes where an instance dict
+    entry costs more."""
 
     t: float
     sigma: float
@@ -36,10 +38,11 @@ class TrajectoryRecord:
     eb_residual: float = float("nan")
     Hrel_quasistatic: float = float("nan")
     Hrel_star: float = float("nan")
+    limited_mass: float = float("nan")  # FV: negative mass limited out since the last record
+    mass_drift: float = float("nan")  # FV: largest step |mass - 1| since the last record
     # carried for in-process monitors, never serialized
     lam_ell: float = float("nan")
     l1_star: float = float("nan")
-    limited_mass: float = float("nan")  # FV: negative mass limited out since the last record
     steps: int = 0  # FV: steps taken since the last record
     # FV: the state on the records a `keep_densities` stride selects
     density: Optional[Density] = field(default=None, repr=False, compare=False)

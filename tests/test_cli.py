@@ -150,7 +150,10 @@ class TestRunExperiment:
         code = main(["simulate", "--config", cfgfile, "--out", out])
         assert code == 0
         fv = (tmp_path / "sim" / "trajectory_fv.csv").read_text().splitlines()
-        assert fv[0] == "t,sigma,ell,M1,M2,F,S,E,D,eb_residual,Hrel_quasistatic,Hrel_star"
+        header = "t,sigma,ell,M1,M2,F,S,E,D,eb_residual,Hrel_quasistatic,Hrel_star,limited_mass,mass_drift"
+        assert fv[0] == header
+        # the first record has taken no step, so no mass was limited or drifted
+        assert fv[1].split(",")[-2:] == ["0", "0"]
         jko = (tmp_path / "sim" / "trajectory_jko.csv").read_text().splitlines()
         assert jko[0] == "t,sigma,ell,M1,M2,F,S,E,W2sq_step,kkt_residual"
         assert os.path.exists(tmp_path / "sim" / "config_resolved.cfg")

@@ -380,6 +380,64 @@ class TestAdaptiveSteps:
         assert sum(r.limited_mass for r in recs) == 0.0
         assert sum(r.steps for r in recs) < 1000
 
+    @staticmethod
+    def relaxing_run(dw_pot, record_every):
+        """A Kramers-sweep member at nu = 1.2 on a coarse grid, to T = 6."""
+        g = Grid(-12.0, 12.0, 256)
+        rho0 = bimodal_side_data(0.0, 1.2, dw_pot, g, population=0.52)
+        return run(rho0, constant_path(0.0), 2e-3, dw_pot, ModelParams(nu=1.2), 6.0,
+                   record_every=record_every)
+
+    @pytest.mark.parametrize("record_every", [6, 12])
+    def test_relaxing_run_takes_one_step_per_record(self, dw_pot, record_every, monkeypatch):
+        # err/tol is far below 1 near equilibrium, so after t = 4 each record
+        # interval is one step.  A step the record cut short (4 of 12 slots
+        # after a step of 8) must not cap the next one, or each record takes
+        # two steps (8 + 4, 4 + 2).  No retry is taken.
+        log = self.logged(monkeypatch)
+        recs = self.relaxing_run(dw_pot, record_every)
+        assert all(r.steps == 1 for r in recs if r.t > 4.0)
+        assert len(log) == sum(r.steps for r in recs)
+        assert all(r.limited_mass == 0.0 for r in recs)
+
+    @pytest.mark.parametrize("record_every", [6, 12])
+    def test_filter_skip_is_exact(self, dw_pot, record_every, monkeypatch):
+        # an unfiltered err at most `level` already sets the next step to
+        # its cap, so filtering every estimate changes no step and no record
+        skipped = self.relaxing_run(dw_pot, record_every)
+        advance = fpsolver._advance
+
+        def always_filtered(values, t, dt, op, filter_above=None):
+            return advance(values, t, dt, op, None if filter_above is None else 0.0)
+
+        monkeypatch.setattr(fpsolver, "_advance", always_filtered)
+        filtered = self.relaxing_run(dw_pot, record_every)
+        names = [f.name for f in dataclasses.fields(filtered[0]) if f.name not in ("density", "quantile")]
+        rows = [[[getattr(r, c) for c in names] for r in recs] for recs in (skipped, filtered)]
+        np.testing.assert_array_equal(rows[0], rows[1])
+
+    def test_mass_drift_is_the_largest_step_drift(self, grid, dw_pot, monkeypatch):
+        # mass_drift is the largest |mass - 1| of the steps since the
+        # previous record, limited_mass their sum of limited negative mass
+        advance = fpsolver._advance
+        log = []
+
+        def wrapper(*args):
+            out = advance(*args)
+            log.append((args[1], *out[2:4]))
+            return out
+
+        monkeypatch.setattr(fpsolver, "_advance", wrapper)
+        rho0 = bimodal_side_data(0.0, 1.2, dw_pot, grid, population=0.52)
+        recs = run(rho0, constant_path(0.0), 2e-3, dw_pot, ModelParams(nu=1.2), 0.5, record_every=5)
+        assert recs[0].mass_drift == 0.0 and recs[0].limited_mass == 0.0
+        steps = iter(accepted_steps(log))
+        for r in recs[1:]:
+            taken = [next(steps) for _ in range(r.steps)]
+            assert r.mass_drift == max(d for _, d, _ in taken)
+            assert r.limited_mass == sum(c for _, _, c in taken)
+        assert max(r.mass_drift for r in recs) > 0.0
+
     def test_limited_steps_are_retried(self, grid, dw_pot, monkeypatch):
         # with the error test off, a one-cell spike on the stiff side of the
         # double well: the dt steps limit (and are taken, as at fixed dt), a
