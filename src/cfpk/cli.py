@@ -21,18 +21,9 @@ from . import core
 from .core import Density, Grid, ModelParams
 from .equilibrium import landscape, solve_lambda
 from .errors import CfpkError, ConfigError
-from .fpsolver import record_count, run as fv_run
-from .functionals import ckp_l1_bound, weighted_ckp
-from .longtime import (
-    ckp_chain_audit,
-    decay_bound_audit,
-    decay_experiment,
-    kramers_sweep,
-    verify_comparison,
-    verify_free_energy_identity,
-)
+from .fpsolver import run as fv_run
+from .longtime import decay_experiment, kramers_sweep, verify
 from .records import FPSOLVER_COLUMNS, TRANSPORT_COLUMNS, write_csv
-from .sampling import random_density
 from .transport import jko_run, sum_w2sq
 
 TAIL_LIMIT = 1e-14
@@ -212,8 +203,10 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
     if kind not in KINDS:
         raise ConfigError(f"unknown run kind '{kind}' (expected one of {KINDS})")
     solver = resolved["run"]["solver"]
-    if solver not in ("jko", "fv", "both"):
+    if solver not in ("jko", "fv"):
         raise ConfigError(f"unknown solver '{solver}'")
+    if solver == "jko" and kind in ("decay", "kramers_sweep", "verify"):
+        raise ConfigError(f"run kind '{kind}' runs the fv solver only, got solver = jko")
     pot.validate_on(grid)
     s_min, s_max = value("run", "sigma_min"), value("run", "sigma_max")
     if not -math.inf < s_min < s_max < math.inf:
@@ -323,39 +316,36 @@ def _summarize_run(records) -> dict:
 
 
 def run_experiment(cfg: RunConfig) -> int:
+    """Echo the config, run the experiment and write its summary.json; a
+    CfpkError raised by the run writes error.json instead, and propagates."""
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from None
     with open(os.path.join(cfg.out_dir, "config_resolved.cfg"), "w") as fh:
         fh.write(echo_config(cfg))
-    summary: dict = {"kind": cfg.kind, "tail_report": cfg.tail_report}
-    status = 0
+    try:
+        name, block = _experiment(cfg)
+    except CfpkError as exc:
+        error = {"error": type(exc).__name__, "message": str(exc), "diagnostics": exc.diagnostics}
+        _json_dump(error, os.path.join(cfg.out_dir, "error.json"))
+        raise
+    summary = {"kind": cfg.kind, "tail_report": cfg.tail_report, name: block}
+    _json_dump(summary, os.path.join(cfg.out_dir, "summary.json"))
+    failed = [c for c, entry in block.items() if not entry["pass"]] if cfg.kind == "verify" else []
+    if failed:
+        print(f"verification failed: {failed[0]}", file=sys.stderr)
+    return 1 if failed else 0
 
-    if cfg.kind == "simulate":
-        rho0 = _initial_density(cfg)
-        if cfg.solver in ("fv", "both"):
-            recs = fv_run(
-                rho0, cfg.path, cfg.dt, cfg.pot, cfg.params, cfg.T,
-                record_every=cfg.record_every,
-            )
-            write_csv(recs, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
-            summary["fv"] = _summarize_run(recs)
-        if cfg.solver in ("jko", "both"):
-            recs = jko_run(rho0, cfg.path, cfg.h, cfg.T, cfg.pot, cfg.params)
-            write_csv(recs, os.path.join(cfg.out_dir, "trajectory_jko.csv"), TRANSPORT_COLUMNS)
-            summary["jko"] = {
-                "final_sigma": recs[-1].sigma,
-                "final_F": recs[-1].F,
-                "sum_W2sq": sum_w2sq(recs),
-                "max_kkt_residual": float(np.max([r.kkt_residual for r in recs])),
-                "max_constraint_gap": float(np.max([abs(r.M1 - r.ell) for r in recs])),
-            }
 
-    elif cfg.kind == "equilibrium":
+def _experiment(cfg: RunConfig) -> tuple[str, dict]:
+    """One library call for cfg.kind; writes its CSVs and returns its
+    summary.json block with the block's key."""
+    if cfg.kind == "equilibrium":
         ell = cfg.path.ell_star
         sol = solve_lambda(ell, cfg.params.nu, cfg.pot, cfg.grid)
-        summary["equilibrium"] = {
+        print(f"lambda({ell:g}) = {sol.lam:.12g}")
+        return "equilibrium", {
             "ell": ell,
             "lambda": sol.lam,
             "iterations": sol.iterations,
@@ -363,123 +353,52 @@ def run_experiment(cfg: RunConfig) -> int:
             "variance": sol.state.variance,
             "log_Z": sol.state.log_z,
         }
-        print(f"lambda({ell:g}) = {sol.lam:.12g}")
-
-    elif cfg.kind == "landscape":
-        summary["landscape"] = landscape(cfg.params.nu, cfg.pot, cfg.grid, sigma_range=cfg.sigma_range)
-
-    elif cfg.kind == "decay":
-        rho0 = _initial_density(cfg)
-        summary["decay"], recs = decay_experiment(
+    if cfg.kind == "landscape":
+        return "landscape", landscape(cfg.params.nu, cfg.pot, cfg.grid, sigma_range=cfg.sigma_range)
+    if cfg.kind == "kramers_sweep":
+        block, trajectories = kramers_sweep(
+            cfg.pot, cfg.path.ell_star, cfg.nu_list, cfg.dt, cfg.grid, tau=cfg.params.tau
+        )
+        for nu_val, recs in trajectories.items():
+            write_csv(recs, os.path.join(cfg.out_dir, f"trajectory_nu{nu_val:g}.csv"), FPSOLVER_COLUMNS)
+        return "kramers_sweep", block
+    rho0 = _initial_density(cfg)
+    if cfg.kind == "verify":
+        block, _ = verify(
+            rho0, cfg.path, cfg.pot, cfg.params, cfg.dt, cfg.T, cfg.seed, cfg.verify_eb_tol,
+            record_every=cfg.record_every,
+        )
+        return "verify", block
+    if cfg.kind == "decay":
+        block, recs = decay_experiment(
             rho0, cfg.path, cfg.params.nu, cfg.pot, cfg.dt, cfg.T,
             tau=cfg.params.tau, record_every=cfg.record_every,
         )
         write_csv(recs, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
-
-    elif cfg.kind == "kramers_sweep":
-        summary["kramers_sweep"], trajectories = kramers_sweep(
-            cfg.pot, cfg.path.ell_star, cfg.nu_list, cfg.dt, cfg.grid, tau=cfg.params.tau
-        )
-        for nu_val, recs in trajectories.items():
-            write_csv(
-                recs, os.path.join(cfg.out_dir, f"trajectory_nu{nu_val:g}.csv"), FPSOLVER_COLUMNS
-            )
-
-    elif cfg.kind == "verify":
-        contracts = _verify_battery(cfg)
-        summary["verify"] = contracts
-        failed = [name for name, entry in contracts.items() if not entry["pass"]]
-        if failed:
-            status = 1
-            print(f"verification failed: {failed[0]}", file=sys.stderr)
-
-    _json_dump(summary, os.path.join(cfg.out_dir, "summary.json"))
-    return status
-
-
-def _verify_battery(cfg: RunConfig) -> dict:
-    """Named verification contracts; each entry reports the measured value and
-    a pass flag.  Exit status of `verify` is 0 iff all pass."""
-    rng = np.random.default_rng(cfg.seed)
-    nu = cfg.params.nu
-    grid, pot = cfg.grid, cfg.pot
-    contracts: dict[str, dict] = {}
-
-    # identity suite on random densities
-    worst_identity = 0.0
-    for _ in range(20):
-        rho = random_density(grid, rng)
-        eta = float(rng.uniform(-0.8, 0.8))
-        worst_identity = max(worst_identity, verify_free_energy_identity(rho, eta, nu, pot, grid))
-    contracts["free_energy_identity"] = {"max_residual": worst_identity, "pass": worst_identity <= 1e-8}
-
-    worst_slack = -math.inf
-    for _ in range(10):
-        ell = float(rng.uniform(-0.6, 0.6))
-        rho = random_density(grid, rng, mean=ell)
-        eta = float(rng.uniform(-0.8, 0.8))
-        rep = verify_comparison(rho, eta, ell, nu, pot, grid)
-        worst_slack = max(worst_slack, rep["slack"])
-    contracts["relative_entropy_sandwich"] = {"max_slack": worst_slack, "pass": worst_slack <= 1e-8}
-
-    # trajectory audits on the configured model
-    rho0 = _initial_density(cfg)
-    # weighted_ckp reads the densities of about ten records, and only those are kept
-    stride = max(1, record_count(cfg.T, cfg.dt, cfg.record_every) // 10)
-    records = fv_run(
-        rho0, cfg.path, cfg.dt, pot, cfg.params, cfg.T,
-        record_every=cfg.record_every, keep_densities=stride,
-    )
-    eb_max = float(np.nanmax([r.eb_residual for r in records[1:]]))
-    contracts["energy_dissipation_audit"] = {
-        "max_eb_residual": eb_max,
-        "tolerance": cfg.verify_eb_tol,
-        "limited_mass": float(sum(r.limited_mass for r in records)),
-        "pass": eb_max <= cfg.verify_eb_tol,
+        return "decay", block
+    if cfg.solver == "fv":
+        recs = fv_run(rho0, cfg.path, cfg.dt, cfg.pot, cfg.params, cfg.T, record_every=cfg.record_every)
+        write_csv(recs, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
+        return "fv", _summarize_run(recs)
+    recs = jko_run(rho0, cfg.path, cfg.h, cfg.T, cfg.pot, cfg.params)
+    write_csv(recs, os.path.join(cfg.out_dir, "trajectory_jko.csv"), TRANSPORT_COLUMNS)
+    return "jko", {
+        "final_sigma": recs[-1].sigma,
+        "final_F": recs[-1].F,
+        "sum_W2sq": sum_w2sq(recs),
+        "max_kkt_residual": float(np.max([r.kkt_residual for r in recs])),
+        "max_constraint_gap": float(np.max([abs(r.M1 - r.ell) for r in recs])),
     }
-
-    tau_pred, _, bound_violation = decay_bound_audit(records, cfg.params, pot, grid, cfg.path)
-    contracts["quantitative_decay_bound"] = {
-        "predicted_tau": tau_pred,
-        "max_violation": bound_violation,
-        "pass": bound_violation <= 1e-8 + 1e-3 * cfg.dt * max(1.0, records[0].Hrel_quasistatic),
-    }
-
-    ckp_worst = ckp_chain_audit(records)
-    contracts["ckp_chain"] = {"max_violation": ckp_worst, "pass": ckp_worst <= 1e-8}
-
-    wckp_worst = -math.inf
-    cmin = min(pot.growth_constants)
-    weight = lambda x: 0.5 * cmin * (1.0 + np.abs(x))  # noqa: E731
-    gamma_star = solve_lambda(cfg.path.ell_star, nu, pot, grid).state
-    for r in records[::stride]:
-        wl1, _, wbound = weighted_ckp(r.density, gamma_star, weight)
-        wckp_worst = max(wckp_worst, wl1 - wbound)
-    for _ in range(5):
-        rho = random_density(grid, rng)
-        wl1, _, wbound = weighted_ckp(rho, gamma_star, weight)
-        l1, cbound = ckp_l1_bound(rho, gamma_star)
-        wckp_worst = max(wckp_worst, wl1 - wbound, l1 - cbound)
-    contracts["weighted_ckp"] = {"max_violation": wckp_worst, "pass": wckp_worst <= 1e-8}
-
-    if cfg.path.L0 == 0.0:
-        f_vals = np.array([r.F for r in records])
-        rise = float(np.max(np.diff(f_vals)))
-        contracts["monotone_free_energy"] = {
-            "max_rise": rise,
-            "pass": rise <= 1e-10 + 10.0 * cfg.dt * cfg.dt,
-        }
-    return contracts
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="cfpk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "equilibrium", "landscape", "decay", "kramers-sweep", "verify"):
-        p = sub.add_parser(name)
+    for kind in KINDS:
+        p = sub.add_parser(kind.replace("_", "-"))
         p.add_argument("--config", default=None, help="config file (key = value sections)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--solver", choices=("jko", "fv", "both"), default=None)
+        p.add_argument("--solver", choices=("jko", "fv"), default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--ell", type=float, default=None)
         p.add_argument("--nu", type=float, default=None)
@@ -487,10 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.config is not None:
-            sections = _resolve(_read_sections(args.config))
-        else:
-            sections = _resolve({})
+        sections = _resolve({} if args.config is None else _read_sections(args.config))
         sections["run"]["kind"] = args.command.replace("-", "_")
         if args.solver:
             sections["run"]["solver"] = args.solver

@@ -2,7 +2,12 @@
 
 
 class CfpkError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; `diagnostics` holds what the
+    raiser measured (empty when it passes none)."""
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 class ContractViolation(CfpkError):
@@ -24,17 +29,9 @@ class RangeError(CfpkError):
 class SolverError(CfpkError):
     """An iterative solver failed to converge; carries diagnostics."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
 
 class StepError(CfpkError):
-    """A time step could not be completed."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """A time step could not be completed; carries diagnostics."""
 
 
 class WeightTooStrongError(CfpkError):

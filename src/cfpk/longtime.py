@@ -1,5 +1,6 @@
 """Long-time verification suite: comparison identities, the quantitative
-decay bound, decay-rate fitting, and the noise-regime study.
+decay bound, decay-rate fitting, the noise-regime study, and the `verify`
+contract battery.
 
 All inequalities are audited along finite-volume trajectories; LSI-based
 rates are guaranteed lower bounds on the measured relaxation, so the rate
@@ -35,14 +36,23 @@ from .equilibrium import (
     variance_range,
 )
 from .errors import ContractViolation
-from .fpsolver import gap_rate, project_mean
+from .fpsolver import gap_rate, project_mean, record_count
 from .fpsolver import run as fv_run
-from .functionals import free_energy, relative_entropy
+from .functionals import ckp_l1_bound, free_energy, relative_entropy, weighted_ckp
 from .records import TrajectoryRecord
-from .sampling import set_mean
+from .sampling import random_density, set_mean
 
 FIT_WINDOW = (1e-10, 1e-2)
 COMPARISON_TOL = 1e-8
+# `verify`'s bounds: an identity or CKP residual passes at CONTRACT_TOL; the
+# decay bound may be exceeded by CONTRACT_TOL + DECAY_BOUND_DT dt max(1, H0)
+# and F on a constant path may rise by F_RISE_TOL + F_RISE_DT2 dt^2
+CONTRACT_TOL = 1e-8
+DECAY_BOUND_DT = 1e-3
+F_RISE_TOL = 1e-10
+F_RISE_DT2 = 10.0
+# the weighted-CKP weight is WCKP_WEIGHT min(c-, c+) (1 + |x|)
+WCKP_WEIGHT = 0.5
 # a sweep member's horizon and record density in e-folds of gap_rate
 HORIZON_EFOLDS = 30.0
 RECORDS_PER_EFOLD = 16
@@ -421,3 +431,76 @@ def kramers_sweep(
         "partial": False,
     }
     return block, trajectories
+
+
+def verify(
+    rho0: Density, path: ConstraintPath, pot: Potential, params: ModelParams,
+    dt: float, T: float, seed: int, eb_tol: float, record_every: int = 1,
+) -> tuple[dict, list[TrajectoryRecord]]:
+    """The contracts of `cfpk verify`.  Returns the `verify` block of
+    summary.json, one entry per contract with its measured value and a pass
+    flag, and the records of the FV run from rho0.
+
+    The identities, the sandwich and the weighted CKP draw random densities
+    from one generator seeded with `seed`; the energy balance (against
+    `eb_tol`), the decay bound, both CKP bounds and, on a constant path
+    (L0 = 0), the monotone free energy are audited on the FV run."""
+    grid, nu = rho0.grid, params.nu
+    rng = np.random.default_rng(seed)
+    block: dict[str, dict] = {}
+
+    worst_identity = 0.0
+    for _ in range(20):
+        rho = random_density(grid, rng)
+        eta = float(rng.uniform(-0.8, 0.8))
+        worst_identity = max(worst_identity, verify_free_energy_identity(rho, eta, nu, pot, grid))
+    block["free_energy_identity"] = {"max_residual": worst_identity, "pass": worst_identity <= CONTRACT_TOL}
+
+    worst_slack = -math.inf
+    for _ in range(10):
+        ell = float(rng.uniform(-0.6, 0.6))
+        rho = random_density(grid, rng, mean=ell)
+        eta = float(rng.uniform(-0.8, 0.8))
+        worst_slack = max(worst_slack, verify_comparison(rho, eta, ell, nu, pot, grid)["slack"])
+    block["relative_entropy_sandwich"] = {"max_slack": worst_slack, "pass": worst_slack <= COMPARISON_TOL}
+
+    # weighted_ckp reads the densities of about ten records, and only those are kept
+    stride = max(1, record_count(T, dt, record_every) // 10)
+    records = fv_run(rho0, path, dt, pot, params, T, record_every=record_every, keep_densities=stride)
+    eb_max = float(np.nanmax([r.eb_residual for r in records[1:]]))
+    block["energy_dissipation_audit"] = {
+        "max_eb_residual": eb_max,
+        "tolerance": eb_tol,
+        "limited_mass": float(sum(r.limited_mass for r in records)),
+        "pass": eb_max <= eb_tol,
+    }
+
+    tau_pred, _, bound_violation = decay_bound_audit(records, params, pot, grid, path)
+    h0 = records[0].Hrel_quasistatic
+    block["quantitative_decay_bound"] = {
+        "predicted_tau": tau_pred,
+        "max_violation": bound_violation,
+        "pass": bound_violation <= CONTRACT_TOL + DECAY_BOUND_DT * dt * max(1.0, h0),
+    }
+
+    ckp_worst = ckp_chain_audit(records)
+    block["ckp_chain"] = {"max_violation": ckp_worst, "pass": ckp_worst <= CONTRACT_TOL}
+
+    wckp_worst = -math.inf
+    cmin = min(pot.growth_constants)
+    weight = lambda x: WCKP_WEIGHT * cmin * (1.0 + np.abs(x))  # noqa: E731
+    gamma_star = solve_lambda(path.ell_star, nu, pot, grid).state
+    for r in records[::stride]:
+        wl1, _, wbound = weighted_ckp(r.density, gamma_star, weight)
+        wckp_worst = max(wckp_worst, wl1 - wbound)
+    for _ in range(5):
+        rho = random_density(grid, rng)
+        wl1, _, wbound = weighted_ckp(rho, gamma_star, weight)
+        l1, cbound = ckp_l1_bound(rho, gamma_star)
+        wckp_worst = max(wckp_worst, wl1 - wbound, l1 - cbound)
+    block["weighted_ckp"] = {"max_violation": wckp_worst, "pass": wckp_worst <= CONTRACT_TOL}
+
+    if path.L0 == 0.0:
+        rise = float(np.max(np.diff(np.array([r.F for r in records]))))
+        block["monotone_free_energy"] = {"max_rise": rise, "pass": rise <= F_RISE_TOL + F_RISE_DT2 * dt * dt}
+    return block, records

@@ -8,6 +8,7 @@ import pytest
 
 import cfpk.cli
 import cfpk.fpsolver
+import cfpk.longtime
 from cfpk.cli import (
     _read_sections,
     _resolve,
@@ -17,7 +18,9 @@ from cfpk.cli import (
     parse_path,
     parse_potential,
 )
-from cfpk.errors import ConfigError
+from cfpk.core import Grid, ModelParams, exp_decay_path, quadratic_potential
+from cfpk.equilibrium import solve_lambda
+from cfpk.errors import ConfigError, StepError
 
 MINIMAL = """
 [model]
@@ -145,7 +148,7 @@ class TestRunExperiment:
         assert json.loads((out / "summary.json").read_text())["decay"]["predicted_tau"] == 0.0
 
     def test_simulate_writes_csv(self, tmp_path):
-        cfgfile = write(tmp_path, MINIMAL + "\n[run]\nkind = simulate\nT = 0.05\nsolver = both\nh = 0.01\n")
+        cfgfile = write(tmp_path, MINIMAL + "\n[run]\nkind = simulate\nT = 0.05\nsolver = fv\n")
         out = str(tmp_path / "sim")
         code = main(["simulate", "--config", cfgfile, "--out", out])
         assert code == 0
@@ -154,9 +157,41 @@ class TestRunExperiment:
         assert fv[0] == header
         # the first record has taken no step, so no mass was limited or drifted
         assert fv[1].split(",")[-2:] == ["0", "0"]
+        assert os.path.exists(tmp_path / "sim" / "config_resolved.cfg")
+
+    def test_simulate_jko_writes_csv(self, tmp_path):
+        cfgfile = write(tmp_path, MINIMAL + "\n[run]\nkind = simulate\nT = 0.05\nsolver = jko\nh = 0.01\n")
+        out = str(tmp_path / "sim")
+        code = main(["simulate", "--config", cfgfile, "--out", out])
+        assert code == 0
         jko = (tmp_path / "sim" / "trajectory_jko.csv").read_text().splitlines()
         assert jko[0] == "t,sigma,ell,M1,M2,F,S,E,W2sq_step,kkt_residual"
         assert os.path.exists(tmp_path / "sim" / "config_resolved.cfg")
+
+    @pytest.mark.parametrize("command", ["verify", "decay", "kramers-sweep"])
+    def test_fv_only_kind_refuses_jko(self, tmp_path, capsys, command):
+        # these kinds run the FV solver only; a jko request used to run FV and
+        # echo solver = jko with exit code 0
+        text = "[model]\npotential = doublewell\n\n[grid]\nn = 256\n\n[run]\nT = 0.01\n"
+        out = tmp_path / "out"
+        for argv, body in ((["--solver", "jko"], text), ([], text + "solver = jko\n")):
+            cfgfile = write(tmp_path, body)
+            assert main([command, "--config", cfgfile, "--out", str(out), *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "fv solver only" in err and "Traceback" not in err
+            assert not out.exists()
+
+    def test_verify_library_call(self, tmp_path):
+        # longtime.verify on the SMALL_VERIFY model, without the CLI: every
+        # contract passes, and its block is the CLI's after the JSON round trip
+        grid, pot, path = Grid(-11.2, 12.8, 512), quadratic_potential(1.0), exp_decay_path(0.5, 0.3, 1.0)
+        rho0 = solve_lambda(path.ell(0.0), 1.0, pot, grid).state.density
+        block, records = cfpk.longtime.verify(rho0, path, pot, ModelParams(tau=1.0, nu=1.0), 1e-3, 0.5, 0, 1e-3)
+        assert all(entry["pass"] for entry in block.values()), block
+        assert records[-1].t == 0.5
+        out = tmp_path / "v"
+        assert main(["verify", "--config", write(tmp_path, SMALL_VERIFY), "--out", str(out), "--seed", "0"]) == 0
+        assert json.loads(json.dumps(block)) == json.loads((out / "summary.json").read_text())["verify"]
 
     def test_verify_passes_and_is_deterministic(self, tmp_path):
         cfgfile = write(tmp_path, SMALL_VERIFY)
@@ -343,6 +378,7 @@ class TestRunExperiment:
             return wrapper
 
         monkeypatch.setattr(cfpk.cli, "fv_run", counted(cfpk.cli.fv_run))
+        monkeypatch.setattr(cfpk.longtime, "fv_run", counted(cfpk.longtime.fv_run))
         monkeypatch.setattr(cfpk.cli, "jko_run", counted(cfpk.cli.jko_run))
         text = f"[model]\npotential = quadratic:1\n\n[grid]\nn = 256\n\n[run]\nsolver = {solver}\nT = 1e-16\n"
         out = tmp_path / "out"
@@ -371,6 +407,36 @@ class TestRunExperiment:
         err = capsys.readouterr().err
         assert "error:" in err and "precision floor" in err and "Traceback" not in err
         assert not (out / "summary.json").exists()
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "SolverError" and "precision floor" in error["message"]
+        assert set(error["diagnostics"]) == {"mu1", "floor", "nu", "n"}
+        assert error["diagnostics"]["nu"] == 0.17 and error["diagnostics"]["n"] == 1024
+
+    def test_step_error_writes_diagnostics(self, tmp_path, capsys, monkeypatch):
+        # a StepError in the run exits 2 with the same stderr line and leaves
+        # its diagnostics, with the failed step's number, in error.json
+        advance = cfpk.fpsolver._advance
+        calls = []
+
+        def fail_at_3(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise StepError("injected step failure", diagnostics={"stage": "trapezoid"})
+            return advance(*args)
+
+        monkeypatch.setattr(cfpk.fpsolver, "_advance", fail_at_3)
+        text = MINIMAL + "\n[grid]\nn = 256\n\n[run]\nsolver = fv\nT = 0.01\n"
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: injected step failure\n"
+        error = json.loads((out / "error.json").read_text())
+        assert error == {
+            "error": "StepError",
+            "message": "injected step failure",
+            "diagnostics": {"stage": "trapezoid", "step": 3},
+        }
+        assert not (out / "summary.json").exists()
+        assert (out / "config_resolved.cfg").exists()
 
     @pytest.mark.parametrize(
         "nu_list",
@@ -413,6 +479,7 @@ class TestRunExperiment:
             ("run", "verify_eb_tol", "-1e-3", "fv"),
             ("run", "dt", "1e-300", "fv"),
             ("run", "h", "1e-300", "jko"),
+            ("run", "solver", "both", "fv"),
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, section, key, value, solver):
@@ -503,6 +570,10 @@ SUMMARY_BLOCKS = [
                   "predicted_scale", "ratio", "regime", "short_window", "steps"}}),
     ("equilibrium", "equilibrium", SMALL_MODEL.format(pot="quadratic:1", path="constant:0.7", n=256),
      {"ell", "iterations", "lambda", "log_Z", "residual", "variance"}, {}),
+    ("verify", "verify", SMALL_MODEL.format(pot="quadratic:1", path="constant:0.5", n=256)
+     + "[run]\nT = 0.05\n",
+     {"ckp_chain", "energy_dissipation_audit", "free_energy_identity", "monotone_free_energy",
+      "quantitative_decay_bound", "relative_entropy_sandwich", "weighted_ckp"}, {}),
 ]
 
 
