@@ -24,7 +24,7 @@ from .errors import CfpkError, ConfigError
 from .fpsolver import run as fv_run
 from .longtime import decay_experiment, kramers_sweep, verify
 from .records import FPSOLVER_COLUMNS, TRANSPORT_COLUMNS, write_csv
-from .transport import jko_run, sum_w2sq
+from .transport import jko_run
 
 TAIL_LIMIT = 1e-14
 
@@ -179,6 +179,19 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _initial(text: str) -> str:
+    """`gibbs`, or `gaussian:m,v` with finite m and finite v > 0."""
+    if text == "gibbs":
+        return text
+    name, _, args = text.partition(":")
+    if name != "gaussian":
+        raise ValueError("expected gibbs or gaussian:mean,var")
+    mean, var = _float_list(args)
+    if not (math.isfinite(mean) and math.isfinite(var) and var > 0.0):
+        raise ValueError("need a finite mean and a finite variance > 0")
+    return text
+
+
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -225,7 +238,7 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
         h=value("run", "h"),
         T=value("run", "T"),
         seed=value("run", "seed", _seed),
-        initial=resolved["run"]["initial"],
+        initial=value("run", "initial", _initial),
         nu_list=value("run", "nu_list", _nu_list),
         sigma_range=(s_min, s_max),
         record_every=value("run", "record_every", int),
@@ -287,31 +300,25 @@ def _json_dump(obj, path: str) -> None:
 
 
 def _initial_density(cfg: RunConfig) -> Density:
-    spec = cfg.initial
-    if spec == "gibbs":
+    """rho0 of the `[run] initial` spec that `_initial` checked."""
+    if cfg.initial == "gibbs":
         return solve_lambda(cfg.path.ell(0.0), cfg.params.nu, cfg.pot, cfg.grid).state.density
-    name, _, args = spec.partition(":")
-    if name == "gaussian":
-        try:
-            mean, var = _float_list(args)
-        except ValueError as exc:
-            raise ConfigError(f"[run] initial = {spec}: {exc}") from exc
-        return core.gaussian_density(cfg.grid, mean, var)
-    raise ConfigError(f"unknown initial condition '{spec}'")
+    mean, var = _float_list(cfg.initial.partition(":")[2])
+    return core.gaussian_density(cfg.grid, mean, var)
 
 
-def _summarize_run(records) -> dict:
-    eb = [r.eb_residual for r in records[1:]]
+def _summarize_run(traj: dict[str, np.ndarray]) -> dict:
     return {
-        "final_t": records[-1].t,
-        "final_sigma": records[-1].sigma,
-        "final_F": records[-1].F,
-        "final_Hrel_quasistatic": records[-1].Hrel_quasistatic,
-        "final_Hrel_star": records[-1].Hrel_star,
-        "max_eb_residual": float(np.nanmax(eb)),
-        "max_constraint_gap": float(np.max([abs(r.M1 - r.ell) for r in records])),
-        "steps": sum(r.steps for r in records),
-        "limited_mass": float(sum(r.limited_mass for r in records)),
+        "final_t": float(traj["t"][-1]),
+        "final_sigma": float(traj["sigma"][-1]),
+        "final_F": float(traj["F"][-1]),
+        "final_Hrel_quasistatic": float(traj["Hrel_quasistatic"][-1]),
+        "final_Hrel_star": float(traj["Hrel_star"][-1]),
+        "max_eb_residual": float(np.nanmax(traj["eb_residual"][1:])),
+        "max_constraint_gap": float(np.max(np.abs(traj["M1"] - traj["ell"]))),
+        "steps": int(traj["steps"].sum()),
+        # summed in record order: np.sum pairs terms, which moves the last bits
+        "limited_mass": float(sum(traj["limited_mass"].tolist())),
     }
 
 
@@ -359,8 +366,8 @@ def _experiment(cfg: RunConfig) -> tuple[str, dict]:
         block, trajectories = kramers_sweep(
             cfg.pot, cfg.path.ell_star, cfg.nu_list, cfg.dt, cfg.grid, tau=cfg.params.tau
         )
-        for nu_val, recs in trajectories.items():
-            write_csv(recs, os.path.join(cfg.out_dir, f"trajectory_nu{nu_val:g}.csv"), FPSOLVER_COLUMNS)
+        for nu_val, traj in trajectories.items():
+            write_csv(traj, os.path.join(cfg.out_dir, f"trajectory_nu{nu_val:g}.csv"), FPSOLVER_COLUMNS)
         return "kramers_sweep", block
     rho0 = _initial_density(cfg)
     if cfg.kind == "verify":
@@ -370,24 +377,24 @@ def _experiment(cfg: RunConfig) -> tuple[str, dict]:
         )
         return "verify", block
     if cfg.kind == "decay":
-        block, recs = decay_experiment(
+        block, traj = decay_experiment(
             rho0, cfg.path, cfg.params.nu, cfg.pot, cfg.dt, cfg.T,
             tau=cfg.params.tau, record_every=cfg.record_every,
         )
-        write_csv(recs, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
+        write_csv(traj, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
         return "decay", block
     if cfg.solver == "fv":
-        recs = fv_run(rho0, cfg.path, cfg.dt, cfg.pot, cfg.params, cfg.T, record_every=cfg.record_every)
-        write_csv(recs, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
-        return "fv", _summarize_run(recs)
-    recs = jko_run(rho0, cfg.path, cfg.h, cfg.T, cfg.pot, cfg.params)
-    write_csv(recs, os.path.join(cfg.out_dir, "trajectory_jko.csv"), TRANSPORT_COLUMNS)
+        traj = fv_run(rho0, cfg.path, cfg.dt, cfg.pot, cfg.params, cfg.T, record_every=cfg.record_every)
+        write_csv(traj, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
+        return "fv", _summarize_run(traj)
+    traj = jko_run(rho0, cfg.path, cfg.h, cfg.T, cfg.pot, cfg.params)
+    write_csv(traj, os.path.join(cfg.out_dir, "trajectory_jko.csv"), TRANSPORT_COLUMNS)
     return "jko", {
-        "final_sigma": recs[-1].sigma,
-        "final_F": recs[-1].F,
-        "sum_W2sq": sum_w2sq(recs),
-        "max_kkt_residual": float(np.max([r.kkt_residual for r in recs])),
-        "max_constraint_gap": float(np.max([abs(r.M1 - r.ell) for r in recs])),
+        "final_sigma": float(traj["sigma"][-1]),
+        "final_F": float(traj["F"][-1]),
+        "sum_W2sq": float(np.sum(traj["W2sq_step"])),
+        "max_kkt_residual": float(np.max(traj["kkt_residual"])),
+        "max_constraint_gap": float(np.max(np.abs(traj["M1"] - traj["ell"]))),
     }
 
 

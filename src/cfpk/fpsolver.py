@@ -47,7 +47,7 @@ from .core import (
 from .equilibrium import solve_lambda, solve_lambdas, tilted_family
 from .errors import ContractViolation, SolverError, StepError
 from .functionals import _breakdown, _dissipation_integrand, _kl_integrand, log_partition
-from .records import TrajectoryRecord
+from .records import FPSOLVER_COLUMNS
 from .transport import quantile_to_density, to_quantile
 
 # TR-BDF2: trapezoid stage to t + GAMMA*dt, then
@@ -365,10 +365,12 @@ def record_count(T: float, dt: float, record_every: int) -> int:
 
 
 class _RecordBlock:
-    """Record states, buffered and turned into TrajectoryRecords RECORD_BLOCK
-    at a time (see `run`)."""
+    """The trajectory's columns, preallocated for `count` records, filled
+    RECORD_BLOCK records at a time from buffered states (see `run`)."""
 
-    def __init__(self, grid: Grid, pot: Potential, path: ConstraintPath, params: ModelParams, keep: int):
+    def __init__(
+        self, grid: Grid, pot: Potential, path: ConstraintPath, params: ModelParams, count: int, keep: int
+    ):
         self.grid, self.pot, self.path, self.params, self.keep = grid, pot, path, params, keep
         self.family = tilted_family(pot, grid)
         self.logz0 = log_partition(pot, grid, params.nu)
@@ -379,61 +381,64 @@ class _RecordBlock:
             self.anchor = (first.lam, path.ell(0.0), first.state.variance)
         # the block's states, log rho and one integrand at a time
         self.rows, self.log_r, self.work = np.empty((3, RECORD_BLOCK, grid.n))
-        self.pending: list[tuple] = []
-        self.records: list[TrajectoryRecord] = []
+        self.columns = {name: np.full(count, np.nan) for name in FPSOLVER_COLUMNS + ["lam_ell", "l1_star"]}
+        self.columns["steps"] = np.zeros(count, dtype=int)
+        self.columns["density"] = np.empty((-(-count // keep) if keep else 0, grid.n))
+        self.done = 0  # records whose diagnostics are computed
+        self.pending = 0  # buffered records after those
 
     def add(self, vals: np.ndarray, t: float, limited: float, drift: float, steps: int) -> None:
-        index = len(self.records) + len(self.pending)
-        keep = self.keep and index % self.keep == 0
-        self.rows[len(self.pending)] = vals
-        self.pending.append((t, limited, drift, steps, Density(self.grid, vals) if keep else None))
-        if len(self.pending) == len(self.rows):
+        cols, i = self.columns, self.done + self.pending
+        cols["t"][i], cols["limited_mass"][i], cols["mass_drift"][i], cols["steps"][i] = t, limited, drift, steps
+        if self.keep and i % self.keep == 0:
+            cols["density"][i // self.keep] = vals
+        self.rows[self.pending] = vals
+        self.pending += 1
+        if self.pending == len(self.rows):
             self.flush()
 
     def flush(self) -> None:
-        if not self.pending:
+        k = self.pending
+        if not k:
             return
         path, tau, nu = self.path, self.params.tau, self.params.nu
         nu2, dx, family, star = nu * nu, self.grid.dx, self.family, self.star
-        k = len(self.pending)
+        cols = {name: col[self.done : self.done + k] for name, col in self.columns.items() if name != "density"}
         block, log_r, work = self.rows[:k], self.log_r[:k], self.work[:k]
-        times = [p[0] for p in self.pending]
-        ells = np.array([path.ell(t) for t in times])
+        times = cols["t"].tolist()
+        ells = cols["ell"]
+        ells[:] = [path.ell(t) for t in times]
         # one stacked product, basis @ rho for each row: a matrix-vector
         # product per row, as one state's record takes it (a matrix-matrix
         # product orders its sums by the block's shape)
         e, m1, m2, h1_rho = (family.basis @ block[:, :, None])[:, :, 0].T * dx
-        sigma = h1_rho + tau * np.array([path.ell_dot(t) for t in times])
+        cols["E"][:], cols["M1"][:], cols["M2"][:] = e, m1, m2
+        sigma = cols["sigma"]
+        sigma[:] = h1_rho + tau * np.array([path.ell_dot(t) for t in times])
         _log_density(block, out=log_r)
-        s = _entropy_integrand(block, log_r, out=work).sum(axis=1) * dx
-        f = _breakdown(s, e, self.logz0, nu).F
+        s = cols["S"]
+        s[:] = _entropy_integrand(block, log_r, out=work).sum(axis=1) * dx
+        cols["F"][:] = _breakdown(s, e, self.logz0, nu).F
         h_star = _kl_integrand(block, log_r, star.state.log_values, out=work).sum(axis=1) * dx
+        cols["Hrel_star"][:] = h_star
         if path.L0 == 0.0:
             # gamma_{lambda(ell(t))} is gamma_star
-            lam, h_quasistatic = np.full(k, star.lam), h_star
+            cols["lam_ell"][:], cols["Hrel_quasistatic"][:] = star.lam, h_star
         else:
             lam_a, ell_a, var_a = self.anchor
             sols = solve_lambdas(ells, nu, self.pot, self.grid, lam_a + (ells - ell_a) * nu2 / var_a)
             self.anchor = (sols[-1].lam, ells[-1], sols[-1].state.variance)
-            lam = np.array([sol.lam for sol in sols])
+            lam = cols["lam_ell"]
+            lam[:] = [sol.lam for sol in sols]
             log_g = family.exponent(lam, nu, out=work)
             log_g -= np.array([sol.state.log_z for sol in sols])[:, None]
-            h_quasistatic = _kl_integrand(block, log_r, log_g, out=work).sum(axis=1) * dx
+            cols["Hrel_quasistatic"][:] = _kl_integrand(block, log_r, log_g, out=work).sum(axis=1) * dx
         d = _dissipation_integrand(block, log_r, dx, family.h1, sigma[:, None], nu2, out=work)
-        d = d.sum(axis=1) * dx
+        cols["D"][:] = d.sum(axis=1) * dx
         np.subtract(block, star.state.values, out=work)
-        l1_star = np.abs(work, out=work).sum(axis=1) * dx
-        columns = {
-            "sigma": sigma, "ell": ells, "M1": m1, "M2": m2, "F": f, "S": s, "E": e, "D": d,
-            "Hrel_quasistatic": h_quasistatic, "Hrel_star": h_star, "lam_ell": lam, "l1_star": l1_star,
-        }
-        rows = zip(*(c.tolist() for c in columns.values()))
-        for (t, limited, drift, steps, density), row in zip(self.pending, rows):
-            fields = dict(zip(columns, row))
-            self.records.append(TrajectoryRecord(
-                t=t, limited_mass=limited, mass_drift=drift, steps=steps, density=density, **fields
-            ))
-        self.pending = []
+        cols["l1_star"][:] = np.abs(work, out=work).sum(axis=1) * dx
+        self.done += k
+        self.pending = 0
 
 
 def run(
@@ -445,7 +450,7 @@ def run(
     T: float,
     record_every: int = 1,
     keep_densities: int = 0,
-) -> list[TrajectoryRecord]:
+) -> dict[str, np.ndarray]:
     """Integrate on [0, T] with TR-BDF2 steps of at least dt, recording
     diagnostics at t = k dt for k = j * `record_every` and at exactly T.
 
@@ -469,14 +474,17 @@ def run(
     step from k dt, bit for bit (where dt divides T), and a run takes at
     most ceil(T/dt) steps.
 
-    Per-record quantities: recomputed sigma, free energy split, dissipation,
-    relative entropies against the quasistationary state gamma_{lambda(ell(t))}
-    and the limit state gamma_{lambda(ell*)}, the negative mass the
-    positivity limiter kept out, the largest step mass drift |mass - 1|
-    before renormalization and the number of steps taken since the previous
-    record, and the energy-balance audit
+    Returns the trajectory as a dict of columns, one entry per record,
+    allocated for `record_count(T, dt, record_every)` records: those of
+    FPSOLVER_COLUMNS, and `lam_ell`, `l1_star` (||rho - gamma_star||_1) and
+    `steps`.  Per-record quantities: recomputed sigma, free energy split,
+    dissipation, relative entropies against the quasistationary state
+    gamma_{lambda(ell(t))} and the limit state gamma_{lambda(ell*)}, the
+    negative mass the positivity limiter kept out, the largest step mass
+    drift |mass - 1| before renormalization and the number of steps taken
+    since the previous record, and the energy-balance audit
     eb_residual = |dF/dt + D/tau - sigma l'| on record spacing (trapezoid in
-    the rate terms, NaN on the first record).
+    the rate terms, NaN on the first record), one l'(t) per record.
 
     Record states are buffered, and their diagnostics are computed
     RECORD_BLOCK rows at a time, when the block is full and at the end of
@@ -488,11 +496,11 @@ def run(
     only, so a block's lambdas are one `solve_lambdas` batch.  Each lane
     starts from the tangent predictor lambda_a + (ell - ell_a) nu^2 / Var_a,
     since d lambda / d ell = nu^2 / Var, at the last converged lane (a cold
-    solve of lambda(ell(0)) before the first block).  A record gets its
-    Density only for a `keep_densities` stride > 0, on records 0, stride,
-    2 stride, ...; otherwise rho0 was validated, `_implicit` rejects negative
-    or NaN values and `_advance` an inf.  A StepError names the step it
-    failed in, counted over the run.
+    solve of lambda(ell(0)) before the first block).  The `density` column
+    holds the states of records 0, stride, 2 stride, ... for a
+    `keep_densities` stride > 0, one row each, and no rows otherwise; rho0
+    was validated, `_implicit` rejects negative or NaN values and `_advance`
+    an inf.  A StepError names the step it failed in, counted over the run.
     """
     require_positive(T=T, dt=dt)
     if record_every < 1 or keep_densities < 0:
@@ -506,7 +514,7 @@ def run(
     m1_0, _, _ = moments(rho0)
     if abs(m1_0 - path.ell(0.0)) > 1e-8:
         rho0 = project_mean(rho0, path.ell(0.0))
-    block = _RecordBlock(grid, pot, path, params, keep_densities)
+    block = _RecordBlock(grid, pot, path, params, record_count(T, dt, record_every), keep_densities)
 
     vals = rho0.values
     block.add(vals, 0.0, 0.0, 0.0, 0)
@@ -547,14 +555,11 @@ def run(
             block.add(vals, t_end if k == n_steps else k * dt, limited, drift, taken)
             limited, drift, taken = 0.0, 0.0, 0
     block.flush()
-    records = block.records
+    cols = block.columns
 
     # energy-balance audit on record spacing
-    for i in range(1, len(records)):
-        r0, r1 = records[i - 1], records[i]
-        dt_rec = r1.t - r0.t
-        rate = (r1.F - r0.F) / dt_rec
-        d_mid = 0.5 * (r1.D + r0.D)
-        pump = 0.5 * (r1.sigma * path.ell_dot(r1.t) + r0.sigma * path.ell_dot(r0.t))
-        r1.eb_residual = abs(rate + d_mid / params.tau - pump)
-    return records
+    t, f, d = cols["t"], cols["F"], cols["D"]
+    pump = cols["sigma"] * np.array([path.ell_dot(t_i) for t_i in t.tolist()])
+    rate = np.diff(f) / np.diff(t)
+    cols["eb_residual"][1:] = np.abs(rate + 0.5 * (d[1:] + d[:-1]) / params.tau - 0.5 * (pump[1:] + pump[:-1]))
+    return cols

@@ -39,7 +39,6 @@ from .errors import ContractViolation
 from .fpsolver import gap_rate, project_mean, record_count
 from .fpsolver import run as fv_run
 from .functionals import ckp_l1_bound, free_energy, relative_entropy, weighted_ckp
-from .records import TrajectoryRecord
 from .sampling import random_density, set_mean
 
 FIT_WINDOW = (1e-10, 1e-2)
@@ -107,16 +106,16 @@ def verify_free_energy_identity(
 
 
 def decay_bound_curve(
-    records: list[TrajectoryRecord], tau_rate: float, c_ell_sigma: float, path: ConstraintPath
+    traj: dict[str, np.ndarray], tau_rate: float, c_ell_sigma: float, path: ConstraintPath
 ) -> np.ndarray:
     """Right-hand side of the quantitative decay bound:
     e^{-tau t} H(0) + C int_0^t e^{-tau(t-s)} |l'(s)| ds, on record times."""
-    t = np.array([r.t for r in records])
-    h0 = records[0].Hrel_quasistatic
-    bound = np.empty(len(records))
+    t = traj["t"]
+    h0 = traj["Hrel_quasistatic"][0]
+    bound = np.empty(len(t))
     bound[0] = h0
     integral = 0.0
-    for i in range(1, len(records)):
+    for i in range(1, len(t)):
         dt = t[i] - t[i - 1]
         decay = math.exp(-tau_rate * dt)
         seg = 0.5 * dt * (abs(path.ell_dot(t[i - 1])) * decay + abs(path.ell_dot(t[i])))
@@ -126,7 +125,7 @@ def decay_bound_curve(
 
 
 def decay_bound_audit(
-    records: list[TrajectoryRecord],
+    traj: dict[str, np.ndarray],
     params: ModelParams,
     pot: Potential,
     grid: Grid,
@@ -134,17 +133,13 @@ def decay_bound_audit(
 ) -> tuple[float, float, float]:
     """The quantitative decay bound on a trajectory: (predicted rate,
     C = max|lambda(ell)| + max|sigma|, max over records of H - bound)."""
-    predicted = predicted_relaxation_time(records, params, pot, grid)
-    lam_max = float(np.max(np.abs([r.lam_ell for r in records])))
-    c_ell_sigma = lam_max + float(np.max(np.abs([r.sigma for r in records])))
-    bound = decay_bound_curve(records, predicted, c_ell_sigma, path)
-    h = np.array([r.Hrel_quasistatic for r in records])
-    return predicted, c_ell_sigma, float(np.max(h - bound))
+    predicted = predicted_relaxation_time(traj, params, pot, grid)
+    c_ell_sigma = float(np.max(np.abs(traj["lam_ell"]))) + float(np.max(np.abs(traj["sigma"])))
+    bound = decay_bound_curve(traj, predicted, c_ell_sigma, path)
+    return predicted, c_ell_sigma, float(np.max(traj["Hrel_quasistatic"] - bound))
 
 
-def fit_decay_rate(
-    records: list[TrajectoryRecord], tail_only: bool = False
-) -> tuple[float, bool]:
+def fit_decay_rate(traj: dict[str, np.ndarray], tail_only: bool = False) -> tuple[float, bool]:
     """Least-squares slope of log Hrel_quasistatic inside the fit window.
 
     The window additionally excludes any noise floor the trace settles onto
@@ -156,8 +151,7 @@ def fit_decay_rate(
     Returns (rate, short_window_flag); a trace whose fitted log-slope is not
     negative does not decay, and gives (nan, True).
     """
-    t = np.array([r.t for r in records])
-    h = np.array([r.Hrel_quasistatic for r in records])
+    t, h = traj["t"], traj["Hrel_quasistatic"]
     lo, hi = FIT_WINDOW
     h_pos = h[h > 0]
     h_min = float(np.min(h_pos)) if h_pos.size else lo
@@ -183,26 +177,26 @@ def fit_decay_rate(
 
 
 def predicted_relaxation_time(
-    records: list[TrajectoryRecord], params: ModelParams, pot: Potential, grid: Grid
+    traj: dict[str, np.ndarray], params: ModelParams, pot: Potential, grid: Grid
 ) -> float:
     """1 / (tau C_LSI), k / tau for a k-convex H, with the LSI constant
     maximized over tilts up to the observed multiplier norm: the generator's
     rates scale as 1/tau."""
     if pot.convexity_lower_bound is not None and pot.convexity_lower_bound > 0.0:
         return pot.convexity_lower_bound / params.tau
-    sig_max = float(np.max(np.abs([r.sigma for r in records])))
+    sig_max = float(np.max(np.abs(traj["sigma"])))
     sigmas = np.linspace(-sig_max, sig_max, 17) if sig_max > 0 else [0.0]
     c = max(lsi_constant(float(s), params.nu, pot, grid)[0] for s in sigmas)
     return 1.0 / (params.tau * c)
 
 
-def classify_regime(records: list[TrajectoryRecord], pot: Potential, grid: Grid) -> str:
+def classify_regime(traj: dict[str, np.ndarray], pot: Potential, grid: Grid) -> str:
     """The run's regime: "convex" for a uniformly convex H, else "kramers"
     when some record's multiplier lies in a closed interval of the
     multimodal tilt set, else "unimodal"."""
     if pot.convexity_lower_bound is not None and pot.convexity_lower_bound > 0.0:
         return "convex"
-    sig = np.array([r.sigma for r in records])
+    sig = traj["sigma"]
     inside = any(np.any((sig >= lo) & (sig <= hi)) for lo, hi in multimodal_intervals(pot, grid))
     return "kramers" if inside else "unimodal"
 
@@ -216,48 +210,42 @@ def decay_experiment(
     T: float,
     tau: float = 1.0,
     record_every: int = 1,
-) -> tuple[dict, list[TrajectoryRecord]]:
+) -> tuple[dict, dict[str, np.ndarray]]:
     """Run the direct solver and audit the quantitative decay bound; the
     path's declared envelope is checked at the record times.  Returns the
-    `decay` block of `cfpk decay`'s summary.json and the records."""
+    `decay` block of `cfpk decay`'s summary.json and the run's columns."""
     declared = path.kappa is not None and path.L0 is not None
     if not (declared or path.L0 == 0.0):
         raise ContractViolation("path must declare kappa/L0 or be constant")
     params = ModelParams(tau=tau, nu=nu)
-    records = fv_run(rho0, path, dt, pot, params, T, record_every=record_every)
-    path.check_decay(np.array([r.t for r in records]))
+    traj = fv_run(rho0, path, dt, pot, params, T, record_every=record_every)
+    path.check_decay(traj["t"])
     grid = rho0.grid
-    predicted, c_ell_sigma, violation = decay_bound_audit(records, params, pot, grid, path)
-    rate, short = fit_decay_rate(records)
+    predicted, c_ell_sigma, violation = decay_bound_audit(traj, params, pot, grid, path)
+    rate, short = fit_decay_rate(traj)
     sigma_star = solve_lambda(path.ell_star, nu, pot, grid).lam
-    stride = max(1, len(records) // 400)
+    stride = max(1, len(traj["t"]) // 400)
+    samples = zip(*(traj[c][::stride].tolist() for c in ("t", "Hrel_quasistatic", "Hrel_star", "sigma")))
     block = {
         "fitted_rate": rate,
         "predicted_tau": predicted,
         "C_ell_sigma": c_ell_sigma,
-        "regime": classify_regime(records, pot, grid),
+        "regime": classify_regime(traj, pot, grid),
         "bound_max_violation": violation,
         "short_window": short,
-        "limited_mass": float(sum(r.limited_mass for r in records)),
+        # summed in record order: np.sum pairs terms, which moves the last bits
+        "limited_mass": float(sum(traj["limited_mass"].tolist())),
         "samples": [
-            {
-                "t": r.t,
-                "Hrel_quasistatic": r.Hrel_quasistatic,
-                "Hrel_star": r.Hrel_star,
-                "sigma_gap": abs(r.sigma - sigma_star),
-            }
-            for r in records[::stride]
+            {"t": t, "Hrel_quasistatic": h_q, "Hrel_star": h_star, "sigma_gap": abs(sigma - sigma_star)}
+            for t, h_q, h_star, sigma in samples
         ],
     }
-    return block, records
+    return block, traj
 
 
-def ckp_chain_audit(records: list[TrajectoryRecord]) -> float:
+def ckp_chain_audit(traj: dict[str, np.ndarray]) -> float:
     """Worst violation of int |rho - gamma*| <= sqrt(2 Hrel_star) over samples."""
-    worst = -math.inf
-    for r in records:
-        worst = max(worst, r.l1_star - math.sqrt(2.0 * max(r.Hrel_star, 0.0)))
-    return worst
+    return float(np.max(traj["l1_star"] - np.sqrt(2.0 * np.maximum(traj["Hrel_star"], 0.0))))
 
 
 def bimodal_side_data(
@@ -336,11 +324,11 @@ def kramers_sweep(
     grid: Grid,
     well_prepared: bool = False,
     tau: float = 1.0,
-) -> tuple[dict, dict[float, list[TrajectoryRecord]]]:
+) -> tuple[dict, dict[float, dict[str, np.ndarray]]]:
     """Fit decay rates across noise levels and regress log(rate) against
     2 log(nu) - DeltaH*/nu^2; `dt` is a floor on each member's step.
     Returns the `kramers_sweep` block of summary.json and each member's
-    records by nu.  A member is one `fpsolver.run`, one `fit_decay_rate`
+    columns by nu.  A member is one `fpsolver.run`, one `fit_decay_rate`
     (tail only, unless `well_prepared`) and one `classify_regime`.
 
     The regressor assumes an Arrhenius prefactor nu^2, which the constrained
@@ -397,12 +385,12 @@ def kramers_sweep(
             # into the multimodal set, lowering the barrier mid-run
             rho0 = bimodal_side_data(ell_star, nu, pot, grid, population=0.52)
         rec_every = max(1, round(horizon / member_dt / (RECORDS_PER_EFOLD * HORIZON_EFOLDS)))
-        records = fv_run(
+        traj = fv_run(
             rho0, constant_path(ell_star), member_dt, pot, ModelParams(tau=tau, nu=nu), horizon,
             record_every=rec_every,
         )
-        trajectories[nu] = records
-        rate, short = fit_decay_rate(records, tail_only=not well_prepared)
+        trajectories[nu] = traj
+        rate, short = fit_decay_rate(traj, tail_only=not well_prepared)
         entries.append({
             "nu": nu,
             "fitted_rate": rate,
@@ -412,10 +400,10 @@ def kramers_sweep(
             "dt": member_dt,
             "predicted_scale": rate_guess,
             "ratio": rate / rate_guess if rate_guess > 0 else float("nan"),
-            "regime": classify_regime(records, pot, grid),
+            "regime": classify_regime(traj, pot, grid),
             "short_window": short,
-            "limited_mass": float(sum(r.limited_mass for r in records)),
-            "steps": sum(r.steps for r in records),
+            "limited_mass": float(sum(traj["limited_mass"].tolist())),
+            "steps": int(traj["steps"].sum()),
         })
 
     slope = float("nan")
@@ -436,10 +424,10 @@ def kramers_sweep(
 def verify(
     rho0: Density, path: ConstraintPath, pot: Potential, params: ModelParams,
     dt: float, T: float, seed: int, eb_tol: float, record_every: int = 1,
-) -> tuple[dict, list[TrajectoryRecord]]:
+) -> tuple[dict, dict[str, np.ndarray]]:
     """The contracts of `cfpk verify`.  Returns the `verify` block of
     summary.json, one entry per contract with its measured value and a pass
-    flag, and the records of the FV run from rho0.
+    flag, and the columns of the FV run from rho0.
 
     The identities, the sandwich and the weighted CKP draw random densities
     from one generator seeded with `seed`; the energy balance (against
@@ -466,32 +454,32 @@ def verify(
 
     # weighted_ckp reads the densities of about ten records, and only those are kept
     stride = max(1, record_count(T, dt, record_every) // 10)
-    records = fv_run(rho0, path, dt, pot, params, T, record_every=record_every, keep_densities=stride)
-    eb_max = float(np.nanmax([r.eb_residual for r in records[1:]]))
+    traj = fv_run(rho0, path, dt, pot, params, T, record_every=record_every, keep_densities=stride)
+    eb_max = float(np.nanmax(traj["eb_residual"][1:]))
     block["energy_dissipation_audit"] = {
         "max_eb_residual": eb_max,
         "tolerance": eb_tol,
-        "limited_mass": float(sum(r.limited_mass for r in records)),
+        "limited_mass": float(sum(traj["limited_mass"].tolist())),
         "pass": eb_max <= eb_tol,
     }
 
-    tau_pred, _, bound_violation = decay_bound_audit(records, params, pot, grid, path)
-    h0 = records[0].Hrel_quasistatic
+    tau_pred, _, bound_violation = decay_bound_audit(traj, params, pot, grid, path)
+    h0 = float(traj["Hrel_quasistatic"][0])
     block["quantitative_decay_bound"] = {
         "predicted_tau": tau_pred,
         "max_violation": bound_violation,
         "pass": bound_violation <= CONTRACT_TOL + DECAY_BOUND_DT * dt * max(1.0, h0),
     }
 
-    ckp_worst = ckp_chain_audit(records)
+    ckp_worst = ckp_chain_audit(traj)
     block["ckp_chain"] = {"max_violation": ckp_worst, "pass": ckp_worst <= CONTRACT_TOL}
 
     wckp_worst = -math.inf
     cmin = min(pot.growth_constants)
     weight = lambda x: WCKP_WEIGHT * cmin * (1.0 + np.abs(x))  # noqa: E731
     gamma_star = solve_lambda(path.ell_star, nu, pot, grid).state
-    for r in records[::stride]:
-        wl1, _, wbound = weighted_ckp(r.density, gamma_star, weight)
+    for vals in traj["density"]:
+        wl1, _, wbound = weighted_ckp(Density(grid, vals), gamma_star, weight)
         wckp_worst = max(wckp_worst, wl1 - wbound)
     for _ in range(5):
         rho = random_density(grid, rng)
@@ -501,6 +489,6 @@ def verify(
     block["weighted_ckp"] = {"max_violation": wckp_worst, "pass": wckp_worst <= CONTRACT_TOL}
 
     if path.L0 == 0.0:
-        rise = float(np.max(np.diff(np.array([r.F for r in records]))))
+        rise = float(np.max(np.diff(traj["F"])))
         block["monotone_free_energy"] = {"max_rise": rise, "pass": rise <= F_RISE_TOL + F_RISE_DT2 * dt * dt}
-    return block, records
+    return block, traj

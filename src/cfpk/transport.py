@@ -29,7 +29,7 @@ from .core import (
 )
 from .errors import ContractViolation, StepError
 from .functionals import free_energy
-from .records import TrajectoryRecord
+from .records import TRANSPORT_COLUMNS
 
 KKT_TOL = 1e-9
 MAX_NEWTON = 200
@@ -220,11 +220,13 @@ def jko_run(
     pot: Potential,
     params: ModelParams,
     m: int | None = None,
-) -> list[TrajectoryRecord]:
+) -> dict[str, np.ndarray]:
     """Chain JKO steps on [0, T]; the state is carried in quantile coordinates
     between steps (no per-step grid roundtrip) and projected to the grid for
     the per-step record.  This is the only JKO stepping loop: one step from rho0
-    is the first record of a run with T = h."""
+    is the first record of a run with T = h.  Returns the trajectory as
+    columns, one entry per step: those of TRANSPORT_COLUMNS, and `quantile`,
+    the chain's states, one row of m samples per step."""
     require_positive(h=h, T=T)
     n_steps = step_count(T, h)
     grid = rho0.grid
@@ -235,7 +237,8 @@ def jko_run(
     if abs(float(np.mean(x)) - ell0) > 1e-8:
         x = x + (ell0 - float(np.mean(x)))  # translation projection onto M^ell(0)
     h_eff = h / params.tau
-    records = []
+    cols = {name: np.empty(n_steps) for name in TRANSPORT_COLUMNS}
+    cols["quantile"] = np.empty((n_steps, m))
     for k in range(1, n_steps + 1):
         t_k = k * h
         ell_k = path.ell(t_k)
@@ -248,24 +251,12 @@ def jko_run(
         dens = quantile_to_density(x_new, grid)
         m1, m2, _ = moments(dens)
         fe = free_energy(dens, pot, params)
-        records.append(
-            TrajectoryRecord(
-                t=t_k,
-                sigma=mu,
-                ell=ell_k,
-                M1=m1,
-                M2=m2,
-                F=fe.F,
-                S=fe.S,
-                E=fe.E,
-                W2sq_step=w2sq,
-                kkt_residual=res,
-                quantile=x_new,
-            )
-        )
-        x = x_new
-    return records
-
-
-def sum_w2sq(records: list[TrajectoryRecord]) -> float:
-    return float(np.sum([r.W2sq_step for r in records]))
+        row = {
+            "t": t_k, "sigma": mu, "ell": ell_k, "M1": m1, "M2": m2, "F": fe.F, "S": fe.S, "E": fe.E,
+            "W2sq_step": w2sq, "kkt_residual": res,
+        }
+        for name, value in row.items():
+            cols[name][k - 1] = value
+        x = cols["quantile"][k - 1]
+        x[:] = x_new
+    return cols

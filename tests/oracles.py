@@ -22,7 +22,6 @@ from cfpk.core import ConstraintPath, Density, Grid, ModelParams, Potential
 from cfpk.equilibrium import N_SIGMA, gibbs, solve_lambda, tilted_family, variance_range
 from cfpk.errors import ContractViolation
 from cfpk.functionals import free_energy
-from cfpk.records import TrajectoryRecord
 from cfpk.transport import to_quantile
 
 
@@ -276,12 +275,12 @@ class SigmaSeries:
         return float(np.max(np.abs(np.diff(self.values))))
 
 
-def discrete_sigma_series(records: list[TrajectoryRecord]) -> SigmaSeries:
-    if not records:
+def discrete_sigma_series(traj: dict[str, np.ndarray]) -> SigmaSeries:
+    t = traj["t"]
+    if not len(t):
         raise ContractViolation("empty trajectory")
-    values = np.array([r.sigma for r in records])
-    h = records[0].t if len(records) == 1 else float(records[1].t - records[0].t)
-    return SigmaSeries(values=values, h=h)
+    h = float(t[0]) if len(t) == 1 else float(t[1] - t[0])
+    return SigmaSeries(values=traj["sigma"], h=h)
 
 
 def weak_form_residual(
@@ -317,23 +316,21 @@ def weak_form_residual(
 
 
 def verify_quasistationary_derivative(
-    records: list[TrajectoryRecord],
+    traj: dict[str, np.ndarray],
     pot: Potential,
     path: ConstraintPath,
     params: ModelParams,
 ) -> float:
     """Max residual of nu^2 d/dt H(rho|gamma_{lambda(ell(t))}) = -D/tau + l'(sigma - lambda(ell))
     over interior record times, using centered differences."""
-    if len(records) < 3:
+    t, h = traj["t"], traj["Hrel_quasistatic"]
+    if len(t) < 3:
         raise ContractViolation("need at least 3 records for a centered difference")
-    worst = 0.0
-    for i in range(1, len(records) - 1):
-        r0, r1, r2 = records[i - 1], records[i], records[i + 1]
-        dt2 = r2.t - r0.t
-        lhs = params.nu * params.nu * (r2.Hrel_quasistatic - r0.Hrel_quasistatic) / dt2
-        rhs = -r1.D / params.tau + path.ell_dot(r1.t) * (r1.sigma - r1.lam_ell)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs = params.nu * params.nu * (h[2:] - h[:-2]) / (t[2:] - t[:-2])
+    ell_dot = np.array([path.ell_dot(t_i) for t_i in t[1:-1].tolist()])
+    mid = slice(1, -1)
+    rhs = -traj["D"][mid] / params.tau + ell_dot * (traj["sigma"][mid] - traj["lam_ell"][mid])
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 
@@ -354,7 +351,7 @@ def sigma_convergence_constant(nu: float, pot: Potential, grid: Grid, lam_ref: f
 
 
 def verify_sigma_convergence(
-    records: list[TrajectoryRecord],
+    traj: dict[str, np.ndarray],
     path: ConstraintPath,
     nu: float,
     pot: Potential,
@@ -364,8 +361,7 @@ def verify_sigma_convergence(
     and of the free-energy/relative-entropy sandwich at the limit state."""
     star = solve_lambda(path.ell_star, nu, pot, grid)
     sigma_star = star.lam
-    sig = np.array([r.sigma for r in records])
-    lam_vals = np.array([r.lam_ell for r in records])
+    sig, lam_vals = traj["sigma"], traj["lam_ell"]
     lo = float(min(np.min(sig), np.min(lam_vals), sigma_star)) - 1.0
     hi = float(max(np.max(sig), np.max(lam_vals), sigma_star)) + 1.0
     c_var = variance_range(np.linspace(lo, hi, N_SIGMA), nu, pot, grid)[0]
@@ -376,22 +372,23 @@ def verify_sigma_convergence(
     worst_sigma = -math.inf
     worst_fe = -math.inf
     worst_envelope = -math.inf
-    for r in records:
-        lhs = (r.sigma - sigma_star) ** 2
+    names = ("t", "sigma", "ell", "M1", "F", "Hrel_quasistatic", "Hrel_star")
+    for t, sigma, ell, m1, f, h_q, h_star in zip(*(traj[c].tolist() for c in names)):
+        lhs = (sigma - sigma_star) ** 2
         rhs = (
-            c_chain * max(r.Hrel_quasistatic, 0.0)
-            + 4.0 * path.ell_dot(r.t) ** 2
-            + 2.0 / c_var**2 * (r.ell - path.ell_star) ** 2
+            c_chain * max(h_q, 0.0)
+            + 4.0 * path.ell_dot(t) ** 2
+            + 2.0 / c_var**2 * (ell - path.ell_star) ** 2
         )
         worst_sigma = max(worst_sigma, lhs - rhs)
         # the identity holds with the state's actual mean; comparing against
         # ell(t) instead would only measure the scheme's constraint drift
-        fe_residual = abs(r.F - f_star - nu * nu * r.Hrel_star)
-        worst_fe = max(worst_fe, fe_residual - abs(sigma_star) * abs(r.M1 - path.ell_star))
+        fe_residual = abs(f - f_star - nu * nu * h_star)
+        worst_fe = max(worst_fe, fe_residual - abs(sigma_star) * abs(m1 - path.ell_star))
         if path.kappa is not None and path.L0 is not None:
             envelope = (
-                abs(sigma_star) * path.L0 / path.kappa * math.exp(-path.kappa * r.t)
-                + abs(sigma_star) * abs(r.M1 - r.ell)
+                abs(sigma_star) * path.L0 / path.kappa * math.exp(-path.kappa * t)
+                + abs(sigma_star) * abs(m1 - ell)
             )
             worst_envelope = max(worst_envelope, fe_residual - envelope)
     return {

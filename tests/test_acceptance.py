@@ -12,6 +12,7 @@ import pytest
 
 from cfpk.cli import main as cli_main
 from cfpk.core import (
+    Density,
     Grid,
     ModelParams,
     constant_path,
@@ -31,7 +32,7 @@ from cfpk.longtime import (
 )
 from cfpk.functionals import weighted_ckp
 from cfpk.sampling import random_density
-from cfpk.transport import jko_run, sum_w2sq, to_quantile
+from cfpk.transport import jko_run, to_quantile
 
 from oracles import discrete_sigma_series, weak_form_residual
 
@@ -79,8 +80,8 @@ def test_criterion_3_gaussian_oracle_direct_solver():
     t0 = time.monotonic()
     recs = fv_run(rho0, constant_path(0.5), 1e-3, pot, ModelParams(), 3.0)
     elapsed = time.monotonic() - t0
-    ts = np.array([r.t for r in recs])
-    vs = np.array([r.M2 - r.M1**2 for r in recs])
+    ts = recs["t"]
+    vs = recs["M2"] - recs["M1"] ** 2
     sup_err = float(np.max(np.abs(vs - (1.0 + 1.25 * np.exp(-2.0 * ts)))))
     ok = sup_err <= 1e-3 and elapsed < 10.0
     assert report(3, ok, f"variance trace sup error {sup_err:.2e} (<=1e-3), {elapsed:.1f}s (<10s)")
@@ -92,9 +93,9 @@ def test_criterion_4_jko_fixed_point():
     for pot, ell, nu in ((quadratic_potential(1.0), 0.7, 1.0), (doublewell_potential(), 1.0, 0.5)):
         sol = solve_lambda(ell, nu, pot, grid)
         params = ModelParams(nu=nu)
-        rec = jko_run(sol.state.density, constant_path(ell), 1e-5, 1e-5, pot, params, m=2048)[0]
-        worst_w2 = max(worst_w2, math.sqrt(rec.W2sq_step))
-        worst_sig = max(worst_sig, abs(rec.sigma - sol.lam))
+        rec = jko_run(sol.state.density, constant_path(ell), 1e-5, 1e-5, pot, params, m=2048)
+        worst_w2 = max(worst_w2, math.sqrt(rec["W2sq_step"][0]))
+        worst_sig = max(worst_sig, abs(rec["sigma"][0] - sol.lam))
     ok = worst_w2 <= 1e-6 and worst_sig <= 1e-6
     assert report(
         4, ok, f"stationary step: W2 {worst_w2:.2e} (<=1e-6), sigma gap {worst_sig:.2e} (<=1e-6)"
@@ -152,14 +153,14 @@ def test_criterion_5_scheme_consistency():
         recs = jko_run(rho0, path, h, 1.0, pot, params)
         x_prev = to_quantile(rho0, grid.n)
         x_prev = x_prev + (path.ell(0.0) - float(np.mean(x_prev)))
-        for r in recs:
+        for quantile, sigma in zip(recs["quantile"], recs["sigma"].tolist()):
             for zeta, sup2 in sups.items():
                 res, bound = weak_form_residual(
-                    x_prev, r.quantile, r.sigma, h, *zeta, pot, params, sup_zeta_xx=sup2
+                    x_prev, quantile, sigma, h, *zeta, pot, params, sup_zeta_xx=sup2
                 )
                 worst_slack = max(worst_slack, res - bound)
-            x_prev = r.quantile
-        sums[h] = sum_w2sq(recs)
+            x_prev = quantile
+        sums[h] = float(np.sum(recs["W2sq_step"]))
     ratios = [sums[h] / h for h in (0.04, 0.02, 0.01)]
     stable = max(ratios) / min(ratios) < 1.5
     decreasing = sums[0.04] > sums[0.02] > sums[0.01]
@@ -178,8 +179,7 @@ def test_criterion_6_multiplier_convergence():
     path = constant_path(0.5)
     rho0 = gaussian_density(grid, 0.5, 0.5)
     fv = fv_run(rho0, path, 5e-4, pot, params, 1.0, record_every=4)
-    fvt = np.array([r.t for r in fv])
-    fvs = np.array([r.sigma for r in fv])
+    fvt, fvs = fv["t"], fv["sigma"]
     tt = fvt[fvt > 0]
     gaps = []
     for h in (0.04, 0.02, 0.01):
@@ -202,8 +202,8 @@ def test_criterion_7_energy_dissipation_audit():
         grid = Grid(-11.2, 12.8, n)
         rho0 = solve_lambda(path.ell(0.0), 1.0, pot, grid).state.density
         recs = fv_run(rho0, path, dt, pot, ModelParams(), 3.0)
-        limited = sum(r.limited_mass for r in recs)
-        return float(np.nanmax([r.eb_residual for r in recs])), limited
+        limited = sum(recs["limited_mass"].tolist())
+        return float(np.nanmax(recs["eb_residual"])), limited
 
     base, limited_base = audit(1024, 1e-3)
     refined, limited_refined = audit(2048, 5e-4)
@@ -280,8 +280,8 @@ def test_criterion_9_identity_and_inequality_suites():
     cmin = min(pot.growth_constants)
     weight = lambda x: 0.5 * cmin * (1.0 + np.abs(x))  # noqa: E731
     wckp_worst = -math.inf
-    for r in recs:
-        wl1, _, bound = weighted_ckp(r.density, gamma_star, weight)
+    for vals in recs["density"]:
+        wl1, _, bound = weighted_ckp(Density(grid, vals), gamma_star, weight)
         wckp_worst = max(wckp_worst, wl1 - bound)
 
     ok = worst_identity <= 1e-8 and sandwich_ok and ckp_worst <= 1e-8 and wckp_worst <= 1e-8

@@ -186,9 +186,9 @@ class TestRunExperiment:
         # contract passes, and its block is the CLI's after the JSON round trip
         grid, pot, path = Grid(-11.2, 12.8, 512), quadratic_potential(1.0), exp_decay_path(0.5, 0.3, 1.0)
         rho0 = solve_lambda(path.ell(0.0), 1.0, pot, grid).state.density
-        block, records = cfpk.longtime.verify(rho0, path, pot, ModelParams(tau=1.0, nu=1.0), 1e-3, 0.5, 0, 1e-3)
+        block, traj = cfpk.longtime.verify(rho0, path, pot, ModelParams(tau=1.0, nu=1.0), 1e-3, 0.5, 0, 1e-3)
         assert all(entry["pass"] for entry in block.values()), block
-        assert records[-1].t == 0.5
+        assert traj["t"][-1] == 0.5
         out = tmp_path / "v"
         assert main(["verify", "--config", write(tmp_path, SMALL_VERIFY), "--out", str(out), "--seed", "0"]) == 0
         assert json.loads(json.dumps(block)) == json.loads((out / "summary.json").read_text())["verify"]
@@ -372,9 +372,9 @@ class TestRunExperiment:
 
         def counted(run):
             def wrapper(*args, **kwargs):
-                records = run(*args, **kwargs)
-                lengths.append(len(records))
-                return records
+                traj = run(*args, **kwargs)
+                lengths.append(len(traj["t"]))
+                return traj
             return wrapper
 
         monkeypatch.setattr(cfpk.cli, "fv_run", counted(cfpk.cli.fv_run))
@@ -450,6 +450,19 @@ class TestRunExperiment:
         err = capsys.readouterr().err
         assert "error:" in err and "[run] nu_list" in err and "Traceback" not in err
         assert not out.exists()  # refused at parse time, before any member runs
+
+    @pytest.mark.parametrize(
+        "command,initial", [("landscape", "bogus"), ("simulate", "gaussian:0,-1")], ids=["landscape", "simulate"]
+    )
+    def test_bad_initial_refused_at_parse_time(self, tmp_path, capsys, command, initial):
+        # every kind checks the spec, also one that builds no initial
+        # density, before the output directory exists
+        text = f"[model]\npotential = quadratic:1\n\n[grid]\nn = 256\n\n[run]\ninitial = {initial}\n"
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "[run] initial" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "section,key,value,solver",
@@ -533,13 +546,13 @@ class TestPolynomialDomain:
 
 class TestWriteCsv:
     def test_special_values_match_format_spec(self, tmp_path):
-        from cfpk.records import TrajectoryRecord, write_csv
+        from cfpk.records import write_csv
 
         values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.5e-310, 1.0 / 3.0, -1e300]
-        recs = [TrajectoryRecord(t=v, sigma=-v, ell=0.0, M1=v, M2=0.0, F=0.0, S=0.0, E=0.0)
-                for v in values]
+        columns = {"t": np.array(values), "sigma": -np.array(values), "ell": np.zeros(len(values)),
+                   "M1": np.array(values)}
         path = tmp_path / "rows.csv"
-        write_csv(recs, str(path), ["t", "sigma", "M1"])
+        write_csv(columns, str(path), ["t", "sigma", "M1"])
         expected = "t,sigma,M1\n" + "".join(f"{v:.17g},{-v:.17g},{v:.17g}\n" for v in values)
         assert path.read_bytes() == expected.encode()
 

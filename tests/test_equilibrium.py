@@ -28,7 +28,7 @@ from cfpk.equilibrium import (
     tilted_family,
     variance_range,
 )
-from cfpk.errors import RangeError
+from cfpk.errors import GridTooSmallError, RangeError
 from cfpk.functionals import dissipation, log_partition, relative_entropy
 from cfpk.sampling import random_density, set_mean
 
@@ -66,6 +66,16 @@ class TestGibbs:
     def test_mean_consistent_with_density(self, grid, dw_pot):
         st = gibbs(0.4, 0.7, dw_pot, grid)
         assert st.mean == pytest.approx(moments(st.density)[0], abs=1e-8)
+
+    def test_state_in_one_cell_is_refused(self, quad_pot):
+        # at nu = 0.01 on cells of width 3 the state falls in one cell, so
+        # its variance is 0: the strict kernel refuses it, for one tilt and
+        # for a range of tilts
+        g = Grid(-12.0, 12.0, 8)
+        with pytest.raises(GridTooSmallError, match="sigma=0.3, nu=0.01"):
+            gibbs(0.3, 0.01, quad_pot, g)
+        with pytest.raises(GridTooSmallError):
+            variance_range(np.array([0.0, 0.3]), 0.01, quad_pot, g)
 
 
 class TestTiltedFamily:

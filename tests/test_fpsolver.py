@@ -139,8 +139,8 @@ class TestRun:
         rho0 = gaussian_density(g, 0.5, 1.5**2)
         recs = run(rho0, constant_path(0.5), 1e-3, quad_pot,
                    ModelParams(), 3.0, record_every=10)
-        ts = np.array([r.t for r in recs])
-        vs = np.array([r.M2 - r.M1**2 for r in recs])
+        ts = recs["t"]
+        vs = recs["M2"] - recs["M1"] ** 2
         oracle = 1.0 + (1.5**2 - 1.0) * np.exp(-2.0 * ts)
         assert float(np.max(np.abs(vs - oracle))) <= 1e-3
 
@@ -149,9 +149,9 @@ class TestRun:
         sol = solve_lambda(0.3, nu, dw_pot, fine_grid)
         recs = run(sol.state.density, constant_path(0.3), 1e-3,
                    dw_pot, ModelParams(nu=nu), 0.05)
-        assert float(np.nanmax([r.eb_residual for r in recs])) <= 1e-8
-        assert max(abs(r.M1 - 0.3) for r in recs) <= 1e-10
-        assert all(r.limited_mass == 0.0 for r in recs)
+        assert float(np.nanmax(recs["eb_residual"])) <= 1e-8
+        assert np.max(np.abs(recs["M1"] - 0.3)) <= 1e-10
+        assert np.all(recs["limited_mass"] == 0.0)
 
     def test_audit_refines(self, quad_pot):
         # eb_residual falls under joint (dt, dx) refinement
@@ -161,7 +161,7 @@ class TestRun:
             g = Grid(-11.2, 12.8, n)
             rho0 = solve_lambda(path.ell(0.0), 1.0, quad_pot, g).state.density
             recs = run(rho0, path, dt, quad_pot, ModelParams(), 1.5)
-            return float(np.nanmax([r.eb_residual for r in recs]))
+            return float(np.nanmax(recs["eb_residual"]))
 
         coarse = eb(512, 2e-3)
         fine = eb(1024, 1e-3)
@@ -171,7 +171,7 @@ class TestRun:
         rho0 = gaussian_density(grid, 1.1, 0.8)
         recs = run(rho0, constant_path(0.2), 1e-3, dw_pot,
                    ModelParams(nu=0.8), 0.01)
-        assert recs[0].M1 == pytest.approx(0.2, abs=1e-8)
+        assert recs["M1"][0] == pytest.approx(0.2, abs=1e-8)
 
     def test_undeclared_envelope_is_moving(self, quad_pot):
         # a path without kappa/L0 is not constant: lam_ell and
@@ -180,12 +180,9 @@ class TestRun:
         declared = exp_decay_path(0.3, 0.4, 1.0)
         bare = ConstraintPath(declared.ell, declared.ell_dot, declared.ell_star)
         rho0 = gaussian_density(g, declared.ell(0.0), 1.0)
-        cols = FPSOLVER_COLUMNS + ["lam_ell"]
-        declared_rows, bare_rows = (
-            [[getattr(r, c) for c in cols] for r in run(rho0, p, 1e-3, quad_pot, ModelParams(), 0.5)]
-            for p in (declared, bare)
-        )
-        np.testing.assert_array_equal(bare_rows, declared_rows)
+        declared_run, bare_run = (run(rho0, p, 1e-3, quad_pot, ModelParams(), 0.5) for p in (declared, bare))
+        for c in FPSOLVER_COLUMNS + ["lam_ell"]:
+            np.testing.assert_array_equal(bare_run[c], declared_run[c], err_msg=c)
 
     def test_model_sampled_once_per_grid(self, dw_pot):
         # the stepper, sigma, the free energy, the dissipation and every
@@ -204,7 +201,7 @@ class TestRun:
         g = Grid(-12.0, 12.0, 512)
         path = exp_decay_path(0.3, 0.4, 1.0)
         recs = run(gaussian_density(g, path.ell(0.0), 1.0), path, 1e-3, pot, ModelParams(nu=0.8), 0.02)
-        assert len(recs) == 21
+        assert len(recs["t"]) == 21
         assert calls == {"h": 1, "h1": 1}
 
     def test_step_count_guard(self, grid, quad_pot, monkeypatch):
@@ -249,7 +246,7 @@ class TestRun:
         for k, dt in enumerate((2e-3, 1e-3, 5e-4)):
             recs = run(rho0, path, dt, quad_pot, ModelParams(), 2.0,
                        record_every=2**k)
-            m1[dt] = np.array([r.M1 for r in recs])
+            m1[dt] = recs["M1"]
         gaps = {
             2e-3: float(np.max(np.abs(m1[2e-3] - m1[1e-3]))),
             1e-3: float(np.max(np.abs(m1[1e-3] - m1[5e-4]))),
@@ -262,15 +259,14 @@ class TestRun:
         rho0 = solve_lambda(path.ell(0.0), nu, dw_pot, grid).state.density
         recs = run(rho0, path, 5e-3, dw_pot, ModelParams(nu=nu),
                    50.0, record_every=20)
-        assert float(np.max(np.abs([r.sigma for r in recs]))) < 5.0
-        assert float(np.max([r.M2 for r in recs])) < 50.0
+        assert float(np.max(np.abs(recs["sigma"]))) < 5.0
+        assert float(np.max(recs["M2"])) < 50.0
 
     def test_monotone_free_energy_constant_ell(self, grid, dw_pot):
         rho0 = gaussian_density(grid, 0.2, 0.5)
         recs = run(rho0, constant_path(0.2), 1e-3, dw_pot,
                    ModelParams(nu=0.8), 1.0, record_every=5)
-        f = np.array([r.F for r in recs])
-        assert float(np.max(np.diff(f))) <= 1e-9
+        assert float(np.max(np.diff(recs["F"]))) <= 1e-9
 
 
 def accepted_steps(log):
@@ -312,13 +308,13 @@ class TestAdaptiveSteps:
         rho0 = set_mean(random_density(g, np.random.default_rng(seed)), path.ell(0.0))
         T = n_steps * dt
         recs = run(rho0, path, dt, dw_pot, params, T, keep_densities=True)
-        assert [r.t for r in recs] == [k * dt for k in range(n_steps + 1)]
-        assert [r.steps for r in recs] == [0] + [1] * n_steps
+        assert recs["t"].tolist() == [k * dt for k in range(n_steps + 1)]
+        assert recs["steps"].tolist() == [0] + [1] * n_steps
         op = _Stepper(g, dw_pot, path, params)
-        vals = recs[0].density.values
+        vals = recs["density"][0]
         for k in range(n_steps):
             vals = _advance(vals, k * dt, dt, op)[0]
-            np.testing.assert_array_equal(recs[k + 1].density.values, vals)
+            np.testing.assert_array_equal(recs["density"][k + 1], vals)
 
     @pytest.mark.parametrize("record_every", [1, 5])
     def test_ends_at_T_when_dt_does_not_divide_it(self, quad_pot, record_every):
@@ -328,10 +324,10 @@ class TestAdaptiveSteps:
         g = Grid(0.5 - 12.0, 0.5 + 12.0, 1024)
         rho0 = gaussian_density(g, 0.5, 1.5**2)
         recs = run(rho0, constant_path(0.5), 0.03, quad_pot, ModelParams(), 1.0, record_every=record_every)
-        assert recs[-1].t == 1.0
-        assert recs[-2].t == pytest.approx(0.03 * (32 - 32 % record_every))
+        assert recs["t"][-1] == 1.0
+        assert recs["t"][-2] == pytest.approx(0.03 * (32 - 32 % record_every))
         oracle = 1.0 + (1.5**2 - 1.0) * np.exp(-2.0)
-        assert recs[-1].M2 - recs[-1].M1**2 == pytest.approx(oracle, abs=1e-3)
+        assert recs["M2"][-1] - recs["M1"][-1] ** 2 == pytest.approx(oracle, abs=1e-3)
 
     def test_steps_are_at_least_dt_and_land_on_records(self, quad_pot, monkeypatch):
         # a Gaussian near the Gibbs state, with a dt that does not divide T:
@@ -344,7 +340,7 @@ class TestAdaptiveSteps:
         recs = run(gaussian_density(g, 0.3, 1.02), constant_path(0.3), dt, quad_pot, ModelParams(), T,
                    record_every=7)
         taken = accepted_steps(log)
-        assert taken[0][0] == 0.0 and recs[-1].t == T
+        assert taken[0][0] == 0.0 and recs["t"][-1] == T
         for (t, h, _), after in zip(taken, taken[1:]):
             assert after[0] == pytest.approx(t + h, rel=1e-14)
         for t, h, _ in taken[:-1]:
@@ -352,7 +348,7 @@ class TestAdaptiveSteps:
         t, h, _ = taken[-1]
         assert h > dt and t + h == pytest.approx(T, rel=1e-14)
         assert max(h for _, h, _ in taken[:-1]) > dt
-        assert sum(r.steps for r in recs) == len(taken) <= step_count(T, dt)
+        assert recs["steps"].sum() == len(taken) <= step_count(T, dt)
 
     def test_gibbs_state_steps_grow_to_the_record_spacing(self, grid, dw_pot):
         # a grid Gibbs state is a fixed point of every step, whatever its
@@ -362,11 +358,11 @@ class TestAdaptiveSteps:
         sol = solve_lambda(0.3, nu, dw_pot, grid)
         recs = run(sol.state.density, constant_path(0.3), 1e-3, dw_pot, ModelParams(nu=nu), 0.5,
                    record_every=50)
-        assert len(recs) == 11
-        assert max(r.l1_star for r in recs) <= 1e-12
-        assert max(abs(r.M1 - 0.3) for r in recs) <= 1e-10
-        assert all(r.limited_mass == 0.0 for r in recs)
-        assert recs[1].steps < 50 and [r.steps for r in recs[-5:]] == [1] * 5
+        assert len(recs["t"]) == 11
+        assert np.max(recs["l1_star"]) <= 1e-12
+        assert np.max(np.abs(recs["M1"] - 0.3)) <= 1e-10
+        assert np.all(recs["limited_mass"] == 0.0)
+        assert recs["steps"][1] < 50 and recs["steps"][-5:].tolist() == [1] * 5
 
     def test_bimodal_side_data_is_never_limited(self, grid, dw_pot):
         # a Kramers-sweep member at nu = 1.2 (record_every = 2): a first step
@@ -377,8 +373,8 @@ class TestAdaptiveSteps:
         op = _Stepper(grid, dw_pot, constant_path(0.0), ModelParams(nu=nu))
         assert _advance(rho0.values, 0.0, 4e-3, op)[3] > 0.0
         recs = run(rho0, constant_path(0.0), 2e-3, dw_pot, ModelParams(nu=nu), 2.0, record_every=2)
-        assert sum(r.limited_mass for r in recs) == 0.0
-        assert sum(r.steps for r in recs) < 1000
+        assert sum(recs["limited_mass"].tolist()) == 0.0
+        assert recs["steps"].sum() < 1000
 
     @staticmethod
     def relaxing_run(dw_pot, record_every):
@@ -396,9 +392,9 @@ class TestAdaptiveSteps:
         # two steps (8 + 4, 4 + 2).  No retry is taken.
         log = self.logged(monkeypatch)
         recs = self.relaxing_run(dw_pot, record_every)
-        assert all(r.steps == 1 for r in recs if r.t > 4.0)
-        assert len(log) == sum(r.steps for r in recs)
-        assert all(r.limited_mass == 0.0 for r in recs)
+        assert np.all(recs["steps"][recs["t"] > 4.0] == 1)
+        assert len(log) == recs["steps"].sum()
+        assert np.all(recs["limited_mass"] == 0.0)
 
     @pytest.mark.parametrize("record_every", [6, 12])
     def test_filter_skip_is_exact(self, dw_pot, record_every, monkeypatch):
@@ -412,9 +408,9 @@ class TestAdaptiveSteps:
 
         monkeypatch.setattr(fpsolver, "_advance", always_filtered)
         filtered = self.relaxing_run(dw_pot, record_every)
-        names = [f.name for f in dataclasses.fields(filtered[0]) if f.name not in ("density", "quantile")]
-        rows = [[[getattr(r, c) for c in names] for r in recs] for recs in (skipped, filtered)]
-        np.testing.assert_array_equal(rows[0], rows[1])
+        assert skipped.keys() == filtered.keys()
+        for c in skipped:
+            np.testing.assert_array_equal(skipped[c], filtered[c], err_msg=c)
 
     def test_mass_drift_is_the_largest_step_drift(self, grid, dw_pot, monkeypatch):
         # mass_drift is the largest |mass - 1| of the steps since the
@@ -430,13 +426,13 @@ class TestAdaptiveSteps:
         monkeypatch.setattr(fpsolver, "_advance", wrapper)
         rho0 = bimodal_side_data(0.0, 1.2, dw_pot, grid, population=0.52)
         recs = run(rho0, constant_path(0.0), 2e-3, dw_pot, ModelParams(nu=1.2), 0.5, record_every=5)
-        assert recs[0].mass_drift == 0.0 and recs[0].limited_mass == 0.0
+        assert recs["mass_drift"][0] == 0.0 and recs["limited_mass"][0] == 0.0
         steps = iter(accepted_steps(log))
-        for r in recs[1:]:
-            taken = [next(steps) for _ in range(r.steps)]
-            assert r.mass_drift == max(d for _, d, _ in taken)
-            assert r.limited_mass == sum(c for _, _, c in taken)
-        assert max(r.mass_drift for r in recs) > 0.0
+        for n, drift, limited in zip(*(recs[c][1:].tolist() for c in ("steps", "mass_drift", "limited_mass"))):
+            taken = [next(steps) for _ in range(n)]
+            assert drift == max(d for _, d, _ in taken)
+            assert limited == sum(c for _, _, c in taken)
+        assert np.max(recs["mass_drift"]) > 0.0
 
     def test_limited_steps_are_retried(self, grid, dw_pot, monkeypatch):
         # with the error test off, a one-cell spike on the stiff side of the
@@ -453,7 +449,7 @@ class TestAdaptiveSteps:
         taken = accepted_steps(log)
         assert any(lim > 0.0 and h > dt for _, h, lim in log)
         assert all(lim == 0.0 for _, h, lim in taken if h > dt)
-        assert sum(r.limited_mass for r in recs) == pytest.approx(sum(lim for _, _, lim in taken))
+        assert sum(recs["limited_mass"].tolist()) == pytest.approx(sum(lim for _, _, lim in taken))
 
 
 ASYMMETRIC = polynomial_potential([0.1, 0.09, -0.15, 0.0, 0.25])
@@ -500,7 +496,8 @@ class TestRecordKernel:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fpsolver, "_advance", lambda vals, t, dt, op, level: (vals, 0.0, 0.0, 0.0, 0.0))
-            rec = run(rho, path, 1e-3, pot, params, 1e-3)[0]
+            traj = run(rho, path, 1e-3, pot, params, 1e-3)
+        rec = {c: traj[c][0] for c in FPSOLVER_COLUMNS}
 
         x, h, h1 = grid.x, pot.h(grid.x), pot.h1(grid.x)
         m1, m2, _ = moments(rho)
@@ -512,18 +509,18 @@ class TestRecordKernel:
         def absolute(f):
             return float(np.sum(np.abs(f) * rho.values)) * grid.dx
 
-        close(rec.M1, m1, absolute(x))
-        close(rec.M2, m2, m2)
-        close(rec.E, fe.E, absolute(h))
-        close(rec.sigma, sigma_of_state(rho, 0.0, pot, path, params), absolute(h1) + tau * abs(ell_dot))
-        close(rec.F, fe.F, nu**2 * (abs(fe.S) + abs(log_partition(pot, grid, nu))) + absolute(h))
-        assert rec.S == pytest.approx(entropy(rho), rel=1e-13, abs=1e-15)
-        for value, sol in ((rec.Hrel_quasistatic, sol_q), (rec.Hrel_star, sol_star)):
+        close(rec["M1"], m1, absolute(x))
+        close(rec["M2"], m2, m2)
+        close(rec["E"], fe.E, absolute(h))
+        close(rec["sigma"], sigma_of_state(rho, 0.0, pot, path, params), absolute(h1) + tau * abs(ell_dot))
+        close(rec["F"], fe.F, nu**2 * (abs(fe.S) + abs(log_partition(pot, grid, nu))) + absolute(h))
+        assert rec["S"] == pytest.approx(entropy(rho), rel=1e-13, abs=1e-15)
+        for value, sol in ((rec["Hrel_quasistatic"], sol_q), (rec["Hrel_star"], sol_star)):
             assert value == pytest.approx(relative_entropy(rho, sol.state), rel=1e-13, abs=1e-15)
             oracle = gibbs_relative_entropy(rho.values, x, h, sol.lam, nu, grid.dx)
             assert value == pytest.approx(oracle, rel=1e-13, abs=1e-15)
-        assert rec.D == pytest.approx(dissipation(rho, rec.sigma, pot, params), rel=1e-13)
-        assert rec.density is None
+        assert rec["D"] == pytest.approx(dissipation(rho, rec["sigma"], pot, params), rel=1e-13)
+        assert traj["density"].shape == (0, grid.n)
 
     @pytest.mark.parametrize("moving", [False, True])
     def test_finite_where_gamma_underflows(self, grid, quad_pot, moving):
@@ -540,10 +537,10 @@ class TestRecordKernel:
         oracle = gibbs_relative_entropy(rho.values, x, h, star.lam, nu, grid.dx)
         assert relative_entropy(rho, star.state) == pytest.approx(oracle, rel=1e-13)
         recs = run(rho, path, 1e-3, quad_pot, ModelParams(nu=nu), 2e-3, keep_densities=True)
-        assert len(recs) == 3
-        for r in recs:
-            for value, lam in ((r.Hrel_quasistatic, r.lam_ell), (r.Hrel_star, star.lam)):
-                oracle = gibbs_relative_entropy(r.density.values, x, h, lam, nu, grid.dx)
+        assert len(recs["t"]) == 3
+        for i, vals in enumerate(recs["density"]):
+            for value, lam in ((recs["Hrel_quasistatic"][i], recs["lam_ell"][i]), (recs["Hrel_star"][i], star.lam)):
+                oracle = gibbs_relative_entropy(vals, x, h, lam, nu, grid.dx)
                 assert value == pytest.approx(oracle, rel=1e-13)
 
     def test_block_lambdas_start_from_tangent_predictor(self, grid, dw_pot, monkeypatch):
@@ -568,12 +565,13 @@ class TestRecordKernel:
         monkeypatch.setattr(TiltedFamily, "evaluate", counted)
         recs = run(rho0, path, 1e-3, dw_pot, ModelParams(nu=nu), 0.3)
         monkeypatch.undo()
-        assert len(recs) == 301
-        assert (sum(lanes) - star.iterations) / len(recs) <= 2.1
-        blocks = math.ceil(len(recs) / fpsolver.RECORD_BLOCK)
+        n_records = len(recs["t"])
+        assert n_records == 301
+        assert (sum(lanes) - star.iterations) / n_records <= 2.1
+        blocks = math.ceil(n_records / fpsolver.RECORD_BLOCK)
         assert sum(size > 1 for size in lanes) <= 3 * blocks
-        for r in recs:
-            assert r.lam_ell == pytest.approx(solve_lambda(r.ell, nu, dw_pot, grid).lam, abs=1e-9)
+        for lam, ell in zip(recs["lam_ell"].tolist(), recs["ell"].tolist()):
+            assert lam == pytest.approx(solve_lambda(ell, nu, dw_pot, grid).lam, abs=1e-9)
 
     def test_records_do_not_depend_on_block_size(self, grid, dw_pot, monkeypatch):
         # 101 records: three full blocks of 32 and a last one of 5, against a
@@ -589,17 +587,15 @@ class TestRecordKernel:
         for size in (1, 32):
             monkeypatch.setattr(fpsolver, "RECORD_BLOCK", size)
             runs[size] = run(rho0, path, 1e-3, dw_pot, ModelParams(nu=nu), 0.2, record_every=2)
-        assert len(runs[1]) == 101
+        assert len(runs[1]["t"]) == 101
+        assert runs[1].keys() == runs[32].keys()
         tolerance = {"lam_ell": {"abs": 1e-9}, "Hrel_quasistatic": {"rel": 1e-12, "abs": 1e-13}}
-        for one, block in zip(runs[1], runs[32]):
-            for f in dataclasses.fields(one):
-                if f.name in ("density", "quantile", "W2sq_step", "kkt_residual"):
-                    continue
-                a, b = getattr(one, f.name), getattr(block, f.name)
-                if f.name == "eb_residual" and math.isnan(a):
+        for name in runs[1]:
+            for a, b in zip(runs[1][name].tolist(), runs[32][name].tolist()):
+                if name == "eb_residual" and math.isnan(a):
                     assert math.isnan(b)
                     continue
-                assert b == pytest.approx(a, **tolerance.get(f.name, {"rel": 1e-12, "abs": 0.0})), f.name
+                assert b == pytest.approx(a, **tolerance.get(name, {"rel": 1e-12, "abs": 0.0})), name
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -620,8 +616,9 @@ class TestRecordKernel:
             mp.setattr(fpsolver, "_advance", lambda vals, t, dt, op, level: (vals, 0.0, 0.0, 0.0, 0.0))
             recs = run(gaussian_density(g, 0.0, 1.0), constant_path(0.0), dt, quad_pot, ModelParams(), T,
                        record_every=record_every, keep_densities=stride)
-        assert len(recs) == record_count(T, dt, record_every)
-        assert [r.density is not None for r in recs] == [i % stride == 0 for i in range(len(recs))]
+        n_records = len(recs["t"])
+        assert n_records == record_count(T, dt, record_every)
+        assert len(recs["density"]) == len(range(0, n_records, stride))
 
     def test_negative_density_stride_is_refused(self, grid, quad_pot):
         with pytest.raises(ContractViolation, match="keep_densities >= 0"):
@@ -662,21 +659,19 @@ class TestAuditScalingAtTau:
         # the pump, |dF/dt + D - tau sigma l'|, is off by far more
         tau = 2.0
         path, recs = self.forced_run(quad_pot, tau)
-        worst_scaled = 0.0
-        worst_printed = 0.0
-        for r0, r1 in zip(recs[:-1], recs[1:]):
-            dt_rec = r1.t - r0.t
-            rate = (r1.F - r0.F) / dt_rec
-            d_mid = 0.5 * (r1.D + r0.D)
-            pump = 0.5 * (r1.sigma * path.ell_dot(r1.t) + r0.sigma * path.ell_dot(r0.t))
-            worst_scaled = max(worst_scaled, abs(rate + d_mid / tau - pump))
-            worst_printed = max(worst_printed, abs(rate + d_mid - tau * pump))
+        t, f, d = recs["t"], recs["F"], recs["D"]
+        sigma_ell_dot = recs["sigma"] * np.array([path.ell_dot(t_i) for t_i in t.tolist()])
+        rate = np.diff(f) / np.diff(t)
+        d_mid = 0.5 * (d[1:] + d[:-1])
+        pump = 0.5 * (sigma_ell_dot[1:] + sigma_ell_dot[:-1])
+        worst_scaled = float(np.max(np.abs(rate + d_mid / tau - pump)))
+        worst_printed = float(np.max(np.abs(rate + d_mid - tau * pump)))
         assert worst_scaled <= 1e-3
         assert worst_printed > 50.0 * worst_scaled
 
     def test_eb_residual_column_balances_at_tau(self, quad_pot):
         _, recs = self.forced_run(quad_pot, 2.0)
-        assert float(np.nanmax([r.eb_residual for r in recs])) <= 1e-3
+        assert float(np.nanmax(recs["eb_residual"])) <= 1e-3
 
 
 _DENSE_GAP_CASES = [
@@ -767,11 +762,11 @@ class TestCrossValidation:
         for h in (0.04, 0.02):
             jk = jko_run(rho0, path, h, 1.0, dw_pot, params)
             worst = 0.0
-            for r in jk:
-                k = round(r.t / 0.01)
-                if 0 <= k < len(fv) and fv[k].density is not None:
-                    jko_rho = quantile_to_density(r.quantile, g)
-                    worst = max(worst, w2(jko_rho, fv[k].density, 1024))
+            for t, quantile in zip(jk["t"].tolist(), jk["quantile"]):
+                k = round(t / 0.01)
+                if 0 <= k < len(fv["density"]):
+                    jko_rho = quantile_to_density(quantile, g)
+                    worst = max(worst, w2(jko_rho, Density(g, fv["density"][k]), 1024))
             gaps[h] = worst
         assert gaps[0.02] < gaps[0.04]
         assert gaps[0.02] < 0.05

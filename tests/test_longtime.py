@@ -1,6 +1,5 @@
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,21 +40,21 @@ from oracles import gaussian_kl, verify_quasistationary_derivative, verify_sigma
 
 class TestClassifyRegime:
     @staticmethod
-    def records(*sigmas):
-        return [SimpleNamespace(sigma=s) for s in sigmas]
+    def trajectory(*sigmas):
+        return {"sigma": np.array(sigmas)}
 
     def test_kramers_when_a_multiplier_enters_the_set(self, grid, dw_pot):
-        assert classify_regime(self.records(2.0, 1.0, 0.3), dw_pot, grid) == "kramers"
+        assert classify_regime(self.trajectory(2.0, 1.0, 0.3), dw_pot, grid) == "kramers"
         # the intervals are closed
         (lo, hi), = multimodal_intervals(dw_pot, grid)
-        assert classify_regime(self.records(2.0, hi), dw_pot, grid) == "kramers"
-        assert classify_regime(self.records(lo, -2.0), dw_pot, grid) == "kramers"
+        assert classify_regime(self.trajectory(2.0, hi), dw_pot, grid) == "kramers"
+        assert classify_regime(self.trajectory(lo, -2.0), dw_pot, grid) == "kramers"
 
     def test_unimodal_outside_the_set(self, grid, dw_pot):
-        assert classify_regime(self.records(2.0, 2.0, 2.0), dw_pot, grid) == "unimodal"
+        assert classify_regime(self.trajectory(2.0, 2.0, 2.0), dw_pot, grid) == "unimodal"
 
     def test_convex(self, grid, quad_pot):
-        assert classify_regime(self.records(0.0, 0.3), quad_pot, grid) == "convex"
+        assert classify_regime(self.trajectory(0.0, 0.3), quad_pot, grid) == "convex"
 
 
 class TestComparisonSandwich:
@@ -165,8 +164,9 @@ class TestQuasistationaryDerivative:
         sol = solve_lambda(0.2, 0.8, dw_pot, grid)
         recs = fv_run(sol.state.density, path, 1e-3, dw_pot,
                       ModelParams(nu=0.8), 1e-3)
+        assert len(recs["t"]) == 2
         with pytest.raises(ContractViolation):
-            verify_quasistationary_derivative(recs[:2], dw_pot, path, ModelParams(nu=0.8))
+            verify_quasistationary_derivative(recs, dw_pot, path, ModelParams(nu=0.8))
 
 
 class TestDecayExperiment:
@@ -378,7 +378,7 @@ class TestKramersSweepRecords:
         )
         assert len(fit_points) == len(cfg.nu_list) + 1
         for entry, points in zip(out["entries"], fit_points):
-            assert 470 <= len(trajectories[entry["nu"]]) <= 510
+            assert 470 <= len(trajectories[entry["nu"]]["t"]) <= 510
             assert not entry["short_window"]
             assert points >= 100
 
@@ -422,26 +422,14 @@ class TestKramersSweepConvexControl:
 
 class TestFitDecayRate:
     def test_pure_exponential(self):
-        from cfpk.records import TrajectoryRecord
-
-        recs = []
-        for k in range(200):
-            t = 0.05 * k
-            recs.append(TrajectoryRecord(t=t, sigma=0.0, ell=0.0, M1=0.0, M2=0.0,
-                                         F=0.0, S=0.0, E=0.0,
-                                         Hrel_quasistatic=1e-1 * math.exp(-2.5 * t)))
+        t = [0.05 * k for k in range(200)]
+        recs = {"t": np.array(t), "Hrel_quasistatic": np.array([1e-1 * math.exp(-2.5 * t_k) for t_k in t])}
         rate, short = fit_decay_rate(recs)
         assert not short
         assert rate == pytest.approx(2.5, rel=1e-6)
 
     def test_floor_exclusion(self):
-        from cfpk.records import TrajectoryRecord
-
-        recs = []
-        for k in range(400):
-            t = 0.05 * k
-            h = 1e-1 * math.exp(-2.5 * t) + 1e-9
-            recs.append(TrajectoryRecord(t=t, sigma=0.0, ell=0.0, M1=0.0, M2=0.0,
-                                         F=0.0, S=0.0, E=0.0, Hrel_quasistatic=h))
+        t = [0.05 * k for k in range(400)]
+        recs = {"t": np.array(t), "Hrel_quasistatic": np.array([1e-1 * math.exp(-2.5 * t_k) + 1e-9 for t_k in t])}
         rate, _ = fit_decay_rate(recs)
         assert rate == pytest.approx(2.5, rel=0.05)

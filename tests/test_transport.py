@@ -24,7 +24,7 @@ from cfpk import transport
 from cfpk.equilibrium import solve_lambda
 from cfpk.errors import ContractViolation, StepError
 from cfpk.sampling import random_density
-from cfpk.transport import jko_run, quantile_to_density, sum_w2sq, to_quantile
+from cfpk.transport import jko_run, quantile_to_density, to_quantile
 
 from oracles import (
     discrete_sigma_series,
@@ -138,9 +138,8 @@ class TestQuantileProperties:
         path = exp_decay_path(ell_star, amplitude, 1.0)
         rho0 = random_density(PROPERTY_GRID, np.random.default_rng(seed), mean=path.ell(0.0))
         recs = jko_run(rho0, path, 0.02, 0.1, pot, ModelParams(nu=nu))
-        for r in recs:
-            assert np.all(np.diff(r.quantile) > 0.0)
-            assert abs(r.M1 - r.ell) <= 1e-8
+        assert np.all(np.diff(recs["quantile"], axis=1) > 0.0)
+        assert np.max(np.abs(recs["M1"] - recs["ell"])) <= 1e-8
 
 
 class TestW2:
@@ -186,26 +185,26 @@ class TestJkoStep:
         g = Grid(-12.0, 12.0, 8192)
         sol = solve_lambda(0.7, 1.0, quad_pot, g)
         params = ModelParams()
-        rec = jko_run(sol.state.density, constant_path(0.7), 1e-5, 1e-5, quad_pot, params, m=2048)[0]
-        assert math.sqrt(rec.W2sq_step) <= 1e-6
-        assert abs(rec.sigma - sol.lam) <= 1e-6
-        assert abs(rec.M1 - 0.7) <= 1e-8
-        assert rec.kkt_residual <= 1e-7
+        rec = jko_run(sol.state.density, constant_path(0.7), 1e-5, 1e-5, quad_pot, params, m=2048)
+        assert math.sqrt(rec["W2sq_step"][0]) <= 1e-6
+        assert abs(rec["sigma"][0] - sol.lam) <= 1e-6
+        assert abs(rec["M1"][0] - 0.7) <= 1e-8
+        assert rec["kkt_residual"][0] <= 1e-7
 
     def test_fixed_point_doublewell(self, dw_pot):
         g = Grid(-12.0, 12.0, 8192)
         sol = solve_lambda(1.0, 0.5, dw_pot, g)
         params = ModelParams(nu=0.5)
-        rec = jko_run(sol.state.density, constant_path(1.0), 1e-5, 1e-5, dw_pot, params, m=2048)[0]
-        assert math.sqrt(rec.W2sq_step) <= 1e-6
-        assert abs(rec.sigma - sol.lam) <= 1e-6
+        rec = jko_run(sol.state.density, constant_path(1.0), 1e-5, 1e-5, dw_pot, params, m=2048)
+        assert math.sqrt(rec["W2sq_step"][0]) <= 1e-6
+        assert abs(rec["sigma"][0] - sol.lam) <= 1e-6
 
     def test_gaussian_one_step_oracle(self, quad_pot):
         g = Grid(-12.0, 12.0, 4096)
         rho = gaussian_density(g, 0.5, 1.44)
         h = 0.01
-        rec = jko_run(rho, constant_path(0.5), h, h, quad_pot, ModelParams(), m=4096)[0]
-        m1, _, v = moments(quantile_to_density(rec.quantile, g))
+        rec = jko_run(rho, constant_path(0.5), h, h, quad_pot, ModelParams(), m=4096)
+        m1, _, v = moments(quantile_to_density(rec["quantile"][0], g))
         assert m1 == pytest.approx(0.5, abs=1e-8)
         v_oracle = jko_gaussian_step_variance(1.44, h)
         assert (v - 1.44) == pytest.approx(v_oracle - 1.44, rel=0.08)
@@ -217,9 +216,9 @@ class TestJkoStep:
         path = ConstraintPath(
             ell=lambda t: 0.1 + 0.25 * t / h, ell_dot=lambda t: 0.25 / h, ell_star=0.35
         )
-        rec = jko_run(rho, path, h, h, dw_pot, ModelParams(nu=0.8))[0]
-        assert abs(rec.M1 - 0.35) <= 1e-8
-        assert rec.W2sq_step >= 0.0
+        rec = jko_run(rho, path, h, h, dw_pot, ModelParams(nu=0.8))
+        assert abs(rec["M1"][0] - 0.35) <= 1e-8
+        assert rec["W2sq_step"][0] >= 0.0
 
 
 class TestInnerSolve:
@@ -266,9 +265,8 @@ class TestJkoRun:
         nu = 0.8
         sol = solve_lambda(0.3, nu, dw_pot, g)
         recs = jko_run(sol.state.density, constant_path(0.3), 2e-4, 2e-3, dw_pot, ModelParams(nu=nu))
-        assert all(r.W2sq_step <= 1e-10 for r in recs)
-        f_vals = [r.F for r in recs]
-        assert max(f_vals) - min(f_vals) < 1e-5
+        assert np.all(recs["W2sq_step"] <= 1e-10)
+        assert np.max(recs["F"]) - np.min(recs["F"]) < 1e-5
 
     def test_step_count_guard(self, grid, quad_pot, monkeypatch):
         # an h that schedules more than MAX_STEPS steps is refused before
@@ -285,7 +283,7 @@ class TestJkoRun:
         path = exp_decay_path(0.2, 0.3, 1.0)
         rho0 = gaussian_density(grid, path.ell(0.0), 0.6)
         recs = jko_run(rho0, path, 0.02, 0.5, dw_pot, ModelParams(nu=0.8))
-        assert max(abs(r.M1 - r.ell) for r in recs) <= 1e-8
+        assert np.max(np.abs(recs["M1"] - recs["ell"])) <= 1e-8
 
     def test_descent_with_constant_constraint(self, grid, dw_pot):
         params = ModelParams(nu=0.8)
@@ -297,10 +295,10 @@ class TestJkoRun:
         # scheme inequality: F(rho_k) + W2^2/(2 h_eff) <= F(rho_{k-1})
         logz0 = log_partition(dw_pot, grid, params.nu)
         f_prev = None
-        for r in recs:
-            f_here = quantile_free_energy(r.quantile, dw_pot, params.nu, logz0)
+        for quantile, w2sq in zip(recs["quantile"], recs["W2sq_step"].tolist()):
+            f_here = quantile_free_energy(quantile, dw_pot, params.nu, logz0)
             if f_prev is not None:
-                assert f_here + r.W2sq_step / (2.0 * h) <= f_prev + 1e-10
+                assert f_here + w2sq / (2.0 * h) <= f_prev + 1e-10
             f_prev = f_here
 
     def test_apriori_sums(self, grid, dw_pot):
@@ -312,8 +310,8 @@ class TestJkoRun:
         sups = {}
         for h in (0.04, 0.02, 0.01):
             recs = jko_run(rho0, path, h, 1.0, dw_pot, params)
-            sums[h] = sum_w2sq(recs)
-            sups[h] = max(r.M2 for r in recs)
+            sums[h] = float(np.sum(recs["W2sq_step"]))
+            sups[h] = float(np.max(recs["M2"]))
         assert sums[0.04] > sums[0.02] > sums[0.01]
         ratios = [sums[h] / h for h in (0.04, 0.02, 0.01)]
         assert max(ratios) / min(ratios) < 1.5
@@ -322,7 +320,7 @@ class TestJkoRun:
     def test_initial_projection(self, grid, dw_pot):
         rho0 = gaussian_density(grid, 1.3, 0.7)  # mean far from ell(0)
         recs = jko_run(rho0, constant_path(0.2), 0.02, 0.1, dw_pot, ModelParams(nu=0.8))
-        assert abs(recs[0].M1 - 0.2) <= 1e-8
+        assert abs(recs["M1"][0] - 0.2) <= 1e-8
 
     def test_shift_comparison(self, grid, dw_pot):
         # minimality against the translated competitor:
@@ -337,12 +335,12 @@ class TestJkoRun:
         logz0 = log_partition(dw_pot, grid, params.nu)
         x_prev = to_quantile(rho0, grid.n)
         x_prev = x_prev + (path.ell(0.0) - float(np.mean(x_prev)))
-        for r in recs:
-            a = r.ell - float(np.mean(x_prev))
-            lhs = quantile_free_energy(r.quantile, dw_pot, params.nu, logz0) + r.W2sq_step / (2 * h)
+        for ell, quantile, w2sq in zip(recs["ell"].tolist(), recs["quantile"], recs["W2sq_step"].tolist()):
+            a = ell - float(np.mean(x_prev))
+            lhs = quantile_free_energy(quantile, dw_pot, params.nu, logz0) + w2sq / (2 * h)
             rhs = quantile_free_energy(x_prev + a, dw_pot, params.nu, logz0) + a * a / (2 * h)
             assert lhs <= rhs + 1e-10
-            x_prev = r.quantile
+            x_prev = quantile
 
 
 class TestSigmaSeries:
@@ -366,7 +364,7 @@ class TestSigmaSeries:
 
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
-            discrete_sigma_series([])
+            discrete_sigma_series({"t": np.empty(0), "sigma": np.empty(0)})
 
 
 class TestWeakForm:
@@ -379,10 +377,10 @@ class TestWeakForm:
         zeta = (lambda x: x**2, lambda x: 2.0 * x, lambda x: 2.0 * np.ones_like(x))
         x_prev = to_quantile(rho0, grid.n)
         x_prev = x_prev + (path.ell(0.0) - float(np.mean(x_prev)))
-        for r in recs:
-            res, bound = weak_form_residual(x_prev, r.quantile, r.sigma, h, *zeta, dw_pot, params)
+        for quantile, sigma in zip(recs["quantile"], recs["sigma"].tolist()):
+            res, bound = weak_form_residual(x_prev, quantile, sigma, h, *zeta, dw_pot, params)
             assert res <= bound + 1e-9
-            x_prev = r.quantile
+            x_prev = quantile
 
     def test_h_to_zero_consistency(self, grid, dw_pot):
         # residual of the weak form against a smooth zeta shrinks with h
@@ -396,9 +394,9 @@ class TestWeakForm:
             x_prev = to_quantile(rho0, grid.n)
             x_prev = x_prev + (path.ell(0.0) - float(np.mean(x_prev)))
             vals = []
-            for r in recs:
-                res, _ = weak_form_residual(x_prev, r.quantile, r.sigma, h, *zeta, dw_pot, params)
+            for quantile, sigma in zip(recs["quantile"], recs["sigma"].tolist()):
+                res, _ = weak_form_residual(x_prev, quantile, sigma, h, *zeta, dw_pot, params)
                 vals.append(res)
-                x_prev = r.quantile
+                x_prev = quantile
             worst[h] = max(vals)
         assert worst[0.01] < worst[0.04]
