@@ -64,7 +64,7 @@ class RunConfig:
     h: float
     T: float
     seed: int
-    initial: str
+    initial: tuple[float, float] | None  # a Gaussian's (mean, var), or None for Gibbs
     nu_list: list[float]
     sigma_range: tuple[float, float]
     record_every: int
@@ -179,17 +179,18 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _initial(text: str) -> str:
-    """`gibbs`, or `gaussian:m,v` with finite m and finite v > 0."""
+def _initial(text: str) -> tuple[float, float] | None:
+    """`gibbs` (None), or `gaussian:m,v` with finite m and finite v > 0 as
+    (m, v)."""
     if text == "gibbs":
-        return text
+        return None
     name, _, args = text.partition(":")
     if name != "gaussian":
         raise ValueError("expected gibbs or gaussian:mean,var")
     mean, var = _float_list(args)
     if not (math.isfinite(mean) and math.isfinite(var) and var > 0.0):
         raise ValueError("need a finite mean and a finite variance > 0")
-    return text
+    return mean, var
 
 
 def _tolerance(text: str) -> float:
@@ -300,11 +301,10 @@ def _json_dump(obj, path: str) -> None:
 
 
 def _initial_density(cfg: RunConfig) -> Density:
-    """rho0 of the `[run] initial` spec that `_initial` checked."""
-    if cfg.initial == "gibbs":
+    """rho0 of the `[run] initial` spec."""
+    if cfg.initial is None:
         return solve_lambda(cfg.path.ell(0.0), cfg.params.nu, cfg.pot, cfg.grid).state.density
-    mean, var = _float_list(cfg.initial.partition(":")[2])
-    return core.gaussian_density(cfg.grid, mean, var)
+    return core.gaussian_density(cfg.grid, *cfg.initial)
 
 
 def _summarize_run(traj: dict[str, np.ndarray]) -> dict:

@@ -556,6 +556,11 @@ def run(
             limited, drift, taken = 0.0, 0.0, 0
     block.flush()
     cols = block.columns
+    if block.done != len(cols["t"]):
+        raise SolverError(
+            "run made a different number of records than record_count predicts",
+            diagnostics={"records": block.done, "predicted": len(cols["t"])},
+        )
 
     # energy-balance audit on record spacing
     t, f, d = cols["t"], cols["F"], cols["D"]

@@ -251,12 +251,7 @@ def jko_run(
         dens = quantile_to_density(x_new, grid)
         m1, m2, _ = moments(dens)
         fe = free_energy(dens, pot, params)
-        row = {
-            "t": t_k, "sigma": mu, "ell": ell_k, "M1": m1, "M2": m2, "F": fe.F, "S": fe.S, "E": fe.E,
-            "W2sq_step": w2sq, "kkt_residual": res,
-        }
-        for name, value in row.items():
+        for name, value in zip(TRANSPORT_COLUMNS, (t_k, mu, ell_k, m1, m2, fe.F, fe.S, fe.E, w2sq, res)):
             cols[name][k - 1] = value
-        x = cols["quantile"][k - 1]
-        x[:] = x_new
+        cols["quantile"][k - 1] = x = x_new
     return cols

@@ -608,7 +608,9 @@ class TestRecordKernel:
         # record_count predicts the records of a run (the CLI picks its
         # density stride from it), and keep_densities = s keeps the
         # densities of records 0, s, 2s, ...; the step is held, so this
-        # tests the record times only
+        # tests the record times only.  The times are checked against the
+        # slots k dt, k = 0, record_every, ..., and T, since `run` sizes its
+        # columns by record_count
         g = Grid(-8.0, 8.0, 64)
         dt = 0.01
         T = (slots + frac) * dt
@@ -619,6 +621,18 @@ class TestRecordKernel:
         n_records = len(recs["t"])
         assert n_records == record_count(T, dt, record_every)
         assert len(recs["density"]) == len(range(0, n_records, stride))
+        # T has `slots` whole slots; a fraction runs on in the last one
+        expected = [k * dt for k in range(0, slots, record_every)] + [T]
+        assert recs["t"].tolist() == expected
+        assert recs["steps"][0] == 0 and (recs["steps"][1:] >= 1).all()
+
+    def test_records_short_of_the_prediction_are_refused(self, grid, quad_pot, monkeypatch):
+        # the columns are sized by record_count; a run that fills fewer rows
+        # raises instead of returning trailing NaN rows
+        monkeypatch.setattr(fpsolver, "record_count", lambda T, dt, record_every: 12)
+        with pytest.raises(SolverError, match="record_count") as exc:
+            run(gaussian_density(grid, 0.0, 1.0), constant_path(0.0), 1e-3, quad_pot, ModelParams(), 0.01)
+        assert exc.value.diagnostics == {"records": 11, "predicted": 12}
 
     def test_negative_density_stride_is_refused(self, grid, quad_pot):
         with pytest.raises(ContractViolation, match="keep_densities >= 0"):
