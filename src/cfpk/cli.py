@@ -14,6 +14,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -23,30 +25,10 @@ from .equilibrium import landscape, solve_lambda
 from .errors import CfpkError, ConfigError
 from .fpsolver import run as fv_run
 from .longtime import decay_experiment, kramers_sweep, verify
-from .records import FPSOLVER_COLUMNS, TRANSPORT_COLUMNS, write_csv
+from .records import FPSOLVER_COLUMNS, TRANSPORT_COLUMNS, total_limited_mass, write_csv
 from .transport import jko_run
 
 TAIL_LIMIT = 1e-14
-
-_SCHEMA: dict[str, dict[str, str]] = {
-    "model": {"potential": "doublewell", "nu": "1.0", "tau": "1.0"},
-    "path": {"kind": "constant:0"},
-    "grid": {"x_min": "-12.0", "x_max": "12.0", "n": "1024"},
-    "run": {
-        "kind": "simulate",
-        "solver": "fv",
-        "dt": "1e-3",
-        "h": "0.01",
-        "T": "1.0",
-        "seed": "0",
-        "initial": "gibbs",
-        "nu_list": "0.8,0.6,0.5",
-        "sigma_min": "-3.0",
-        "sigma_max": "3.0",
-        "record_every": "1",
-        "verify_eb_tol": "1e-3",
-    },
-}
 
 KINDS = ("simulate", "equilibrium", "landscape", "decay", "kramers_sweep", "verify")
 
@@ -58,17 +40,7 @@ class RunConfig:
     path: core.ConstraintPath
     grid: Grid
     params: ModelParams
-    kind: str
-    solver: str
-    dt: float
-    h: float
-    T: float
-    seed: int
-    initial: tuple[float, float] | None  # a Gaussian's (mean, var), or None for Gibbs
-    nu_list: list[float]
-    sigma_range: tuple[float, float]
-    record_every: int
-    verify_eb_tol: float
+    run: SimpleNamespace  # the [run] keys, each parsed by its _SCHEMA entry
     out_dir: str = "out"
     tail_report: dict[str, float] = field(default_factory=dict)
 
@@ -149,7 +121,7 @@ def _resolve(sections: dict[str, dict[str, str]]) -> dict[str, dict[str, str]]:
                 unknown.append(f"[{sec}] {key}")
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
-    resolved = {sec: dict(defaults) for sec, defaults in _SCHEMA.items()}
+    resolved = {sec: {key: default for key, (default, _) in keys.items()} for sec, keys in _SCHEMA.items()}
     for sec, kv in sections.items():
         resolved[sec].update(kv)
     return resolved
@@ -157,6 +129,30 @@ def _resolve(sections: dict[str, dict[str, str]]) -> dict[str, dict[str, str]]:
 
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
+
+
+def _above(kind: Callable[[str], Any], low: float) -> Callable[[str], Any]:
+    """A parser of `kind` values that are finite and > low."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not low < value < math.inf:
+            raise ValueError(f"need a finite value > {low:g}")
+        return value
+
+    return parse
+
+
+_FINITE, _POSITIVE = _above(float, -math.inf), _above(float, 0.0)
+
+
+def _one_of(*choices: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return text
+
+    return parse
 
 
 def _nu_list(text: str) -> list[float]:
@@ -170,13 +166,6 @@ def _nu_list(text: str) -> list[float]:
     if len(set(names)) != len(names):
         raise ValueError(f"noise levels collide in their file names nu{{nu:g}}: {names}")
     return nus
-
-
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise ValueError("need a seed >= 0")
-    return seed
 
 
 def _initial(text: str) -> tuple[float, float] | None:
@@ -193,59 +182,58 @@ def _initial(text: str) -> tuple[float, float] | None:
     return mean, var
 
 
-def _tolerance(text: str) -> float:
-    tol = float(text)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError("need a finite tolerance >= 0")
-    return tol
+# Every config key, by section: its default and the parser that turns its
+# text into its value, raising ValueError or a CfpkError on a bad one.  The
+# potential stays a spec here, because build_config builds it on its grid.
+_SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
+    "model": {"potential": ("doublewell", str), "nu": ("1.0", _POSITIVE), "tau": ("1.0", _POSITIVE)},
+    "path": {"kind": ("constant:0", parse_path)},
+    "grid": {"x_min": ("-12.0", _FINITE), "x_max": ("12.0", _FINITE), "n": ("1024", int)},
+    "run": {
+        "kind": ("simulate", _one_of(*KINDS)),
+        "solver": ("fv", _one_of("fv", "jko")),
+        "dt": ("1e-3", _POSITIVE),
+        "h": ("0.01", _POSITIVE),
+        "T": ("1.0", _POSITIVE),
+        "seed": ("0", _above(int, -1)),
+        "initial": ("gibbs", _initial),
+        "nu_list": ("0.8,0.6,0.5", _nu_list),
+        "sigma_min": ("-3.0", _FINITE),
+        "sigma_max": ("3.0", _FINITE),
+        "record_every": ("1", _above(int, 0)),
+    },
+}
+
+
+def _checked(label: str, build: Callable[..., Any], *args: Any) -> Any:
+    """build(*args); a ValueError or CfpkError it raises becomes a
+    ConfigError led by `label`."""
+    try:
+        return build(*args)
+    except (ValueError, CfpkError) as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> RunConfig:
-    def value(section: str, key: str, parse=float):
-        """parse([section] key); a value that does not parse is a ConfigError."""
-        raw = resolved[section][key]
-        try:
-            return parse(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw}: {exc}") from exc
-
-    grid = Grid(x_min=value("grid", "x_min"), x_max=value("grid", "x_max"), n=value("grid", "n", int))
-    pot = value("model", "potential", lambda spec: parse_potential(spec, grid))
-    path = value("path", "kind", parse_path)
-    params = ModelParams(tau=value("model", "tau"), nu=value("model", "nu"))
-    kind = resolved["run"]["kind"]
-    if kind not in KINDS:
-        raise ConfigError(f"unknown run kind '{kind}' (expected one of {KINDS})")
-    solver = resolved["run"]["solver"]
-    if solver not in ("jko", "fv"):
-        raise ConfigError(f"unknown solver '{solver}'")
-    if solver == "jko" and kind in ("decay", "kramers_sweep", "verify"):
-        raise ConfigError(f"run kind '{kind}' runs the fv solver only, got solver = jko")
-    pot.validate_on(grid)
-    s_min, s_max = value("run", "sigma_min"), value("run", "sigma_max")
-    if not -math.inf < s_min < s_max < math.inf:
-        raise ConfigError(
-            f"[run] sigma_min = {s_min}, sigma_max = {s_max}: need finite sigma_min < sigma_max"
-        )
-    cfg = RunConfig(
-        raw=resolved,
-        pot=pot,
-        path=path,
-        grid=grid,
-        params=params,
-        kind=kind,
-        solver=solver,
-        dt=value("run", "dt"),
-        h=value("run", "h"),
-        T=value("run", "T"),
-        seed=value("run", "seed", _seed),
-        initial=value("run", "initial", _initial),
-        nu_list=value("run", "nu_list", _nu_list),
-        sigma_range=(s_min, s_max),
-        record_every=value("run", "record_every", int),
-        verify_eb_tol=value("run", "verify_eb_tol", _tolerance),
-        out_dir=out_dir,
-    )
+    values = {
+        sec: {key: _checked(f"[{sec}] {key} = {raw}", _SCHEMA[sec][key][1], raw) for key, raw in kv.items()}
+        for sec, kv in resolved.items()
+    }
+    model, run = values["model"], SimpleNamespace(**values["run"])
+    # the checks that involve more than one key
+    grid = _checked("[grid]", lambda: Grid(**values["grid"]))
+    label = f"[model] potential = {model['potential']}"
+    pot = _checked(label, parse_potential, model["potential"], grid)
+    _checked(label, pot.validate_on, grid)
+    params = _checked(f"[model] nu = {model['nu']}", ModelParams, model["tau"], model["nu"])
+    if run.solver == "jko" and run.kind in ("decay", "kramers_sweep", "verify"):
+        raise ConfigError(f"run kind '{run.kind}' runs the fv solver only, got solver = jko")
+    if not run.sigma_min < run.sigma_max:
+        raise ConfigError(f"[run] sigma_min = {run.sigma_min}: need sigma_min < sigma_max = {run.sigma_max}")
+    if run.kind == "kramers_sweep" and len(run.nu_list) < 3:
+        raise ConfigError(f"[run] nu_list = {resolved['run']['nu_list']}: a sweep needs 3 noise levels or more")
+    path = values["path"]["kind"]
+    cfg = RunConfig(raw=resolved, pot=pot, path=path, grid=grid, params=params, run=run, out_dir=out_dir)
     _tail_check(cfg)
     return cfg
 
@@ -302,9 +290,9 @@ def _json_dump(obj, path: str) -> None:
 
 def _initial_density(cfg: RunConfig) -> Density:
     """rho0 of the `[run] initial` spec."""
-    if cfg.initial is None:
+    if cfg.run.initial is None:
         return solve_lambda(cfg.path.ell(0.0), cfg.params.nu, cfg.pot, cfg.grid).state.density
-    return core.gaussian_density(cfg.grid, *cfg.initial)
+    return core.gaussian_density(cfg.grid, *cfg.run.initial)
 
 
 def _summarize_run(traj: dict[str, np.ndarray]) -> dict:
@@ -317,8 +305,7 @@ def _summarize_run(traj: dict[str, np.ndarray]) -> dict:
         "max_eb_residual": float(np.nanmax(traj["eb_residual"][1:])),
         "max_constraint_gap": float(np.max(np.abs(traj["M1"] - traj["ell"]))),
         "steps": int(traj["steps"].sum()),
-        # summed in record order: np.sum pairs terms, which moves the last bits
-        "limited_mass": float(sum(traj["limited_mass"].tolist())),
+        "limited_mass": total_limited_mass(traj),
     }
 
 
@@ -337,18 +324,19 @@ def run_experiment(cfg: RunConfig) -> int:
         error = {"error": type(exc).__name__, "message": str(exc), "diagnostics": exc.diagnostics}
         _json_dump(error, os.path.join(cfg.out_dir, "error.json"))
         raise
-    summary = {"kind": cfg.kind, "tail_report": cfg.tail_report, name: block}
+    summary = {"kind": cfg.run.kind, "tail_report": cfg.tail_report, name: block}
     _json_dump(summary, os.path.join(cfg.out_dir, "summary.json"))
-    failed = [c for c, entry in block.items() if not entry["pass"]] if cfg.kind == "verify" else []
+    failed = [c for c, entry in block.items() if not entry["pass"]] if cfg.run.kind == "verify" else []
     if failed:
         print(f"verification failed: {failed[0]}", file=sys.stderr)
     return 1 if failed else 0
 
 
 def _experiment(cfg: RunConfig) -> tuple[str, dict]:
-    """One library call for cfg.kind; writes its CSVs and returns its
+    """One library call for the run kind; writes its CSVs and returns its
     summary.json block with the block's key."""
-    if cfg.kind == "equilibrium":
+    run = cfg.run
+    if run.kind == "equilibrium":
         ell = cfg.path.ell_star
         sol = solve_lambda(ell, cfg.params.nu, cfg.pot, cfg.grid)
         print(f"lambda({ell:g}) = {sol.lam:.12g}")
@@ -360,34 +348,34 @@ def _experiment(cfg: RunConfig) -> tuple[str, dict]:
             "variance": sol.state.variance,
             "log_Z": sol.state.log_z,
         }
-    if cfg.kind == "landscape":
-        return "landscape", landscape(cfg.params.nu, cfg.pot, cfg.grid, sigma_range=cfg.sigma_range)
-    if cfg.kind == "kramers_sweep":
+    if run.kind == "landscape":
+        sigma_range = (run.sigma_min, run.sigma_max)
+        return "landscape", landscape(cfg.params.nu, cfg.pot, cfg.grid, sigma_range=sigma_range)
+    if run.kind == "kramers_sweep":
         block, trajectories = kramers_sweep(
-            cfg.pot, cfg.path.ell_star, cfg.nu_list, cfg.dt, cfg.grid, tau=cfg.params.tau
+            cfg.pot, cfg.path.ell_star, run.nu_list, run.dt, cfg.grid, tau=cfg.params.tau
         )
         for nu_val, traj in trajectories.items():
             write_csv(traj, os.path.join(cfg.out_dir, f"trajectory_nu{nu_val:g}.csv"), FPSOLVER_COLUMNS)
         return "kramers_sweep", block
     rho0 = _initial_density(cfg)
-    if cfg.kind == "verify":
+    if run.kind == "verify":
         block, _ = verify(
-            rho0, cfg.path, cfg.pot, cfg.params, cfg.dt, cfg.T, cfg.seed, cfg.verify_eb_tol,
-            record_every=cfg.record_every,
+            rho0, cfg.path, cfg.pot, cfg.params, run.dt, run.T, run.seed, record_every=run.record_every
         )
         return "verify", block
-    if cfg.kind == "decay":
+    if run.kind == "decay":
         block, traj = decay_experiment(
-            rho0, cfg.path, cfg.params.nu, cfg.pot, cfg.dt, cfg.T,
-            tau=cfg.params.tau, record_every=cfg.record_every,
+            rho0, cfg.path, cfg.params.nu, cfg.pot, run.dt, run.T,
+            tau=cfg.params.tau, record_every=run.record_every,
         )
         write_csv(traj, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
         return "decay", block
-    if cfg.solver == "fv":
-        traj = fv_run(rho0, cfg.path, cfg.dt, cfg.pot, cfg.params, cfg.T, record_every=cfg.record_every)
+    if run.solver == "fv":
+        traj = fv_run(rho0, cfg.path, run.dt, cfg.pot, cfg.params, run.T, record_every=run.record_every)
         write_csv(traj, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
         return "fv", _summarize_run(traj)
-    traj = jko_run(rho0, cfg.path, cfg.h, cfg.T, cfg.pot, cfg.params)
+    traj = jko_run(rho0, cfg.path, run.h, run.T, cfg.pot, cfg.params)
     write_csv(traj, os.path.join(cfg.out_dir, "trajectory_jko.csv"), TRANSPORT_COLUMNS)
     return "jko", {
         "final_sigma": float(traj["sigma"][-1]),
@@ -415,18 +403,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sections = _resolve({} if args.config is None else _read_sections(args.config))
         sections["run"]["kind"] = args.command.replace("-", "_")
-        if args.solver:
-            sections["run"]["solver"] = args.solver
-        if args.seed is not None:
-            sections["run"]["seed"] = str(args.seed)
-        if args.ell is not None:
-            sections["path"]["kind"] = f"constant:{args.ell!r}"
-        if args.nu is not None:
-            sections["model"]["nu"] = repr(args.nu)
-        if args.potential is not None:
-            sections["model"]["potential"] = args.potential
-        cfg = build_config(sections, out_dir=args.out)
-        return run_experiment(cfg)
+        ell = None if args.ell is None else f"constant:{args.ell!r}"
+        flags = {("run", "solver"): args.solver, ("run", "seed"): args.seed, ("path", "kind"): ell,
+                 ("model", "nu"): args.nu, ("model", "potential"): args.potential}
+        for (sec, key), value in flags.items():
+            if value is not None:
+                sections[sec][key] = value if isinstance(value, str) else repr(value)
+        return run_experiment(build_config(sections, out_dir=args.out))
     except CfpkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,6 +37,13 @@ def require_positive(**values: float) -> None:
             raise ContractViolation(f"need finite {name} > 0, got {name}={value}")
 
 
+def require_finite(**values: float) -> None:
+    """Raise ContractViolation unless every named value is finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ContractViolation(f"need finite {name}, got {name}={value}")
+
+
 def step_count(T: float, dt: float) -> int:
     """ceil(T/dt) whole steps, at least one; ContractViolation beyond MAX_STEPS."""
     steps = T / dt - 1e-12
@@ -215,8 +222,7 @@ class Potential:
 
 def quadratic_potential(k: float = 1.0) -> Potential:
     """H(x) = k x^2 / 2, uniformly convex with H'' = k."""
-    if k <= 0.0:
-        raise ContractViolation("quadratic potential needs k > 0")
+    require_positive(k=k)
     return Potential(
         h=lambda x: 0.5 * k * np.asarray(x) ** 2,
         h1=lambda x: k * np.asarray(x),
@@ -269,6 +275,7 @@ def polynomial_potential(coeffs: list[float], grid: Optional[Grid] = None) -> Po
     c = np.asarray(coeffs, dtype=float)
     if c.size < 1:
         raise ContractViolation("polynomial potential needs at least one coefficient")
+    require_finite(**{f"coeffs[{i}]": v for i, v in enumerate(c.tolist())})
     poly = np.polynomial.polynomial
     d1, d2, d3 = (poly.polyder(c, k) for k in (1, 2, 3))
     a, b = (grid.x_min, grid.x_max) if grid is not None else (-10.0, 10.0)
@@ -321,6 +328,7 @@ class ConstraintPath:
 
 
 def constant_path(l: float) -> ConstraintPath:
+    require_finite(l=l)
     return ConstraintPath(
         ell=lambda t: l,
         ell_dot=lambda t: 0.0,
@@ -333,8 +341,8 @@ def constant_path(l: float) -> ConstraintPath:
 
 def exp_decay_path(l_star: float, A: float, kappa: float) -> ConstraintPath:
     """ell(t) = l_star + A exp(-kappa t)."""
-    if kappa <= 0.0:
-        raise ContractViolation("exp_decay path needs kappa > 0")
+    require_finite(l_star=l_star, A=A)
+    require_positive(kappa=kappa)
     return ConstraintPath(
         ell=lambda t: l_star + A * math.exp(-kappa * t),
         ell_dot=lambda t: -A * kappa * math.exp(-kappa * t),
@@ -347,8 +355,8 @@ def exp_decay_path(l_star: float, A: float, kappa: float) -> ConstraintPath:
 
 def tanh_ramp_path(l0: float, l1: float, t0: float, w: float) -> ConstraintPath:
     """Smooth ramp from l0 to l1 centered at t0 with width w."""
-    if w <= 0.0:
-        raise ContractViolation("tanh_ramp path needs w > 0")
+    require_finite(l0=l0, l1=l1, t0=t0)
+    require_positive(w=w)
     half = 0.5 * (l1 - l0)
 
     def ell(t):

@@ -17,6 +17,12 @@ FPSOLVER_COLUMNS = [
 ]
 
 
+def total_limited_mass(columns: dict[str, np.ndarray]) -> float:
+    """The run's limited negative mass, summed in record order: np.sum pairs
+    terms, which moves the last bits."""
+    return float(sum(columns["limited_mass"].tolist()))
+
+
 def write_csv(columns: dict[str, np.ndarray], path: str, names: list[str]) -> None:
     """The `names` columns in that order, 17 significant digits: byte-identical across runs."""
     row = ",".join(["%.17g"] * len(names))

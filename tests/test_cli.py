@@ -42,7 +42,7 @@ class TestParsing:
     def test_minimal_defaults(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL), out_dir=str(tmp_path / "out"))
         assert cfg.grid.n == 1024
-        assert cfg.dt == pytest.approx(1e-3)
+        assert cfg.run.dt == pytest.approx(1e-3)
         assert cfg.params.nu == 1.0
         assert cfg.raw["run"]["dt"] == "1e-3"  # defaults materialized
 
@@ -186,7 +186,7 @@ class TestRunExperiment:
         # contract passes, and its block is the CLI's after the JSON round trip
         grid, pot, path = Grid(-11.2, 12.8, 512), quadratic_potential(1.0), exp_decay_path(0.5, 0.3, 1.0)
         rho0 = solve_lambda(path.ell(0.0), 1.0, pot, grid).state.density
-        block, traj = cfpk.longtime.verify(rho0, path, pot, ModelParams(tau=1.0, nu=1.0), 1e-3, 0.5, 0, 1e-3)
+        block, traj = cfpk.longtime.verify(rho0, path, pot, ModelParams(tau=1.0, nu=1.0), 1e-3, 0.5, 0)
         assert all(entry["pass"] for entry in block.values()), block
         assert traj["t"][-1] == 0.5
         out = tmp_path / "v"
@@ -351,7 +351,7 @@ class TestRunExperiment:
         echoed = out / "config_resolved.cfg"
         sections = _resolve(_read_sections(str(echoed)))
         again = build_config(sections, out_dir=str(out))
-        assert again.grid.n == 512 and again.dt == pytest.approx(1e-3)
+        assert again.grid.n == 512 and again.run.dt == pytest.approx(1e-3)
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = write(tmp_path, "[model]\npotential = mystery\n")
@@ -440,8 +440,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "nu_list",
-        ["0.8,0,0.5", "0.8,-0.6,0.5", "0.8,nan,0.5", "0.8,inf,0.5", "0.8,0.8000001,0.5"],
-        ids=["zero", "negative", "nan", "inf", "name-collision"],
+        ["0.8,0,0.5", "0.8,-0.6,0.5", "0.8,nan,0.5", "0.8,inf,0.5", "0.8,0.8000001,0.5", "1.2,1.0"],
+        ids=["zero", "negative", "nan", "inf", "name-collision", "two-levels"],
     )
     def test_bad_nu_list_exit_code(self, tmp_path, capsys, nu_list):
         text = f"[model]\npotential = doublewell\n\n[grid]\nn = 256\n\n[run]\nnu_list = {nu_list}\n"
@@ -488,8 +488,9 @@ class TestRunExperiment:
             ("run", "h", "nan", "jko"),
             ("run", "h", "-0.01", "jko"),
             ("path", "kind", "tanh_ramp:0,1,1000,0.5", "fv"),
-            ("run", "verify_eb_tol", "nan", "fv"),
-            ("run", "verify_eb_tol", "-1e-3", "fv"),
+            ("path", "kind", "exp_decay:0,1,nan", "fv"),
+            ("model", "potential", "quadratic:nan", "fv"),
+            ("model", "potential", "polynomial:-1,0,1", "fv"),
             ("run", "dt", "1e-300", "fv"),
             ("run", "h", "1e-300", "jko"),
             ("run", "solver", "both", "fv"),
@@ -506,9 +507,16 @@ class TestRunExperiment:
         text = "".join(
             f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for sec, kv in sections.items()
         )
-        assert main(["simulate", "--config", write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write(tmp_path, text), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+        if value == "1e-300":
+            # T/dt past MAX_STEPS is refused where the run counts its steps
+            assert json.loads((out / "error.json").read_text())["error"] == "ContractViolation"
+        else:
+            # refused while the config is parsed, naming the key, before any output
+            assert err.startswith(f"error: [{section}] {key}") and not out.exists()
 
     @pytest.mark.parametrize(
         "case", ["config-directory", "config-not-utf8", "config-missing", "out-is-a-file"]

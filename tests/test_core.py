@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,26 @@ class TestConstraintPaths:
         for T, dt in ((MAX_STEPS + 1.0, 1.0), (1.0, 1e-300), (1e300, 1e-300)):
             with pytest.raises(ContractViolation, match="exceeds the limit"):
                 step_count(T, dt)
+
+    @pytest.mark.parametrize(
+        "build,name",
+        [
+            (lambda: quadratic_potential(math.nan), "k"),
+            (lambda: quadratic_potential(math.inf), "k"),
+            (lambda: polynomial_potential([0.0, 0.0, 0.5, math.nan]), "coeffs[3]"),
+            (lambda: polynomial_potential([0.0, math.inf, 0.5]), "coeffs[1]"),
+            (lambda: constant_path(math.inf), "l"),
+            (lambda: exp_decay_path(0.0, 1.0, math.nan), "kappa"),
+            (lambda: tanh_ramp_path(0.0, 1.0, 0.0, math.nan), "w"),
+        ],
+        ids=["quadratic-nan", "quadratic-inf", "polynomial-nan", "polynomial-inf", "constant-inf",
+             "exp_decay-nan", "tanh_ramp-nan"],
+    )
+    def test_non_finite_parameter_is_named(self, build, name):
+        # `k <= 0` and the like are false for NaN, so each constructor checks
+        # finiteness itself, naming the parameter, instead of failing later
+        with pytest.raises(ContractViolation, match=rf"need finite {re.escape(name)}[ ,]"):
+            build()
 
     def test_params_validation(self):
         with pytest.raises(ContractViolation):

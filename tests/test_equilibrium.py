@@ -251,6 +251,29 @@ class TestLambdaOfEll:
             )
             np.testing.assert_array_equal(sol.state.values, one.state.values)
 
+    def test_batch_lanes_fall_back_from_degenerate_starts(self, grid, dw_pot):
+        # at nu = 0.5 the finite starts 1e3 and -1e6 degenerate, the NaN start
+        # is replaced before any evaluation, and lambda(0.3) is exact: every
+        # lane ends where its one-lane solve ends, bit for bit, and a lane
+        # that fell back counts its degenerate evaluation on top of the cold
+        # solve's evaluations
+        nu = 0.5
+        exact = solve_lambda(0.3, nu, dw_pot, grid).lam
+        ells = np.array([0.4, 0.3, 0.4, 0.4])
+        starts = np.array([1e3, exact, math.nan, -1e6])
+        batch = solve_lambdas(ells, nu, dw_pot, grid, starts)
+        for sol, ell, start in zip(batch, ells, starts):
+            one = solve_lambdas([float(ell)], nu, dw_pot, grid, [float(start)])[0]
+            assert (sol.lam, sol.iterations, sol.residual) == (one.lam, one.iterations, one.residual)
+            assert (sol.state.mean, sol.state.variance, sol.state.log_z) == (
+                one.state.mean, one.state.variance, one.state.log_z,
+            )
+            np.testing.assert_array_equal(sol.state.values, one.state.values)
+        fell, exact_lane, cold, fell_too = batch
+        assert exact_lane.iterations == 1
+        assert fell.iterations == fell_too.iterations == cold.iterations + 1
+        assert fell.lam == fell_too.lam == cold.lam
+
     @settings(max_examples=25, deadline=None)
     @given(
         potential=hst.sampled_from(["quadratic", "doublewell", "polynomial"]),

@@ -374,9 +374,9 @@ class TestKramersSweepRecords:
 
         monkeypatch.setattr(np, "polyfit", spy)
         out, trajectories = longtime.kramers_sweep(
-            cfg.pot, cfg.path.ell_star, cfg.nu_list, cfg.dt, cfg.grid, tau=cfg.params.tau
+            cfg.pot, cfg.path.ell_star, cfg.run.nu_list, cfg.run.dt, cfg.grid, tau=cfg.params.tau
         )
-        assert len(fit_points) == len(cfg.nu_list) + 1
+        assert len(fit_points) == len(cfg.run.nu_list) + 1
         for entry, points in zip(out["entries"], fit_points):
             assert 470 <= len(trajectories[entry["nu"]]["t"]) <= 510
             assert not entry["short_window"]
