@@ -239,19 +239,23 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
 
 
 def _tail_check(cfg: RunConfig) -> None:
-    """Reject grids whose equilibrium boundary tails are not below roundoff;
-    record the observed boundary densities for the run summary."""
-    nu = cfg.params.nu
-    for label, ell in (("ell0", cfg.path.ell(0.0)), ("ell_star", cfg.path.ell_star)):
+    """Reject grids whose equilibrium boundary tails are not below roundoff
+    at an (ell, nu) the run solves at; record the observed boundary
+    densities for the run summary."""
+    path, nu = cfg.path, cfg.params.nu
+    checks = [("ell0", path.ell(0.0), nu), ("ell_star", path.ell_star, nu)]
+    if cfg.run.kind == "kramers_sweep":  # the members run at ell* and their own nu
+        checks = [(f"nu{v:g}", path.ell_star, v) for v in cfg.run.nu_list]
+    for label, ell, nu in checks:
         try:
             state = solve_lambda(ell, nu, cfg.pot, cfg.grid).state
         except CfpkError as exc:
-            raise ConfigError(f"tail check failed to build gamma at {label}={ell}: {exc}") from exc
+            raise ConfigError(f"tail check failed to build gamma at ell={ell}, nu={nu:g}: {exc}") from exc
         boundary = max(float(state.values[0]), float(state.values[-1]))
         cfg.tail_report[f"boundary_density_{label}"] = boundary
         if boundary > TAIL_LIMIT:
             raise ConfigError(
-                f"grid too small: gamma at {label}={ell} has boundary density "
+                f"grid too small: gamma at ell={ell}, nu={nu:g} has boundary density "
                 f"{boundary:.3e} > {TAIL_LIMIT:.0e}; widen [x_min, x_max]"
             )
 
@@ -402,6 +406,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         sections = _resolve({} if args.config is None else _read_sections(args.config))
+        kind = sections["run"]["kind"]  # the subcommand sets the kind, but the config's must be valid
+        _checked(f"[run] kind = {kind}", _SCHEMA["run"]["kind"][1], kind)
         sections["run"]["kind"] = args.command.replace("-", "_")
         ell = None if args.ell is None else f"constant:{args.ell!r}"
         flags = {("run", "solver"): args.solver, ("run", "seed"): args.seed, ("path", "kind"): ell,

@@ -24,6 +24,8 @@ from .errors import ContractViolation, DegenerateInputError
 # Floor used inside log(rho) evaluations; x*log(x) -> 0 as x -> 0, so cells at
 # or below the floor contribute nothing to entropy-type integrands.
 LOG_FLOOR = 1e-300
+# A density lies on M^ell, the densities with mean ell, when |M1 - ell| <= MEAN_TOL.
+MEAN_TOL = 1e-8
 # Most whole steps a solver schedules on [0, T]; the largest run of the test
 # suite and the benchmark (criterion 10's nu = 0.5 member, T/dt = 48,747) stays
 # well below, and no Kramers member can exceed 4200 / 0.012 = 350,000.

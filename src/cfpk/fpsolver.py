@@ -30,6 +30,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .core import (
+    MEAN_TOL,
     ConstraintPath,
     Density,
     Grid,
@@ -350,46 +351,48 @@ def _factor(ratio: float) -> float:
     return SAFETY / math.sqrt(ratio) if ratio > 0.0 else math.inf
 
 
-def _slots(T: float, dt: float) -> tuple[int, float, bool]:
-    """(number of whole dt slots, end time max(T, dt), whether the last slot
-    runs on to T because dt does not divide T)."""
+def record_times(T: float, dt: float, record_every: int) -> tuple[list[int], list[float], bool]:
+    """`run`'s record slots k = 0, record_every, 2 record_every, ... below the
+    number of whole dt slots, then that number; their times k dt, and
+    max(T, dt) for the last; and whether the last slot runs on to T."""
     n_steps = step_count(T, dt)
     t_end = max(T, dt)
     stretched = t_end / dt < n_steps - 1e-12
-    return n_steps - stretched, t_end, stretched
-
-
-def record_count(T: float, dt: float, record_every: int) -> int:
-    """The number of records `run` makes on [0, T]."""
-    return -(-_slots(T, dt)[0] // record_every) + 1
+    n_steps -= stretched
+    slots = list(range(0, n_steps, record_every)) + [n_steps]
+    return slots, [k * dt for k in slots[:-1]] + [t_end], stretched
 
 
 class _RecordBlock:
-    """The trajectory's columns, preallocated for `count` records, filled
-    RECORD_BLOCK records at a time from buffered states (see `run`)."""
+    """The trajectory's columns, one entry per record time, with t, ell and
+    ell_dot filled up front and the rest filled RECORD_BLOCK records at a
+    time from buffered states (see `run`)."""
 
     def __init__(
-        self, grid: Grid, pot: Potential, path: ConstraintPath, params: ModelParams, count: int, keep: int
+        self, grid: Grid, pot: Potential, path: ConstraintPath, params: ModelParams, times: list, keep: int
     ):
         self.grid, self.pot, self.path, self.params, self.keep = grid, pot, path, params, keep
         self.family = tilted_family(pot, grid)
         self.logz0 = log_partition(pot, grid, params.nu)
         self.star = solve_lambda(path.ell_star, params.nu, pot, grid)
+        n = len(times)
+        self.columns = cols = {name: np.full(n, np.nan) for name in FPSOLVER_COLUMNS + ["lam_ell", "l1_star"]}
+        cols["t"][:], cols["ell"][:] = times, [path.ell(t) for t in times]
+        cols["ell_dot"] = np.array([path.ell_dot(t) for t in times])
+        cols["steps"] = np.zeros(n, dtype=int)
+        cols["density"] = np.empty((-(-n // keep) if keep else 0, grid.n))
         # the last converged lambda(ell) solve, (lambda, ell, Var), on a moving path
         if path.L0 != 0.0:
             first = solve_lambda(path.ell(0.0), params.nu, pot, grid)
             self.anchor = (first.lam, path.ell(0.0), first.state.variance)
         # the block's states, log rho and one integrand at a time
         self.rows, self.log_r, self.work = np.empty((3, RECORD_BLOCK, grid.n))
-        self.columns = {name: np.full(count, np.nan) for name in FPSOLVER_COLUMNS + ["lam_ell", "l1_star"]}
-        self.columns["steps"] = np.zeros(count, dtype=int)
-        self.columns["density"] = np.empty((-(-count // keep) if keep else 0, grid.n))
         self.done = 0  # records whose diagnostics are computed
         self.pending = 0  # buffered records after those
 
-    def add(self, vals: np.ndarray, t: float, limited: float, drift: float, steps: int) -> None:
+    def add(self, vals: np.ndarray, limited: float, drift: float, steps: int) -> None:
         cols, i = self.columns, self.done + self.pending
-        cols["t"][i], cols["limited_mass"][i], cols["mass_drift"][i], cols["steps"][i] = t, limited, drift, steps
+        cols["limited_mass"][i], cols["mass_drift"][i], cols["steps"][i] = limited, drift, steps
         if self.keep and i % self.keep == 0:
             cols["density"][i // self.keep] = vals
         self.rows[self.pending] = vals
@@ -401,31 +404,29 @@ class _RecordBlock:
         k = self.pending
         if not k:
             return
-        path, tau, nu = self.path, self.params.tau, self.params.nu
+        tau, nu = self.params.tau, self.params.nu
         nu2, dx, family, star = nu * nu, self.grid.dx, self.family, self.star
         cols = {name: col[self.done : self.done + k] for name, col in self.columns.items() if name != "density"}
         block, log_r, work = self.rows[:k], self.log_r[:k], self.work[:k]
-        times = cols["t"].tolist()
-        ells = cols["ell"]
-        ells[:] = [path.ell(t) for t in times]
         # one stacked product, basis @ rho for each row: a matrix-vector
         # product per row, as one state's record takes it (a matrix-matrix
         # product orders its sums by the block's shape)
         e, m1, m2, h1_rho = (family.basis @ block[:, :, None])[:, :, 0].T * dx
         cols["E"][:], cols["M1"][:], cols["M2"][:] = e, m1, m2
         sigma = cols["sigma"]
-        sigma[:] = h1_rho + tau * np.array([path.ell_dot(t) for t in times])
+        sigma[:] = h1_rho + tau * cols["ell_dot"]
         _log_density(block, out=log_r)
         s = cols["S"]
         s[:] = _entropy_integrand(block, log_r, out=work).sum(axis=1) * dx
         cols["F"][:] = _breakdown(s, e, self.logz0, nu).F
         h_star = _kl_integrand(block, log_r, star.state.log_values, out=work).sum(axis=1) * dx
         cols["Hrel_star"][:] = h_star
-        if path.L0 == 0.0:
+        if self.path.L0 == 0.0:
             # gamma_{lambda(ell(t))} is gamma_star
             cols["lam_ell"][:], cols["Hrel_quasistatic"][:] = star.lam, h_star
         else:
             lam_a, ell_a, var_a = self.anchor
+            ells = cols["ell"]
             sols = solve_lambdas(ells, nu, self.pot, self.grid, lam_a + (ells - ell_a) * nu2 / var_a)
             self.anchor = (sols[-1].lam, ells[-1], sols[-1].state.variance)
             lam = cols["lam_ell"]
@@ -452,7 +453,8 @@ def run(
     keep_densities: int = 0,
 ) -> dict[str, np.ndarray]:
     """Integrate on [0, T] with TR-BDF2 steps of at least dt, recording
-    diagnostics at t = k dt for k = j * `record_every` and at exactly T.
+    diagnostics at t = k dt for k = j * `record_every` and at exactly T: the
+    schedule that `record_times` fixes before the first step.
 
     [0, T] is cut into slots of dt; where dt does not divide T the last slot
     runs on to T, so it is up to 2 dt long, and a horizon below dt is one
@@ -474,17 +476,17 @@ def run(
     step from k dt, bit for bit (where dt divides T), and a run takes at
     most ceil(T/dt) steps.
 
-    Returns the trajectory as a dict of columns, one entry per record,
-    allocated for `record_count(T, dt, record_every)` records: those of
-    FPSOLVER_COLUMNS, and `lam_ell`, `l1_star` (||rho - gamma_star||_1) and
-    `steps`.  Per-record quantities: recomputed sigma, free energy split,
+    Returns the trajectory as a dict of columns, one entry per record: those
+    of FPSOLVER_COLUMNS, and `lam_ell`, `l1_star` (||rho - gamma_star||_1),
+    `ell_dot` (l'(t), evaluated once per record, as ell is) and `steps`.
+    Per-record quantities: recomputed sigma, free energy split,
     dissipation, relative entropies against the quasistationary state
     gamma_{lambda(ell(t))} and the limit state gamma_{lambda(ell*)}, the
     negative mass the positivity limiter kept out, the largest step mass
     drift |mass - 1| before renormalization and the number of steps taken
     since the previous record, and the energy-balance audit
     eb_residual = |dF/dt + D/tau - sigma l'| on record spacing (trapezoid in
-    the rate terms, NaN on the first record), one l'(t) per record.
+    the rate terms, NaN on the first record), from the `ell_dot` column.
 
     Record states are buffered, and their diagnostics are computed
     RECORD_BLOCK rows at a time, when the block is full and at the end of
@@ -509,62 +511,55 @@ def run(
         )
     grid = rho0.grid
     op = _Stepper(grid, pot, path, params)
-    n_steps, t_end, stretched = _slots(T, dt)
+    slots, times, stretched = record_times(T, dt, record_every)
     tol = ERR_TOL * dt * dt
-    m1_0, _, _ = moments(rho0)
-    if abs(m1_0 - path.ell(0.0)) > 1e-8:
+    if abs(moments(rho0)[0] - path.ell(0.0)) > MEAN_TOL:
         rho0 = project_mean(rho0, path.ell(0.0))
-    block = _RecordBlock(grid, pot, path, params, record_count(T, dt, record_every), keep_densities)
+    block = _RecordBlock(grid, pot, path, params, times, keep_densities)
 
     vals = rho0.values
-    block.add(vals, 0.0, 0.0, 0.0, 0)
-    k, limited, drift, taken, steps_done = 0, 0.0, 0.0, 0, 0
+    block.add(vals, 0.0, 0.0, 0)
+    k, steps_done = 0, 0
     size, grow = 1.0, FAC_MAX  # the proposed step in slots and its largest growth factor
-    while k < n_steps:
-        k_rec = min(n_steps, (k // record_every + 1) * record_every)
-        # the next step grows from the proposal, not from a step the record cut short
-        base = max(1, int(size))
-        m = min(k_rec - k, base)
-        while True:
-            span = t_end - k * dt if stretched and k + m == n_steps else m * dt
-            # the next step has at most `top` slots, so an err below `level`
-            # sets it no matter how far below (see _advance)
-            top = min(record_every, base * grow)
-            level = (SAFETY * m / top) ** 2 * tol if k_rec - k > 1 else None
-            try:
-                new, _, d, c, err = _advance(vals, k * dt, span, op, level)
-            except StepError as exc:
-                exc.diagnostics["step"] = steps_done + 1
-                raise
-            ratio = err / tol
-            if m == 1 or (c == 0.0 and ratio <= 1.0):
-                break
-            # retry with fewer slots, at least one
-            size = m * (0.5 if c > 0.0 else max(FAC_MIN, _factor(ratio)))
-            m = base = max(1, min(m - 1, int(size)))
-            grow = 1.0
-        if not math.isnan(ratio):
-            size = min(top, m * max(FAC_MIN, _factor(ratio)))
-            grow = FAC_MAX
-        vals, k = new, k + m
-        limited += c
-        drift = max(drift, d)
-        taken += 1
-        steps_done += 1
-        if k == k_rec:
-            block.add(vals, t_end if k == n_steps else k * dt, limited, drift, taken)
-            limited, drift, taken = 0.0, 0.0, 0
+    for k_rec in slots[1:]:
+        limited, drift, taken = 0.0, 0.0, 0
+        while k < k_rec:
+            # the next step grows from the proposal, not from a step the record cut short
+            base = max(1, int(size))
+            m = min(k_rec - k, base)
+            while True:
+                span = times[-1] - k * dt if stretched and k + m == slots[-1] else m * dt
+                # the next step has at most `top` slots, so an err below `level`
+                # sets it no matter how far below (see _advance)
+                top = min(record_every, base * grow)
+                level = (SAFETY * m / top) ** 2 * tol if k_rec - k > 1 else None
+                try:
+                    new, _, d, c, err = _advance(vals, k * dt, span, op, level)
+                except StepError as exc:
+                    exc.diagnostics["step"] = steps_done + 1
+                    raise
+                ratio = err / tol
+                if m == 1 or (c == 0.0 and ratio <= 1.0):
+                    break
+                # retry with fewer slots, at least one
+                size = m * (0.5 if c > 0.0 else max(FAC_MIN, _factor(ratio)))
+                m = base = max(1, min(m - 1, int(size)))
+                grow = 1.0
+            if not math.isnan(ratio):
+                size = min(top, m * max(FAC_MIN, _factor(ratio)))
+                grow = FAC_MAX
+            vals, k = new, k + m
+            limited += c
+            drift = max(drift, d)
+            taken += 1
+            steps_done += 1
+        block.add(vals, limited, drift, taken)
     block.flush()
     cols = block.columns
-    if block.done != len(cols["t"]):
-        raise SolverError(
-            "run made a different number of records than record_count predicts",
-            diagnostics={"records": block.done, "predicted": len(cols["t"])},
-        )
 
     # energy-balance audit on record spacing
     t, f, d = cols["t"], cols["F"], cols["D"]
-    pump = cols["sigma"] * np.array([path.ell_dot(t_i) for t_i in t.tolist()])
+    pump = cols["sigma"] * cols["ell_dot"]
     rate = np.diff(f) / np.diff(t)
     cols["eb_residual"][1:] = np.abs(rate + 0.5 * (d[1:] + d[:-1]) / params.tau - 0.5 * (pump[1:] + pump[:-1]))
     return cols

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .core import (
+    MEAN_TOL,
     ConstraintPath,
     Density,
     Grid,
@@ -36,7 +37,7 @@ from .equilibrium import (
     variance_range,
 )
 from .errors import ContractViolation
-from .fpsolver import gap_rate, project_mean, record_count
+from .fpsolver import gap_rate, project_mean, record_times
 from .fpsolver import run as fv_run
 from .functionals import ckp_l1_bound, free_energy, relative_entropy, weighted_ckp
 from .records import total_limited_mass
@@ -72,7 +73,7 @@ def verify_comparison(
     quasistationary tilt lambda(ell), with variance bounds restricted to the
     tilt interval (sharp version of the double-integral argument)."""
     m1, _, _ = moments(rho)
-    if abs(m1 - ell) > 1e-8:
+    if abs(m1 - ell) > MEAN_TOL:
         raise ContractViolation(f"rho has mean {m1}, expected ell={ell}")
     sol = solve_lambda(ell, nu, pot, grid)
     lam, state_lam = sol.lam, sol.state
@@ -108,12 +109,11 @@ def verify_free_energy_identity(
     return abs(lhs - eta * (ell - st.mean))
 
 
-def decay_bound_curve(
-    traj: dict[str, np.ndarray], tau_rate: float, c_ell_sigma: float, path: ConstraintPath
-) -> np.ndarray:
+def decay_bound_curve(traj: dict[str, np.ndarray], tau_rate: float, c_ell_sigma: float) -> np.ndarray:
     """Right-hand side of the quantitative decay bound:
-    e^{-tau t} H(0) + C int_0^t e^{-tau(t-s)} |l'(s)| ds, on record times."""
-    t = traj["t"]
+    e^{-tau t} H(0) + C int_0^t e^{-tau(t-s)} |l'(s)| ds, on record times,
+    with |l'| from the `ell_dot` column."""
+    t, speed = traj["t"], np.abs(traj["ell_dot"])
     h0 = traj["Hrel_quasistatic"][0]
     bound = np.empty(len(t))
     bound[0] = h0
@@ -121,24 +121,20 @@ def decay_bound_curve(
     for i in range(1, len(t)):
         dt = t[i] - t[i - 1]
         decay = math.exp(-tau_rate * dt)
-        seg = 0.5 * dt * (abs(path.ell_dot(t[i - 1])) * decay + abs(path.ell_dot(t[i])))
+        seg = 0.5 * dt * (speed[i - 1] * decay + speed[i])
         integral = integral * decay + seg
         bound[i] = math.exp(-tau_rate * t[i]) * h0 + c_ell_sigma * integral
     return bound
 
 
 def decay_bound_audit(
-    traj: dict[str, np.ndarray],
-    params: ModelParams,
-    pot: Potential,
-    grid: Grid,
-    path: ConstraintPath,
+    traj: dict[str, np.ndarray], params: ModelParams, pot: Potential, grid: Grid
 ) -> tuple[float, float, float]:
     """The quantitative decay bound on a trajectory: (predicted rate,
     C = max|lambda(ell)| + max|sigma|, max over records of H - bound)."""
     predicted = predicted_relaxation_time(traj, params, pot, grid)
     c_ell_sigma = float(np.max(np.abs(traj["lam_ell"]))) + float(np.max(np.abs(traj["sigma"])))
-    bound = decay_bound_curve(traj, predicted, c_ell_sigma, path)
+    bound = decay_bound_curve(traj, predicted, c_ell_sigma)
     return predicted, c_ell_sigma, float(np.max(traj["Hrel_quasistatic"] - bound))
 
 
@@ -224,7 +220,7 @@ def decay_experiment(
     traj = fv_run(rho0, path, dt, pot, params, T, record_every=record_every)
     path.check_decay(traj["t"])
     grid = rho0.grid
-    predicted, c_ell_sigma, violation = decay_bound_audit(traj, params, pot, grid, path)
+    predicted, c_ell_sigma, violation = decay_bound_audit(traj, params, pot, grid)
     rate, short = fit_decay_rate(traj)
     sigma_star = solve_lambda(path.ell_star, nu, pot, grid).lam
     stride = max(1, len(traj["t"]) // 400)
@@ -455,7 +451,7 @@ def verify(
     block["relative_entropy_sandwich"] = {"max_slack": worst_slack, "pass": worst_slack <= COMPARISON_TOL}
 
     # weighted_ckp reads the densities of about ten records, and only those are kept
-    stride = max(1, record_count(T, dt, record_every) // 10)
+    stride = max(1, len(record_times(T, dt, record_every)[0]) // 10)
     traj = fv_run(rho0, path, dt, pot, params, T, record_every=record_every, keep_densities=stride)
     eb_max = float(np.nanmax(traj["eb_residual"][1:]))
     block["energy_dissipation_audit"] = {
@@ -465,7 +461,7 @@ def verify(
         "pass": eb_max <= EB_TOL,
     }
 
-    tau_pred, _, bound_violation = decay_bound_audit(traj, params, pot, grid, path)
+    tau_pred, _, bound_violation = decay_bound_audit(traj, params, pot, grid)
     h0 = float(traj["Hrel_quasistatic"][0])
     block["quantitative_decay_bound"] = {
         "predicted_tau": tau_pred,

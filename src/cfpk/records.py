@@ -1,8 +1,8 @@
 """Trajectory columns and their CSV emission.
 
 A run returns its trajectory as a dict of numpy arrays, one per diagnostic,
-each with one entry per record; the columns below are the ones written to
-CSV.  Solver-specific extras (the FV `lam_ell`, `l1_star`, `steps` and
+each with one entry per record; the columns below are written to CSV.
+Solver-specific extras (the FV `lam_ell`, `l1_star`, `ell_dot`, `steps` and
 `density`, the JKO `quantile`) ride in the same dict but are never written.
 """
 

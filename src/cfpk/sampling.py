@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Density, Grid, density_from_values, moments
+from .core import MEAN_TOL, Density, Grid, density_from_values, moments
 from .errors import ContractViolation
 
 # set_mean stops once |M1 - mean| <= SET_MEAN_TOL
@@ -24,7 +24,7 @@ def set_mean(dens: Density, mean: float) -> Density:
         alpha = (mean - m1) / var
         dens = density_from_values(dens.grid, dens.values * (1.0 + alpha * (x - m1)))
     m1, _, _ = moments(dens)
-    if abs(m1 - mean) > 1e-8:
+    if abs(m1 - mean) > MEAN_TOL:
         raise ContractViolation(f"could not impose mean {mean}: reached {m1}")
     return dens
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    MEAN_TOL,
     ConstraintPath,
     Density,
     Grid,
@@ -234,7 +235,7 @@ def jko_run(
         m = max(64, grid.n)
     x = to_quantile(rho0, m)
     ell0 = path.ell(0.0)
-    if abs(float(np.mean(x)) - ell0) > 1e-8:
+    if abs(float(np.mean(x)) - ell0) > MEAN_TOL:
         x = x + (ell0 - float(np.mean(x)))  # translation projection onto M^ell(0)
     h_eff = h / params.tau
     cols = {name: np.empty(n_steps) for name in TRANSPORT_COLUMNS}

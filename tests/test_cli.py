@@ -69,6 +69,20 @@ class TestParsing:
         cfg = parse_config(write(tmp_path, MINIMAL))
         assert cfg.tail_report["boundary_density_ell0"] < 1e-14
 
+    def test_sweep_tail_report_has_one_entry_per_nu(self, tmp_path):
+        # a sweep solves at ell* and each nu_list entry, never at [model] nu
+        text = "[model]\npotential = doublewell\nnu = 0.5\n\n[run]\nkind = kramers_sweep\nnu_list = 1.2,1,0.9\n"
+        cfg = parse_config(write(tmp_path, text))
+        assert set(cfg.tail_report) == {"boundary_density_nu1.2", "boundary_density_nu1", "boundary_density_nu0.9"}
+        assert max(cfg.tail_report.values()) < 1e-14
+
+    def test_readme_example_config_parses(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = readme.split("```")[1::2]
+        example = next(b for b in blocks if b.lstrip().startswith("[model]"))
+        cfg = parse_config(write(tmp_path, example))
+        assert cfg.path.name == "exp_decay:0.5,0.3,1" and cfg.run.kind == "verify" and cfg.pot.name == "quadratic:1"
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/nope.cfg")
@@ -451,6 +465,17 @@ class TestRunExperiment:
         assert "error:" in err and "[run] nu_list" in err and "Traceback" not in err
         assert not out.exists()  # refused at parse time, before any member runs
 
+    def test_sweep_tail_check_uses_each_nu(self, tmp_path, capsys):
+        # [model] nu = 0.5 has thin tails on [-5, 5], the members' noise levels do not
+        text = (
+            "[model]\npotential = doublewell\nnu = 0.5\n\n[grid]\nx_min = -5\nx_max = 5\nn = 256\n\n"
+            "[run]\nnu_list = 2.0,1.6,1.3\n"
+        )
+        out = tmp_path / "out"
+        assert main(["kramers-sweep", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid too small: gamma at ell=0.0, nu=2 ") and not out.exists()
+
     @pytest.mark.parametrize(
         "command,initial", [("landscape", "bogus"), ("simulate", "gaussian:0,-1")], ids=["landscape", "simulate"]
     )
@@ -494,6 +519,8 @@ class TestRunExperiment:
             ("run", "dt", "1e-300", "fv"),
             ("run", "h", "1e-300", "jko"),
             ("run", "solver", "both", "fv"),
+            # the subcommand sets the kind, yet the config's own value is checked
+            ("run", "kind", "bogus", "fv"),
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, section, key, value, solver):

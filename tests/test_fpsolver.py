@@ -30,7 +30,7 @@ from cfpk.fpsolver import (
     _Stepper,
     gap_rate,
     project_mean,
-    record_count,
+    record_times,
     run,
     sigma_of_state,
 )
@@ -605,12 +605,12 @@ class TestRecordKernel:
         stride=hst.integers(1, 7),
     )
     def test_record_count_and_density_stride(self, quad_pot, slots, frac, record_every, stride):
-        # record_count predicts the records of a run (the CLI picks its
+        # record_times is the schedule of a run (`verify` picks its
         # density stride from it), and keep_densities = s keeps the
         # densities of records 0, s, 2s, ...; the step is held, so this
         # tests the record times only.  The times are checked against the
-        # slots k dt, k = 0, record_every, ..., and T, since `run` sizes its
-        # columns by record_count
+        # slots k dt, k = 0, record_every, ..., and T, computed here
+        # without record_times
         g = Grid(-8.0, 8.0, 64)
         dt = 0.01
         T = (slots + frac) * dt
@@ -619,20 +619,22 @@ class TestRecordKernel:
             recs = run(gaussian_density(g, 0.0, 1.0), constant_path(0.0), dt, quad_pot, ModelParams(), T,
                        record_every=record_every, keep_densities=stride)
         n_records = len(recs["t"])
-        assert n_records == record_count(T, dt, record_every)
+        assert n_records == len(record_times(T, dt, record_every)[0])
         assert len(recs["density"]) == len(range(0, n_records, stride))
         # T has `slots` whole slots; a fraction runs on in the last one
         expected = [k * dt for k in range(0, slots, record_every)] + [T]
         assert recs["t"].tolist() == expected
         assert recs["steps"][0] == 0 and (recs["steps"][1:] >= 1).all()
 
-    def test_records_short_of_the_prediction_are_refused(self, grid, quad_pot, monkeypatch):
-        # the columns are sized by record_count; a run that fills fewer rows
-        # raises instead of returning trailing NaN rows
-        monkeypatch.setattr(fpsolver, "record_count", lambda T, dt, record_every: 12)
-        with pytest.raises(SolverError, match="record_count") as exc:
-            run(gaussian_density(grid, 0.0, 1.0), constant_path(0.0), 1e-3, quad_pot, ModelParams(), 0.01)
-        assert exc.value.diagnostics == {"records": 11, "predicted": 12}
+    def test_ell_dot_column_is_the_path_rate_at_record_times(self, grid, dw_pot):
+        # one l'(t) per record time feeds sigma, the energy audit and the decay bound
+        path = exp_decay_path(0.3, 0.4, 1.0)
+        rho0 = solve_lambda(path.ell(0.0), 0.8, dw_pot, grid).state.density
+        recs = run(rho0, path, 1e-3, dw_pot, ModelParams(nu=0.8), 0.0255, record_every=4)
+        t = recs["t"].tolist()
+        assert t[-1] == 0.0255 and len(t) == 8
+        assert recs["ell_dot"].tolist() == [path.ell_dot(t_i) for t_i in t]
+        assert recs["ell"].tolist() == [path.ell(t_i) for t_i in t]
 
     def test_negative_density_stride_is_refused(self, grid, quad_pot):
         with pytest.raises(ContractViolation, match="keep_densities >= 0"):
