@@ -232,6 +232,9 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
         raise ConfigError(f"[run] sigma_min = {run.sigma_min}: need sigma_min < sigma_max = {run.sigma_max}")
     if run.kind == "kramers_sweep" and len(run.nu_list) < 3:
         raise ConfigError(f"[run] nu_list = {resolved['run']['nu_list']}: a sweep needs 3 noise levels or more")
+    if run.kind in ("simulate", "decay", "verify"):  # the kinds that run to T
+        step = "h" if run.solver == "jko" else "dt"
+        _checked(f"[run] {step} = {resolved['run'][step]}", core.step_count, run.T, getattr(run, step))
     path = values["path"]["kind"]
     cfg = RunConfig(raw=resolved, pot=pot, path=path, grid=grid, params=params, run=run, out_dir=out_dir)
     _tail_check(cfg)

@@ -33,7 +33,7 @@ class TiltedFamily:
     M1, M2 and int H' rho at once.  `exponent` is the one Gibbs exponent:
     `evaluate`, the one Gibbs kernel, exponentiates it over an array of
     tilts (for `gibbs`, `solve_lambdas`, `variance_range` and log Z0), and
-    `GibbsState.log_values` and the FV record block read log gamma from it
+    `GibbsState.log_values` and the FV record kernel read log gamma from it
     for every relative entropy.  The free energy, sigma, the dissipation and
     the FV stepper read `h` and `h1`.
     """
@@ -151,7 +151,7 @@ class LambdaSolve:
 
 def solve_lambdas(
     ells: np.ndarray, nu: float, pot: Potential, grid: Grid, starts: np.ndarray | None = None
-) -> list[LambdaSolve]:
+) -> tuple[np.ndarray, ...]:
     """Invert M1(gamma_{lambda,nu}) = ell by safeguarded Newton for each
     target of `ells`, one lane each, all lanes in one loop.
 
@@ -169,7 +169,9 @@ def solve_lambdas(
     A lane leaves the loop once |M1 - ell| < LAMBDA_TOL.  Each iteration
     evaluates the lanes still in it with one `evaluate` call, and keeps each
     lane's bracket in Python floats, so a lane takes the steps of its own
-    one-lane solve, bit for bit.  `iterations` counts a lane's evaluations.
+    one-lane solve, bit for bit.  Returns the lanes as arrays: lambda, mean,
+    variance, log Z, the (K, n) values, iterations (a lane's evaluations) and
+    residual |M1 - ell|.
     """
     ells = np.asarray(ells, dtype=float)
     outside = ~((grid.x_min < ells) & (ells < grid.x_max))
@@ -222,11 +224,8 @@ def solve_lambdas(
     for _ in range(LAMBDA_MAX_ITER):
         lanes = [i for i in lanes if not abs(val[i]) < LAMBDA_TOL]
         if not lanes:
-            ev = (mean, var, log_z, values)
-            return [
-                LambdaSolve(lam[i], _state(lam[i], nu, grid, family, ev, i), iterations[i], abs(val[i]))
-                for i in range(k)
-            ]
+            arrays = [np.array(a) for a in (lam, mean, var, log_z)]
+            return *arrays, values, np.array(iterations), np.abs(val)
         for i in lanes:
             if val[i] > 0.0:
                 hi[i] = lam[i]
@@ -257,7 +256,9 @@ def solve_lambdas(
 
 def solve_lambda(ell: float, nu: float, pot: Potential, grid: Grid) -> LambdaSolve:
     """lambda(ell) from lambda_0: the one-lane `solve_lambdas`."""
-    return solve_lambdas([ell], nu, pot, grid)[0]
+    lam, *ev, iterations, residual = solve_lambdas([ell], nu, pot, grid)
+    state = _state(float(lam[0]), nu, grid, tilted_family(pot, grid), ev, 0)
+    return LambdaSolve(state.sigma, state, int(iterations[0]), float(residual[0]))
 
 
 def variance_range(sigmas: np.ndarray, nu: float, pot: Potential, grid: Grid) -> tuple[float, float]:

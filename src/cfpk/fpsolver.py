@@ -39,17 +39,17 @@ from .core import (
     _entropy_integrand,
     _log_density,
     constant_path,
+    density_from_values,
     integrate,
     moments,
     require_positive,
     solve_banded,
     step_count,
 )
-from .equilibrium import solve_lambda, solve_lambdas, tilted_family
+from .equilibrium import LambdaSolve, TiltedFamily, solve_lambda, solve_lambdas, tilted_family
 from .errors import ContractViolation, SolverError, StepError
 from .functionals import _breakdown, _dissipation_integrand, _kl_integrand, log_partition
 from .records import FPSOLVER_COLUMNS
-from .transport import quantile_to_density, to_quantile
 
 # TR-BDF2: trapezoid stage to t + GAMMA*dt, then
 # rho_next - BDF2_DT * dt * f(rho_next) = BDF2_NEW * rho_gamma - BDF2_OLD * rho.
@@ -340,10 +340,14 @@ def _advance(
 
 
 def project_mean(rho: Density, target: float) -> Density:
-    """Translate a density so that its first moment equals target (the shift
-    map x -> x + a, realized in quantile coordinates)."""
-    q = to_quantile(rho, max(64, 2 * rho.grid.n))
-    return quantile_to_density(q + (target - float(np.mean(q))), rho.grid)
+    """Translate a density by a = target - M1: its piecewise-linear CDF is
+    shifted by a on the cell edges and differenced, which moves the midpoint
+    mean by exactly a; mass shifted past an end stays in that end cell."""
+    grid, edges = rho.grid, rho.grid.edges
+    cdf = np.concatenate(([0.0], np.cumsum(rho.values) * grid.dx))
+    shifted = np.interp(edges - (target - moments(rho)[0]), edges, cdf)
+    shifted[0], shifted[-1] = 0.0, cdf[-1]
+    return density_from_values(grid, np.diff(shifted) / grid.dx)
 
 
 def _factor(ratio: float) -> float:
@@ -363,98 +367,70 @@ def record_times(T: float, dt: float, record_every: int) -> tuple[list[int], lis
     return slots, [k * dt for k in slots[:-1]] + [t_end], stretched
 
 
-class _RecordBlock:
-    """The trajectory's columns, one entry per record time, with t, ell and
-    ell_dot filled up front and the rest filled RECORD_BLOCK records at a
-    time from buffered states (see `run`)."""
-
-    def __init__(
-        self, grid: Grid, pot: Potential, path: ConstraintPath, params: ModelParams, times: list, keep: int
-    ):
-        self.grid, self.pot, self.path, self.params, self.keep = grid, pot, path, params, keep
-        self.family = tilted_family(pot, grid)
-        self.logz0 = log_partition(pot, grid, params.nu)
-        self.star = solve_lambda(path.ell_star, params.nu, pot, grid)
-        n = len(times)
-        self.columns = cols = {name: np.full(n, np.nan) for name in FPSOLVER_COLUMNS + ["lam_ell", "l1_star"]}
-        cols["t"][:], cols["ell"][:] = times, [path.ell(t) for t in times]
-        cols["ell_dot"] = np.array([path.ell_dot(t) for t in times])
-        cols["steps"] = np.zeros(n, dtype=int)
-        cols["density"] = np.empty((-(-n // keep) if keep else 0, grid.n))
-        # the last converged lambda(ell) solve, (lambda, ell, Var), on a moving path
-        if path.L0 != 0.0:
-            first = solve_lambda(path.ell(0.0), params.nu, pot, grid)
-            self.anchor = (first.lam, path.ell(0.0), first.state.variance)
-        # the block's states, log rho and one integrand at a time
-        self.rows, self.log_r, self.work = np.empty((3, RECORD_BLOCK, grid.n))
-        self.done = 0  # records whose diagnostics are computed
-        self.pending = 0  # buffered records after those
-
-    def add(self, vals: np.ndarray, limited: float, drift: float, steps: int) -> None:
-        cols, i = self.columns, self.done + self.pending
-        cols["limited_mass"][i], cols["mass_drift"][i], cols["steps"][i] = limited, drift, steps
-        if self.keep and i % self.keep == 0:
-            cols["density"][i // self.keep] = vals
-        self.rows[self.pending] = vals
-        self.pending += 1
-        if self.pending == len(self.rows):
-            self.flush()
-
-    def flush(self) -> None:
-        k = self.pending
-        if not k:
-            return
-        tau, nu = self.params.tau, self.params.nu
-        nu2, dx, family, star = nu * nu, self.grid.dx, self.family, self.star
-        cols = {name: col[self.done : self.done + k] for name, col in self.columns.items() if name != "density"}
-        block, log_r, work = self.rows[:k], self.log_r[:k], self.work[:k]
-        # one stacked product, basis @ rho for each row: a matrix-vector
-        # product per row, as one state's record takes it (a matrix-matrix
-        # product orders its sums by the block's shape)
-        e, m1, m2, h1_rho = (family.basis @ block[:, :, None])[:, :, 0].T * dx
-        cols["E"][:], cols["M1"][:], cols["M2"][:] = e, m1, m2
-        sigma = cols["sigma"]
-        sigma[:] = h1_rho + tau * cols["ell_dot"]
-        _log_density(block, out=log_r)
-        s = cols["S"]
-        s[:] = _entropy_integrand(block, log_r, out=work).sum(axis=1) * dx
-        cols["F"][:] = _breakdown(s, e, self.logz0, nu).F
-        h_star = _kl_integrand(block, log_r, star.state.log_values, out=work).sum(axis=1) * dx
-        cols["Hrel_star"][:] = h_star
-        if self.path.L0 == 0.0:
-            # gamma_{lambda(ell(t))} is gamma_star
-            cols["lam_ell"][:], cols["Hrel_quasistatic"][:] = star.lam, h_star
-        else:
-            lam_a, ell_a, var_a = self.anchor
-            ells = cols["ell"]
-            sols = solve_lambdas(ells, nu, self.pot, self.grid, lam_a + (ells - ell_a) * nu2 / var_a)
-            self.anchor = (sols[-1].lam, ells[-1], sols[-1].state.variance)
-            lam = cols["lam_ell"]
-            lam[:] = [sol.lam for sol in sols]
-            log_g = family.exponent(lam, nu, out=work)
-            log_g -= np.array([sol.state.log_z for sol in sols])[:, None]
-            cols["Hrel_quasistatic"][:] = _kl_integrand(block, log_r, log_g, out=work).sum(axis=1) * dx
-        d = _dissipation_integrand(block, log_r, dx, family.h1, sigma[:, None], nu2, out=work)
-        cols["D"][:] = d.sum(axis=1) * dx
-        np.subtract(block, star.state.values, out=work)
-        cols["l1_star"][:] = np.abs(work, out=work).sum(axis=1) * dx
-        self.done += k
-        self.pending = 0
+def _schedule(
+    times: list, size: int, star: LambdaSolve, pot: Potential, grid: Grid, path: ConstraintPath, nu: float
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """The columns of a run with record `times`, NaN but for t, ell, ell_dot
+    and lam_ell, and the log Z of gamma_{lambda(ell(t))}: None on a constant
+    path, where that state is `star`.  On a moving path lambda(ell(t)) is
+    solved in `solve_lambdas` batches of `size` lanes from record 0, each
+    lane started from the tangent predictor lambda_a + (ell - ell_a) nu^2 /
+    Var_a (d lambda / d ell = nu^2 / Var) at the last lane of the batch
+    before, or at a cold solve of lambda(ell(0)) for the first batch."""
+    n = len(times)
+    cols = {name: np.full(n, np.nan) for name in FPSOLVER_COLUMNS + ["lam_ell", "l1_star"]}
+    ells, lam = cols["ell"], cols["lam_ell"]
+    cols["t"][:], ells[:] = times, [path.ell(t) for t in times]
+    cols["ell_dot"] = np.array([path.ell_dot(t) for t in times])
+    if path.L0 == 0.0:
+        lam[:] = star.lam
+        return cols, None
+    log_z, nu2 = np.empty(n), nu * nu
+    first = solve_lambda(ells[0], nu, pot, grid)
+    lam_a, ell_a, var_a = first.lam, ells[0], first.state.variance
+    for i in range(0, n, size):
+        batch = slice(i, i + size)
+        ell = ells[batch]
+        lam[batch], _, var, log_z[batch], *_ = solve_lambdas(ell, nu, pot, grid, lam_a + (ell - ell_a) * nu2 / var_a)
+        lam_a, ell_a, var_a = lam[batch][-1], ell[-1], var[-1]
+    return cols, log_z
 
 
-def run(
-    rho0: Density,
-    path: ConstraintPath,
-    dt: float,
-    pot: Potential,
-    params: ModelParams,
-    T: float,
-    record_every: int = 1,
-    keep_densities: int = 0,
-) -> dict[str, np.ndarray]:
-    """Integrate on [0, T] with TR-BDF2 steps of at least dt, recording
-    diagnostics at t = k dt for k = j * `record_every` and at exactly T: the
-    schedule that `record_times` fixes before the first step.
+def _record_block(rows: np.ndarray, cols: dict, log_z: np.ndarray | None, star: LambdaSolve, logz0: float,
+                  family: TiltedFamily, params: ModelParams) -> None:
+    """The diagnostics of the record states `rows` into `cols`, column slices
+    of one entry per row with t, ell, ell_dot and lam_ell set; `log_z` is the
+    log Z of gamma_{lambda(ell(t))} on those rows, or None where that state
+    is `star`.  One log rho serves S, D and both relative entropies, each a
+    row-wise sum, with log gamma the Gibbs exponent minus log Z, as in
+    `relative_entropy`, so a record does not depend on the rows beside it."""
+    tau, nu, dx = params.tau, params.nu, family.dx
+    log_r, work = _log_density(rows), np.empty_like(rows)
+    # one stacked product, basis @ rho for each row: a matrix-vector
+    # product per row, as one state's record takes it (a matrix-matrix
+    # product orders its sums by the block's shape)
+    e, m1, m2, h1_rho = (family.basis @ rows[:, :, None])[:, :, 0].T * dx
+    cols["E"][:], cols["M1"][:], cols["M2"][:] = e, m1, m2
+    sigma, s = cols["sigma"], cols["S"]
+    sigma[:] = h1_rho + tau * cols["ell_dot"]
+    s[:] = _entropy_integrand(rows, log_r, out=work).sum(axis=1) * dx
+    cols["F"][:] = _breakdown(s, e, logz0, nu).F
+    h_star = _kl_integrand(rows, log_r, star.state.log_values, out=work).sum(axis=1) * dx
+    cols["Hrel_star"][:] = cols["Hrel_quasistatic"][:] = h_star
+    if log_z is not None:
+        log_g = family.exponent(cols["lam_ell"], nu, out=work)
+        log_g -= log_z[:, None]
+        cols["Hrel_quasistatic"][:] = _kl_integrand(rows, log_r, log_g, out=work).sum(axis=1) * dx
+    d = _dissipation_integrand(rows, log_r, dx, family.h1, sigma[:, None], nu * nu, out=work)
+    cols["D"][:] = d.sum(axis=1) * dx
+    np.subtract(rows, star.state.values, out=work)
+    cols["l1_star"][:] = np.abs(work, out=work).sum(axis=1) * dx
+
+
+def _states(vals: np.ndarray, op: _Stepper, dt: float, record_every: int, slots: list, times: list, stretched: bool):
+    """Yields the state at each record slot of `slots`, from `vals` at slot 0,
+    as (values, limited mass, largest mass drift, steps) over the steps since
+    the record before.
 
     [0, T] is cut into slots of dt; where dt does not divide T the last slot
     runs on to T, so it is up to 2 dt long, and a horizon below dt is one
@@ -474,51 +450,11 @@ def run(
     capped at the retried one; a one-slot step is always accepted, as every
     step was at fixed dt.  So with `record_every` = 1 every step is the dt
     step from k dt, bit for bit (where dt divides T), and a run takes at
-    most ceil(T/dt) steps.
-
-    Returns the trajectory as a dict of columns, one entry per record: those
-    of FPSOLVER_COLUMNS, and `lam_ell`, `l1_star` (||rho - gamma_star||_1),
-    `ell_dot` (l'(t), evaluated once per record, as ell is) and `steps`.
-    Per-record quantities: recomputed sigma, free energy split,
-    dissipation, relative entropies against the quasistationary state
-    gamma_{lambda(ell(t))} and the limit state gamma_{lambda(ell*)}, the
-    negative mass the positivity limiter kept out, the largest step mass
-    drift |mass - 1| before renormalization and the number of steps taken
-    since the previous record, and the energy-balance audit
-    eb_residual = |dF/dt + D/tau - sigma l'| on record spacing (trapezoid in
-    the rate terms, NaN on the first record), from the `ell_dot` column.
-
-    Record states are buffered, and their diagnostics are computed
-    RECORD_BLOCK rows at a time, when the block is full and at the end of
-    the run.  E, M1, M2 and int H' rho of the block come from one stacked
-    product `basis @ rho` over its rows; one log rho serves S, D and both
-    relative entropies, each a row-wise sum, with log gamma the Gibbs
-    exponent minus log Z, as in `relative_entropy`.  So a record does not
-    depend on the block it falls in.  lambda(ell(t)) depends on the path
-    only, so a block's lambdas are one `solve_lambdas` batch.  Each lane
-    starts from the tangent predictor lambda_a + (ell - ell_a) nu^2 / Var_a,
-    since d lambda / d ell = nu^2 / Var, at the last converged lane (a cold
-    solve of lambda(ell(0)) before the first block).  The `density` column
-    holds the states of records 0, stride, 2 stride, ... for a
-    `keep_densities` stride > 0, one row each, and no rows otherwise; rho0
-    was validated, `_implicit` rejects negative or NaN values and `_advance`
-    an inf.  A StepError names the step it failed in, counted over the run.
+    most ceil(T/dt) steps.  A StepError names the step it failed in, counted
+    over the run.
     """
-    require_positive(T=T, dt=dt)
-    if record_every < 1 or keep_densities < 0:
-        raise ContractViolation(
-            f"need record_every >= 1 and keep_densities >= 0, got {record_every}, {keep_densities}"
-        )
-    grid = rho0.grid
-    op = _Stepper(grid, pot, path, params)
-    slots, times, stretched = record_times(T, dt, record_every)
+    yield vals, 0.0, 0.0, 0
     tol = ERR_TOL * dt * dt
-    if abs(moments(rho0)[0] - path.ell(0.0)) > MEAN_TOL:
-        rho0 = project_mean(rho0, path.ell(0.0))
-    block = _RecordBlock(grid, pot, path, params, times, keep_densities)
-
-    vals = rho0.values
-    block.add(vals, 0.0, 0.0, 0)
     k, steps_done = 0, 0
     size, grow = 1.0, FAC_MAX  # the proposed step in slots and its largest growth factor
     for k_rec in slots[1:]:
@@ -553,9 +489,64 @@ def run(
             drift = max(drift, d)
             taken += 1
             steps_done += 1
-        block.add(vals, limited, drift, taken)
-    block.flush()
-    cols = block.columns
+        yield vals, limited, drift, taken
+
+
+def run(
+    rho0: Density, path: ConstraintPath, dt: float, pot: Potential, params: ModelParams, T: float,
+    record_every: int = 1, keep_densities: int = 0,
+) -> dict[str, np.ndarray]:
+    """Integrate on [0, T] with TR-BDF2 steps of at least dt (see `_states`),
+    recording diagnostics at t = k dt for k = j * `record_every` and at
+    exactly T: the schedule that `record_times` fixes before the first step.
+
+    Returns the trajectory as a dict of columns, one entry per record: those
+    of FPSOLVER_COLUMNS, and `lam_ell`, `l1_star` (||rho - gamma_star||_1),
+    `ell_dot` (l'(t), evaluated once per record, as ell is) and `steps`.
+    Per-record quantities: recomputed sigma, free energy split,
+    dissipation, relative entropies against the quasistationary state
+    gamma_{lambda(ell(t))} and the limit state gamma_{lambda(ell*)}, the
+    negative mass the positivity limiter kept out, the largest step mass
+    drift |mass - 1| before renormalization and the number of steps taken
+    since the previous record, and the energy-balance audit
+    eb_residual = |dF/dt + D/tau - sigma l'| on record spacing (trapezoid in
+    the rate terms, NaN on the first record), from the `ell_dot` column.
+
+    lambda(ell(t)) depends on the path only, so it is solved on the schedule
+    before the first step (`_schedule`).  The diagnostics of the record
+    states are computed RECORD_BLOCK rows at a time from record 0
+    (`_record_block`).  The `density` column holds the states of records 0,
+    stride, 2 stride, ... for a `keep_densities` stride > 0, one row each,
+    and no rows otherwise; rho0 was validated, `_implicit` rejects negative
+    or NaN values and `_advance` an inf.
+    """
+    require_positive(T=T, dt=dt)
+    if record_every < 1 or keep_densities < 0:
+        raise ContractViolation(
+            f"need record_every >= 1 and keep_densities >= 0, got {record_every}, {keep_densities}"
+        )
+    grid, nu, size = rho0.grid, params.nu, RECORD_BLOCK
+    schedule = record_times(T, dt, record_every)
+    if abs(moments(rho0)[0] - path.ell(0.0)) > MEAN_TOL:
+        rho0 = project_mean(rho0, path.ell(0.0))
+    star = solve_lambda(path.ell_star, nu, pot, grid)
+    cols, log_z = _schedule(schedule[1], size, star, pot, grid, path, nu)
+    n = len(cols["t"])
+    cols["steps"] = np.zeros(n, dtype=int)
+    kept = np.empty((-(-n // keep_densities) if keep_densities else 0, grid.n))
+    family, logz0, rows = tilted_family(pot, grid), log_partition(pot, grid, nu), np.empty((size, grid.n))
+    op = _Stepper(grid, pot, path, params)
+    for i, (vals, limited, drift, taken) in enumerate(_states(rho0.values, op, dt, record_every, *schedule)):
+        cols["limited_mass"][i], cols["mass_drift"][i], cols["steps"][i] = limited, drift, taken
+        if keep_densities and i % keep_densities == 0:
+            kept[i // keep_densities] = vals
+        j = i % size
+        rows[j] = vals
+        if j == size - 1 or i == n - 1:
+            block = slice(i - j, i + 1)
+            z = None if log_z is None else log_z[block]
+            _record_block(rows[: j + 1], {name: col[block] for name, col in cols.items()}, z, star, logz0, family, params)
+    cols["density"] = kept
 
     # energy-balance audit on record spacing
     t, f, d = cols["t"], cols["F"], cols["D"]

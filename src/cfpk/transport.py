@@ -149,7 +149,7 @@ def _inner_solve(
     rhs = np.ones((m, 2), order="F")  # [-g, 1], in LAPACK's column order
     it = 0
     # "not <=": a NaN residual enters the loop and meets the finite check
-    while not res <= tol_at(x, delta, mu) and it < MAX_NEWTON:
+    while not res <= (tol := tol_at(x, delta, mu)) and it < MAX_NEWTON:
         it += 1
         invd2 = cw / delta**2
         diag = 1.0 / h_eff + np.asarray(pot.h2(x), dtype=float)
@@ -205,7 +205,7 @@ def _inner_solve(
         g = gradient(x, delta)
         mu = float(np.mean(g))
         res = float(np.max(np.abs(g - mu)))
-    if not res <= tol_at(x, delta, mu):
+    if not res <= tol:  # the last iterate's tol, from the loop head
         raise StepError(
             "JKO inner solve did not reach the KKT tolerance",
             diagnostics={"kkt_residual": res, "iterations": it},

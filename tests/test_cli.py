@@ -17,6 +17,7 @@ from cfpk.cli import (
     parse_config,
     parse_path,
     parse_potential,
+    run_experiment,
 )
 from cfpk.core import Grid, ModelParams, exp_decay_path, quadratic_potential
 from cfpk.equilibrium import solve_lambda
@@ -237,6 +238,27 @@ class TestRunExperiment:
                      "energy_dissipation_audit", "quantitative_decay_bound",
                      "ckp_chain", "weighted_ckp"):
             assert checks[name]["pass"], (name, checks[name])
+
+    def test_failed_contract_exit_code(self, tmp_path, capsys, monkeypatch):
+        # at EB_TOL = 0 the energy audit fails: the run returns 1, names the
+        # contract on stderr and still writes summary.json
+        monkeypatch.setattr(cfpk.longtime, "EB_TOL", 0.0)
+        out = tmp_path / "v"
+        assert run_experiment(parse_config(write(tmp_path, SMALL_VERIFY), out_dir=str(out))) == 1
+        assert capsys.readouterr().err == "verification failed: energy_dissipation_audit\n"
+        checks = json.loads((out / "summary.json").read_text())["verify"]
+        assert [name for name, entry in checks.items() if not entry["pass"]] == ["energy_dissipation_audit"]
+
+    def test_verify_passes_from_an_off_manifold_gaussian(self, tmp_path):
+        # the run translates rho0 onto M^ell(0) and must keep its tails: with
+        # the tails cut off the translated state's dissipation is about 7,220
+        # and the energy audit reads 3,610
+        text = MINIMAL.replace("constant:0.5", "constant:0.2") + "\n[run]\ninitial = gaussian:1.0,0.5\nT = 0.5\n"
+        out = tmp_path / "v"
+        assert main(["verify", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        assert "initial = gaussian:1.0,0.5" in (out / "config_resolved.cfg").read_text()
+        audit = json.loads((out / "summary.json").read_text())["verify"]["energy_dissipation_audit"]
+        assert audit["max_eb_residual"] <= 1e-3
 
     @pytest.mark.parametrize(
         "potential,ell", [("quadratic:1", "0.2"), ("doublewell", "0.3")], ids=["quadratic", "doublewell"]
@@ -518,6 +540,7 @@ class TestRunExperiment:
             ("model", "potential", "polynomial:-1,0,1", "fv"),
             ("run", "dt", "1e-300", "fv"),
             ("run", "h", "1e-300", "jko"),
+            ("run", "T", "1e9", "fv"),
             ("run", "solver", "both", "fv"),
             # the subcommand sets the kind, yet the config's own value is checked
             ("run", "kind", "bogus", "fv"),
@@ -538,12 +561,10 @@ class TestRunExperiment:
         assert main(["simulate", "--config", write(tmp_path, text), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
-        if value == "1e-300":
-            # T/dt past MAX_STEPS is refused where the run counts its steps
-            assert json.loads((out / "error.json").read_text())["error"] == "ContractViolation"
-        else:
-            # refused while the config is parsed, naming the key, before any output
-            assert err.startswith(f"error: [{section}] {key}") and not out.exists()
+        # refused while the config is parsed, naming the key, before any output;
+        # T/dt past MAX_STEPS names the step
+        lead = "[run] dt" if key == "T" and value == "1e9" else f"[{section}] {key}"
+        assert err.startswith(f"error: {lead}") and not out.exists()
 
     @pytest.mark.parametrize(
         "case", ["config-directory", "config-not-utf8", "config-missing", "out-is-a-file"]

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,13 @@ from oracles import bisect_lambda, local_minima_loop, scan_barrier, scan_sigma_c
 
 # asymmetric double well whose lambda_0 = ell * H''(10) lies far from lambda(ell)
 ASYMMETRIC = polynomial_potential([0.1, 0.09, -0.15, 0.0, 0.25])
+
+
+def lanes(ells, nu, pot, grid, starts):
+    """The lanes of one `solve_lambdas` batch, one namespace each."""
+    columns = zip(*solve_lambdas(ells, nu, pot, grid, starts))
+    names = ("lam", "mean", "variance", "log_z", "values", "iterations", "residual")
+    return [SimpleNamespace(**dict(zip(names, lane))) for lane in columns]
 
 
 class TestGibbs:
@@ -167,7 +175,7 @@ class TestLambdaOfEll:
         pot = quad_pot if potential == "quadratic" else dw_pot
         lam_prev = None
         for ell in ells:
-            warm = solve_lambdas([ell], nu, pot, grid, [lam_prev])[0]
+            warm = lanes([ell], nu, pot, grid, [lam_prev])[0]
             cold = solve_lambda(ell, nu, pot, grid)
             assert warm.lam == pytest.approx(cold.lam, abs=1e-9)
             assert warm.residual < 1e-10
@@ -175,9 +183,9 @@ class TestLambdaOfEll:
 
     def test_warm_start_counts_its_evaluations(self, grid, dw_pot):
         cold = solve_lambda(0.4, 0.5, dw_pot, grid)
-        exact = solve_lambdas([0.4], 0.5, dw_pot, grid, [cold.lam])[0]
+        exact = lanes([0.4], 0.5, dw_pot, grid, [cold.lam])[0]
         assert exact.iterations == 1 and exact.lam == cold.lam
-        near = solve_lambdas([0.41], 0.5, dw_pot, grid, [cold.lam])[0]
+        near = lanes([0.41], 0.5, dw_pot, grid, [cold.lam])[0]
         assert 2 <= near.iterations < solve_lambda(0.41, 0.5, dw_pot, grid).iterations
 
     @pytest.mark.parametrize("start", [3.0, 10.0, 1e3, -1e6, math.inf, math.nan])
@@ -195,7 +203,7 @@ class TestLambdaOfEll:
             return evaluate(family, sigma, nu, strict, out)
 
         monkeypatch.setattr(TiltedFamily, "evaluate", counted)
-        sol = solve_lambdas([0.4], 0.5, dw_pot, grid, [start])[0]
+        sol = lanes([0.4], 0.5, dw_pot, grid, [start])[0]
         assert sol.lam == pytest.approx(cold.lam, abs=1e-9)
         assert sol.iterations == len(calls)
         assert all(math.isfinite(s) for s in calls)
@@ -224,7 +232,7 @@ class TestLambdaOfEll:
             "inf": math.inf,
             "nan": math.nan,
         }[start_kind]
-        sol = solve_lambdas([ell], nu, pot, grid, [start])[0]
+        sol = lanes([ell], nu, pot, grid, [start])[0]
         assert sol.lam == pytest.approx(oracle, rel=1e-8, abs=1e-8)
         assert sol.residual < 1e-10
 
@@ -239,17 +247,17 @@ class TestLambdaOfEll:
         exact = [solve_lambda(ell, nu, dw_pot, grid).lam for ell in (0.3, -0.4)]
         ells = np.array([0.05, 0.3, -0.4, 0.31, 0.2, -0.002])
         starts = np.array([math.nan, exact[0], exact[1], exact[0], math.nan, 0.5])
-        batch = solve_lambdas(ells, nu, dw_pot, grid, starts)
+        batch = lanes(ells, nu, dw_pot, grid, starts)
         assert [sol.iterations for sol in batch[:3]] == [8, 1, 1]
         for sol, ell, start in zip(batch, ells, starts):
-            one = solve_lambdas([float(ell)], nu, dw_pot, grid, [float(start)])[0]
+            one = lanes([float(ell)], nu, dw_pot, grid, [float(start)])[0]
             assert (sol.lam, sol.iterations, sol.residual) == (one.lam, one.iterations, one.residual)
             assert sol.residual < LAMBDA_TOL
-            assert abs(sol.state.mean - ell) < LAMBDA_TOL
-            assert (sol.state.mean, sol.state.variance, sol.state.log_z) == (
-                one.state.mean, one.state.variance, one.state.log_z,
+            assert abs(sol.mean - ell) < LAMBDA_TOL
+            assert (sol.mean, sol.variance, sol.log_z) == (
+                one.mean, one.variance, one.log_z,
             )
-            np.testing.assert_array_equal(sol.state.values, one.state.values)
+            np.testing.assert_array_equal(sol.values, one.values)
 
     def test_batch_lanes_fall_back_from_degenerate_starts(self, grid, dw_pot):
         # at nu = 0.5 the finite starts 1e3 and -1e6 degenerate, the NaN start
@@ -261,14 +269,14 @@ class TestLambdaOfEll:
         exact = solve_lambda(0.3, nu, dw_pot, grid).lam
         ells = np.array([0.4, 0.3, 0.4, 0.4])
         starts = np.array([1e3, exact, math.nan, -1e6])
-        batch = solve_lambdas(ells, nu, dw_pot, grid, starts)
+        batch = lanes(ells, nu, dw_pot, grid, starts)
         for sol, ell, start in zip(batch, ells, starts):
-            one = solve_lambdas([float(ell)], nu, dw_pot, grid, [float(start)])[0]
+            one = lanes([float(ell)], nu, dw_pot, grid, [float(start)])[0]
             assert (sol.lam, sol.iterations, sol.residual) == (one.lam, one.iterations, one.residual)
-            assert (sol.state.mean, sol.state.variance, sol.state.log_z) == (
-                one.state.mean, one.state.variance, one.state.log_z,
+            assert (sol.mean, sol.variance, sol.log_z) == (
+                one.mean, one.variance, one.log_z,
             )
-            np.testing.assert_array_equal(sol.state.values, one.state.values)
+            np.testing.assert_array_equal(sol.values, one.values)
         fell, exact_lane, cold, fell_too = batch
         assert exact_lane.iterations == 1
         assert fell.iterations == fell_too.iterations == cold.iterations + 1
@@ -284,9 +292,9 @@ class TestLambdaOfEll:
     def test_batch_agrees_with_one_lane_solves(self, grid, quad_pot, dw_pot, potential, nu, ells, offsets):
         pot = {"quadratic": quad_pot, "doublewell": dw_pot, "polynomial": ASYMMETRIC}[potential]
         starts = np.array(ells) + np.array(offsets[: len(ells)])
-        batch = solve_lambdas(np.array(ells), nu, pot, grid, starts)
+        batch = lanes(np.array(ells), nu, pot, grid, starts)
         for sol, ell, start in zip(batch, ells, starts):
-            one = solve_lambdas([ell], nu, pot, grid, [float(start)])[0]
+            one = lanes([ell], nu, pot, grid, [float(start)])[0]
             assert (sol.lam, sol.iterations) == (one.lam, one.iterations)
             assert sol.residual < LAMBDA_TOL
 

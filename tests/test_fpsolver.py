@@ -761,6 +761,21 @@ class TestProjectMean:
         assert moments(out)[0] == pytest.approx(0.15, abs=1e-10)
         assert moments(out)[2] == pytest.approx(1.1, abs=1e-2)
 
+    def test_keeps_the_tails(self, quad_pot):
+        # the translated Gaussian keeps its tails: cut off below quantile
+        # level 1/(4n), as a round trip through 2n midpoint quantiles does,
+        # it is nonzero on 221 of 1,024 cells and its dissipation is 7,220
+        g = Grid(-12.0, 12.0, 1024)
+        out = project_mean(gaussian_density(g, 1.0, 0.5), 0.2)
+        assert abs(moments(out)[0] - 0.2) <= 1e-14
+        assert np.abs(out.values - gaussian_density(g, 0.2, 0.5).values).sum() * g.dx < 1e-4
+        assert dissipation(out, 0.2, quad_pot, ModelParams()) == pytest.approx(0.5, rel=1e-3)
+
+    def test_whole_cell_shift_moves_the_values(self, grid):
+        rho = gaussian_density(grid, 0.9, 1.1)
+        out = project_mean(rho, moments(rho)[0] - 10 * grid.dx)
+        np.testing.assert_allclose(out.values[:-10], rho.values[10:], rtol=0.0, atol=1e-13)
+
 
 class TestCrossValidation:
     def test_jko_and_fv_agree(self, dw_pot):
