@@ -40,7 +40,7 @@ class RunConfig:
     path: core.ConstraintPath
     grid: Grid
     params: ModelParams
-    run: SimpleNamespace  # the [run] keys, each parsed by its _SCHEMA entry
+    run: SimpleNamespace  # the [run] keys, each parsed by its _SCHEMA entry; `initial` is built on the grid
     out_dir: str = "out"
     tail_report: dict[str, float] = field(default_factory=dict)
 
@@ -235,6 +235,9 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
     if run.kind in ("simulate", "decay", "verify"):  # the kinds that run to T
         step = "h" if run.solver == "jko" else "dt"
         _checked(f"[run] {step} = {resolved['run'][step]}", core.step_count, run.T, getattr(run, step))
+    if run.initial is not None:  # a Gaussian with its mass off the grid has none to normalize
+        label = f"[run] initial = {resolved['run']['initial']}"
+        run.initial = _checked(label, core.gaussian_density, grid, *run.initial)
     path = values["path"]["kind"]
     cfg = RunConfig(raw=resolved, pot=pot, path=path, grid=grid, params=params, run=run, out_dir=out_dir)
     _tail_check(cfg)
@@ -296,23 +299,25 @@ def _json_dump(obj, path: str) -> None:
 
 
 def _initial_density(cfg: RunConfig) -> Density:
-    """rho0 of the `[run] initial` spec."""
+    """rho0 of the `[run] initial` spec: the Gibbs state at ell(0), or the
+    Gaussian that `build_config` built."""
     if cfg.run.initial is None:
         return solve_lambda(cfg.path.ell(0.0), cfg.params.nu, cfg.pot, cfg.grid).state.density
-    return core.gaussian_density(cfg.grid, *cfg.run.initial)
+    return cfg.run.initial
 
 
 def _summarize_run(traj: dict[str, np.ndarray]) -> dict:
+    """The summary keys of the columns both schemes record; a run with one
+    record has no energy-balance interval, and its `max_eb_residual` is NaN."""
+    eb = traj["eb_residual"][1:]
     return {
         "final_t": float(traj["t"][-1]),
         "final_sigma": float(traj["sigma"][-1]),
         "final_F": float(traj["F"][-1]),
         "final_Hrel_quasistatic": float(traj["Hrel_quasistatic"][-1]),
         "final_Hrel_star": float(traj["Hrel_star"][-1]),
-        "max_eb_residual": float(np.nanmax(traj["eb_residual"][1:])),
+        "max_eb_residual": float(np.nanmax(eb)) if len(eb) else math.nan,
         "max_constraint_gap": float(np.max(np.abs(traj["M1"] - traj["ell"]))),
-        "steps": int(traj["steps"].sum()),
-        "limited_mass": total_limited_mass(traj),
     }
 
 
@@ -380,17 +385,13 @@ def _experiment(cfg: RunConfig) -> tuple[str, dict]:
         return "decay", block
     if run.solver == "fv":
         traj = fv_run(rho0, cfg.path, run.dt, cfg.pot, cfg.params, run.T, record_every=run.record_every)
-        write_csv(traj, os.path.join(cfg.out_dir, "trajectory_fv.csv"), FPSOLVER_COLUMNS)
-        return "fv", _summarize_run(traj)
-    traj = jko_run(rho0, cfg.path, run.h, run.T, cfg.pot, cfg.params)
-    write_csv(traj, os.path.join(cfg.out_dir, "trajectory_jko.csv"), TRANSPORT_COLUMNS)
-    return "jko", {
-        "final_sigma": float(traj["sigma"][-1]),
-        "final_F": float(traj["F"][-1]),
-        "sum_W2sq": float(np.sum(traj["W2sq_step"])),
-        "max_kkt_residual": float(np.max(traj["kkt_residual"])),
-        "max_constraint_gap": float(np.max(np.abs(traj["M1"] - traj["ell"]))),
-    }
+        names, own = FPSOLVER_COLUMNS, {"steps": int(traj["steps"].sum()), "limited_mass": total_limited_mass(traj)}
+    else:
+        traj = jko_run(rho0, cfg.path, run.h, run.T, cfg.pot, cfg.params)
+        names = TRANSPORT_COLUMNS
+        own = {"sum_W2sq": float(np.sum(traj["W2sq_step"])), "max_kkt_residual": float(np.max(traj["kkt_residual"]))}
+    write_csv(traj, os.path.join(cfg.out_dir, f"trajectory_{run.solver}.csv"), names)
+    return run.solver, _summarize_run(traj) | own
 
 
 def main(argv: list[str] | None = None) -> int:

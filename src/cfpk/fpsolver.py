@@ -36,8 +36,6 @@ from .core import (
     Grid,
     ModelParams,
     Potential,
-    _entropy_integrand,
-    _log_density,
     constant_path,
     density_from_values,
     integrate,
@@ -46,10 +44,10 @@ from .core import (
     solve_banded,
     step_count,
 )
-from .equilibrium import LambdaSolve, TiltedFamily, solve_lambda, solve_lambdas, tilted_family
+from .equilibrium import LambdaSolve, TiltedFamily, solve_lambda, tilted_family
 from .errors import ContractViolation, SolverError, StepError
-from .functionals import _breakdown, _dissipation_integrand, _kl_integrand, log_partition
-from .records import FPSOLVER_COLUMNS
+from .functionals import _dissipation_integrand, log_partition
+from .records import FPSOLVER_COLUMNS, RECORD_BLOCK, _audit_energy_balance, _record_block, _schedule
 
 # TR-BDF2: trapezoid stage to t + GAMMA*dt, then
 # rho_next - BDF2_DT * dt * f(rho_next) = BDF2_NEW * rho_gamma - BDF2_OLD * rho.
@@ -84,10 +82,6 @@ ERR_TOL = 0.01
 SAFETY = 0.9
 FAC_MIN = 0.2
 FAC_MAX = 2.0
-# Rows of the record block: `run` computes record diagnostics this many
-# states at a time.  32 costs the same per record and keeps 0.4 MB more in
-# buffers; 128 costs more.
-RECORD_BLOCK = 16
 
 
 def sigma_of_state(
@@ -367,64 +361,16 @@ def record_times(T: float, dt: float, record_every: int) -> tuple[list[int], lis
     return slots, [k * dt for k in slots[:-1]] + [t_end], stretched
 
 
-def _schedule(
-    times: list, size: int, star: LambdaSolve, pot: Potential, grid: Grid, path: ConstraintPath, nu: float
-) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-    """The columns of a run with record `times`, NaN but for t, ell, ell_dot
-    and lam_ell, and the log Z of gamma_{lambda(ell(t))}: None on a constant
-    path, where that state is `star`.  On a moving path lambda(ell(t)) is
-    solved in `solve_lambdas` batches of `size` lanes from record 0, each
-    lane started from the tangent predictor lambda_a + (ell - ell_a) nu^2 /
-    Var_a (d lambda / d ell = nu^2 / Var) at the last lane of the batch
-    before, or at a cold solve of lambda(ell(0)) for the first batch."""
-    n = len(times)
-    cols = {name: np.full(n, np.nan) for name in FPSOLVER_COLUMNS + ["lam_ell", "l1_star"]}
-    ells, lam = cols["ell"], cols["lam_ell"]
-    cols["t"][:], ells[:] = times, [path.ell(t) for t in times]
-    cols["ell_dot"] = np.array([path.ell_dot(t) for t in times])
-    if path.L0 == 0.0:
-        lam[:] = star.lam
-        return cols, None
-    log_z, nu2 = np.empty(n), nu * nu
-    first = solve_lambda(ells[0], nu, pot, grid)
-    lam_a, ell_a, var_a = first.lam, ells[0], first.state.variance
-    for i in range(0, n, size):
-        batch = slice(i, i + size)
-        ell = ells[batch]
-        lam[batch], _, var, log_z[batch], *_ = solve_lambdas(ell, nu, pot, grid, lam_a + (ell - ell_a) * nu2 / var_a)
-        lam_a, ell_a, var_a = lam[batch][-1], ell[-1], var[-1]
-    return cols, log_z
-
-
-def _record_block(rows: np.ndarray, cols: dict, log_z: np.ndarray | None, star: LambdaSolve, logz0: float,
-                  family: TiltedFamily, params: ModelParams) -> None:
-    """The diagnostics of the record states `rows` into `cols`, column slices
-    of one entry per row with t, ell, ell_dot and lam_ell set; `log_z` is the
-    log Z of gamma_{lambda(ell(t))} on those rows, or None where that state
-    is `star`.  One log rho serves S, D and both relative entropies, each a
-    row-wise sum, with log gamma the Gibbs exponent minus log Z, as in
-    `relative_entropy`, so a record does not depend on the rows beside it."""
-    tau, nu, dx = params.tau, params.nu, family.dx
-    log_r, work = _log_density(rows), np.empty_like(rows)
-    # one stacked product, basis @ rho for each row: a matrix-vector
-    # product per row, as one state's record takes it (a matrix-matrix
-    # product orders its sums by the block's shape)
-    e, m1, m2, h1_rho = (family.basis @ rows[:, :, None])[:, :, 0].T * dx
-    cols["E"][:], cols["M1"][:], cols["M2"][:] = e, m1, m2
-    sigma, s = cols["sigma"], cols["S"]
-    sigma[:] = h1_rho + tau * cols["ell_dot"]
-    s[:] = _entropy_integrand(rows, log_r, out=work).sum(axis=1) * dx
-    cols["F"][:] = _breakdown(s, e, logz0, nu).F
-    h_star = _kl_integrand(rows, log_r, star.state.log_values, out=work).sum(axis=1) * dx
-    cols["Hrel_star"][:] = cols["Hrel_quasistatic"][:] = h_star
-    if log_z is not None:
-        log_g = family.exponent(cols["lam_ell"], nu, out=work)
-        log_g -= log_z[:, None]
-        cols["Hrel_quasistatic"][:] = _kl_integrand(rows, log_r, log_g, out=work).sum(axis=1) * dx
-    d = _dissipation_integrand(rows, log_r, dx, family.h1, sigma[:, None], nu * nu, out=work)
-    cols["D"][:] = d.sum(axis=1) * dx
-    np.subtract(rows, star.state.values, out=work)
-    cols["l1_star"][:] = np.abs(work, out=work).sum(axis=1) * dx
+def _record_fv_block(rows: np.ndarray, cols: dict, log_z: np.ndarray | None, star: LambdaSolve, logz0: float,
+                     family: TiltedFamily, params: ModelParams) -> None:
+    """`_record_block` of the record states `rows`, with the FV sigma and D
+    of each state: sigma = int H' rho dx + tau l'(t), and D the grid
+    dissipation at that sigma, from the kernel's log rho."""
+    nu, dx = params.nu, family.dx
+    h1_rho, log_r = _record_block(rows, cols, log_z, star, logz0, family, nu)
+    sigma = cols["sigma"]
+    sigma[:] = h1_rho + params.tau * cols["ell_dot"]
+    cols["D"][:] = _dissipation_integrand(rows, log_r, dx, family.h1, sigma[:, None], nu * nu).sum(axis=1) * dx
 
 
 def _states(vals: np.ndarray, op: _Stepper, dt: float, record_every: int, slots: list, times: list, stretched: bool):
@@ -513,12 +459,13 @@ def run(
     the rate terms, NaN on the first record), from the `ell_dot` column.
 
     lambda(ell(t)) depends on the path only, so it is solved on the schedule
-    before the first step (`_schedule`).  The diagnostics of the record
-    states are computed RECORD_BLOCK rows at a time from record 0
-    (`_record_block`).  The `density` column holds the states of records 0,
-    stride, 2 stride, ... for a `keep_densities` stride > 0, one row each,
-    and no rows otherwise; rho0 was validated, `_implicit` rejects negative
-    or NaN values and `_advance` an inf.
+    before the first step (`records._schedule`).  The diagnostics of the
+    record states are computed RECORD_BLOCK rows at a time from record 0
+    (`_record_fv_block`), and the audit runs on the finished columns.  The
+    `density` column holds the states of records 0, stride, 2 stride, ...
+    for a `keep_densities` stride > 0, one row each, and no rows otherwise;
+    rho0 was validated, `_implicit` rejects negative or NaN values and
+    `_advance` an inf.
     """
     require_positive(T=T, dt=dt)
     if record_every < 1 or keep_densities < 0:
@@ -530,7 +477,7 @@ def run(
     if abs(moments(rho0)[0] - path.ell(0.0)) > MEAN_TOL:
         rho0 = project_mean(rho0, path.ell(0.0))
     star = solve_lambda(path.ell_star, nu, pot, grid)
-    cols, log_z = _schedule(schedule[1], size, star, pot, grid, path, nu)
+    cols, log_z = _schedule(FPSOLVER_COLUMNS, schedule[1], size, star, pot, grid, path, nu)
     n = len(cols["t"])
     cols["steps"] = np.zeros(n, dtype=int)
     kept = np.empty((-(-n // keep_densities) if keep_densities else 0, grid.n))
@@ -545,12 +492,8 @@ def run(
         if j == size - 1 or i == n - 1:
             block = slice(i - j, i + 1)
             z = None if log_z is None else log_z[block]
-            _record_block(rows[: j + 1], {name: col[block] for name, col in cols.items()}, z, star, logz0, family, params)
+            _record_fv_block(rows[: j + 1], {name: col[block] for name, col in cols.items()}, z, star, logz0,
+                             family, params)
     cols["density"] = kept
-
-    # energy-balance audit on record spacing
-    t, f, d = cols["t"], cols["F"], cols["D"]
-    pump = cols["sigma"] * cols["ell_dot"]
-    rate = np.diff(f) / np.diff(t)
-    cols["eb_residual"][1:] = np.abs(rate + 0.5 * (d[1:] + d[:-1]) / params.tau - 0.5 * (pump[1:] + pump[:-1]))
+    _audit_energy_balance(cols, params.tau)
     return cols

@@ -222,9 +222,6 @@ def decay_experiment(
     grid = rho0.grid
     predicted, c_ell_sigma, violation = decay_bound_audit(traj, params, pot, grid)
     rate, short = fit_decay_rate(traj)
-    sigma_star = solve_lambda(path.ell_star, nu, pot, grid).lam
-    stride = max(1, len(traj["t"]) // 400)
-    samples = zip(*(traj[c][::stride].tolist() for c in ("t", "Hrel_quasistatic", "Hrel_star", "sigma")))
     block = {
         "fitted_rate": rate,
         "predicted_tau": predicted,
@@ -233,10 +230,6 @@ def decay_experiment(
         "bound_max_violation": violation,
         "short_window": short,
         "limited_mass": total_limited_mass(traj),
-        "samples": [
-            {"t": t, "Hrel_quasistatic": h_q, "Hrel_star": h_star, "sigma_gap": abs(sigma - sigma_star)}
-            for t, h_q, h_star, sigma in samples
-        ],
     }
     return block, traj
 

@@ -28,9 +28,10 @@ from .core import (
     solve_banded,
     step_count,
 )
+from .equilibrium import solve_lambda, tilted_family
 from .errors import ContractViolation, StepError
-from .functionals import free_energy
-from .records import TRANSPORT_COLUMNS
+from .functionals import log_partition
+from .records import RECORD_BLOCK, TRANSPORT_COLUMNS, _audit_energy_balance, _record_block, _schedule
 
 KKT_TOL = 1e-9
 MAX_NEWTON = 200
@@ -224,13 +225,20 @@ def jko_run(
 ) -> dict[str, np.ndarray]:
     """Chain JKO steps on [0, T]; the state is carried in quantile coordinates
     between steps (no per-step grid roundtrip) and projected to the grid for
-    the per-step record.  This is the only JKO stepping loop: one step from rho0
-    is the first record of a run with T = h.  Returns the trajectory as
-    columns, one entry per step: those of TRANSPORT_COLUMNS, and `quantile`,
-    the chain's states, one row of m samples per step."""
+    the record of each step, RECORD_BLOCK rows at a time through
+    `records._record_block`.  This is the only JKO stepping loop: one step
+    from rho0 is the first record of a run with T = h.  Returns the
+    trajectory as columns, one entry per step at t = k h, with no t = 0 row:
+    those of TRANSPORT_COLUMNS and of `records._schedule`, and `quantile`,
+    the chain's states, one row of m samples per step.  The scheme supplies
+    sigma, its KKT multiplier, and D = tau^2 W2sq_step / h^2, the step's
+    squared metric slope (Ambrosio, Gigli & Savare, Gradient Flows in Metric
+    Spaces, ch. 3), not the grid formula, which the edge cells of the
+    projected support inflate to thousands.  The first row's `eb_residual`
+    is NaN, and H_q and H* carry the projection's floor (see `records`)."""
     require_positive(h=h, T=T)
     n_steps = step_count(T, h)
-    grid = rho0.grid
+    grid, nu, size = rho0.grid, params.nu, RECORD_BLOCK
     if m is None:
         m = max(64, grid.n)
     x = to_quantile(rho0, m)
@@ -238,21 +246,25 @@ def jko_run(
     if abs(float(np.mean(x)) - ell0) > MEAN_TOL:
         x = x + (ell0 - float(np.mean(x)))  # translation projection onto M^ell(0)
     h_eff = h / params.tau
-    cols = {name: np.empty(n_steps) for name in TRANSPORT_COLUMNS}
+    star = solve_lambda(path.ell_star, nu, pot, grid)
+    cols, log_z = _schedule(TRANSPORT_COLUMNS, [k * h for k in range(1, n_steps + 1)], size, star, pot, grid, path, nu)
     cols["quantile"] = np.empty((n_steps, m))
-    for k in range(1, n_steps + 1):
-        t_k = k * h
-        ell_k = path.ell(t_k)
+    family, logz0, rows = tilted_family(pot, grid), log_partition(pot, grid, nu), np.empty((size, grid.n))
+    for i, ell_k in enumerate(cols["ell"].tolist()):
         try:
-            x_new, mu, it, res = _inner_solve(x, ell_k, h_eff, pot, params.nu)
+            x_new, mu, it, res = _inner_solve(x, ell_k, h_eff, pot, nu)
         except StepError as exc:
-            exc.diagnostics["step"] = k
+            exc.diagnostics["step"] = i + 1
             raise
-        w2sq = float(np.mean((x_new - x) ** 2))
-        dens = quantile_to_density(x_new, grid)
-        m1, m2, _ = moments(dens)
-        fe = free_energy(dens, pot, params)
-        for name, value in zip(TRANSPORT_COLUMNS, (t_k, mu, ell_k, m1, m2, fe.F, fe.S, fe.E, w2sq, res)):
-            cols[name][k - 1] = value
-        cols["quantile"][k - 1] = x = x_new
+        cols["sigma"][i], cols["kkt_residual"][i] = mu, res
+        cols["W2sq_step"][i] = float(np.mean((x_new - x) ** 2))
+        cols["quantile"][i] = x = x_new
+        j = i % size
+        rows[j] = quantile_to_density(x, grid).values
+        if j == size - 1 or i == n_steps - 1:
+            block = slice(i - j, i + 1)
+            z = None if log_z is None else log_z[block]
+            _record_block(rows[: j + 1], {name: col[block] for name, col in cols.items()}, z, star, logz0, family, nu)
+    cols["D"][:] = (params.tau / h) ** 2 * cols["W2sq_step"]
+    _audit_energy_balance(cols, params.tau)
     return cols

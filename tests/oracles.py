@@ -283,6 +283,13 @@ def discrete_sigma_series(traj: dict[str, np.ndarray]) -> SigmaSeries:
     return SigmaSeries(values=traj["sigma"], h=h)
 
 
+def strided(traj: dict[str, np.ndarray], *names: str) -> list[list[float]]:
+    """The `names` columns of a run as lists, every max(1, n // 400)-th
+    record from the first: at most about 400 of its n records."""
+    stride = max(1, len(traj["t"]) // 400)
+    return [traj[name][::stride].tolist() for name in names]
+
+
 def weak_form_residual(
     x_prev: np.ndarray,
     x_next: np.ndarray,

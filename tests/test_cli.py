@@ -180,7 +180,9 @@ class TestRunExperiment:
         code = main(["simulate", "--config", cfgfile, "--out", out])
         assert code == 0
         jko = (tmp_path / "sim" / "trajectory_jko.csv").read_text().splitlines()
-        assert jko[0] == "t,sigma,ell,M1,M2,F,S,E,W2sq_step,kkt_residual"
+        # the FV columns the two schemes share, then the JKO step's own two
+        header = "t,sigma,ell,M1,M2,F,S,E,D,eb_residual,Hrel_quasistatic,Hrel_star,W2sq_step,kkt_residual"
+        assert jko[0] == header
         assert os.path.exists(tmp_path / "sim" / "config_resolved.cfg")
 
     @pytest.mark.parametrize("command", ["verify", "decay", "kramers-sweep"])
@@ -342,7 +344,9 @@ class TestRunExperiment:
         assert main(["decay", "--config", config, "--out", str(out)]) == 0
         block = json.loads((out / "summary.json").read_text())["decay"]
         assert block["fitted_rate"] == "nan" and block["short_window"] is True
-        assert max(s["Hrel_quasistatic"] for s in block["samples"]) < 1e-8
+        header, *rows = (out / "trajectory_fv.csv").read_text().splitlines()
+        column = header.split(",").index("Hrel_quasistatic")
+        assert max(float(row.split(",")[column]) for row in rows[:: max(1, len(rows) // 400)]) < 1e-8
 
     def test_one_ell_per_run(self, tmp_path, capsys):
         # the equilibrium target is the path's ell*, so the tail check sees it;
@@ -427,7 +431,9 @@ class TestRunExperiment:
         elif solver == "fv":
             assert summary["fv"]["steps"] == 1 and np.isfinite(summary["fv"]["max_eb_residual"])
         else:
+            # one row, so no energy-balance interval
             assert len((out / "trajectory_jko.csv").read_text().splitlines()) == 2
+            assert summary["jko"]["max_eb_residual"] == "nan"
 
     @pytest.mark.parametrize("nu_list", ["0.17,0.5,0.8", "0.5,0.8,0.17"])
     def test_unresolved_gap_exit_code(self, tmp_path, capsys, monkeypatch, nu_list):
@@ -499,11 +505,14 @@ class TestRunExperiment:
         assert err.startswith("error: grid too small: gamma at ell=0.0, nu=2 ") and not out.exists()
 
     @pytest.mark.parametrize(
-        "command,initial", [("landscape", "bogus"), ("simulate", "gaussian:0,-1")], ids=["landscape", "simulate"]
+        "command,initial",
+        [("landscape", "bogus"), ("simulate", "gaussian:0,-1"), ("simulate", "gaussian:100,0.5")],
+        ids=["landscape", "simulate", "off-grid"],
     )
     def test_bad_initial_refused_at_parse_time(self, tmp_path, capsys, command, initial):
         # every kind checks the spec, also one that builds no initial
-        # density, before the output directory exists
+        # density, before the output directory exists; a Gaussian with its
+        # mass off the grid has no mass to normalize
         text = f"[model]\npotential = quadratic:1\n\n[grid]\nn = 256\n\n[run]\ninitial = {initial}\n"
         out = tmp_path / "out"
         assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
@@ -615,7 +624,7 @@ class TestWriteCsv:
 
 SMALL_MODEL = "[model]\npotential = {pot}\nnu = 1.0\n\n[path]\nkind = {path}\n\n[grid]\nn = {n}\n\n"
 
-# each kind's summary.json block keys, as the CLI has always written them
+# each kind's summary.json block keys
 SUMMARY_BLOCKS = [
     ("simulate", "fv", SMALL_MODEL.format(pot="quadratic:1", path="constant:0.5", n=256)
      + "[run]\nsolver = fv\nT = 0.05\n",
@@ -623,12 +632,12 @@ SUMMARY_BLOCKS = [
       "limited_mass", "max_constraint_gap", "max_eb_residual", "steps"}, {}),
     ("simulate", "jko", SMALL_MODEL.format(pot="quadratic:1", path="constant:0.5", n=256)
      + "[run]\nsolver = jko\nT = 0.05\n",
-     {"final_F", "final_sigma", "max_constraint_gap", "max_kkt_residual", "sum_W2sq"}, {}),
+     {"final_F", "final_Hrel_quasistatic", "final_Hrel_star", "final_sigma", "final_t",
+      "max_constraint_gap", "max_eb_residual", "max_kkt_residual", "sum_W2sq"}, {}),
     ("decay", "decay", SMALL_MODEL.format(pot="doublewell", path="exp_decay:0.3,0.4,1.0", n=256)
      + "[run]\nT = 0.3\nrecord_every = 10\n",
      {"C_ell_sigma", "bound_max_violation", "fitted_rate", "limited_mass", "predicted_tau",
-      "regime", "samples", "short_window"},
-     {"samples": {"Hrel_quasistatic", "Hrel_star", "sigma_gap", "t"}}),
+      "regime", "short_window"}, {}),
     ("landscape", "landscape", SMALL_MODEL.format(pot="doublewell", path="constant:0", n=256),
      {"C_var", "c_var", "delta_h_star", "lsi_samples", "sigma_intervals", "spinodal_measure"},
      {"lsi_samples": {"C_lsi", "method", "sigma"}}),

@@ -22,7 +22,7 @@ from cfpk.core import (
     quadratic_potential,
     step_count,
 )
-from cfpk import fpsolver
+from cfpk import fpsolver, transport
 from cfpk.equilibrium import TiltedFamily, gibbs, solve_lambda
 from cfpk.errors import ContractViolation, SolverError, StepError
 from cfpk.fpsolver import (
@@ -34,6 +34,7 @@ from cfpk.fpsolver import (
     run,
     sigma_of_state,
 )
+from cfpk.transport import jko_run
 from cfpk.functionals import dissipation, free_energy, log_partition, relative_entropy
 from cfpk.longtime import bimodal_side_data
 from cfpk.records import FPSOLVER_COLUMNS
@@ -574,28 +575,36 @@ class TestRecordKernel:
             assert lam == pytest.approx(solve_lambda(ell, nu, dw_pot, grid).lam, abs=1e-9)
 
     def test_records_do_not_depend_on_block_size(self, grid, dw_pot, monkeypatch):
-        # 101 records: three full blocks of 32 and a last one of 5, against a
-        # block of one.  Every sum runs along a row, so the diagnostics of
-        # rho agree to 1e-12 relative (bit for bit here).  lambda(ell(t))
-        # lanes start from other predictions and stop within LAMBDA_TOL, so
-        # lam_ell agrees to 1e-9 and Hrel_quasistatic, which starts at 0, to
-        # 1e-13 absolute.
+        # Both schemes go through the one record kernel.  FV: 101 records,
+        # three full blocks of 32 and a last one of 5; JKO: 100 steps, the
+        # last block of 4; each against a block of one.  Every sum runs along
+        # a row, so the diagnostics of rho agree to 1e-12 relative (bit for
+        # bit here).  lambda(ell(t)) lanes start from other predictions and
+        # stop within LAMBDA_TOL, so lam_ell agrees to 1e-9 and
+        # Hrel_quasistatic, which starts at 0 on the FV run, to 1e-13
+        # absolute.
         nu = 0.8
         path = exp_decay_path(0.3, 0.4, 1.0)
         rho0 = solve_lambda(path.ell(0.0), nu, dw_pot, grid).state.density
-        runs = {}
-        for size in (1, 32):
-            monkeypatch.setattr(fpsolver, "RECORD_BLOCK", size)
-            runs[size] = run(rho0, path, 1e-3, dw_pot, ModelParams(nu=nu), 0.2, record_every=2)
-        assert len(runs[1]["t"]) == 101
-        assert runs[1].keys() == runs[32].keys()
+        params = ModelParams(nu=nu)
+        schemes = {
+            fpsolver: (lambda: run(rho0, path, 1e-3, dw_pot, params, 0.2, record_every=2), 101),
+            transport: (lambda: jko_run(rho0, path, 0.01, 1.0, dw_pot, params), 100),
+        }
         tolerance = {"lam_ell": {"abs": 1e-9}, "Hrel_quasistatic": {"rel": 1e-12, "abs": 1e-13}}
-        for name in runs[1]:
-            for a, b in zip(runs[1][name].tolist(), runs[32][name].tolist()):
-                if name == "eb_residual" and math.isnan(a):
-                    assert math.isnan(b)
-                    continue
-                assert b == pytest.approx(a, **tolerance.get(name, {"rel": 1e-12, "abs": 0.0})), name
+        for module, (runner, records) in schemes.items():
+            runs = {}
+            for size in (1, 32):
+                monkeypatch.setattr(module, "RECORD_BLOCK", size)
+                runs[size] = runner()
+            assert len(runs[1]["t"]) == records
+            assert runs[1].keys() == runs[32].keys()
+            for name in runs[1]:
+                for a, b in zip(runs[1][name].tolist(), runs[32][name].tolist()):
+                    if name == "eb_residual" and math.isnan(a):
+                        assert math.isnan(b)
+                        continue
+                    assert b == pytest.approx(a, **tolerance.get(name, {"rel": 1e-12, "abs": 0.0})), name
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -35,7 +35,7 @@ from cfpk.longtime import (
 )
 from cfpk.sampling import random_density
 
-from oracles import gaussian_kl, verify_quasistationary_derivative, verify_sigma_convergence
+from oracles import gaussian_kl, strided, verify_quasistationary_derivative, verify_sigma_convergence
 
 
 class TestClassifyRegime:
@@ -173,15 +173,15 @@ class TestDecayExperiment:
     def test_convex_constant_ell(self, quad_pot):
         g = Grid(0.5 - 12.0, 0.5 + 12.0, 1024)
         rho0 = gaussian_density(g, 0.5, 1.5**2)
-        rep, _ = decay_experiment(rho0, constant_path(0.5), 1.0, quad_pot,
-                                  1e-3, 10.0, record_every=5)
+        rep, traj = decay_experiment(rho0, constant_path(0.5), 1.0, quad_pot,
+                                     1e-3, 10.0, record_every=5)
         assert rep["regime"] == "convex"
         assert rep["predicted_tau"] == pytest.approx(1.0)
         assert rep["fitted_rate"] >= 1.0
         assert rep["fitted_rate"] == pytest.approx(4.0, rel=0.15)  # Gaussian oracle
         assert rep["bound_max_violation"] <= 1e-8
-        h0 = rep["samples"][0]["Hrel_quasistatic"]
-        worst = max(s["Hrel_quasistatic"] - math.exp(-s["t"]) * h0 for s in rep["samples"])
+        ts, hq = strided(traj, "t", "Hrel_quasistatic")
+        worst = max(h - math.exp(-t) * hq[0] for t, h in zip(ts, hq))
         assert worst <= 1e-10
 
     def test_predicted_rate_carries_one_over_tau(self, quad_pot):
@@ -201,14 +201,13 @@ class TestDecayExperiment:
         g = Grid(-11.2, 12.8, 1024)
         path = exp_decay_path(0.5, 0.3, 2.0)
         rho0 = gaussian_density(g, path.ell(0.0), 1.2)
-        rep, _ = decay_experiment(rho0, path, 1.0, quad_pot, 1e-3, 8.0,
-                                  record_every=5)
+        rep, traj = decay_experiment(rho0, path, 1.0, quad_pot, 1e-3, 8.0,
+                                     record_every=5)
         tau = rep["predicted_tau"]
         c_exp = rep["C_ell_sigma"] * path.L0 / (path.kappa - tau)
-        h0 = rep["samples"][0]["Hrel_quasistatic"]
-        for s in rep["samples"]:
-            t, hq = s["t"], s["Hrel_quasistatic"]
-            assert hq <= math.exp(-tau * t) * (h0 + c_exp) + 1e-9
+        ts, hqs = strided(traj, "t", "Hrel_quasistatic")
+        for t, hq in zip(ts, hqs):
+            assert hq <= math.exp(-tau * t) * (hqs[0] + c_exp) + 1e-9
 
     def test_false_envelope_is_refused(self, quad_pot):
         # |ell_dot(t)| = 0.4 e^{-t} breaks a declared envelope of 0.2 e^{-t}
@@ -270,10 +269,10 @@ class TestSigmaConvergence:
         g = Grid(-11.2, 12.8, 1024)
         path = exp_decay_path(0.5, 0.3, 0.7)
         rho0 = gaussian_density(g, path.ell(0.0), 1.0)
-        rep, _ = decay_experiment(rho0, path, 1.0, quad_pot,
-                                  1e-3, 6.0, record_every=5)
-        ts = np.array([s["t"] for s in rep["samples"]])
-        gap = np.array([s["sigma_gap"] for s in rep["samples"]])
+        rep, traj = decay_experiment(rho0, path, 1.0, quad_pot,
+                                     1e-3, 6.0, record_every=5)
+        ts, sigma = map(np.array, strided(traj, "t", "sigma"))
+        gap = np.abs(sigma - solve_lambda(path.ell_star, 1.0, quad_pot, g).lam)
         mask = (gap > 1e-11) & (ts > 0.5) & (ts < 4.0)
         slope = -np.polyfit(ts[mask], np.log(gap[mask]), 1)[0]
         assert math.isnan(rep["fitted_rate"])

@@ -23,6 +23,8 @@ from cfpk.core import (
 from cfpk import transport
 from cfpk.equilibrium import solve_lambda
 from cfpk.errors import ContractViolation, StepError
+from cfpk.fpsolver import run as fv_run
+from cfpk.functionals import dissipation
 from cfpk.sampling import random_density
 from cfpk.transport import jko_run, quantile_to_density, to_quantile
 
@@ -321,6 +323,35 @@ class TestJkoRun:
         rho0 = gaussian_density(grid, 1.3, 0.7)  # mean far from ell(0)
         recs = jko_run(rho0, constant_path(0.2), 0.02, 0.1, dw_pot, ModelParams(nu=0.8))
         assert abs(recs["M1"][0] - 0.2) <= 1e-8
+
+    @staticmethod
+    def forced_chain(grid, pot, tau):
+        # the jko_chain benchmark's model, path and step, for T = 1
+        params = ModelParams(tau=tau, nu=0.8)
+        path = exp_decay_path(0.3, 0.4, 1.0)
+        rho0 = solve_lambda(path.ell(0.0), params.nu, pot, grid).state.density
+        return jko_run(rho0, path, 0.01, 1.0, pot, params), (rho0, path, pot, params)
+
+    @pytest.mark.parametrize("tau", [1.0, 2.0])
+    def test_dissipation_is_the_metric_slope(self, grid, dw_pot, tau):
+        # D = tau^2 W2sq_step / h^2, the step's squared metric slope, matches
+        # the FV run's D on the same path to 1.1% at h = 0.01 once the first
+        # steps are past (t >= 0.1)
+        jko, (rho0, path, pot, params) = self.forced_chain(grid, dw_pot, tau)
+        fv = fv_run(rho0, path, 1e-3, pot, params, 1.0, record_every=10)
+        np.testing.assert_allclose(fv["t"][1:], jko["t"], rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(jko["D"], (tau / 0.01) ** 2 * jko["W2sq_step"])
+        late = jko["t"] >= 0.1 - 1e-12
+        assert np.max(np.abs(jko["D"][late] / fv["D"][1:][late] - 1.0)) <= 0.02
+
+    def test_dissipation_is_not_the_grid_formula(self, grid, dw_pot):
+        # the grid formula on the projected states reads hundreds to
+        # thousands, over 1,000 times D: its excess comes from the cells at
+        # the edge of the truncated support that quantile_to_density fills
+        jko, (_, _, pot, params) = self.forced_chain(grid, dw_pot, 1.0)
+        states = (quantile_to_density(x, grid) for x in jko["quantile"])
+        formula = np.array([dissipation(rho, s, pot, params) for rho, s in zip(states, jko["sigma"].tolist())])
+        assert np.min(formula) > 100.0 * np.max(jko["D"])
 
     def test_shift_comparison(self, grid, dw_pot):
         # minimality against the translated competitor:
