@@ -91,8 +91,8 @@ class Grid:
 
     @property
     def edges(self) -> np.ndarray:
-        """Cell interfaces, length n+1."""
-        return self.x_min + np.arange(self.n + 1) * self.dx
+        """Cell interfaces, length n+1, one read-only array per grid."""
+        return _cell_edges(self)
 
 
 @lru_cache(maxsize=16)
@@ -100,6 +100,13 @@ def _cell_centers(grid: Grid) -> np.ndarray:
     x = grid.x_min + (np.arange(grid.n) + 0.5) * grid.dx
     x.setflags(write=False)
     return x
+
+
+@lru_cache(maxsize=16)
+def _cell_edges(grid: Grid) -> np.ndarray:
+    edges = grid.x_min + np.arange(grid.n + 1) * grid.dx
+    edges.setflags(write=False)
+    return edges
 
 
 def integrate(f_values: np.ndarray, grid: Grid) -> float:

@@ -13,6 +13,8 @@ with the discrete Lagrange multiplier
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .core import (
@@ -35,6 +37,7 @@ from .records import RECORD_BLOCK, TRANSPORT_COLUMNS, _audit_energy_balance, _re
 
 KKT_TOL = 1e-9
 MAX_NEWTON = 200
+EPS = np.finfo(float).eps
 
 
 def to_quantile(rho: Density, m: int) -> np.ndarray:
@@ -67,28 +70,38 @@ def quantile_to_density(x_of_s: np.ndarray, grid: Grid) -> Density:
     and project the resulting histogram onto the grid, matching the first
     moment of the quantile representation."""
     m = len(x_of_s)
-    delta = np.diff(x_of_s)
-    if np.any(delta <= 0.0):
+    delta = x_of_s[1:] - x_of_s[:-1]
+    if (delta <= 0.0).any():
         raise ContractViolation("quantile values must be strictly increasing")
     # segment breakpoints: half-mass end slabs at the interior density
-    b = np.concatenate(
-        [[x_of_s[0] - 0.5 * delta[0]], x_of_s, [x_of_s[-1] + 0.5 * delta[-1]]]
-    )
-    q = np.concatenate([[0.0], (np.arange(m) + 0.5) / m, [1.0]])
+    b = np.empty(m + 2)
+    b[0], b[1:-1], b[-1] = x_of_s[0] - 0.5 * delta[0], x_of_s, x_of_s[-1] + 0.5 * delta[-1]
+    q, x2 = _projection_arrays(grid, m)
     cdf_at_edges = np.interp(grid.edges, b, q, left=0.0, right=1.0)
-    cell_mass = np.diff(cdf_at_edges)
+    cell_mass = cdf_at_edges[1:] - cdf_at_edges[:-1]
     # mass outside the grid (if any) is assigned to the boundary cells
     cell_mass[0] += cdf_at_edges[0]
     cell_mass[-1] += 1.0 - cdf_at_edges[-1]
     # the projection recenters mass within cells; tilt to restore the mean
-    target = float(np.mean(x_of_s))
+    target = float(x_of_s.sum() / m)
     x = grid.x
     m1 = float(np.dot(x, cell_mass))  # the cell masses sum to 1 up to roundoff
-    var = float(np.dot(x * x, cell_mass)) - m1 * m1
+    var = float(np.dot(x2, cell_mass)) - m1 * m1
     alpha = (target - m1) / var if var > 0.0 else 0.0
-    if abs(alpha) * float(np.max(np.abs(x - m1))) < 0.9:
+    # x increases, so the largest |x - m1| is at an end
+    if abs(alpha) * max(abs(x[0] - m1), abs(x[-1] - m1)) < 0.9:
         cell_mass *= 1.0 + alpha * (x - m1)
     return density_from_values(grid, cell_mass / grid.dx)
+
+
+@lru_cache(maxsize=16)
+def _projection_arrays(grid: Grid, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CDF levels (0, (j+1/2)/m, 1) of the projection's breakpoints and
+    the squared cell centers, read-only, built once per (grid, m)."""
+    arrays = np.concatenate([[0.0], (np.arange(m) + 0.5) / m, [1.0]]), grid.x * grid.x
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _entropy_weights(m: int) -> np.ndarray:
@@ -120,44 +133,50 @@ def _inner_solve(
     m = len(y)
     nu2 = nu * nu
     cw = _entropy_weights(m)
-    x = y + (ell_k - float(np.mean(y)))  # feasible translation start
+    # the hot path spends few numpy calls per formula, and keeps each float
+    # operation of the plain form: sum()/m is np.mean's own arithmetic
+    x = y + (ell_k - float(y.sum() / m))  # feasible translation start
 
     def merit(xv: np.ndarray, delta: np.ndarray) -> tuple[float, np.ndarray]:
         hv = pot.h(xv)
-        w2_term = np.sum((xv - y) ** 2) / (2.0 * h_eff)
-        return float(w2_term + np.sum(hv) - nu2 * np.sum(cw * np.log(delta))), hv
+        w2_term = ((xv - y) ** 2).sum() / (2.0 * h_eff)
+        return float(w2_term + hv.sum() - nu2 * (cw * np.log(delta)).sum()), hv
 
     def gradient(xv: np.ndarray, delta: np.ndarray) -> np.ndarray:
         invd = cw / delta
-        g_ent = np.diff(np.concatenate([[0.0], invd, [0.0]]))
-        return (xv - y) / h_eff + np.asarray(pot.h1(xv), dtype=float) + nu2 * g_ent
+        g_ent = np.concatenate((invd[:1], invd[1:] - invd[:-1], -invd[-1:]))  # diff of [0, invd, 0]
+        return (xv - y) / h_eff + pot.h1(xv) + nu2 * g_ent
 
-    delta = np.diff(x)
-    if np.any(delta <= 0.0):
+    def kkt(g: np.ndarray) -> tuple[float, float]:
+        mu_v = float(g.sum() / m)
+        return mu_v, float(np.abs(g - mu_v).max())
+
+    delta = x[1:] - x[:-1]
+    if (delta <= 0.0).any():
         raise StepError("previous quantile state is not strictly monotone")
 
     def tol_at(xv: np.ndarray, delta_v: np.ndarray, mu_v: float) -> float:
         # roundoff floor of the gradient evaluation: the W2 term amplifies
-        # position roundoff by 1/h_eff and the entropy term by 1/delta^2
-        span = float(np.max(np.abs(xv)))
-        cond = span / h_eff + nu2 * float(np.max(1.0 / delta_v)) ** 2 * span
-        return max(KKT_TOL * max(1.0, abs(mu_v)), 32.0 * np.finfo(float).eps * cond)
+        # position roundoff by 1/h_eff and the entropy term by 1/delta^2;
+        # xv increases, so max|xv| is at an end, and max(1/delta) = 1/min(delta)
+        span = float(max(abs(xv[0]), abs(xv[-1])))
+        cond = span / h_eff + nu2 * (1.0 / float(delta_v.min())) ** 2 * span
+        return max(KKT_TOL * max(1.0, abs(mu_v)), 32.0 * EPS * cond)
 
     g = gradient(x, delta)
-    mu = float(np.mean(g))
-    res = float(np.max(np.abs(g - mu)))
+    mu, res = kkt(g)
     base, hx = merit(x, delta)  # H is evaluated once per iterate
     rhs = np.ones((m, 2), order="F")  # [-g, 1], in LAPACK's column order
     it = 0
     # "not <=": a NaN residual enters the loop and meets the finite check
     while not res <= (tol := tol_at(x, delta, mu)) and it < MAX_NEWTON:
         it += 1
-        invd2 = cw / delta**2
-        diag = 1.0 / h_eff + np.asarray(pot.h2(x), dtype=float)
-        diag[:-1] += nu2 * invd2
-        diag[1:] += nu2 * invd2
-        off = -nu2 * invd2
-        if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(g).all()):
+        off = nu2 * (cw / delta**2)
+        diag = 1.0 / h_eff + pot.h2(x)
+        diag[:-1] += off
+        diag[1:] += off
+        off = -off  # each entry went into diag, so diag's finite check covers it
+        if not (np.isfinite(diag).all() and np.isfinite(g).all()):
             raise StepError(
                 "non-finite Newton system in the JKO inner solve",
                 diagnostics={"kkt_residual": res, "iterations": it},
@@ -171,12 +190,13 @@ def _inner_solve(
                 shift = max(2.0 * shift, 1e-8)
                 continue
             z, wvec = sol[:, 0], sol[:, 1]
-            denom = float(np.sum(wvec))
+            denom = float(wvec.sum())
             if denom <= 0.0:
                 shift = max(2.0 * shift, 1e-8)
                 continue
-            p = z - (float(np.sum(z)) / denom) * wvec  # keeps sum(p) = 0
-            if float(np.dot(g, p)) < 0.0:
+            p = z - (float(z.sum()) / denom) * wvec  # keeps sum(p) = 0
+            slope = float(np.dot(g, p))
+            if slope < 0.0:
                 break
             shift = max(2.0 * shift, 1e-8)
         else:
@@ -186,12 +206,11 @@ def _inner_solve(
         # backtrack: feasibility of increments, then Armijo decrease up to
         # the roundoff floor of the merit sum
         t = 1.0
-        slope = float(np.dot(g, p))
-        floor = 64.0 * np.finfo(float).eps * (abs(base) + float(np.sum(np.abs(hx))))
+        floor = 64.0 * EPS * (abs(base) + float(np.abs(hx).sum()))
         for _ in range(60):
             x_try = x + t * p
-            d_try = np.diff(x_try)
-            if np.all(d_try > 0.0):
+            d_try = x_try[1:] - x_try[:-1]
+            if d_try.min() > 0.0:  # False on a NaN increment too
                 trial = merit(x_try, d_try)
                 if trial[0] <= base + 1e-4 * t * slope + floor:
                     break
@@ -204,8 +223,7 @@ def _inner_solve(
         x, delta = x_try, d_try
         base, hx = trial
         g = gradient(x, delta)
-        mu = float(np.mean(g))
-        res = float(np.max(np.abs(g - mu)))
+        mu, res = kkt(g)
     if not res <= tol:  # the last iterate's tol, from the loop head
         raise StepError(
             "JKO inner solve did not reach the KKT tolerance",
@@ -257,7 +275,7 @@ def jko_run(
             exc.diagnostics["step"] = i + 1
             raise
         cols["sigma"][i], cols["kkt_residual"][i] = mu, res
-        cols["W2sq_step"][i] = float(np.mean((x_new - x) ** 2))
+        cols["W2sq_step"][i] = float(((x_new - x) ** 2).sum() / m)
         cols["quantile"][i] = x = x_new
         j = i % size
         rows[j] = quantile_to_density(x, grid).values

@@ -5,10 +5,15 @@ The oracles are deliberately computed by a different route than the
 package code: analytic Gaussian formulas, brute-force scans, bisection,
 1D Newton on scalar equations, and exact piecewise integrals.
 
-The audits at the end (the sampled W2, the JKO multiplier series, the
-time-discrete weak form, the quasistationary entropy balance and the
-multiplier-convergence estimate) check the paper's statements on solver
-trajectories.  No CLI command runs them, so they live with the tests that do.
+The audits (the sampled W2, the JKO multiplier series, the time-discrete
+weak form, the quasistationary entropy balance and the multiplier-convergence
+estimate) check the paper's statements on solver trajectories.  No CLI
+command runs them, so they live with the tests that do.
+
+The reference kernels at the end are the JKO inner solve and the quantile
+projection as first written, one numpy expression per formula.  The package
+computes the same float operations with fewer numpy calls, and the tests hold
+it to these references bit for bit.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cfpk.core import ConstraintPath, Density, Grid, ModelParams, Potential
+from cfpk.core import ConstraintPath, Density, Grid, ModelParams, Potential, density_from_values, solve_banded
 from cfpk.equilibrium import N_SIGMA, gibbs, solve_lambda, tilted_family, variance_range
-from cfpk.errors import ContractViolation
+from cfpk.errors import ContractViolation, StepError
 from cfpk.functionals import free_energy
-from cfpk.transport import to_quantile
+from cfpk.transport import KKT_TOL, MAX_NEWTON, to_quantile
 
 
 def gaussian_entropy(var: float) -> float:
@@ -407,3 +412,142 @@ def verify_sigma_convergence(
         "worst_envelope_slack": worst_envelope,
         "ok": worst_sigma <= 1e-8 and worst_fe <= 1e-6,
     }
+
+
+def reference_quantile_to_density(x_of_s: np.ndarray, grid: Grid) -> Density:
+    """`transport.quantile_to_density` as first written: push the uniform
+    measure on (0,1) through the piecewise-linear quantile and project the
+    resulting histogram onto the grid, matching the first moment of the
+    quantile representation."""
+    m = len(x_of_s)
+    delta = np.diff(x_of_s)
+    if np.any(delta <= 0.0):
+        raise ContractViolation("quantile values must be strictly increasing")
+    # segment breakpoints: half-mass end slabs at the interior density
+    b = np.concatenate(
+        [[x_of_s[0] - 0.5 * delta[0]], x_of_s, [x_of_s[-1] + 0.5 * delta[-1]]]
+    )
+    q = np.concatenate([[0.0], (np.arange(m) + 0.5) / m, [1.0]])
+    cdf_at_edges = np.interp(grid.edges, b, q, left=0.0, right=1.0)
+    cell_mass = np.diff(cdf_at_edges)
+    # mass outside the grid (if any) is assigned to the boundary cells
+    cell_mass[0] += cdf_at_edges[0]
+    cell_mass[-1] += 1.0 - cdf_at_edges[-1]
+    # the projection recenters mass within cells; tilt to restore the mean
+    target = float(np.mean(x_of_s))
+    x = grid.x
+    m1 = float(np.dot(x, cell_mass))  # the cell masses sum to 1 up to roundoff
+    var = float(np.dot(x * x, cell_mass)) - m1 * m1
+    alpha = (target - m1) / var if var > 0.0 else 0.0
+    if abs(alpha) * float(np.max(np.abs(x - m1))) < 0.9:
+        cell_mass *= 1.0 + alpha * (x - m1)
+    return density_from_values(grid, cell_mass / grid.dx)
+
+
+def reference_inner_solve(
+    y: np.ndarray,
+    ell_k: float,
+    h_eff: float,
+    pot: Potential,
+    nu: float,
+) -> tuple[np.ndarray, float, int, float]:
+    """`transport._inner_solve` as first written: equality-constrained Newton
+    for the quantile-coordinate JKO step, returning (X, mu, iterations,
+    KKT residual)."""
+    m = len(y)
+    nu2 = nu * nu
+    cw = np.ones(m - 1)
+    cw[0] = cw[-1] = 1.5  # the half-mass end slabs
+    x = y + (ell_k - float(np.mean(y)))  # feasible translation start
+
+    def merit(xv: np.ndarray, delta: np.ndarray) -> tuple[float, np.ndarray]:
+        hv = pot.h(xv)
+        w2_term = np.sum((xv - y) ** 2) / (2.0 * h_eff)
+        return float(w2_term + np.sum(hv) - nu2 * np.sum(cw * np.log(delta))), hv
+
+    def gradient(xv: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        invd = cw / delta
+        g_ent = np.diff(np.concatenate([[0.0], invd, [0.0]]))
+        return (xv - y) / h_eff + np.asarray(pot.h1(xv), dtype=float) + nu2 * g_ent
+
+    delta = np.diff(x)
+    if np.any(delta <= 0.0):
+        raise StepError("previous quantile state is not strictly monotone")
+
+    def tol_at(xv: np.ndarray, delta_v: np.ndarray, mu_v: float) -> float:
+        # roundoff floor of the gradient evaluation: the W2 term amplifies
+        # position roundoff by 1/h_eff and the entropy term by 1/delta^2
+        span = float(np.max(np.abs(xv)))
+        cond = span / h_eff + nu2 * float(np.max(1.0 / delta_v)) ** 2 * span
+        return max(KKT_TOL * max(1.0, abs(mu_v)), 32.0 * np.finfo(float).eps * cond)
+
+    g = gradient(x, delta)
+    mu = float(np.mean(g))
+    res = float(np.max(np.abs(g - mu)))
+    base, hx = merit(x, delta)  # H is evaluated once per iterate
+    rhs = np.ones((m, 2), order="F")  # [-g, 1], in LAPACK's column order
+    it = 0
+    # "not <=": a NaN residual enters the loop and meets the finite check
+    while not res <= (tol := tol_at(x, delta, mu)) and it < MAX_NEWTON:
+        it += 1
+        invd2 = cw / delta**2
+        diag = 1.0 / h_eff + np.asarray(pot.h2(x), dtype=float)
+        diag[:-1] += nu2 * invd2
+        diag[1:] += nu2 * invd2
+        off = -nu2 * invd2
+        if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(g).all()):
+            raise StepError(
+                "non-finite Newton system in the JKO inner solve",
+                diagnostics={"kkt_residual": res, "iterations": it},
+            )
+        rhs[:, 0] = -g
+        shift = 0.0
+        for _ in range(12):
+            # solve_banded overwrites its arguments
+            sol, info = solve_banded(off.copy(), diag + shift, off.copy(), rhs.copy(order="F"))
+            if info != 0:
+                shift = max(2.0 * shift, 1e-8)
+                continue
+            z, wvec = sol[:, 0], sol[:, 1]
+            denom = float(np.sum(wvec))
+            if denom <= 0.0:
+                shift = max(2.0 * shift, 1e-8)
+                continue
+            p = z - (float(np.sum(z)) / denom) * wvec  # keeps sum(p) = 0
+            if float(np.dot(g, p)) < 0.0:
+                break
+            shift = max(2.0 * shift, 1e-8)
+        else:
+            raise StepError(
+                "inner Hessian could not be regularized", diagnostics={"kkt_residual": res}
+            )
+        # backtrack: feasibility of increments, then Armijo decrease up to
+        # the roundoff floor of the merit sum
+        t = 1.0
+        slope = float(np.dot(g, p))
+        floor = 64.0 * np.finfo(float).eps * (abs(base) + float(np.sum(np.abs(hx))))
+        for _ in range(60):
+            x_try = x + t * p
+            d_try = np.diff(x_try)
+            if np.all(d_try > 0.0):
+                trial = merit(x_try, d_try)
+                if trial[0] <= base + 1e-4 * t * slope + floor:
+                    break
+            t *= 0.5
+        else:
+            raise StepError(
+                "line search stagnated in the JKO inner solve",
+                diagnostics={"kkt_residual": res, "iterations": it},
+            )
+        x, delta = x_try, d_try
+        base, hx = trial
+        g = gradient(x, delta)
+        mu = float(np.mean(g))
+        res = float(np.max(np.abs(g - mu)))
+    if not res <= tol:  # the last iterate's tol, from the loop head
+        raise StepError(
+            "JKO inner solve did not reach the KKT tolerance",
+            diagnostics={"kkt_residual": res, "iterations": it},
+        )
+    return x, mu, it, res
+

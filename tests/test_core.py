@@ -38,6 +38,17 @@ class TestGrid:
         assert g.x[0] == pytest.approx(0.005)
         assert len(g.edges) == 101
 
+    @pytest.mark.parametrize("name", ["x", "edges"])
+    def test_one_read_only_array_per_grid(self, name):
+        g = Grid(-1.0, 1.0, 64)
+        arr = getattr(g, name)
+        assert getattr(g, name) is arr and getattr(Grid(-1.0, 1.0, 64), name) is arr
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        np.testing.assert_array_equal(g.edges, -1.0 + np.arange(65) * g.dx)
+        np.testing.assert_array_equal(g.x, -1.0 + (np.arange(64) + 0.5) * g.dx)
+
 
 class TestIntegrate:
     def test_constant(self):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from cfpk.core import (
@@ -34,6 +34,8 @@ from oracles import (
     gaussian_w2,
     jko_gaussian_step_variance,
     quantile_free_energy,
+    reference_inner_solve,
+    reference_quantile_to_density,
     w2,
     weak_form_residual,
 )
@@ -97,13 +99,14 @@ class TestQuantile:
 PROPERTY_GRID = Grid(-8.0, 8.0, 256)
 
 
-def random_quantiles(seed: int, m: int) -> np.ndarray:
-    """m strictly increasing samples spread over 1 to 8 length units inside
-    [-6, 6], with increments between 1/25 and 1 of the largest."""
+def random_quantiles(seed: int, m: int, width: float | None = None, center: float | None = None) -> np.ndarray:
+    """m strictly increasing samples, with increments between 1/25 and 1 of
+    the largest, spread over `width` length units (drawn from 1 to 8) with
+    mean `center` (drawn from -2 to 2)."""
     rng = np.random.default_rng(seed)
     x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 5.0, m - 1))])
-    x *= rng.uniform(1.0, 8.0) / x[-1]
-    return x + (rng.uniform(-2.0, 2.0) - float(np.mean(x)))
+    x *= (rng.uniform(1.0, 8.0) if width is None else width) / x[-1]
+    return x + ((rng.uniform(-2.0, 2.0) if center is None else center) - float(np.mean(x)))
 
 
 class TestQuantileProperties:
@@ -259,6 +262,44 @@ class TestInnerSolve:
         broken = dataclasses.replace(pot, **{derivative: lambda x: np.full_like(x, np.nan)})
         with pytest.raises(StepError, match="non-finite Newton system"):
             transport._inner_solve(y, ell_k, h_eff, broken, nu)
+
+
+class TestKernelsMatchTheirReferences:
+    # the hot-path kernels repeat the float operations of their first
+    # versions (tests/oracles.py) with fewer numpy calls: bit for bit
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        m=hst.integers(64, 512),
+        potential=hst.sampled_from(["quadratic", "doublewell"]),
+        width=hst.floats(0.5, 8.0),
+        shift=hst.floats(-0.5, 0.5),
+        h_eff=hst.floats(1e-3, 0.1),
+        nu=hst.floats(0.4, 1.5),
+    )
+    def test_inner_solve(self, seed, m, potential, width, shift, h_eff, nu):
+        pot = quadratic_potential(1.0) if potential == "quadratic" else doublewell_potential()
+        y = random_quantiles(seed, m, width, 0.3)
+        x, mu, it, res = transport._inner_solve(y, 0.3 + shift, h_eff, pot, nu)
+        want = reference_inner_solve(y, 0.3 + shift, h_eff, pot, nu)
+        np.testing.assert_array_equal(x, want[0])
+        assert (mu, it, res) == want[1:]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        m=hst.integers(64, 512),
+        log_width=hst.floats(-3.0, 1.5),
+        center=hst.floats(-10.0, 10.0),
+    )
+    @example(seed=1, m=100, log_width=1.5, center=0.0)  # mass past both grid ends
+    @example(seed=1, m=100, log_width=0.5, center=9.0)  # the tilt guard skips the tilt
+    @example(seed=1, m=100, log_width=-2.0, center=0.03)  # one cell: no variance
+    def test_quantile_to_density(self, seed, m, log_width, center):
+        x = random_quantiles(seed, m, 10.0**log_width, center)
+        got = quantile_to_density(x, PROPERTY_GRID)
+        np.testing.assert_array_equal(got.values, reference_quantile_to_density(x, PROPERTY_GRID).values)
 
 
 class TestJkoRun:
