@@ -228,6 +228,8 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
     params = _checked(f"[model] nu = {model['nu']}", ModelParams, model["tau"], model["nu"])
     if run.solver == "jko" and run.kind in ("decay", "kramers_sweep", "verify"):
         raise ConfigError(f"run kind '{run.kind}' runs the fv solver only, got solver = jko")
+    if run.solver == "jko" and run.record_every != 1:
+        raise ConfigError(f"[run] record_every = {resolved['run']['record_every']}: the jko solver records every step")
     if not run.sigma_min < run.sigma_max:
         raise ConfigError(f"[run] sigma_min = {run.sigma_min}: need sigma_min < sigma_max = {run.sigma_max}")
     if run.kind == "kramers_sweep" and len(run.nu_list) < 3:

@@ -42,12 +42,11 @@ from .core import (
     moments,
     require_positive,
     solve_banded,
-    step_count,
 )
-from .equilibrium import LambdaSolve, TiltedFamily, solve_lambda, tilted_family
+from .equilibrium import TiltedFamily, solve_lambda, tilted_family
 from .errors import ContractViolation, SolverError, StepError
-from .functionals import _dissipation_integrand, log_partition
-from .records import FPSOLVER_COLUMNS, RECORD_BLOCK, _audit_energy_balance, _record_block, _schedule
+from .functionals import _dissipation_integrand
+from .records import FPSOLVER_COLUMNS, record_times, trajectory
 
 # TR-BDF2: trapezoid stage to t + GAMMA*dt, then
 # rho_next - BDF2_DT * dt * f(rho_next) = BDF2_NEW * rho_gamma - BDF2_OLD * rho.
@@ -349,25 +348,11 @@ def _factor(ratio: float) -> float:
     return SAFETY / math.sqrt(ratio) if ratio > 0.0 else math.inf
 
 
-def record_times(T: float, dt: float, record_every: int) -> tuple[list[int], list[float], bool]:
-    """`run`'s record slots k = 0, record_every, 2 record_every, ... below the
-    number of whole dt slots, then that number; their times k dt, and
-    max(T, dt) for the last; and whether the last slot runs on to T."""
-    n_steps = step_count(T, dt)
-    t_end = max(T, dt)
-    stretched = t_end / dt < n_steps - 1e-12
-    n_steps -= stretched
-    slots = list(range(0, n_steps, record_every)) + [n_steps]
-    return slots, [k * dt for k in slots[:-1]] + [t_end], stretched
-
-
-def _record_fv_block(rows: np.ndarray, cols: dict, log_z: np.ndarray | None, star: LambdaSolve, logz0: float,
-                     family: TiltedFamily, params: ModelParams) -> None:
-    """`_record_block` of the record states `rows`, with the FV sigma and D
-    of each state: sigma = int H' rho dx + tau l'(t), and D the grid
-    dissipation at that sigma, from the kernel's log rho."""
+def _sigma_and_dissipation(rows: np.ndarray, cols: dict, h1_rho: np.ndarray, log_r: np.ndarray,
+                           family: TiltedFamily, params: ModelParams) -> None:
+    """The FV columns of the record states `rows` from the record kernel's
+    int H' rho dx and log rho: sigma = int H' rho dx + tau l'(t), and D."""
     nu, dx = params.nu, family.dx
-    h1_rho, log_r = _record_block(rows, cols, log_z, star, logz0, family, nu)
     sigma = cols["sigma"]
     sigma[:] = h1_rho + params.tau * cols["ell_dot"]
     cols["D"][:] = _dissipation_integrand(rows, log_r, dx, family.h1, sigma[:, None], nu * nu).sum(axis=1) * dx
@@ -446,54 +431,36 @@ def run(
     recording diagnostics at t = k dt for k = j * `record_every` and at
     exactly T: the schedule that `record_times` fixes before the first step.
 
-    Returns the trajectory as a dict of columns, one entry per record: those
-    of FPSOLVER_COLUMNS, and `lam_ell`, `l1_star` (||rho - gamma_star||_1),
-    `ell_dot` (l'(t), evaluated once per record, as ell is) and `steps`.
-    Per-record quantities: recomputed sigma, free energy split,
-    dissipation, relative entropies against the quasistationary state
-    gamma_{lambda(ell(t))} and the limit state gamma_{lambda(ell*)}, the
-    negative mass the positivity limiter kept out, the largest step mass
-    drift |mass - 1| before renormalization and the number of steps taken
-    since the previous record, and the energy-balance audit
-    eb_residual = |dF/dt + D/tau - sigma l'| on record spacing (trapezoid in
-    the rate terms, NaN on the first record), from the `ell_dot` column.
-
-    lambda(ell(t)) depends on the path only, so it is solved on the schedule
-    before the first step (`records._schedule`).  The diagnostics of the
-    record states are computed RECORD_BLOCK rows at a time from record 0
-    (`_record_fv_block`), and the audit runs on the finished columns.  The
-    `density` column holds the states of records 0, stride, 2 stride, ...
-    for a `keep_densities` stride > 0, one row each, and no rows otherwise;
-    rho0 was validated, `_implicit` rejects negative or NaN values and
-    `_advance` an inf.
+    Returns the trajectory of `records.trajectory`, the one record loop,
+    which fills the columns both schemes share: one entry per record, with
+    FPSOLVER_COLUMNS, `steps` and `density`.  The scheme's own columns are
+    sigma = int H' rho dx + tau l'(t) and the grid dissipation D at it
+    (`_sigma_and_dissipation`, a hook on each record block), the negative
+    mass the positivity limiter kept out, the largest step mass drift
+    |mass - 1| before renormalization and the number of steps taken since
+    the previous record.  The `density` column holds the states of records
+    0, stride, 2 stride, ... for a `keep_densities` stride > 0, one row
+    each, and no rows otherwise; rho0 was validated, `_implicit` rejects
+    negative or NaN values and `_advance` an inf.
     """
     require_positive(T=T, dt=dt)
     if record_every < 1 or keep_densities < 0:
         raise ContractViolation(
             f"need record_every >= 1 and keep_densities >= 0, got {record_every}, {keep_densities}"
         )
-    grid, nu, size = rho0.grid, params.nu, RECORD_BLOCK
     schedule = record_times(T, dt, record_every)
     if abs(moments(rho0)[0] - path.ell(0.0)) > MEAN_TOL:
         rho0 = project_mean(rho0, path.ell(0.0))
-    star = solve_lambda(path.ell_star, nu, pot, grid)
-    cols, log_z = _schedule(FPSOLVER_COLUMNS, schedule[1], size, star, pot, grid, path, nu)
-    n = len(cols["t"])
-    cols["steps"] = np.zeros(n, dtype=int)
-    kept = np.empty((-(-n // keep_densities) if keep_densities else 0, grid.n))
-    family, logz0, rows = tilted_family(pot, grid), log_partition(pot, grid, nu), np.empty((size, grid.n))
+    grid, n = rho0.grid, len(schedule[1])
     op = _Stepper(grid, pot, path, params)
-    for i, (vals, limited, drift, taken) in enumerate(_states(rho0.values, op, dt, record_every, *schedule)):
-        cols["limited_mass"][i], cols["mass_drift"][i], cols["steps"][i] = limited, drift, taken
-        if keep_densities and i % keep_densities == 0:
-            kept[i // keep_densities] = vals
-        j = i % size
-        rows[j] = vals
-        if j == size - 1 or i == n - 1:
-            block = slice(i - j, i + 1)
-            z = None if log_z is None else log_z[block]
-            _record_fv_block(rows[: j + 1], {name: col[block] for name, col in cols.items()}, z, star, logz0,
-                             family, params)
-    cols["density"] = kept
-    _audit_energy_balance(cols, params.tau)
-    return cols
+
+    def states(cols: dict):
+        steps, kept = np.zeros(n, dtype=int), np.empty((-(-n // keep_densities) if keep_densities else 0, grid.n))
+        for i, (vals, limited, drift, taken) in enumerate(_states(rho0.values, op, dt, record_every, *schedule)):
+            cols["limited_mass"][i], cols["mass_drift"][i], steps[i] = limited, drift, taken
+            if keep_densities and i % keep_densities == 0:
+                kept[i // keep_densities] = vals
+            yield vals
+        cols["steps"], cols["density"] = steps, kept
+
+    return trajectory(FPSOLVER_COLUMNS, schedule[1], states, pot, grid, path, params, _sigma_and_dissipation)

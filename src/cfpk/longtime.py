@@ -37,10 +37,10 @@ from .equilibrium import (
     variance_range,
 )
 from .errors import ContractViolation
-from .fpsolver import gap_rate, project_mean, record_times
+from .fpsolver import gap_rate, project_mean
 from .fpsolver import run as fv_run
 from .functionals import ckp_l1_bound, free_energy, relative_entropy, weighted_ckp
-from .records import total_limited_mass
+from .records import record_times, total_limited_mass
 from .sampling import random_density, set_mean
 
 FIT_WINDOW = (1e-10, 1e-2)

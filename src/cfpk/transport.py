@@ -28,12 +28,9 @@ from .core import (
     moments,
     require_positive,
     solve_banded,
-    step_count,
 )
-from .equilibrium import solve_lambda, tilted_family
 from .errors import ContractViolation, StepError
-from .functionals import log_partition
-from .records import RECORD_BLOCK, TRANSPORT_COLUMNS, _audit_energy_balance, _record_block, _schedule
+from .records import TRANSPORT_COLUMNS, record_times, trajectory
 
 KKT_TOL = 1e-9
 MAX_NEWTON = 200
@@ -243,46 +240,44 @@ def jko_run(
 ) -> dict[str, np.ndarray]:
     """Chain JKO steps on [0, T]; the state is carried in quantile coordinates
     between steps (no per-step grid roundtrip) and projected to the grid for
-    the record of each step, RECORD_BLOCK rows at a time through
-    `records._record_block`.  This is the only JKO stepping loop: one step
-    from rho0 is the first record of a run with T = h.  Returns the
-    trajectory as columns, one entry per step at t = k h, with no t = 0 row:
-    those of TRANSPORT_COLUMNS and of `records._schedule`, and `quantile`,
-    the chain's states, one row of m samples per step.  The scheme supplies
-    sigma, its KKT multiplier, and D = tau^2 W2sq_step / h^2, the step's
-    squared metric slope (Ambrosio, Gigli & Savare, Gradient Flows in Metric
-    Spaces, ch. 3), not the grid formula, which the edge cells of the
-    projected support inflate to thousands.  The first row's `eb_residual`
-    is NaN, and H_q and H* carry the projection's floor (see `records`)."""
+    the record of each step.  This is the only JKO stepping loop: one step
+    from rho0 is the first record of a run with T = h.  The steps end on
+    the record times other than t = 0 of an FV run with dt = h
+    (`records.record_times`): t = k h, and T last, where a step that runs
+    on to T (up to 2 h long) takes h_eff and D from its own length.
+    Returns the trajectory of `records.trajectory`, one entry per step and
+    no t = 0 row, with TRANSPORT_COLUMNS and `quantile`, the chain's
+    states, one row of m samples per step.  The scheme supplies sigma, its
+    KKT multiplier, and D = tau^2 W2sq_step / h^2, the step's squared
+    metric slope (Ambrosio, Gigli & Savare, Gradient Flows in Metric Spaces,
+    ch. 3), not the grid formula, which the edge cells of the projected
+    support inflate to thousands.  The first row's `eb_residual` is NaN,
+    and H_q and H* carry the projection's floor (see `records`).  A
+    StepError names the step it failed in."""
     require_positive(h=h, T=T)
-    n_steps = step_count(T, h)
-    grid, nu, size = rho0.grid, params.nu, RECORD_BLOCK
+    _, times, stretched = record_times(T, h, 1)
+    grid, n = rho0.grid, len(times) - 1
     if m is None:
         m = max(64, grid.n)
-    x = to_quantile(rho0, m)
+    x0 = to_quantile(rho0, m)
     ell0 = path.ell(0.0)
-    if abs(float(np.mean(x)) - ell0) > MEAN_TOL:
-        x = x + (ell0 - float(np.mean(x)))  # translation projection onto M^ell(0)
-    h_eff = h / params.tau
-    star = solve_lambda(path.ell_star, nu, pot, grid)
-    cols, log_z = _schedule(TRANSPORT_COLUMNS, [k * h for k in range(1, n_steps + 1)], size, star, pot, grid, path, nu)
-    cols["quantile"] = np.empty((n_steps, m))
-    family, logz0, rows = tilted_family(pot, grid), log_partition(pot, grid, nu), np.empty((size, grid.n))
-    for i, ell_k in enumerate(cols["ell"].tolist()):
-        try:
-            x_new, mu, it, res = _inner_solve(x, ell_k, h_eff, pot, nu)
-        except StepError as exc:
-            exc.diagnostics["step"] = i + 1
-            raise
-        cols["sigma"][i], cols["kkt_residual"][i] = mu, res
-        cols["W2sq_step"][i] = float(((x_new - x) ** 2).sum() / m)
-        cols["quantile"][i] = x = x_new
-        j = i % size
-        rows[j] = quantile_to_density(x, grid).values
-        if j == size - 1 or i == n_steps - 1:
-            block = slice(i - j, i + 1)
-            z = None if log_z is None else log_z[block]
-            _record_block(rows[: j + 1], {name: col[block] for name, col in cols.items()}, z, star, logz0, family, nu)
-    cols["D"][:] = (params.tau / h) ** 2 * cols["W2sq_step"]
-    _audit_energy_balance(cols, params.tau)
-    return cols
+    if abs(float(np.mean(x0)) - ell0) > MEAN_TOL:
+        x0 = x0 + (ell0 - float(np.mean(x0)))  # translation projection onto M^ell(0)
+
+    def states(cols: dict):
+        x, quantiles = x0, np.empty((n, m))
+        for i, ell_k in enumerate(cols["ell"].tolist()):
+            span = times[-1] - times[-2] if stretched and i == n - 1 else h
+            try:
+                x_new, mu, _, res = _inner_solve(x, ell_k, span / params.tau, pot, params.nu)
+            except StepError as exc:
+                exc.diagnostics["step"] = i + 1
+                raise
+            w2sq = float(((x_new - x) ** 2).sum() / m)
+            cols["sigma"][i], cols["kkt_residual"][i], cols["W2sq_step"][i] = mu, res, w2sq
+            cols["D"][i] = (params.tau / span) ** 2 * w2sq
+            quantiles[i] = x = x_new
+            yield quantile_to_density(x, grid).values
+        cols["quantile"] = quantiles
+
+    return trajectory(TRANSPORT_COLUMNS, times[1:], states, pot, grid, path, params)

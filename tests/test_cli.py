@@ -543,6 +543,8 @@ class TestRunExperiment:
             ("run", "h", "0", "jko"),
             ("run", "h", "nan", "jko"),
             ("run", "h", "-0.01", "jko"),
+            # the chain records every step
+            ("run", "record_every", "5", "jko"),
             ("path", "kind", "tanh_ramp:0,1,1000,0.5", "fv"),
             ("path", "kind", "exp_decay:0,1,nan", "fv"),
             ("model", "potential", "quadratic:nan", "fv"),

@@ -22,7 +22,7 @@ from cfpk.core import (
     quadratic_potential,
     step_count,
 )
-from cfpk import fpsolver, transport
+from cfpk import fpsolver, records
 from cfpk.equilibrium import TiltedFamily, gibbs, solve_lambda
 from cfpk.errors import ContractViolation, SolverError, StepError
 from cfpk.fpsolver import (
@@ -30,14 +30,13 @@ from cfpk.fpsolver import (
     _Stepper,
     gap_rate,
     project_mean,
-    record_times,
     run,
     sigma_of_state,
 )
 from cfpk.transport import jko_run
 from cfpk.functionals import dissipation, free_energy, log_partition, relative_entropy
 from cfpk.longtime import bimodal_side_data
-from cfpk.records import FPSOLVER_COLUMNS
+from cfpk.records import FPSOLVER_COLUMNS, record_times
 from cfpk.sampling import random_density, set_mean
 
 from oracles import constrained_gap_dense, gibbs_relative_entropy, w2
@@ -569,35 +568,46 @@ class TestRecordKernel:
         n_records = len(recs["t"])
         assert n_records == 301
         assert (sum(lanes) - star.iterations) / n_records <= 2.1
-        blocks = math.ceil(n_records / fpsolver.RECORD_BLOCK)
+        blocks = math.ceil(n_records / records.RECORD_BLOCK)
         assert sum(size > 1 for size in lanes) <= 3 * blocks
         for lam, ell in zip(recs["lam_ell"].tolist(), recs["ell"].tolist()):
             assert lam == pytest.approx(solve_lambda(ell, nu, dw_pot, grid).lam, abs=1e-9)
 
     def test_records_do_not_depend_on_block_size(self, grid, dw_pot, monkeypatch):
-        # Both schemes go through the one record kernel.  FV: 101 records,
+        # Both schemes go through the one record loop.  FV: 101 records,
         # three full blocks of 32 and a last one of 5; JKO: 100 steps, the
-        # last block of 4; each against a block of one.  Every sum runs along
-        # a row, so the diagnostics of rho agree to 1e-12 relative (bit for
-        # bit here).  lambda(ell(t)) lanes start from other predictions and
-        # stop within LAMBDA_TOL, so lam_ell agrees to 1e-9 and
-        # Hrel_quasistatic, which starts at 0 on the FV run, to 1e-13
-        # absolute.
+        # last block of 4; each against a block of one.  The kernel is
+        # called once per block, so the one patch of records.RECORD_BLOCK
+        # reaches both runs.  Every sum runs along a row, so the diagnostics
+        # of rho agree to 1e-12 relative (bit for bit here).  lambda(ell(t))
+        # lanes start from other predictions and stop within LAMBDA_TOL, so
+        # lam_ell agrees to 1e-9 and Hrel_quasistatic, which starts at 0 on
+        # the FV run, to 1e-13 absolute.
         nu = 0.8
         path = exp_decay_path(0.3, 0.4, 1.0)
         rho0 = solve_lambda(path.ell(0.0), nu, dw_pot, grid).state.density
         params = ModelParams(nu=nu)
         schemes = {
-            fpsolver: (lambda: run(rho0, path, 1e-3, dw_pot, params, 0.2, record_every=2), 101),
-            transport: (lambda: jko_run(rho0, path, 0.01, 1.0, dw_pot, params), 100),
+            "fv": (lambda: run(rho0, path, 1e-3, dw_pot, params, 0.2, record_every=2), 101),
+            "jko": (lambda: jko_run(rho0, path, 0.01, 1.0, dw_pot, params), 100),
         }
+        kernel = records._record_block
+        blocks = []
+
+        def counted(rows, *args):
+            blocks.append(len(rows))
+            return kernel(rows, *args)
+
+        monkeypatch.setattr(records, "_record_block", counted)
         tolerance = {"lam_ell": {"abs": 1e-9}, "Hrel_quasistatic": {"rel": 1e-12, "abs": 1e-13}}
-        for module, (runner, records) in schemes.items():
+        for scheme, (runner, rows) in schemes.items():
             runs = {}
             for size in (1, 32):
-                monkeypatch.setattr(module, "RECORD_BLOCK", size)
+                monkeypatch.setattr(records, "RECORD_BLOCK", size)
+                blocks.clear()
                 runs[size] = runner()
-            assert len(runs[1]["t"]) == records
+                assert len(blocks) == math.ceil(rows / size) and sum(blocks) == rows, (scheme, size)
+            assert len(runs[1]["t"]) == rows
             assert runs[1].keys() == runs[32].keys()
             for name in runs[1]:
                 for a, b in zip(runs[1][name].tolist(), runs[32][name].tolist()):

@@ -322,6 +322,48 @@ class TestJkoRun:
         with pytest.raises(ContractViolation, match="exceeds the limit"):
             jko_run(rho0, constant_path(0.0), 1e-300, 1.0, quad_pot, ModelParams())
 
+    @pytest.mark.parametrize(
+        "h,T,lengths", [(0.3, 1.0, [0.3, 0.3, 1.0 - 0.6]), (0.02, 0.005, [0.02])], ids=["stretched", "below-h"]
+    )
+    def test_chain_ends_at_T(self, grid, quad_pot, monkeypatch, h, T, lengths):
+        # the steps end on an FV run's record times with dt = h, without
+        # t = 0: where h does not divide T the last step runs on to T and
+        # takes h_eff and D from its own length, and a horizon below h is
+        # one step, to h
+        spans = []
+        inner = transport._inner_solve
+
+        def recorded(y, ell_k, h_eff, pot, nu):
+            spans.append(h_eff)
+            return inner(y, ell_k, h_eff, pot, nu)
+
+        monkeypatch.setattr(transport, "_inner_solve", recorded)
+        recs = jko_run(gaussian_density(grid, 0.3, 1.2), constant_path(0.3), h, T, quad_pot, ModelParams(tau=2.0))
+        assert recs["t"].tolist() == [k * h for k in range(1, len(lengths))] + [max(T, h)]
+        assert spans == [length / 2.0 for length in lengths]
+        w2sq = recs["W2sq_step"].tolist()
+        assert recs["D"].tolist() == [(2.0 / length) ** 2 * w for length, w in zip(lengths, w2sq)]
+        assert len(recs["quantile"]) == len(lengths)
+
+    def test_step_error_names_the_step(self, grid, quad_pot, monkeypatch):
+        # the chain runs in the shared record loop, which buffers its
+        # states: a step error still names the step it failed in
+        inner = transport._inner_solve
+        calls = []
+
+        def fail_at_3(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise StepError("injected step failure")
+            return inner(*args)
+
+        monkeypatch.setattr(transport, "_inner_solve", fail_at_3)
+        recs = None
+        with pytest.raises(StepError, match="injected") as exc:
+            recs = jko_run(gaussian_density(grid, 0.0, 1.0), constant_path(0.0), 0.01, 0.1, quad_pot, ModelParams())
+        assert exc.value.diagnostics == {"step": 3}
+        assert recs is None and len(calls) == 3
+
     def test_constraint_tracking(self, grid, dw_pot):
         path = exp_decay_path(0.2, 0.3, 1.0)
         rho0 = gaussian_density(grid, path.ell(0.0), 0.6)
