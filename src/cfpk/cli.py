@@ -230,6 +230,13 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
         raise ConfigError(f"run kind '{run.kind}' runs the fv solver only, got solver = jko")
     if run.solver == "jko" and run.record_every != 1:
         raise ConfigError(f"[run] record_every = {resolved['run']['record_every']}: the jko solver records every step")
+    if run.kind == "kramers_sweep":  # each member picks its own horizon and record spacing
+        for key in ("T", "record_every"):
+            default, parse = _SCHEMA["run"][key]
+            if getattr(run, key) != parse(default):
+                raise ConfigError(
+                    f"[run] {key} = {resolved['run'][key]}: a sweep member picks its own horizon and record spacing"
+                )
     if not run.sigma_min < run.sigma_max:
         raise ConfigError(f"[run] sigma_min = {run.sigma_min}: need sigma_min < sigma_max = {run.sigma_max}")
     if run.kind == "kramers_sweep" and len(run.nu_list) < 3:

@@ -21,7 +21,10 @@ projection's floor: the smallest H_q over the 1,000 rows of the
 
 Columns that are never written ride in the same dict: `lam_ell`, `l1_star`
 and `ell_dot` of both schemes, the FV `steps` and `density`, the JKO
-`quantile`.
+`quantile`.  `density` and `quantile` hold the states of every stride-th
+record only (none by default), so a run holds RECORD_BLOCK states at a
+time and its memory does not grow with its step count; `write_csv` writes
+CSV_BLOCK rows at a time for the same reason.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ TRANSPORT_COLUMNS = COLUMNS + ["W2sq_step", "kkt_residual"]
 # states at a time.  32 costs the same per record and keeps 0.4 MB more in
 # buffers; 128 costs more.
 RECORD_BLOCK = 16
+# Rows of a CSV write: the text of one block, about 0.8 MB, is built at a time.
+CSV_BLOCK = 1024
 
 
 def record_times(T: float, dt: float, record_every: int) -> tuple[list[int], list[float], bool]:
@@ -155,9 +160,11 @@ def total_limited_mass(columns: dict[str, np.ndarray]) -> float:
 
 
 def write_csv(columns: dict[str, np.ndarray], path: str, names: list[str]) -> None:
-    """The `names` columns in that order, 17 significant digits: byte-identical across runs."""
-    row = ",".join(["%.17g"] * len(names))
-    lines = [",".join(names)]
-    lines.extend(row % values for values in zip(*(columns[c].tolist() for c in names)))
+    """The `names` columns in that order, 17 significant digits: byte-identical
+    across runs.  Rows are formatted and written CSV_BLOCK at a time."""
+    row = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(names) + "\n")
+        for i in range(0, len(columns[names[0]]), CSV_BLOCK):
+            block = (columns[c][i : i + CSV_BLOCK].tolist() for c in names)
+            fh.write("".join(row % values for values in zip(*block)))

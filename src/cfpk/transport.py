@@ -237,6 +237,7 @@ def jko_run(
     pot: Potential,
     params: ModelParams,
     m: int | None = None,
+    keep_quantiles: int = 0,
 ) -> dict[str, np.ndarray]:
     """Chain JKO steps on [0, T]; the state is carried in quantile coordinates
     between steps (no per-step grid roundtrip) and projected to the grid for
@@ -246,15 +247,21 @@ def jko_run(
     (`records.record_times`): t = k h, and T last, where a step that runs
     on to T (up to 2 h long) takes h_eff and D from its own length.
     Returns the trajectory of `records.trajectory`, one entry per step and
-    no t = 0 row, with TRANSPORT_COLUMNS and `quantile`, the chain's
-    states, one row of m samples per step.  The scheme supplies sigma, its
-    KKT multiplier, and D = tau^2 W2sq_step / h^2, the step's squared
-    metric slope (Ambrosio, Gigli & Savare, Gradient Flows in Metric Spaces,
-    ch. 3), not the grid formula, which the edge cells of the projected
-    support inflate to thousands.  The first row's `eb_residual` is NaN,
-    and H_q and H* carry the projection's floor (see `records`).  A
-    StepError names the step it failed in."""
+    no t = 0 row, with TRANSPORT_COLUMNS and `quantile`: as `fpsolver.run`
+    keeps densities, it holds the m-sample states of rows 0, stride,
+    2 stride, ... (row i is the state after step i + 1) for a
+    `keep_quantiles` stride > 0, and no rows otherwise, so a chain that
+    keeps none holds its current state only and its memory does not grow
+    with the step count.  The scheme supplies sigma, its KKT multiplier,
+    and D = tau^2 W2sq_step / h^2, the step's squared metric slope
+    (Ambrosio, Gigli & Savare, Gradient Flows in Metric Spaces, ch. 3), not
+    the grid formula, which the edge cells of the projected support inflate
+    to thousands.  The first row's `eb_residual` is NaN, and H_q and H*
+    carry the projection's floor (see `records`).  A StepError names the
+    step it failed in."""
     require_positive(h=h, T=T)
+    if keep_quantiles < 0:
+        raise ContractViolation(f"need keep_quantiles >= 0, got {keep_quantiles}")
     _, times, stretched = record_times(T, h, 1)
     grid, n = rho0.grid, len(times) - 1
     if m is None:
@@ -265,7 +272,7 @@ def jko_run(
         x0 = x0 + (ell0 - float(np.mean(x0)))  # translation projection onto M^ell(0)
 
     def states(cols: dict):
-        x, quantiles = x0, np.empty((n, m))
+        x, kept = x0, np.empty((-(-n // keep_quantiles) if keep_quantiles else 0, m))
         for i, ell_k in enumerate(cols["ell"].tolist()):
             span = times[-1] - times[-2] if stretched and i == n - 1 else h
             try:
@@ -276,8 +283,10 @@ def jko_run(
             w2sq = float(((x_new - x) ** 2).sum() / m)
             cols["sigma"][i], cols["kkt_residual"][i], cols["W2sq_step"][i] = mu, res, w2sq
             cols["D"][i] = (params.tau / span) ** 2 * w2sq
-            quantiles[i] = x = x_new
+            x = x_new
+            if keep_quantiles and i % keep_quantiles == 0:
+                kept[i // keep_quantiles] = x
             yield quantile_to_density(x, grid).values
-        cols["quantile"] = quantiles
+        cols["quantile"] = kept
 
     return trajectory(TRANSPORT_COLUMNS, times[1:], states, pot, grid, path, params)

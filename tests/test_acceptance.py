@@ -150,10 +150,10 @@ def test_criterion_5_scheme_consistency():
     worst_slack = -math.inf
     sums = {}
     for h in (0.04, 0.02, 0.01):
-        recs = jko_run(rho0, path, h, 1.0, pot, params)
+        recs = jko_run(rho0, path, h, 1.0, pot, params, keep_quantiles=1)
         x_prev = to_quantile(rho0, grid.n)
         x_prev = x_prev + (path.ell(0.0) - float(np.mean(x_prev)))
-        for quantile, sigma in zip(recs["quantile"], recs["sigma"].tolist()):
+        for quantile, sigma in zip(recs["quantile"], recs["sigma"].tolist(), strict=True):
             for zeta, sup2 in sups.items():
                 res, bound = weak_form_residual(
                     x_prev, quantile, sigma, h, *zeta, pot, params, sup_zeta_xx=sup2

@@ -22,6 +22,7 @@ from cfpk.cli import (
 from cfpk.core import Grid, ModelParams, exp_decay_path, quadratic_potential
 from cfpk.equilibrium import solve_lambda
 from cfpk.errors import ConfigError, StepError
+from cfpk.records import CSV_BLOCK, write_csv
 
 MINIMAL = """
 [model]
@@ -493,6 +494,20 @@ class TestRunExperiment:
         assert "error:" in err and "[run] nu_list" in err and "Traceback" not in err
         assert not out.exists()  # refused at parse time, before any member runs
 
+    @pytest.mark.parametrize("key,value", [("T", "5"), ("record_every", "5")])
+    def test_sweep_refuses_keys_it_does_not_read(self, tmp_path, capsys, key, value):
+        # each member picks its own horizon and record spacing, so a sweep
+        # would ignore these: refused at parse time, naming the key; the
+        # defaults, written out, parse
+        text = "[model]\npotential = doublewell\n\n[grid]\nn = 256\n\n[run]\nkind = kramers_sweep\n"
+        out = tmp_path / "out"
+        cfgfile = write(tmp_path, text + f"{key} = {value}\n")
+        assert main(["kramers-sweep", "--config", cfgfile, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [run] {key} = {value}: ") and "Traceback" not in err
+        assert not out.exists()
+        assert parse_config(write(tmp_path, text + "T = 1\nrecord_every = 1\n")).run.T == 1.0
+
     def test_sweep_tail_check_uses_each_nu(self, tmp_path, capsys):
         # [model] nu = 0.5 has thin tails on [-5, 5], the members' noise levels do not
         text = (
@@ -613,8 +628,6 @@ class TestPolynomialDomain:
 
 class TestWriteCsv:
     def test_special_values_match_format_spec(self, tmp_path):
-        from cfpk.records import write_csv
-
         values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.5e-310, 1.0 / 3.0, -1e300]
         columns = {"t": np.array(values), "sigma": -np.array(values), "ell": np.zeros(len(values)),
                    "M1": np.array(values)}
@@ -622,6 +635,20 @@ class TestWriteCsv:
         write_csv(columns, str(path), ["t", "sigma", "M1"])
         expected = "t,sigma,M1\n" + "".join(f"{v:.17g},{-v:.17g},{v:.17g}\n" for v in values)
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK, CSV_BLOCK + 1])
+    def test_blocks_write_the_single_join_bytes(self, tmp_path, rows):
+        # rows go out CSV_BLOCK at a time, as the bytes of one join of every row
+        rng = np.random.default_rng(rows)
+        special = np.array([math.nan, math.inf, -math.inf, -0.0])
+        columns = {c: np.resize(np.concatenate([special, rng.normal(size=rows)]), rows) for c in ("t", "F", "D")}
+        columns["steps"] = np.arange(rows)
+        names = ["t", "steps", "F", "D"]
+        path = tmp_path / "rows.csv"
+        write_csv(columns, str(path), names)
+        lines = [",".join(names)]
+        lines.extend(",".join(["%.17g"] * 4) % v for v in zip(*(columns[c].tolist() for c in names)))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 SMALL_MODEL = "[model]\npotential = {pot}\nnu = 1.0\n\n[path]\nkind = {path}\n\n[grid]\nn = {n}\n\n"

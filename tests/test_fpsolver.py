@@ -810,9 +810,9 @@ class TestCrossValidation:
                  record_every=40, keep_densities=True)
         gaps = {}
         for h in (0.04, 0.02):
-            jk = jko_run(rho0, path, h, 1.0, dw_pot, params)
+            jk = jko_run(rho0, path, h, 1.0, dw_pot, params, keep_quantiles=1)
             worst = 0.0
-            for t, quantile in zip(jk["t"].tolist(), jk["quantile"]):
+            for t, quantile in zip(jk["t"].tolist(), jk["quantile"], strict=True):
                 k = round(t / 0.01)
                 if 0 <= k < len(fv["density"]):
                     jko_rho = quantile_to_density(quantile, g)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ class TestQuantileProperties:
         pot = quadratic_potential(1.0) if potential == "quadratic" else doublewell_potential()
         path = exp_decay_path(ell_star, amplitude, 1.0)
         rho0 = random_density(PROPERTY_GRID, np.random.default_rng(seed), mean=path.ell(0.0))
-        recs = jko_run(rho0, path, 0.02, 0.1, pot, ModelParams(nu=nu))
+        recs = jko_run(rho0, path, 0.02, 0.1, pot, ModelParams(nu=nu), keep_quantiles=1)
         assert np.all(np.diff(recs["quantile"], axis=1) > 0.0)
         assert np.max(np.abs(recs["M1"] - recs["ell"])) <= 1e-8
 
@@ -208,7 +209,7 @@ class TestJkoStep:
         g = Grid(-12.0, 12.0, 4096)
         rho = gaussian_density(g, 0.5, 1.44)
         h = 0.01
-        rec = jko_run(rho, constant_path(0.5), h, h, quad_pot, ModelParams(), m=4096)
+        rec = jko_run(rho, constant_path(0.5), h, h, quad_pot, ModelParams(), m=4096, keep_quantiles=1)
         m1, _, v = moments(quantile_to_density(rec["quantile"][0], g))
         assert m1 == pytest.approx(0.5, abs=1e-8)
         v_oracle = jko_gaussian_step_variance(1.44, h)
@@ -338,7 +339,8 @@ class TestJkoRun:
             return inner(y, ell_k, h_eff, pot, nu)
 
         monkeypatch.setattr(transport, "_inner_solve", recorded)
-        recs = jko_run(gaussian_density(grid, 0.3, 1.2), constant_path(0.3), h, T, quad_pot, ModelParams(tau=2.0))
+        rho0 = gaussian_density(grid, 0.3, 1.2)
+        recs = jko_run(rho0, constant_path(0.3), h, T, quad_pot, ModelParams(tau=2.0), keep_quantiles=1)
         assert recs["t"].tolist() == [k * h for k in range(1, len(lengths))] + [max(T, h)]
         assert spans == [length / 2.0 for length in lengths]
         w2sq = recs["W2sq_step"].tolist()
@@ -374,13 +376,13 @@ class TestJkoRun:
         params = ModelParams(nu=0.8)
         rho0 = gaussian_density(grid, 0.3, 0.5)
         h = 0.02
-        recs = jko_run(rho0, constant_path(0.3), h, 0.4, dw_pot, params)
+        recs = jko_run(rho0, constant_path(0.3), h, 0.4, dw_pot, params, keep_quantiles=1)
         from cfpk.functionals import log_partition
 
         # scheme inequality: F(rho_k) + W2^2/(2 h_eff) <= F(rho_{k-1})
         logz0 = log_partition(dw_pot, grid, params.nu)
         f_prev = None
-        for quantile, w2sq in zip(recs["quantile"], recs["W2sq_step"].tolist()):
+        for quantile, w2sq in zip(recs["quantile"], recs["W2sq_step"].tolist(), strict=True):
             f_here = quantile_free_energy(quantile, dw_pot, params.nu, logz0)
             if f_prev is not None:
                 assert f_here + w2sq / (2.0 * h) <= f_prev + 1e-10
@@ -408,12 +410,58 @@ class TestJkoRun:
         assert abs(recs["M1"][0] - 0.2) <= 1e-8
 
     @staticmethod
+    def strided_chain(keep_quantiles):
+        # 16 steps, so a stride of 3 keeps rows 0, 3, ..., 15
+        g = Grid(-8.0, 8.0, 128)
+        path = exp_decay_path(0.2, 0.4, 1.0)
+        rho0 = gaussian_density(g, path.ell(0.0), 0.6)
+        return jko_run(rho0, path, 0.02, 0.32, doublewell_potential(), ModelParams(nu=0.8),
+                       keep_quantiles=keep_quantiles)
+
+    def test_quantile_stride(self):
+        # keep_quantiles has fpsolver.run's keep_densities contract: the
+        # states of rows 0, s, 2s, ... for s > 0 and none by default, with
+        # every other column the same bits
+        every, third, none = (self.strided_chain(s) for s in (1, 3, 0))
+        assert every["quantile"].shape == (16, 128) and none["quantile"].shape == (0, 128)
+        np.testing.assert_array_equal(third["quantile"], every["quantile"][::3])
+        assert len(third["quantile"]) == 6
+        assert set(none) == set(every)
+        for name in set(every) - {"quantile"}:
+            np.testing.assert_array_equal(none[name], every[name], err_msg=name)
+
+    def test_negative_quantile_stride_is_refused(self, quad_pot):
+        g = Grid(-8.0, 8.0, 128)
+        with pytest.raises(ContractViolation, match="keep_quantiles >= 0"):
+            jko_run(gaussian_density(g, 0.0, 1.0), constant_path(0.0), 0.01, 0.1, quad_pot, ModelParams(),
+                    keep_quantiles=-1)
+
+    def test_memory_does_not_grow_with_the_step_count(self, quad_pot):
+        # a chain that keeps no states holds its current state and one
+        # record block: 350 more steps add a few 1-D columns (about 50 kB),
+        # not a (350, 256) array of states (0.72 MB)
+        g = Grid(-8.0, 8.0, 256)
+        rho0 = gaussian_density(g, 0.0, 1.0)
+
+        def traced_peak(T):
+            tracemalloc.start()
+            try:
+                jko_run(rho0, constant_path(0.0), 0.01, T, quad_pot, ModelParams())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(0.5)  # fills the caches a first chain builds
+        growth = traced_peak(4.0) - traced_peak(0.5)
+        assert growth < 0.2e6, f"traced peak grew {growth / 1e6:.3f} MB from 50 to 400 steps"
+
+    @staticmethod
     def forced_chain(grid, pot, tau):
         # the jko_chain benchmark's model, path and step, for T = 1
         params = ModelParams(tau=tau, nu=0.8)
         path = exp_decay_path(0.3, 0.4, 1.0)
         rho0 = solve_lambda(path.ell(0.0), params.nu, pot, grid).state.density
-        return jko_run(rho0, path, 0.01, 1.0, pot, params), (rho0, path, pot, params)
+        return jko_run(rho0, path, 0.01, 1.0, pot, params, keep_quantiles=1), (rho0, path, pot, params)
 
     @pytest.mark.parametrize("tau", [1.0, 2.0])
     def test_dissipation_is_the_metric_slope(self, grid, dw_pot, tau):
@@ -445,11 +493,12 @@ class TestJkoRun:
         path = exp_decay_path(0.2, 0.4, 1.0)
         rho0 = gaussian_density(grid, path.ell(0.0), 0.6)
         h = 0.02
-        recs = jko_run(rho0, path, h, 0.4, dw_pot, params)
+        recs = jko_run(rho0, path, h, 0.4, dw_pot, params, keep_quantiles=1)
         logz0 = log_partition(dw_pot, grid, params.nu)
         x_prev = to_quantile(rho0, grid.n)
         x_prev = x_prev + (path.ell(0.0) - float(np.mean(x_prev)))
-        for ell, quantile, w2sq in zip(recs["ell"].tolist(), recs["quantile"], recs["W2sq_step"].tolist()):
+        rows = zip(recs["ell"].tolist(), recs["quantile"], recs["W2sq_step"].tolist(), strict=True)
+        for ell, quantile, w2sq in rows:
             a = ell - float(np.mean(x_prev))
             lhs = quantile_free_energy(quantile, dw_pot, params.nu, logz0) + w2sq / (2 * h)
             rhs = quantile_free_energy(x_prev + a, dw_pot, params.nu, logz0) + a * a / (2 * h)
@@ -487,11 +536,11 @@ class TestWeakForm:
         path = exp_decay_path(0.3, 0.4, 1.0)
         rho0 = gaussian_density(grid, path.ell(0.0), 0.5)
         h = 0.02
-        recs = jko_run(rho0, path, h, 0.5, dw_pot, params)
+        recs = jko_run(rho0, path, h, 0.5, dw_pot, params, keep_quantiles=1)
         zeta = (lambda x: x**2, lambda x: 2.0 * x, lambda x: 2.0 * np.ones_like(x))
         x_prev = to_quantile(rho0, grid.n)
         x_prev = x_prev + (path.ell(0.0) - float(np.mean(x_prev)))
-        for quantile, sigma in zip(recs["quantile"], recs["sigma"].tolist()):
+        for quantile, sigma in zip(recs["quantile"], recs["sigma"].tolist(), strict=True):
             res, bound = weak_form_residual(x_prev, quantile, sigma, h, *zeta, dw_pot, params)
             assert res <= bound + 1e-9
             x_prev = quantile
@@ -504,11 +553,11 @@ class TestWeakForm:
         zeta = (lambda x: np.sin(x), lambda x: np.cos(x), lambda x: -np.sin(x))
         worst = {}
         for h in (0.04, 0.01):
-            recs = jko_run(rho0, path, h, 0.4, dw_pot, params)
+            recs = jko_run(rho0, path, h, 0.4, dw_pot, params, keep_quantiles=1)
             x_prev = to_quantile(rho0, grid.n)
             x_prev = x_prev + (path.ell(0.0) - float(np.mean(x_prev)))
             vals = []
-            for quantile, sigma in zip(recs["quantile"], recs["sigma"].tolist()):
+            for quantile, sigma in zip(recs["quantile"], recs["sigma"].tolist(), strict=True):
                 res, _ = weak_form_residual(x_prev, quantile, sigma, h, *zeta, dw_pot, params)
                 vals.append(res)
                 x_prev = quantile
