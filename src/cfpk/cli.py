@@ -205,6 +205,16 @@ _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
 }
 
 
+# The [run] stepping keys a kind does not read, and why: a value other than
+# the default is refused.  `seed` is accepted by every kind, as is --seed.
+_STEPPING = ("T", "dt", "h", "record_every")
+_IGNORED_RUN_KEYS: dict[str, tuple[tuple[str, ...], str]] = {
+    "equilibrium": (_STEPPING, "an equilibrium solve takes no time steps"),
+    "landscape": (_STEPPING, "a landscape takes no time steps"),
+    "kramers_sweep": (("T", "record_every"), "a sweep member picks its own horizon and record spacing"),
+}
+
+
 def _checked(label: str, build: Callable[..., Any], *args: Any) -> Any:
     """build(*args); a ValueError or CfpkError it raises becomes a
     ConfigError led by `label`."""
@@ -230,13 +240,11 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
         raise ConfigError(f"run kind '{run.kind}' runs the fv solver only, got solver = jko")
     if run.solver == "jko" and run.record_every != 1:
         raise ConfigError(f"[run] record_every = {resolved['run']['record_every']}: the jko solver records every step")
-    if run.kind == "kramers_sweep":  # each member picks its own horizon and record spacing
-        for key in ("T", "record_every"):
-            default, parse = _SCHEMA["run"][key]
-            if getattr(run, key) != parse(default):
-                raise ConfigError(
-                    f"[run] {key} = {resolved['run'][key]}: a sweep member picks its own horizon and record spacing"
-                )
+    ignored, reason = _IGNORED_RUN_KEYS.get(run.kind, ((), ""))
+    for key in ignored:
+        default, parse = _SCHEMA["run"][key]
+        if getattr(run, key) != parse(default):
+            raise ConfigError(f"[run] {key} = {resolved['run'][key]}: {reason}")
     if not run.sigma_min < run.sigma_max:
         raise ConfigError(f"[run] sigma_min = {run.sigma_min}: need sigma_min < sigma_max = {run.sigma_max}")
     if run.kind == "kramers_sweep" and len(run.nu_list) < 3:

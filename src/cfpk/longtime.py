@@ -131,11 +131,14 @@ def decay_bound_audit(
     traj: dict[str, np.ndarray], params: ModelParams, pot: Potential, grid: Grid
 ) -> tuple[float, float, float]:
     """The quantitative decay bound on a trajectory: (predicted rate,
-    C = max|lambda(ell)| + max|sigma|, max over records of H - bound)."""
+    C = max|lambda(ell)| + max|sigma|, max over the records after the first
+    of H - bound).  Record 0 has H = bound by construction, so it is left
+    out: the value is the bound's margin, < 0 on a run the bound holds on
+    strictly.  A run always has at least two records (`record_times`)."""
     predicted = predicted_relaxation_time(traj, params, pot, grid)
     c_ell_sigma = float(np.max(np.abs(traj["lam_ell"]))) + float(np.max(np.abs(traj["sigma"])))
     bound = decay_bound_curve(traj, predicted, c_ell_sigma)
-    return predicted, c_ell_sigma, float(np.max(traj["Hrel_quasistatic"] - bound))
+    return predicted, c_ell_sigma, float(np.max(traj["Hrel_quasistatic"][1:] - bound[1:]))
 
 
 def fit_decay_rate(traj: dict[str, np.ndarray], tail_only: bool = False) -> tuple[float, bool]:

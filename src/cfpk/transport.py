@@ -101,14 +101,16 @@ def _projection_arrays(grid: Grid, m: int) -> tuple[np.ndarray, np.ndarray]:
     return arrays
 
 
+@lru_cache(maxsize=16)
 def _entropy_weights(m: int) -> np.ndarray:
     """Increment weights of the histogram-consistent quantile entropy: the
     two half-mass end slabs share the width of their adjacent increment, so
     the end increments carry weight 3/2 and the telescoped entropy flux
-    matches the full unit mass exactly."""
+    matches the full unit mass exactly.  One read-only array per m."""
     c = np.ones(m - 1)
     c[0] = 1.5
     c[-1] = 1.5
+    c.setflags(write=False)
     return c
 
 
@@ -125,7 +127,10 @@ def _inner_solve(
         (X_j - Y_j)/h_eff + H'(X_j) + nu^2 gS_j(X) = mu
     with the tridiagonal entropy gradient gS and scalar multiplier mu of
     mean(X) = ell_k.  The -log barrier of the entropy keeps increments
-    positive along the backtracked line search.
+    positive along the backtracked line search.  Each trial point costs one
+    `Potential.jet`: the merit reads H, the gradient H' and the merit's
+    X - Y, and H'' is formed only for a Newton system, so never at the
+    converged iterate.
     """
     m = len(y)
     nu2 = nu * nu
@@ -134,19 +139,22 @@ def _inner_solve(
     # operation of the plain form: sum()/m is np.mean's own arithmetic
     x = y + (ell_k - float(y.sum() / m))  # feasible translation start
 
-    def merit(xv: np.ndarray, delta: np.ndarray) -> tuple[float, np.ndarray]:
-        hv = pot.h(xv)
-        w2_term = ((xv - y) ** 2).sum() / (2.0 * h_eff)
-        return float(w2_term + hv.sum() - nu2 * (cw * np.log(delta)).sum()), hv
+    def merit(xv: np.ndarray, delta: np.ndarray) -> tuple:
+        """(merit, H, X - Y, H', H'' on demand) at xv."""
+        hv, h1v, h2 = pot.jet(xv)
+        step = xv - y
+        value = float((step**2).sum() / (2.0 * h_eff) + hv.sum() - nu2 * (cw * np.log(delta)).sum())
+        return value, hv, step, h1v, h2
 
-    def gradient(xv: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    def gradient(delta: np.ndarray, step: np.ndarray, h1v: np.ndarray) -> np.ndarray:
         invd = cw / delta
         g_ent = np.concatenate((invd[:1], invd[1:] - invd[:-1], -invd[-1:]))  # diff of [0, invd, 0]
-        return (xv - y) / h_eff + pot.h1(xv) + nu2 * g_ent
+        return step / h_eff + h1v + nu2 * g_ent
 
     def kkt(g: np.ndarray) -> tuple[float, float]:
+        # max|g - mu|: rounding is monotone and odd, so the extremes of g give it
         mu_v = float(g.sum() / m)
-        return mu_v, float(np.abs(g - mu_v).max())
+        return mu_v, max(float(g.max()) - mu_v, mu_v - float(g.min()))
 
     delta = x[1:] - x[:-1]
     if (delta <= 0.0).any():
@@ -160,29 +168,29 @@ def _inner_solve(
         cond = span / h_eff + nu2 * (1.0 / float(delta_v.min())) ** 2 * span
         return max(KKT_TOL * max(1.0, abs(mu_v)), 32.0 * EPS * cond)
 
-    g = gradient(x, delta)
+    base, hx, step, h1x, h2x = merit(x, delta)
+    g = gradient(delta, step, h1x)
     mu, res = kkt(g)
-    base, hx = merit(x, delta)  # H is evaluated once per iterate
     rhs = np.ones((m, 2), order="F")  # [-g, 1], in LAPACK's column order
     it = 0
     # "not <=": a NaN residual enters the loop and meets the finite check
     while not res <= (tol := tol_at(x, delta, mu)) and it < MAX_NEWTON:
         it += 1
         off = nu2 * (cw / delta**2)
-        diag = 1.0 / h_eff + pot.h2(x)
+        diag = 1.0 / h_eff + h2x()
         diag[:-1] += off
         diag[1:] += off
-        off = -off  # each entry went into diag, so diag's finite check covers it
+        # each entry of off went into diag, so diag's finite check covers it
         if not (np.isfinite(diag).all() and np.isfinite(g).all()):
             raise StepError(
                 "non-finite Newton system in the JKO inner solve",
                 diagnostics={"kkt_residual": res, "iterations": it},
             )
-        rhs[:, 0] = -g
+        np.negative(g, out=rhs[:, 0])
         shift = 0.0
         for _ in range(12):
             # solve_banded overwrites its arguments
-            sol, info = solve_banded(off.copy(), diag + shift, off.copy(), rhs.copy(order="F"))
+            sol, info = solve_banded(np.negative(off), diag + shift, np.negative(off), rhs.copy(order="F"))
             if info != 0:
                 shift = max(2.0 * shift, 1e-8)
                 continue
@@ -205,7 +213,7 @@ def _inner_solve(
         t = 1.0
         floor = 64.0 * EPS * (abs(base) + float(np.abs(hx).sum()))
         for _ in range(60):
-            x_try = x + t * p
+            x_try = x + p if t == 1.0 else x + t * p
             d_try = x_try[1:] - x_try[:-1]
             if d_try.min() > 0.0:  # False on a NaN increment too
                 trial = merit(x_try, d_try)
@@ -218,8 +226,8 @@ def _inner_solve(
                 diagnostics={"kkt_residual": res, "iterations": it},
             )
         x, delta = x_try, d_try
-        base, hx = trial
-        g = gradient(x, delta)
+        base, hx, step, h1x, h2x = trial
+        g = gradient(delta, step, h1x)
         mu, res = kkt(g)
     if not res <= tol:  # the last iterate's tol, from the loop head
         raise StepError(

@@ -508,6 +508,21 @@ class TestRunExperiment:
         assert not out.exists()
         assert parse_config(write(tmp_path, text + "T = 1\nrecord_every = 1\n")).run.T == 1.0
 
+    @pytest.mark.parametrize("command", ["equilibrium", "landscape"])
+    @pytest.mark.parametrize("key,value", [("T", "5"), ("dt", "0.01"), ("h", "0.1"), ("record_every", "5")])
+    def test_stepless_kinds_refuse_stepping_keys(self, tmp_path, capsys, command, key, value):
+        # neither kind takes a time step, so it would ignore these: refused at
+        # parse time, naming the key; the defaults written out and a seed parse
+        text = "[model]\npotential = quadratic:1\n\n[grid]\nn = 256\n\n[run]\n"
+        out = tmp_path / "out"
+        cfgfile = write(tmp_path, text + f"{key} = {value}\n")
+        assert main([command, "--config", cfgfile, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [run] {key} = {value}: ") and "takes no time steps" in err
+        assert "Traceback" not in err and not out.exists()
+        defaults = text + f"kind = {command}\nT = 1\ndt = 1e-3\nh = 0.01\nrecord_every = 1\nseed = 3\n"
+        assert parse_config(write(tmp_path, defaults)).run.seed == 3
+
     def test_sweep_tail_check_uses_each_nu(self, tmp_path, capsys):
         # [model] nu = 0.5 has thin tails on [-5, 5], the members' noise levels do not
         text = (

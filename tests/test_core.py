@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from cfpk.core import (
     MAX_STEPS,
@@ -188,6 +191,33 @@ class TestPotentials:
         assert pot.growth_constants == (146.0, 146.0)
         fallback = polynomial_potential([0.0, 0.0, 1.0, 0.0, 1.0 / 12.0])
         assert fallback.growth_constants == (102.0, 102.0)  # |x| = 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=hst.sampled_from(["quadratic", "doublewell", "polynomial"]),
+        xs=hst.lists(hst.floats(-1e3, 1e3), min_size=1, max_size=40),
+    )
+    def test_jet_is_the_separate_calls_bit_for_bit(self, name, xs):
+        pot = {
+            "quadratic": lambda: quadratic_potential(1.5),
+            "doublewell": doublewell_potential,
+            "polynomial": lambda: polynomial_potential([0.3, -0.2, 0.5, 0.0, 0.1]),
+        }[name]()
+        x = np.array(xs + [0.0])
+        hv, h1v, h2 = pot.jet(x)
+        for got, want in ((hv, pot.h(x)), (h1v, pot.h1(x)), (h2(), pot.h2(x))):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("replaced", ["h", "h1", "h2"])
+    def test_jet_falls_back_when_a_function_is_replaced(self, dw_pot, replaced):
+        # the fused pass stands for h, h1 and h2 only while all three carry it
+        x = np.linspace(-3.0, 3.0, 13)
+        pot = dataclasses.replace(dw_pot, **{replaced: lambda v: np.full_like(v, 7.0)})
+        hv, h1v, h2 = pot.jet(x)
+        got = {"h": hv, "h1": h1v, "h2": h2()}
+        for key, value in got.items():
+            want = np.full_like(x, 7.0) if key == replaced else getattr(dw_pot, key)(x)
+            np.testing.assert_array_equal(value, want)
 
     def test_polynomial_must_confine(self):
         with pytest.raises(ContractViolation):

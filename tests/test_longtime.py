@@ -194,7 +194,20 @@ class TestDecayExperiment:
         rep, _ = decay_experiment(rho0, constant_path(0.5), 1.0, quad_pot,
                                   tau * 1e-3, tau * 10.0, tau=tau, record_every=5)
         assert rep["predicted_tau"] == pytest.approx(1.0 / tau)
-        assert rep["bound_max_violation"] == 0.0
+        assert rep["bound_max_violation"] < 0.0
+
+    def test_bound_value_is_the_margin_after_record_0(self, quad_pot):
+        # record 0 has H = bound by construction, so the audit reads the
+        # records after it: the value is < 0 on a convex run the bound holds on
+        g = Grid(-11.2, 12.8, 512)
+        path = exp_decay_path(0.5, 0.3, 1.0)
+        rho0 = solve_lambda(path.ell(0.0), 1.0, quad_pot, g).state.density
+        block, traj = longtime.verify(rho0, path, quad_pot, ModelParams(), 1e-3, 0.5, 0)
+        entry = block["quantitative_decay_bound"]
+        assert entry["pass"] and entry["max_violation"] < 0.0
+        predicted, c, value = longtime.decay_bound_audit(traj, ModelParams(), quad_pot, g)
+        gap = traj["Hrel_quasistatic"] - decay_bound_curve(traj, predicted, c)
+        assert gap[0] == 0.0 and value == entry["max_violation"] == float(np.max(gap[1:]))
 
     def test_exp_decay_kappa_gt_tau(self, quad_pot):
         # H(t) <= e^{-tau t}(H(0) + C) with C = C_ls * L0/(kappa - tau)

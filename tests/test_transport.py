@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -263,6 +264,38 @@ class TestInnerSolve:
         broken = dataclasses.replace(pot, **{derivative: lambda x: np.full_like(x, np.nan)})
         with pytest.raises(StepError, match="non-finite Newton system"):
             transport._inner_solve(y, ell_k, h_eff, broken, nu)
+
+    def test_double_well_is_evaluated_by_its_fused_jet_only(self, grid, dw_pot, monkeypatch):
+        # inside the inner solves of a jko_run step the double well makes no
+        # separate h, h1 or h2 call: each trial point is one fused jet
+        calls, inside = collections.Counter(), []
+
+        def counted(name, f):
+            def wrapper(x):
+                calls[name] += bool(inside)
+                return f(x)
+
+            return wrapper
+
+        funcs = {name: counted(name, getattr(dw_pot, name)) for name in ("h", "h1", "h2")}
+        funcs["h"].jet = funcs["h1"].jet = funcs["h2"].jet = counted("jet", dw_pot.h.jet)
+        pot = dataclasses.replace(dw_pot, **funcs)
+        real = transport._inner_solve
+
+        def solve(*args):
+            inside.append(True)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(transport, "_inner_solve", solve)
+        rho, path, params = gaussian_density(grid, 0.1, 0.8), exp_decay_path(0.3, 0.4, 1.0), ModelParams(nu=0.8)
+        got = jko_run(rho, path, 0.01, 0.01, pot, params)
+        assert calls["h"] == calls["h1"] == calls["h2"] == 0, calls
+        assert calls["jet"] >= 2  # the start and at least one Newton iterate
+        want = jko_run(rho, path, 0.01, 0.01, dw_pot, params)
+        assert (got["sigma"][0], got["kkt_residual"][0]) == (want["sigma"][0], want["kkt_residual"][0])
 
 
 class TestKernelsMatchTheirReferences:
