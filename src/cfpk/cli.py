@@ -205,13 +205,14 @@ _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
 }
 
 
-# The [run] stepping keys a kind does not read, and why: a value other than
-# the default is refused.  `seed` is accepted by every kind, as is --seed.
-_STEPPING = ("T", "dt", "h", "record_every")
-_IGNORED_RUN_KEYS: dict[str, tuple[tuple[str, ...], str]] = {
-    "equilibrium": (_STEPPING, "an equilibrium solve takes no time steps"),
-    "landscape": (_STEPPING, "a landscape takes no time steps"),
-    "kramers_sweep": (("T", "record_every"), "a sweep member picks its own horizon and record spacing"),
+# The [run] keys each (kind, solver) run reads, besides kind, solver and seed (every subcommand
+# takes --seed).  build_config refuses a pair with no row, and any other key off its default.
+_RUN_READS: dict[tuple[str, str], tuple[str, ...]] = {
+    **{(kind, "fv"): ("dt", "T", "initial", "record_every") for kind in ("simulate", "decay", "verify")},
+    ("simulate", "jko"): ("h", "T", "initial"),
+    ("kramers_sweep", "fv"): ("dt", "nu_list"),
+    ("landscape", "fv"): ("sigma_min", "sigma_max"),
+    ("equilibrium", "fv"): (),
 }
 
 
@@ -236,26 +237,25 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
     pot = _checked(label, parse_potential, model["potential"], grid)
     _checked(label, pot.validate_on, grid)
     params = _checked(f"[model] nu = {model['nu']}", ModelParams, model["tau"], model["nu"])
-    if run.solver == "jko" and run.kind in ("decay", "kramers_sweep", "verify"):
-        raise ConfigError(f"run kind '{run.kind}' runs the fv solver only, got solver = jko")
-    if run.solver == "jko" and run.record_every != 1:
-        raise ConfigError(f"[run] record_every = {resolved['run']['record_every']}: the jko solver records every step")
-    ignored, reason = _IGNORED_RUN_KEYS.get(run.kind, ((), ""))
-    for key in ignored:
-        default, parse = _SCHEMA["run"][key]
-        if getattr(run, key) != parse(default):
-            raise ConfigError(f"[run] {key} = {resolved['run'][key]}: {reason}")
+    raw_run = resolved["run"]
+    reads = _RUN_READS.get((run.kind, run.solver))
+    if reads is None:
+        raise ConfigError(f"[run] solver = {run.solver}: run kind '{run.kind}' takes the fv solver only")
+    for key, (default, parse) in _SCHEMA["run"].items():
+        if key not in (*reads, "kind", "solver", "seed") and getattr(run, key) != parse(default):
+            raise ConfigError(f"[run] {key} = {raw_run[key]}: {run.kind} with solver = {run.solver} does not read it")
     if not run.sigma_min < run.sigma_max:
         raise ConfigError(f"[run] sigma_min = {run.sigma_min}: need sigma_min < sigma_max = {run.sigma_max}")
-    if run.kind == "kramers_sweep" and len(run.nu_list) < 3:
-        raise ConfigError(f"[run] nu_list = {resolved['run']['nu_list']}: a sweep needs 3 noise levels or more")
-    if run.kind in ("simulate", "decay", "verify"):  # the kinds that run to T
-        step = "h" if run.solver == "jko" else "dt"
-        _checked(f"[run] {step} = {resolved['run'][step]}", core.step_count, run.T, getattr(run, step))
-    if run.initial is not None:  # a Gaussian with its mass off the grid has none to normalize
-        label = f"[run] initial = {resolved['run']['initial']}"
-        run.initial = _checked(label, core.gaussian_density, grid, *run.initial)
+    if len(run.nu_list) < 3:  # only a sweep reads nu_list, and its default has 3 entries
+        raise ConfigError(f"[run] nu_list = {raw_run['nu_list']}: a sweep needs 3 noise levels or more")
     path = values["path"]["kind"]
+    if "nu_list" in reads and path.L0 != 0.0:  # each member runs on constant_path(ell*)
+        raise ConfigError(f"[path] kind = {resolved['path']['kind']}: a sweep runs at ell* only; give a constant path")
+    if "T" in reads:  # the kinds that run to T, by h or by dt
+        step = "h" if "h" in reads else "dt"
+        _checked(f"[run] {step} = {raw_run[step]}", core.step_count, run.T, getattr(run, step))
+    if run.initial is not None:  # a Gaussian with its mass off the grid has none to normalize
+        run.initial = _checked(f"[run] initial = {raw_run['initial']}", core.gaussian_density, grid, *run.initial)
     cfg = RunConfig(raw=resolved, pot=pot, path=path, grid=grid, params=params, run=run, out_dir=out_dir)
     _tail_check(cfg)
     return cfg

@@ -494,19 +494,90 @@ class TestRunExperiment:
         assert "error:" in err and "[run] nu_list" in err and "Traceback" not in err
         assert not out.exists()  # refused at parse time, before any member runs
 
-    @pytest.mark.parametrize("key,value", [("T", "5"), ("record_every", "5")])
-    def test_sweep_refuses_keys_it_does_not_read(self, tmp_path, capsys, key, value):
-        # each member picks its own horizon and record spacing, so a sweep
-        # would ignore these: refused at parse time, naming the key; the
-        # defaults, written out, parse
-        text = "[model]\npotential = doublewell\n\n[grid]\nn = 256\n\n[run]\nkind = kramers_sweep\n"
+    @pytest.mark.parametrize(
+        "command,solver,section,key,value",
+        [
+            # a sweep member picks its own horizon, record spacing and start
+            ("kramers-sweep", "fv", "run", "T", "5"),
+            ("kramers-sweep", "fv", "run", "record_every", "5"),
+            ("kramers-sweep", "fv", "run", "h", "0.1"),
+            ("kramers-sweep", "fv", "run", "initial", "gaussian:0.5,1"),
+            ("kramers-sweep", "fv", "run", "sigma_min", "-9"),
+            # a sweep runs at the path's ell* only
+            ("kramers-sweep", "fv", "path", "kind", "exp_decay:0,0.4,1"),
+            ("kramers-sweep", "fv", "path", "kind", "tanh_ramp:0,1,1,0.5"),
+            # the jko chain steps by h and records every step
+            ("simulate", "jko", "run", "record_every", "5"),
+            ("simulate", "jko", "run", "dt", "7"),
+            ("simulate", "jko", "run", "nu_list", "1,2,3"),
+            ("simulate", "jko", "run", "sigma_max", "9"),
+            # the FV kinds step by dt
+            ("simulate", "fv", "run", "h", "7"),
+            ("simulate", "fv", "run", "sigma_min", "-9"),
+            ("decay", "fv", "run", "h", "5"),
+            ("decay", "fv", "run", "nu_list", "1,2,3"),
+            ("decay", "fv", "run", "sigma_min", "-9"),
+            ("verify", "fv", "run", "h", "0.1"),
+            ("verify", "fv", "run", "sigma_max", "9"),
+            ("verify", "fv", "run", "nu_list", "1,2,3"),
+            # neither kind takes a step or builds a start
+            ("equilibrium", "jko", "run", "solver", "jko"),
+            ("equilibrium", "fv", "run", "sigma_min", "-9"),
+            ("equilibrium", "fv", "run", "nu_list", "1,2,3"),
+            ("equilibrium", "fv", "run", "initial", "gaussian:0.5,1"),
+            ("landscape", "jko", "run", "solver", "jko"),
+            ("landscape", "fv", "run", "nu_list", "1,2,3"),
+            ("landscape", "fv", "run", "initial", "gaussian:0.5,1"),
+        ],
+    )
+    def test_refuses_keys_it_does_not_read(self, tmp_path, capsys, command, solver, section, key, value):
+        # a key the run would ignore is refused at parse time, naming it
+        sections = {"model": {"potential": "doublewell"}, "path": {}, "grid": {"n": "256"}, "run": {"solver": solver}}
+        sections[section][key] = value
+        text = "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for sec, kv in sections.items())
         out = tmp_path / "out"
-        cfgfile = write(tmp_path, text + f"{key} = {value}\n")
-        assert main(["kramers-sweep", "--config", cfgfile, "--out", str(out)]) == 2
+        assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: [run] {key} = {value}: ") and "Traceback" not in err
+        assert err.startswith(f"error: [{section}] {key} = {value}: ") and "Traceback" not in err
         assert not out.exists()
-        assert parse_config(write(tmp_path, text + "T = 1\nrecord_every = 1\n")).run.T == 1.0
+
+    @pytest.mark.parametrize(
+        "kind,solver,key,value",
+        [
+            ("simulate", "fv", "dt", "2e-3"),
+            ("simulate", "fv", "T", "0.5"),
+            ("simulate", "fv", "initial", "gaussian:0.5,1"),
+            ("simulate", "fv", "record_every", "5"),
+            ("decay", "fv", "dt", "2e-3"),
+            ("decay", "fv", "T", "0.5"),
+            ("decay", "fv", "initial", "gaussian:0.5,1"),
+            ("decay", "fv", "record_every", "5"),
+            ("verify", "fv", "dt", "2e-3"),
+            ("verify", "fv", "T", "0.5"),
+            ("verify", "fv", "initial", "gaussian:0.5,1"),
+            ("verify", "fv", "record_every", "5"),
+            ("simulate", "jko", "h", "0.02"),
+            ("simulate", "jko", "T", "0.5"),
+            ("simulate", "jko", "initial", "gaussian:0.5,1"),
+            ("kramers_sweep", "fv", "dt", "2e-3"),
+            ("kramers_sweep", "fv", "nu_list", "1.2,1.0,0.9"),
+            ("landscape", "fv", "sigma_min", "-2"),
+            ("landscape", "fv", "sigma_max", "2"),
+        ],
+    )
+    def test_parses_each_key_it_reads(self, tmp_path, kind, solver, key, value):
+        # every [run] key written out at its default, the tested one off it, and a seed
+        run = {k: default for k, (default, _) in cfpk.cli._SCHEMA["run"].items()}
+        run.update(kind=kind, solver=solver, seed="3", **{key: value})
+        text = MINIMAL + "\n[grid]\nn = 256\n\n[run]\n" + "".join(f"{k} = {v}\n" for k, v in run.items())
+        cfg = parse_config(write(tmp_path, text))
+        assert (cfg.run.kind, cfg.run.solver, cfg.run.seed, cfg.raw["run"][key]) == (kind, solver, 3, value)
+
+    def test_every_run_key_is_read(self):
+        reads = cfpk.cli._RUN_READS
+        read = {key for keys in reads.values() for key in keys}
+        assert read == set(cfpk.cli._SCHEMA["run"]) - {"kind", "solver", "seed"}
+        assert all((kind, "fv") in reads for kind in cfpk.cli.KINDS)
 
     @pytest.mark.parametrize("command", ["equilibrium", "landscape"])
     @pytest.mark.parametrize("key,value", [("T", "5"), ("dt", "0.01"), ("h", "0.1"), ("record_every", "5")])
@@ -518,7 +589,7 @@ class TestRunExperiment:
         cfgfile = write(tmp_path, text + f"{key} = {value}\n")
         assert main([command, "--config", cfgfile, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: [run] {key} = {value}: ") and "takes no time steps" in err
+        assert err.startswith(f"error: [run] {key} = {value}: {command} with solver = fv does not read it")
         assert "Traceback" not in err and not out.exists()
         defaults = text + f"kind = {command}\nT = 1\ndt = 1e-3\nh = 0.01\nrecord_every = 1\nseed = 3\n"
         assert parse_config(write(tmp_path, defaults)).run.seed == 3
@@ -573,8 +644,6 @@ class TestRunExperiment:
             ("run", "h", "0", "jko"),
             ("run", "h", "nan", "jko"),
             ("run", "h", "-0.01", "jko"),
-            # the chain records every step
-            ("run", "record_every", "5", "jko"),
             ("path", "kind", "tanh_ramp:0,1,1000,0.5", "fv"),
             ("path", "kind", "exp_decay:0,1,nan", "fv"),
             ("model", "potential", "quadratic:nan", "fv"),
