@@ -10,6 +10,7 @@ contracts are one-sided.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .equilibrium import (
     tilted_family,
     variance_range,
 )
-from .errors import ContractViolation
+from .errors import CfpkError, ContractViolation
 from .fpsolver import gap_rate, project_mean
 from .fpsolver import run as fv_run
 from .functionals import ckp_l1_bound, free_energy, relative_entropy, weighted_ckp
@@ -351,6 +352,14 @@ def kramers_sweep(
     record spacing, and a step cut short by a record does not cap the next
     one, so once the error estimate allows it a member takes one step per
     record.  `steps` counts the steps taken.
+
+    `barrier_scan` and every member's `gap_rate` run first, in this process,
+    so a refused gap stops the sweep before any step.  The members then run
+    in parallel, in forked processes, one per CPU this process may use
+    (`os.sched_getaffinity`) and at most one per member; there is no option
+    for it.  Where a member ran does not change its numbers: the block and
+    the columns are the same bits as on one CPU, and a failing member raises
+    the error it raises there.
     """
     if len(nu_list) < 3 and not well_prepared:
         raise ContractViolation("need at least 3 noise levels for the regression")
@@ -360,11 +369,11 @@ def kramers_sweep(
         raise ContractViolation(f"noise levels must be distinct, got {list(nu_list)}")
     require_positive(dt=dt, tau=tau)
     _, delta_h_star = barrier_scan(pot, grid, (-2.0, 2.0))
-    entries = []
-    trajectories = {}
     # a gap below gap_rate's precision floor stops the sweep before any step
     gaps = [gap_rate(ell_star, nu, pot, grid, tau=tau) for nu in nu_list]
-    for nu, gap in zip(nu_list, gaps):
+
+    def member(k: int) -> tuple[dict, dict[str, np.ndarray]]:
+        nu, gap = nu_list[k], gaps[k]
         rate_guess = nu * nu * math.exp(-delta_h_star / (nu * nu))
         # H starts near 1e-2 and settles on a floor near 1e-11: about 21
         # e-folds at rate gap, so 30 e-folds reach the floor with margin, and
@@ -383,9 +392,8 @@ def kramers_sweep(
             rho0, constant_path(ell_star), member_dt, pot, ModelParams(tau=tau, nu=nu), horizon,
             record_every=rec_every,
         )
-        trajectories[nu] = traj
         rate, short = fit_decay_rate(traj, tail_only=not well_prepared)
-        entries.append({
+        return {
             "nu": nu,
             "fitted_rate": rate,
             "gap_rate": gap,
@@ -398,7 +406,11 @@ def kramers_sweep(
             "short_window": short,
             "limited_mass": total_limited_mass(traj),
             "steps": int(traj["steps"].sum()),
-        })
+        }, traj
+
+    results = _run_members(member, nu_list)
+    entries = [entry for entry, _ in results]
+    trajectories = {nu: traj for nu, (_, traj) in zip(nu_list, results)}
 
     slope = float("nan")
     if len(entries) >= 2 and all(0.0 < e["fitted_rate"] < math.inf for e in entries):
@@ -413,6 +425,72 @@ def kramers_sweep(
         "partial": False,
     }
     return block, trajectories
+
+
+def _run_members(member, nu_list: list[float]) -> list:
+    """[member(k) for k in range(len(nu_list))], on w = min(len(nu_list),
+    CPUs this process may use) processes: this one runs members 0, w, 2w, ...
+    and forked child r runs members r, r + w, ... and sends them back pickled.
+    Each process stops at its first failure, and the failure of the first
+    member in nu_list order is raised, as one process running them in order
+    would raise it.  Every child is joined before this returns or raises."""
+    n = len(nu_list)
+    w = min(n, len(os.sched_getaffinity(0)))
+    if w > 1:
+        import multiprocessing  # here, not at the top: it would add to `import cfpk`
+
+        ctx = multiprocessing.get_context("fork")
+    children = []  # (members, receiving end, process) of each child not yet joined
+    try:
+        for r in range(1, w):
+            ks = range(r, n, w)
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_share, args=(member, ks, send))
+            child.start()
+            # closed before the next fork, so that a child's pipe reads EOF once that child is gone
+            send.close()
+            children.append((ks, recv, child))
+        done = _run_share(member, range(0, n, w))
+        while children:
+            ks, recv, child = children[0]
+            try:
+                done += recv.recv()
+            except EOFError:
+                child.join()
+                nus = [nu_list[k] for k in ks]
+                raise CfpkError(
+                    f"the process running sweep members nu = {nus} exited with code "
+                    f"{child.exitcode} before sending them",
+                    diagnostics={"nu": nus, "exitcode": child.exitcode},
+                ) from None
+            recv.close()
+            child.join()
+            children.pop(0)
+    finally:
+        for _, recv, child in children:
+            child.terminate()
+            child.join()
+            recv.close()
+    results = dict(done)
+    failed = [k for k, result in done if isinstance(result, Exception)]
+    if failed:
+        raise results[min(failed)]
+    return [results[k] for k in range(n)]
+
+
+def _run_share(member, ks: range, send=None) -> list:
+    """(k, member(k)) for each k in ks in order, ending at the first failure
+    as (k, exception); sent over `send` when given."""
+    done = []
+    for k in ks:
+        try:
+            done.append((k, member(k)))
+        except Exception as exc:
+            done.append((k, exc))
+            break
+    if send is not None:
+        send.send(done)
+    return done
 
 
 def verify(

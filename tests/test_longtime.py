@@ -1,4 +1,9 @@
+import json
 import math
+import multiprocessing
+import os
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +19,12 @@ from cfpk.core import (
     moments,
 )
 from cfpk.equilibrium import gibbs, multimodal_intervals, solve_lambda
-from cfpk.errors import ContractViolation
+from cfpk.errors import CfpkError, ContractViolation, StepError
 from cfpk.fpsolver import gap_rate
 from cfpk.fpsolver import run as fv_run
 from cfpk.functionals import free_energy, relative_entropy
 from cfpk import longtime
-from cfpk.cli import parse_config
+from cfpk.cli import main, parse_config
 from cfpk.longtime import (
     HORIZON_EFOLDS,
     RECORDS_PER_EFOLD,
@@ -374,7 +379,9 @@ class TestKramersSweepRecords:
     def test_benchmark_sweep_fit_windows(self, tmp_path, monkeypatch):
         # the sweep of perfbench/configs/fv_kramers_sweep.cfg; the spy counts
         # the points of each member's tail fit (the last polyfit is the
-        # regression over the members)
+        # regression over the members); on one CPU, since the spy cannot
+        # see the fits of members run in forked processes
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         path = Path(__file__).parent.parent / "perfbench" / "configs" / "fv_kramers_sweep.cfg"
         cfg = parse_config(str(path), out_dir=str(tmp_path / "out"))
         fit_points = []
@@ -393,6 +400,137 @@ class TestKramersSweepRecords:
             assert 470 <= len(trajectories[entry["nu"]]["t"]) <= 510
             assert not entry["short_window"]
             assert points >= 100
+
+
+def failing_run(failing):
+    """fv_run, but raising a StepError with diagnostics for each nu in `failing`."""
+    def run(rho0, path, dt, pot, params, T, record_every=1):
+        if params.nu in failing:
+            raise StepError(f"injected failure at nu = {params.nu}", diagnostics={"nu": params.nu, "step": 7})
+        return fv_run(rho0, path, dt, pot, params, T, record_every=record_every)
+    return run
+
+
+class _Interrupt(BaseException):
+    pass
+
+
+class TestKramersSweepProcesses:
+    # with two processes this one runs nu = 1.2 and 0.9 and a child nu = 1.0;
+    # with three, each member has its own
+    NU_LIST = [1.2, 1.0, 0.9]
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        """Let the sweep see `count` CPUs; None keeps those this process may use."""
+        if count is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    def sweep(self, dw_pot, n=8):
+        # n = 8: the nu = 1.2 rate and the regression slope are NaN
+        return longtime.kramers_sweep(dw_pot, 0.2, self.NU_LIST, 1e-2, Grid(-12.0, 12.0, n))
+
+    @pytest.mark.parametrize("cpus", [None, 3], ids=["default", "three"])
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_same_numbers_as_on_one_cpu(self, monkeypatch, dw_pot, cpus, n):
+        self.cpus(monkeypatch, cpus)
+        block, trajectories = self.sweep(dw_pot, n)
+        assert multiprocessing.active_children() == []
+        self.cpus(monkeypatch, 1)
+        one_block, one_trajectories = self.sweep(dw_pot, n)
+        # a float's repr gives its bits back, and NaN's repr equals itself
+        assert repr(block) == repr(one_block)
+        assert list(trajectories) == list(one_trajectories) == self.NU_LIST
+        for nu, traj in trajectories.items():
+            assert list(traj) == list(one_trajectories[nu])
+            for name, col in traj.items():
+                one = one_trajectories[nu][name]
+                assert col.dtype == one.dtype and np.array_equal(col, one, equal_nan=True), (nu, name)
+
+    @pytest.mark.parametrize("cpus", [None, 3], ids=["default", "three"])
+    @pytest.mark.parametrize("failing", [(1.0, 0.9), (1.2, 1.0)])
+    def test_failure_as_on_one_cpu(self, monkeypatch, dw_pot, cpus, failing):
+        # the first failing member in nu_list order is raised, wherever it ran
+        monkeypatch.setattr(longtime, "fv_run", failing_run(failing))
+        raised = []
+        for count in (cpus, 1):
+            self.cpus(monkeypatch, count)
+            with pytest.raises(StepError) as info:
+                self.sweep(dw_pot)
+            assert multiprocessing.active_children() == []
+            raised.append(info.value)
+        many, one = raised
+        assert type(many) is type(one)
+        assert str(many) == str(one) == f"injected failure at nu = {failing[0]}"
+        assert many.diagnostics == one.diagnostics == {"nu": failing[0], "step": 7}
+
+    @pytest.mark.parametrize("cpus", [None, 3], ids=["default", "three"])
+    def test_cli_failure_writes_the_same_error_json(self, tmp_path, monkeypatch, capsys, cpus):
+        monkeypatch.setattr(longtime, "fv_run", failing_run((1.0, 0.9)))
+        config = tmp_path / "sweep.cfg"
+        config.write_text(
+            "[model]\npotential = doublewell\n\n[path]\nkind = constant:0.2\n\n[grid]\nn = 8\n\n"
+            "[run]\nnu_list = 1.2,1.0,0.9\ndt = 1e-2\n"
+        )
+        written = []
+        for count, name in ((cpus, "many"), (1, "one")):
+            self.cpus(monkeypatch, count)
+            out = tmp_path / name
+            assert main(["kramers-sweep", "--config", str(config), "--out", str(out)]) == 2
+            assert not (out / "summary.json").exists()
+            written.append((out / "error.json").read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0]) == {
+            "error": "StepError",
+            "message": "injected failure at nu = 1.0",
+            "diagnostics": {"nu": 1.0, "step": 7},
+        }
+        assert capsys.readouterr().err == "error: injected failure at nu = 1.0\n" * 2
+        assert multiprocessing.active_children() == []
+
+    def test_dead_child_names_its_members(self, monkeypatch, dw_pot):
+        parent = os.getpid()
+
+        def die(rho0, path, dt, pot, params, T, record_every=1):
+            if params.nu == 1.0 and os.getpid() != parent:
+                os._exit(3)
+            return fv_run(rho0, path, dt, pot, params, T, record_every=record_every)
+
+        def hung(signum, frame):
+            raise AssertionError("the sweep waits on a dead child")
+
+        monkeypatch.setattr(longtime, "fv_run", die)
+        self.cpus(monkeypatch, 2)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(CfpkError) as info:
+                self.sweep(dw_pot)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert type(info.value) is CfpkError
+        assert "nu = [1.0]" in str(info.value) and "code 3" in str(info.value)
+        assert info.value.diagnostics == {"nu": [1.0], "exitcode": 3}
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_sweep_stops_its_children(self, monkeypatch, dw_pot):
+        # this process is interrupted in its first member while the child
+        # runs a long one: the child is stopped and joined, not waited for
+        parent = os.getpid()
+
+        def run(rho0, path, dt, pot, params, T, record_every=1):
+            if os.getpid() == parent:
+                raise _Interrupt
+            time.sleep(60.0)
+
+        monkeypatch.setattr(longtime, "fv_run", run)
+        self.cpus(monkeypatch, 2)
+        start = time.perf_counter()
+        with pytest.raises(_Interrupt):
+            self.sweep(dw_pot)
+        assert multiprocessing.active_children() == []
+        assert time.perf_counter() - start < 30.0
 
 
 class TestKramersSweepGuards:
