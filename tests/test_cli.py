@@ -19,7 +19,7 @@ from cfpk.cli import (
     parse_potential,
     run_experiment,
 )
-from cfpk.core import Grid, ModelParams, exp_decay_path, quadratic_potential
+from cfpk.core import MAX_CELLS, Grid, ModelParams, exp_decay_path, quadratic_potential
 from cfpk.equilibrium import solve_lambda
 from cfpk.errors import ConfigError, StepError
 from cfpk.records import CSV_BLOCK, write_csv
@@ -648,6 +648,10 @@ class TestRunExperiment:
             ("path", "kind", "exp_decay:0,1,nan", "fv"),
             ("model", "potential", "quadratic:nan", "fv"),
             ("model", "potential", "polynomial:-1,0,1", "fv"),
+            ("model", "potential", "polynomial", "fv"),
+            ("path", "kind", "constant:0.5,1", "fv"),
+            ("path", "kind", "exp_decay:0,1", "fv"),
+            ("path", "kind", "tanh_ramp:0,1,2", "fv"),
             ("run", "dt", "1e-300", "fv"),
             ("run", "h", "1e-300", "jko"),
             ("run", "T", "1e9", "fv"),
@@ -675,6 +679,24 @@ class TestRunExperiment:
         # T/dt past MAX_STEPS names the step
         lead = "[run] dt" if key == "T" and value == "1e9" else f"[{section}] {key}"
         assert err.startswith(f"error: {lead}") and not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,text,lead",
+        [
+            ("simulate", "[bogus]\nx = 1\n", "unknown config keys: [bogus]"),
+            ("simulate", "[model]\npotential quadratic:1\n", "line 2: expected 'key = value'"),
+            # only landscape reads sigma_min and sigma_max; the lead echoes the config text
+            ("landscape", "[run]\nsigma_min = 5\n", "[run] sigma_min = 5: need sigma_min < sigma_max = 3.0"),
+            ("simulate", "[path]\nkind = constant:50\n", "tail check failed to build gamma at ell=50.0"),
+            ("simulate", "[grid]\nn = 100000000000\n", f"[grid]: need 8 <= n <= {MAX_CELLS}"),
+        ],
+        ids=["unknown-section", "no-equals", "sigma-range", "tail-solve", "oversized-grid"],
+    )
+    def test_refused_config_exit_code(self, tmp_path, capsys, command, text, lead):
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {lead}") and "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize(
         "case", ["config-directory", "config-not-utf8", "config-missing", "out-is-a-file"]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from cfpk.core import (
+    MAX_CELLS,
     MAX_STEPS,
     ConstraintPath,
     Density,
@@ -36,6 +37,9 @@ class TestGrid:
             Grid(1.0, 0.0, 100)
         with pytest.raises(ContractViolation):
             Grid(0.0, 1.0, 4)
+        assert Grid(0.0, 1.0, MAX_CELLS).n == MAX_CELLS  # no array is built
+        with pytest.raises(ContractViolation, match=f"n <= {MAX_CELLS}"):
+            Grid(0.0, 1.0, MAX_CELLS + 1)
         g = Grid(0.0, 1.0, 100)
         assert g.dx == pytest.approx(0.01)
         assert g.x[0] == pytest.approx(0.005)
