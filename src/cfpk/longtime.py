@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -37,7 +38,8 @@ from .equilibrium import (
     tilted_family,
     variance_range,
 )
-from .errors import CfpkError, ContractViolation
+from .errors import ContractViolation
+from .forks import Forked
 from .fpsolver import gap_rate, project_mean
 from .fpsolver import run as fv_run
 from .functionals import ckp_l1_bound, free_energy, relative_entropy, weighted_ckp
@@ -436,41 +438,15 @@ def _run_members(member, nu_list: list[float]) -> list:
     would raise it.  Every child is joined before this returns or raises."""
     n = len(nu_list)
     w = min(n, len(os.sched_getaffinity(0)))
-    if w > 1:
-        import multiprocessing  # here, not at the top: it would add to `import cfpk`
-
-        ctx = multiprocessing.get_context("fork")
-    children = []  # (members, receiving end, process) of each child not yet joined
-    try:
+    with ExitStack() as stack:
+        children = []
         for r in range(1, w):
-            ks = range(r, n, w)
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_run_share, args=(member, ks, send))
-            child.start()
-            # closed before the next fork, so that a child's pipe reads EOF once that child is gone
-            send.close()
-            children.append((ks, recv, child))
+            nus = [nu_list[k] for k in range(r, n, w)]
+            what = f"the process running sweep members nu = {nus}"
+            children.append(stack.enter_context(Forked(_run_share, (member, range(r, n, w)), what, {"nu": nus})))
         done = _run_share(member, range(0, n, w))
-        while children:
-            ks, recv, child = children[0]
-            try:
-                done += recv.recv()
-            except EOFError:
-                child.join()
-                nus = [nu_list[k] for k in ks]
-                raise CfpkError(
-                    f"the process running sweep members nu = {nus} exited with code "
-                    f"{child.exitcode} before sending them",
-                    diagnostics={"nu": nus, "exitcode": child.exitcode},
-                ) from None
-            recv.close()
-            child.join()
-            children.pop(0)
-    finally:
-        for _, recv, child in children:
-            child.terminate()
-            child.join()
-            recv.close()
+        for child in children:
+            done += child.receive()
     results = dict(done)
     failed = [k for k, result in done if isinstance(result, Exception)]
     if failed:

@@ -5,7 +5,20 @@ record.  `record_times` fixes a run's record times before the first step,
 and `trajectory` records both schemes, which only step: it fills the path
 columns, maps RECORD_BLOCK record states at a time to their diagnostics
 with `_record_block`, and audits the energy balance on the finished
-columns.  A scheme's generator of record states writes the columns it
+columns.  The record side, lambda(ell(t)) of each block (one
+`solve_lambdas` batch, solved as the block arrives) and its diagnostics,
+depends on the path and the record states only, never the other way round.
+So where a run has more than one block and may use more than one CPU
+(`os.sched_getaffinity`; `taskset` narrows it), the record side runs in a
+forked process beside the stepping, which sends it each block's states
+over a pipe; otherwise it runs in the stepping process.  There is no option
+for it: the columns are the same bits in either place, and a run raises
+the error, message and diagnostics of a run that solves every lambda batch
+before its first step and records in one process.  So a lambda failure
+anywhere in the run wins over any step or record failure, and a record
+failure over a failure of a later step; a record process that exits
+without sending raises a CfpkError naming its exit code.  A scheme's
+generator of record states writes the columns it
 defines itself, among them sigma and D.  FV (`fpsolver.run`) takes both
 from the record state, in a hook on each block: sigma = int H' rho dx +
 tau l'(t) and the grid dissipation at it.  JKO (`transport.jko_run`) takes
@@ -29,12 +42,14 @@ CSV_BLOCK rows at a time for the same reason.
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .core import ConstraintPath, Grid, ModelParams, Potential, _entropy_integrand, _log_density, step_count
 from .equilibrium import LambdaSolve, TiltedFamily, solve_lambda, solve_lambdas, tilted_family
+from .forks import Forked
 from .functionals import _breakdown, _kl_integrand, log_partition
 
 COLUMNS = [
@@ -42,6 +57,8 @@ COLUMNS = [
 ]
 FPSOLVER_COLUMNS = COLUMNS + ["limited_mass", "mass_drift"]
 TRANSPORT_COLUMNS = COLUMNS + ["W2sq_step", "kkt_residual"]
+# The columns the record side writes: lambda(ell(t)) and `_record_block`'s
+RECORD_SIDE = ["lam_ell", "M1", "M2", "E", "S", "F", "Hrel_quasistatic", "Hrel_star", "l1_star"]
 # Rows of the record block: a run computes record diagnostics this many
 # states at a time.  32 costs the same per record and keeps 0.4 MB more in
 # buffers; 128 costs more.
@@ -109,48 +126,167 @@ def trajectory(names: list[str], times: list[float], states: Callable[[dict], It
     """The trajectory of a run with record `times`: the one record loop.
 
     Before the first step it fills t, ell, ell_dot and lam_ell, and the
-    other `names` columns and l1_star with NaN.  lambda(ell(t)) is
-    lambda(ell*) on a constant path; on a moving path it is solved in
-    `solve_lambdas` batches of RECORD_BLOCK lanes, each started from the
-    tangent predictor lambda_a + (ell - ell_a) nu^2 / Var_a (d lambda /
-    d ell = nu^2 / Var) at the last lane of the batch before, the first
-    batch from a cold solve at times[0].
+    other `names` columns and l1_star with NaN, and solves lambda(ell*) and,
+    on a moving path, lambda(ell(times[0])) cold.
     `states(cols)` yields the values of each record state in order and
     writes that record's own columns; it adds its 2-D columns after the last
     record, so the block views slice 1-D columns only.  Each block of
-    RECORD_BLOCK states goes through `_record_block`, then, if given,
-    through `record(rows, cols, h1_rho, log_r, family, params)`, which
-    fills the scheme's own columns of the block.  The audit runs last."""
-    nu, n, size = params.nu, len(times), RECORD_BLOCK
+    RECORD_BLOCK states goes to the record side (`_Recorder`): on a moving
+    path lambda(ell(t)) of the block, one `solve_lambdas` batch, then
+    `_record_block`, then, if given, `record(rows, cols, h1_rho, log_r,
+    family, params)`, which fills the block's sigma and D.  With more than
+    one block and more than one CPU this process may use, the record side
+    runs in a forked process beside the stepping (`_record_beside`), and
+    otherwise here; it writes the same bits in either place, and a failing
+    run raises what it raises here.  The audit runs last."""
+    nu, n = params.nu, len(times)
     star = solve_lambda(path.ell_star, nu, pot, grid)
     cols = {name: np.full(n, np.nan) for name in names + ["lam_ell", "l1_star"]}
     ells, lam = cols["ell"], cols["lam_ell"]
     cols["t"][:], ells[:] = times, [path.ell(t) for t in times]
     cols["ell_dot"] = np.array([path.ell_dot(t) for t in times])
-    lam[:], log_z = star.lam, None
+    lam[:], log_z, batches = star.lam, None, iter(())
     if path.L0 != 0.0:
-        log_z, nu2 = np.empty(n), nu * nu
+        log_z = np.empty(n)
         first = solve_lambda(ells[0], nu, pot, grid)
-        lam_a, ell_a, var_a = first.lam, ells[0], first.state.variance
-        for i in range(0, n, size):
-            batch = slice(i, i + size)
-            ell = ells[batch]
-            start = lam_a + (ell - ell_a) * nu2 / var_a
-            lam[batch], _, var, log_z[batch], *_ = solve_lambdas(ell, nu, pot, grid, start)
-            lam_a, ell_a, var_a = lam[batch][-1], ell[-1], var[-1]
-    family, logz0, rows = tilted_family(pot, grid), log_partition(pot, grid, nu), np.empty((size, grid.n))
-    for i, vals in enumerate(states(cols)):
+        batches = _lambda_batches(first, ells, lam, log_z, nu, pot, grid)
+    recorder = _Recorder(cols, batches, log_z, star, tilted_family(pot, grid), log_partition(pot, grid, nu), params,
+                         record)
+    blocks = _blocks(states(cols), n, grid.n)
+    if n > RECORD_BLOCK and len(os.sched_getaffinity(0)) > 1:
+        _record_beside(recorder, blocks, grid.n)
+    else:
+        recorder.record(blocks)
+    _audit_energy_balance(cols, params.tau)
+    return cols
+
+
+def _lambda_batches(first: LambdaSolve, ells: np.ndarray, lam: np.ndarray, log_z: np.ndarray, nu: float,
+                    pot: Potential, grid: Grid) -> Iterator[None]:
+    """Solves lambda(ell(t)) and its log Z into `lam` and `log_z`, one
+    `solve_lambdas` batch of RECORD_BLOCK lanes at a time in record order,
+    and yields after each.  A batch starts from the tangent predictor
+    lambda_a + (ell - ell_a) nu^2 / Var_a (d lambda / d ell = nu^2 / Var) at
+    the last lane of the batch before, the first batch from `first`, the
+    cold solve at ells[0]."""
+    size, nu2 = RECORD_BLOCK, nu * nu
+    lam_a, ell_a, var_a = first.lam, ells[0], first.state.variance
+    for i in range(0, len(ells), size):
+        batch = slice(i, i + size)
+        ell = ells[batch]
+        start = lam_a + (ell - ell_a) * nu2 / var_a
+        lam[batch], _, var, log_z[batch], *_ = solve_lambdas(ell, nu, pot, grid, start)
+        lam_a, ell_a, var_a = lam[batch][-1], ell[-1], var[-1]
+        yield
+
+
+def _blocks(states: Iterator[np.ndarray], n: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first record, rows) of each block of RECORD_BLOCK of the n record
+    states of `states`, the last one possibly shorter; the rows are a view
+    of one buffer, which the next block overwrites."""
+    size = RECORD_BLOCK
+    rows = np.empty((size, width))
+    for i, vals in enumerate(states):
         j = i % size
         rows[j] = vals
         if j == size - 1 or i == n - 1:
-            block = slice(i - j, i + 1)
-            view = {name: col[block] for name, col in cols.items()}
-            z = None if log_z is None else log_z[block]
-            h1_rho, log_r = _record_block(rows[: j + 1], view, z, star, logz0, family, nu)
-            if record is not None:
-                record(rows[: j + 1], view, h1_rho, log_r, family, params)
-    _audit_energy_balance(cols, params.tau)
-    return cols
+            yield i - j, rows[: j + 1]
+
+
+class _Recorder:
+    """The record side of a run: the lambda(ell(t)) batches, `_record_block`
+    and the scheme's hook, one block at a time into `cols`.  `names` are
+    the columns it writes."""
+
+    def __init__(self, cols: dict, batches: Iterator[None], log_z: np.ndarray | None, star: LambdaSolve,
+                 family: TiltedFamily, logz0: float, params: ModelParams, hook: Callable | None):
+        self.cols, self.batches, self.log_z, self.star = cols, batches, log_z, star
+        self.family, self.logz0, self.params, self.hook = family, logz0, params, hook
+        self.names = RECORD_SIDE + (["sigma", "D"] if hook is not None else [])
+
+    def record(self, blocks: Iterator[tuple[int, np.ndarray]]) -> None:
+        """Records each (first record, rows) block of `blocks`, after its
+        lambda batch.  Where `blocks` or a block's record fails, the batches
+        not yet solved are solved first, and a lambda failure among them is
+        raised instead, as where every batch is solved before the first step."""
+        try:
+            for start, rows in blocks:
+                next(self.batches, None)
+                block = slice(start, start + len(rows))
+                view = {name: col[block] for name, col in self.cols.items()}
+                log_z = None if self.log_z is None else self.log_z[block]
+                h1_rho, log_r = _record_block(rows, view, log_z, self.star, self.logz0, self.family, self.params.nu)
+                if self.hook is not None:
+                    self.hook(rows, view, h1_rho, log_r, self.family, self.params)
+        except Exception:
+            self.finish()
+            raise
+
+    def finish(self) -> None:
+        """Solves the lambda batches not yet solved; after a failed batch there are none."""
+        for _ in self.batches:
+            pass
+
+
+def _record_beside(recorder: _Recorder, blocks: Iterator[tuple[int, np.ndarray]], width: int) -> None:
+    """`recorder.record(blocks)` with the record side in a forked process.
+    This process steps and sends each block's rows as raw float64 bytes over
+    a one-way pipe; the record process records each block as it comes and
+    sends back the columns it wrote.  A block of 1,024-cell states (128 KiB)
+    is larger than the pipe's 64 KiB buffer, so its send waits until the
+    record process reads it, and that process keeps ahead of the stepping.
+
+    Failures are raised as `recorder.record` raises them.  Where a step
+    fails, this process closes the pipe, and the record process solves the
+    lambda batches it has not reached and sends a lambda failure or an
+    earlier block's, which is raised, or else its columns, and the step's
+    failure is raised.  Where the record process fails, it sends its
+    failure and stops reading, so a send here breaks and its failure is
+    raised.  A record process that exits without sending raises a
+    CfpkError naming its exit code."""
+    with Forked(_record_process, (recorder, width), "the record process", {}, feed=True) as child:
+        failure = None
+        try:
+            for _, rows in blocks:
+                child.feed.send_bytes(rows)
+        except BrokenPipeError:
+            pass  # the record process failed and stopped reading: it sent its failure
+        except Exception as exc:
+            failure = exc  # a step's: raised unless the record process sends its own
+        child.feed.close()
+        out = child.receive()
+    if isinstance(out, Exception):
+        raise out
+    if failure is not None:
+        raise failure
+    for name in recorder.names:
+        recorder.cols[name][:] = out[name]
+
+
+def _record_process(recorder: _Recorder, width: int, feed, send) -> None:
+    """The record process of `_record_beside`: records the blocks read from
+    `feed`, rows of `width` values, until all have come or the stepping
+    process closes `feed`, then solves the lambda batches not reached.
+    Sends the columns it wrote, or the exception that stopped it."""
+    n = len(recorder.cols["t"])
+
+    def blocks():
+        for start in range(0, n, RECORD_BLOCK):
+            try:
+                data = feed.recv_bytes()
+            except EOFError:
+                return
+            yield start, np.frombuffer(data).reshape(-1, width)
+
+    try:
+        recorder.record(blocks())
+        recorder.finish()
+        out = {name: recorder.cols[name] for name in recorder.names}
+    except Exception as exc:
+        out = exc
+    # no more reads: a stepping process blocked on a send sees the pipe break
+    feed.close()
+    send.send(out)
 
 
 def total_limited_mass(columns: dict[str, np.ndarray]) -> float:

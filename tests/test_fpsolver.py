@@ -1,5 +1,10 @@
 import dataclasses
 import math
+from contextlib import contextmanager
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +29,7 @@ from cfpk.core import (
 )
 from cfpk import fpsolver, records
 from cfpk.equilibrium import TiltedFamily, gibbs, solve_lambda
-from cfpk.errors import ContractViolation, SolverError, StepError
+from cfpk.errors import CfpkError, ContractViolation, SolverError, StepError
 from cfpk.fpsolver import (
     _advance,
     _Stepper,
@@ -40,6 +45,12 @@ from cfpk.records import FPSOLVER_COLUMNS, record_times
 from cfpk.sampling import random_density, set_mean
 
 from oracles import constrained_gap_dense, gibbs_relative_entropy, w2
+
+
+def cpus(monkeypatch, count):
+    """Let a run see `count` CPUs; None keeps those this process may use."""
+    if count is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 class TestSigmaOfState:
@@ -551,6 +562,9 @@ class TestRecordKernel:
         # evaluations, counted per lane, in about two batch evaluations per
         # block.  The cold solves of lambda(ell*) and lambda(ell(0)) are in
         # the count; the first is taken out, as with one solve per record.
+        # On one CPU, so that the batches run in this process, where they
+        # are counted.
+        cpus(monkeypatch, 1)
         nu = 0.8
         path = exp_decay_path(0.3, 0.4, 1.0)
         rho0 = solve_lambda(path.ell(0.0), nu, dw_pot, grid).state.density
@@ -569,7 +583,7 @@ class TestRecordKernel:
         assert n_records == 301
         assert (sum(lanes) - star.iterations) / n_records <= 2.1
         blocks = math.ceil(n_records / records.RECORD_BLOCK)
-        assert sum(size > 1 for size in lanes) <= 3 * blocks
+        assert blocks <= sum(size > 1 for size in lanes) <= 3 * blocks
         for lam, ell in zip(recs["lam_ell"].tolist(), recs["ell"].tolist()):
             assert lam == pytest.approx(solve_lambda(ell, nu, dw_pot, grid).lam, abs=1e-9)
 
@@ -582,7 +596,9 @@ class TestRecordKernel:
         # of rho agree to 1e-12 relative (bit for bit here).  lambda(ell(t))
         # lanes start from other predictions and stop within LAMBDA_TOL, so
         # lam_ell agrees to 1e-9 and Hrel_quasistatic, which starts at 0 on
-        # the FV run, to 1e-13 absolute.
+        # the FV run, to 1e-13 absolute.  On one CPU, so that the kernel
+        # runs in this process, where it is counted.
+        cpus(monkeypatch, 1)
         nu = 0.8
         path = exp_decay_path(0.3, 0.4, 1.0)
         rho0 = solve_lambda(path.ell(0.0), nu, dw_pot, grid).state.density
@@ -677,6 +693,164 @@ class TestRecordKernel:
         with pytest.raises(StepError, match="injected") as exc:
             run(gaussian_density(grid, 0.0, 1.0), constant_path(0.0), 1e-3, quad_pot, ModelParams(), 0.1)
         assert exc.value.diagnostics == {"step": 40}
+
+
+class _Interrupt(BaseException):
+    pass
+
+
+@contextmanager
+def deadline(hang):
+    """Fails with `hang` where the block takes over 60 s, instead of hanging."""
+    def hung(signum, frame):
+        raise AssertionError(hang)
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestRecordProcess:
+    # A run of more than one record block that may use more than one CPU
+    # records in a forked process beside the stepping, and in this one
+    # otherwise.  Every run here is longer than one block (RECORD_BLOCK = 16
+    # rows), and on this grid a block's 16 states (128 KiB) fill the pipe.
+    PATH = exp_decay_path(0.3, 0.4, 1.0)
+    PARAMS = ModelParams(nu=0.8)
+
+    def run(self, scheme, grid, pot):
+        rho0 = solve_lambda(self.PATH.ell(0.0), self.PARAMS.nu, pot, grid).state.density
+        if scheme == "fv_moving":  # 51 records
+            return run(rho0, self.PATH, 1e-3, pot, self.PARAMS, 0.05, keep_densities=3)
+        if scheme == "fv_constant":  # 41 records, no lambda batch
+            return run(gaussian_density(grid, 0.3, 1.0), constant_path(0.3), 1e-3, pot, self.PARAMS, 0.04)
+        return jko_run(rho0, self.PATH, 0.01, 0.3, pot, self.PARAMS, keep_quantiles=4)  # 30 rows
+
+    @pytest.mark.parametrize("scheme", ["fv_moving", "fv_constant", "jko"])
+    def test_same_bits_on_any_cpu_count(self, monkeypatch, grid, dw_pot, scheme):
+        kernel, blocks = records._record_block, []
+
+        def counted(rows, *args):
+            blocks.append(len(rows))
+            return kernel(rows, *args)
+
+        monkeypatch.setattr(records, "_record_block", counted)
+        runs, counted_here = {}, {}
+        # one CPU last: `cpus` with None leaves an earlier patch in place
+        for count in (None, 3, 1):
+            cpus(monkeypatch, count)
+            blocks.clear()
+            runs[count] = self.run(scheme, grid, dw_pot)
+            counted_here[count] = list(blocks)
+            assert multiprocessing.active_children() == []
+        one = runs[1]
+        # on one CPU every block is recorded here, on three none is
+        assert sum(counted_here[1]) == len(one["t"]) > records.RECORD_BLOCK
+        assert counted_here[3] == []
+        for count in (None, 3):
+            assert list(runs[count]) == list(one)
+            for name, col in runs[count].items():
+                assert col.dtype == one[name].dtype, (count, name)
+                assert np.array_equal(col, one[name], equal_nan=True), (count, name)
+
+    @pytest.mark.parametrize(
+        "step_at, batch_at, block_at, message",
+        [
+            (20, None, None, "injected step failure"),
+            (20, 5, None, "injected lambda failure"),
+            (None, None, 3, "injected record failure"),
+            (None, 5, 3, "injected lambda failure"),
+        ],
+        ids=["step", "lambda after a step", "record", "lambda after a record"],
+    )
+    def test_failure_as_on_one_cpu(self, monkeypatch, grid, dw_pot, step_at, batch_at, block_at, message):
+        # a run of 101 records fails at step 20 (in the second block), in the
+        # lambda batch of records 64 to 79 or in the record of the third
+        # block; a lambda failure wins wherever it comes, as in a run that
+        # solves every batch before its first step.  Each run counts afresh.
+        advance, solve, kernel = fpsolver._advance, records.solve_lambdas, records._record_block
+        rho0 = solve_lambda(self.PATH.ell(0.0), self.PARAMS.nu, dw_pot, grid).state.density
+
+        def inject():
+            calls = {}
+
+            def failing(target, at, error, message):
+                def call(*args):
+                    calls[message] = calls.get(message, 0) + 1
+                    if calls[message] == at:
+                        raise error(message, diagnostics={"call": at})
+                    return target(*args)
+                return call
+
+            monkeypatch.setattr(fpsolver, "_advance", failing(advance, step_at, StepError, "injected step failure"))
+            monkeypatch.setattr(records, "solve_lambdas", failing(solve, batch_at, SolverError,
+                                                                  "injected lambda failure"))
+            monkeypatch.setattr(records, "_record_block", failing(kernel, block_at, SolverError,
+                                                                  "injected record failure"))
+
+        raised = []
+        for count in (None, 3, 1):  # one CPU last, as above
+            cpus(monkeypatch, count)
+            inject()
+            with deadline("a failed run waits on its record process"), pytest.raises(CfpkError) as info:
+                run(rho0, self.PATH, 1e-3, dw_pot, self.PARAMS, 0.1)
+            assert multiprocessing.active_children() == []
+            raised.append(info.value)
+        one = raised[-1]
+        assert str(one) == message
+        for other in raised[:-1]:
+            assert type(other) is type(one)
+            assert str(other) == str(one)
+            assert other.diagnostics == one.diagnostics
+
+    def test_dead_record_process(self, monkeypatch, grid, dw_pot):
+        parent = os.getpid()
+        kernel = records._record_block
+
+        def die(rows, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return kernel(rows, *args)
+
+        monkeypatch.setattr(records, "_record_block", die)
+        cpus(monkeypatch, 2)
+        with deadline("the run waits on a dead record process"), pytest.raises(CfpkError) as info:
+            self.run("fv_moving", grid, dw_pot)
+        assert type(info.value) is CfpkError
+        assert str(info.value) == "the record process exited with code 3 before sending its result"
+        assert info.value.diagnostics == {"exitcode": 3}
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_stops_the_record_process(self, monkeypatch, grid, dw_pot):
+        # the stepping is interrupted at step 20 while the record process
+        # sleeps on the first block: it is stopped and joined, not waited for
+        parent = os.getpid()
+        advance, kernel = fpsolver._advance, records._record_block
+        calls = []
+
+        def interrupted(*args):
+            calls.append(None)
+            if len(calls) == 20:
+                raise _Interrupt
+            return advance(*args)
+
+        def sleepy(rows, *args):
+            if os.getpid() != parent:
+                time.sleep(60.0)
+            return kernel(rows, *args)
+
+        monkeypatch.setattr(fpsolver, "_advance", interrupted)
+        monkeypatch.setattr(records, "_record_block", sleepy)
+        cpus(monkeypatch, 2)
+        start = time.perf_counter()
+        with pytest.raises(_Interrupt):
+            self.run("fv_moving", grid, dw_pot)
+        assert multiprocessing.active_children() == []
+        assert time.perf_counter() - start < 30.0
 
 
 class TestAuditScalingAtTau:
