@@ -5,20 +5,7 @@ record.  `record_times` fixes a run's record times before the first step,
 and `trajectory` records both schemes, which only step: it fills the path
 columns, maps RECORD_BLOCK record states at a time to their diagnostics
 with `_record_block`, and audits the energy balance on the finished
-columns.  The record side, lambda(ell(t)) of each block (one
-`solve_lambdas` batch, solved as the block arrives) and its diagnostics,
-depends on the path and the record states only, never the other way round.
-So where a run has more than one block and may use more than one CPU
-(`os.sched_getaffinity`; `taskset` narrows it), the record side runs in a
-forked process beside the stepping, which sends it each block's states
-over a pipe; otherwise it runs in the stepping process.  There is no option
-for it: the columns are the same bits in either place, and a run raises
-the error, message and diagnostics of a run that solves every lambda batch
-before its first step and records in one process.  So a lambda failure
-anywhere in the run wins over any step or record failure, and a record
-failure over a failure of a later step; a record process that exits
-without sending raises a CfpkError naming its exit code.  A scheme's
-generator of record states writes the columns it
+columns.  A scheme's generator of record states writes the columns it
 defines itself, among them sigma and D.  FV (`fpsolver.run`) takes both
 from the record state, in a hook on each block: sigma = int H' rho dx +
 tau l'(t) and the grid dissipation at it.  JKO (`transport.jko_run`) takes
@@ -31,6 +18,20 @@ run steps on the FV schedule with dt = h but has no t = 0 row, so it ends
 at T, its first `eb_residual` is NaN, and its H_q and H* carry the
 projection's floor: the smallest H_q over the 1,000 rows of the
 `jko_chain` benchmark reads 7.8e-4.
+
+The record side, lambda(ell(t)) of each block (one
+`solve_lambdas` batch, solved as the block arrives) and its diagnostics,
+depends on the path and the record states only, never the other way round.
+So where a run has more than one block and may use more than one CPU
+(`os.sched_getaffinity`; `taskset` narrows it), the record side runs in a
+forked process beside the stepping, which sends it each block's states
+over a pipe; otherwise it runs in the stepping process.  There is no option
+for it: the columns are the same bits in either place, and a run raises
+the error, message and diagnostics of a run that solves every lambda batch
+before its first step and records in one process.  So a lambda failure
+anywhere in the run wins over any step or record failure, and a record
+failure over a failure of a later step; a record process that exits
+without sending raises a CfpkError naming its exit code.
 
 Columns that are never written ride in the same dict: `lam_ell`, `l1_star`
 and `ell_dot` of both schemes, the FV `steps` and `density`, the JKO

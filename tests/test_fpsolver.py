@@ -744,7 +744,8 @@ class TestRecordProcess:
         for count in (None, 3, 1):
             cpus(monkeypatch, count)
             blocks.clear()
-            runs[count] = self.run(scheme, grid, dw_pot)
+            with deadline("a run waits on its record process"):
+                runs[count] = self.run(scheme, grid, dw_pot)
             counted_here[count] = list(blocks)
             assert multiprocessing.active_children() == []
         one = runs[1]
