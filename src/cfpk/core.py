@@ -26,6 +26,8 @@ from .errors import ContractViolation, DegenerateInputError
 LOG_FLOOR = 1e-300
 # A density lies on M^ell, the densities with mean ell, when |M1 - ell| <= MEAN_TOL.
 MEAN_TOL = 1e-8
+# A path keeps its declared envelope when |ell_dot(t)| <= L0 exp(-kappa t) + ENVELOPE_TOL.
+ENVELOPE_TOL = 1e-9
 # Most whole steps a solver schedules on [0, T]; the largest run of the test
 # suite and the benchmark (criterion 10's nu = 0.5 member, T/dt = 48,747) stays
 # well below, and no Kramers member can exceed 4200 / 0.012 = 350,000.
@@ -345,12 +347,12 @@ class ConstraintPath:
     L0: Optional[float] = None
     name: str = "custom"
 
-    def check_decay(self, times: np.ndarray, tol: float = 1e-9) -> None:
-        """Verify the declared exponential envelope at sampled times."""
+    def check_decay(self, times: np.ndarray) -> None:
+        """Verify the declared exponential envelope at sampled times, to ENVELOPE_TOL."""
         if self.kappa is None or self.L0 is None:
             return
         for t in np.asarray(times, dtype=float):
-            if abs(self.ell_dot(t)) > self.L0 * math.exp(-self.kappa * t) + tol:
+            if abs(self.ell_dot(t)) > self.L0 * math.exp(-self.kappa * t) + ENVELOPE_TOL:
                 raise ContractViolation(
                     f"path '{self.name}': |ell_dot({t})| exceeds declared envelope"
                 )

@@ -19,19 +19,21 @@ at T, its first `eb_residual` is NaN, and its H_q and H* carry the
 projection's floor: the smallest H_q over the 1,000 rows of the
 `jko_chain` benchmark reads 7.8e-4.
 
-The record side, lambda(ell(t)) of each block (one
-`solve_lambdas` batch, solved as the block arrives) and its diagnostics,
-depends on the path and the record states only, never the other way round.
-So where a run has more than one block and may use more than one CPU
-(`os.sched_getaffinity`; `taskset` narrows it), the record side runs in a
-forked process beside the stepping, which sends it each block's states
-over a pipe; otherwise it runs in the stepping process.  There is no option
-for it: the columns are the same bits in either place, and a run raises
-the error, message and diagnostics of a run that solves every lambda batch
-before its first step and records in one process.  So a lambda failure
-anywhere in the run wins over any step or record failure, and a record
-failure over a failure of a later step; a record process that exits
-without sending raises a CfpkError naming its exit code.
+The record side, lambda(ell(t)) of each block (one `solve_lambdas`
+batch, solved as the block arrives) and its diagnostics, depends on the
+path and the record states only, never the other way round.  So where a
+run has more than one block and may use more than one CPU
+(`os.sched_getaffinity`; `taskset` narrows it), the stepping runs in a
+forked process beside the recording and sends each block's states over a
+pipe, then the columns the scheme wrote; otherwise it runs in the
+recording process.  The record side runs in the calling process either
+way, over the same blocks, so there is no option for it: the columns are
+the same bits in either place, and a run raises the same error, message
+and diagnostics.  A lambda failure anywhere in the run wins over any step
+or record failure, as in a run that solves every lambda batch before its
+first step, and a record failure over a failure of a later step; a
+stepping process that exits without sending raises a CfpkError naming its
+exit code.
 
 Columns that are never written ride in the same dict: `lam_ell`, `l1_star`
 and `ell_dot` of both schemes, the FV `steps` and `density`, the JKO
@@ -135,11 +137,12 @@ def trajectory(names: list[str], times: list[float], states: Callable[[dict], It
     RECORD_BLOCK states goes to the record side (`_Recorder`): on a moving
     path lambda(ell(t)) of the block, one `solve_lambdas` batch, then
     `_record_block`, then, if given, `record(rows, cols, h1_rho, log_r,
-    family, params)`, which fills the block's sigma and D.  With more than
-    one block and more than one CPU this process may use, the record side
-    runs in a forked process beside the stepping (`_record_beside`), and
-    otherwise here; it writes the same bits in either place, and a failing
-    run raises what it raises here.  The audit runs last."""
+    family, params)`, which fills the block's sigma and D.  The record side
+    runs in this process.  With more than one block and more than one CPU
+    this process may use, the stepping runs in a forked process beside it
+    (`_step`), whose blocks and columns `_received` takes in, and otherwise
+    here; the record side writes the same bits either way, and a failing run
+    raises what it raises with the stepping here.  The audit runs last."""
     nu, n = params.nu, len(times)
     star = solve_lambda(path.ell_star, nu, pot, grid)
     cols = {name: np.full(n, np.nan) for name in names + ["lam_ell", "l1_star"]}
@@ -155,7 +158,8 @@ def trajectory(names: list[str], times: list[float], states: Callable[[dict], It
                          record)
     blocks = _blocks(states(cols), n, grid.n)
     if n > RECORD_BLOCK and len(os.sched_getaffinity(0)) > 1:
-        _record_beside(recorder, blocks, grid.n)
+        with Forked(_step, (blocks, cols, recorder.names), "the stepping process", {}) as child:
+            recorder.record(_received(child, cols))
     else:
         recorder.record(blocks)
     _audit_energy_balance(cols, params.tau)
@@ -220,74 +224,36 @@ class _Recorder:
                 if self.hook is not None:
                     self.hook(rows, view, h1_rho, log_r, self.family, self.params)
         except Exception:
-            self.finish()
+            for _ in self.batches:  # after a failed batch there are none
+                pass
             raise
 
-    def finish(self) -> None:
-        """Solves the lambda batches not yet solved; after a failed batch there are none."""
-        for _ in self.batches:
-            pass
 
-
-def _record_beside(recorder: _Recorder, blocks: Iterator[tuple[int, np.ndarray]], width: int) -> None:
-    """`recorder.record(blocks)` with the record side in a forked process.
-    This process steps and sends each block's rows as raw float64 bytes over
-    a one-way pipe; the record process records each block as it comes and
-    sends back the columns it wrote.  A block of 1,024-cell states (128 KiB)
-    is larger than the pipe's 64 KiB buffer, so its send waits until the
-    record process reads it, and that process keeps ahead of the stepping.
-
-    Failures are raised as `recorder.record` raises them.  Where a step
-    fails, this process closes the pipe, and the record process solves the
-    lambda batches it has not reached and sends a lambda failure or an
-    earlier block's, which is raised, or else its columns, and the step's
-    failure is raised.  Where the record process fails, it sends its
-    failure and stops reading, so a send here breaks and its failure is
-    raised.  A record process that exits without sending raises a
-    CfpkError naming its exit code."""
-    with Forked(_record_process, (recorder, width), "the record process", {}, feed=True) as child:
-        failure = None
-        try:
-            for _, rows in blocks:
-                child.feed.send_bytes(rows)
-        except BrokenPipeError:
-            pass  # the record process failed and stopped reading: it sent its failure
-        except Exception as exc:
-            failure = exc  # a step's: raised unless the record process sends its own
-        child.feed.close()
-        out = child.receive()
-    if isinstance(out, Exception):
-        raise out
-    if failure is not None:
-        raise failure
-    for name in recorder.names:
-        recorder.cols[name][:] = out[name]
-
-
-def _record_process(recorder: _Recorder, width: int, feed, send) -> None:
-    """The record process of `_record_beside`: records the blocks read from
-    `feed`, rows of `width` values, until all have come or the stepping
-    process closes `feed`, then solves the lambda batches not reached.
-    Sends the columns it wrote, or the exception that stopped it."""
-    n = len(recorder.cols["t"])
-
-    def blocks():
-        for start in range(0, n, RECORD_BLOCK):
-            try:
-                data = feed.recv_bytes()
-            except EOFError:
-                return
-            yield start, np.frombuffer(data).reshape(-1, width)
-
+def _step(blocks: Iterator[tuple[int, np.ndarray]], cols: dict, names: list[str], send) -> None:
+    """The stepping process of `trajectory`: sends each (first record, rows)
+    block of `blocks`, then the columns of `cols` not in `names`, those the
+    scheme wrote, or the exception that stopped the stepping."""
     try:
-        recorder.record(blocks())
-        recorder.finish()
-        out = {name: recorder.cols[name] for name in recorder.names}
+        for block in blocks:
+            send.send(block)
+        out = {name: col for name, col in cols.items() if name not in names}
     except Exception as exc:
         out = exc
-    # no more reads: a stepping process blocked on a send sees the pipe break
-    feed.close()
     send.send(out)
+
+
+def _received(child: Forked, cols: dict) -> Iterator[tuple[int, np.ndarray]]:
+    """The blocks that `_step` sends from `child`; after the last, its
+    columns go into `cols`, and a step failure is raised where the blocks
+    of the stepping iterator raise it."""
+    while True:
+        out = child.receive()
+        if isinstance(out, Exception):
+            raise out
+        if isinstance(out, dict):
+            cols.update(out)
+            return
+        yield out
 
 
 def total_limited_mass(columns: dict[str, np.ndarray]) -> float:

@@ -14,11 +14,17 @@ The reference kernels at the end are the JKO inner solve and the quantile
 projection as first written, one numpy expression per formula.  The package
 computes the same float operations with fewer numpy calls, and the tests hold
 it to these references bit for bit.
+
+Last come two helpers of the process tests: `cpus`, which sets the CPU
+count a run sees, and `deadline`, which fails a block that hangs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -551,3 +557,24 @@ def reference_inner_solve(
         )
     return x, mu, it, res
 
+
+
+def cpus(monkeypatch, count):
+    """Let a run see `count` CPUs; None keeps those this process may use."""
+    if count is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@contextmanager
+def deadline(hang):
+    """Fails with `hang` where the block takes over 60 s, instead of hanging."""
+    def hung(signum, frame):
+        raise AssertionError(hang)
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

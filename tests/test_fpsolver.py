@@ -1,9 +1,7 @@
 import dataclasses
 import math
-from contextlib import contextmanager
 import multiprocessing
 import os
-import signal
 import time
 
 import numpy as np
@@ -27,7 +25,7 @@ from cfpk.core import (
     quadratic_potential,
     step_count,
 )
-from cfpk import fpsolver, records
+from cfpk import fpsolver, records, transport
 from cfpk.equilibrium import TiltedFamily, gibbs, solve_lambda
 from cfpk.errors import CfpkError, ContractViolation, SolverError, StepError
 from cfpk.fpsolver import (
@@ -44,13 +42,7 @@ from cfpk.longtime import bimodal_side_data
 from cfpk.records import FPSOLVER_COLUMNS, record_times
 from cfpk.sampling import random_density, set_mean
 
-from oracles import constrained_gap_dense, gibbs_relative_entropy, w2
-
-
-def cpus(monkeypatch, count):
-    """Let a run see `count` CPUs; None keeps those this process may use."""
-    if count is not None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+from oracles import constrained_gap_dense, cpus, deadline, gibbs_relative_entropy, w2
 
 
 class TestSigmaOfState:
@@ -290,7 +282,9 @@ def accepted_steps(log):
 class TestAdaptiveSteps:
     @staticmethod
     def logged(monkeypatch):
-        """Log (t, h, limited) of every `_advance` call, rejected ones too."""
+        """Log (t, h, limited) of every `_advance` call, rejected ones too.
+        On one CPU, so that the run steps in this process, where it is logged."""
+        cpus(monkeypatch, 1)
         log = []
         advance = fpsolver._advance
 
@@ -425,7 +419,9 @@ class TestAdaptiveSteps:
 
     def test_mass_drift_is_the_largest_step_drift(self, grid, dw_pot, monkeypatch):
         # mass_drift is the largest |mass - 1| of the steps since the
-        # previous record, limited_mass their sum of limited negative mass
+        # previous record, limited_mass their sum of limited negative mass.
+        # On one CPU, so that the run steps in this process, where it is logged.
+        cpus(monkeypatch, 1)
         advance = fpsolver._advance
         log = []
 
@@ -554,7 +550,8 @@ class TestRecordKernel:
                 oracle = gibbs_relative_entropy(vals, x, h, lam, nu, grid.dx)
                 assert value == pytest.approx(oracle, rel=1e-13)
 
-    def test_block_lambdas_start_from_tangent_predictor(self, grid, dw_pot, monkeypatch):
+    @pytest.mark.parametrize("count", [None, 1], ids=["default", "one"])
+    def test_block_lambdas_start_from_tangent_predictor(self, grid, dw_pot, monkeypatch, count):
         # verify_forced's run for 300 steps with a record every step: a
         # block's lambdas are one batch, each lane starting from the tangent
         # predictor of the last converged lane (lambda(ell(0)), solved cold,
@@ -562,9 +559,8 @@ class TestRecordKernel:
         # evaluations, counted per lane, in about two batch evaluations per
         # block.  The cold solves of lambda(ell*) and lambda(ell(0)) are in
         # the count; the first is taken out, as with one solve per record.
-        # On one CPU, so that the batches run in this process, where they
-        # are counted.
-        cpus(monkeypatch, 1)
+        # The batches run in this process on any CPU count.
+        cpus(monkeypatch, count)
         nu = 0.8
         path = exp_decay_path(0.3, 0.4, 1.0)
         rho0 = solve_lambda(path.ell(0.0), nu, dw_pot, grid).state.density
@@ -587,7 +583,8 @@ class TestRecordKernel:
         for lam, ell in zip(recs["lam_ell"].tolist(), recs["ell"].tolist()):
             assert lam == pytest.approx(solve_lambda(ell, nu, dw_pot, grid).lam, abs=1e-9)
 
-    def test_records_do_not_depend_on_block_size(self, grid, dw_pot, monkeypatch):
+    @pytest.mark.parametrize("count", [None, 1], ids=["default", "one"])
+    def test_records_do_not_depend_on_block_size(self, grid, dw_pot, monkeypatch, count):
         # Both schemes go through the one record loop.  FV: 101 records,
         # three full blocks of 32 and a last one of 5; JKO: 100 steps, the
         # last block of 4; each against a block of one.  The kernel is
@@ -596,9 +593,9 @@ class TestRecordKernel:
         # of rho agree to 1e-12 relative (bit for bit here).  lambda(ell(t))
         # lanes start from other predictions and stop within LAMBDA_TOL, so
         # lam_ell agrees to 1e-9 and Hrel_quasistatic, which starts at 0 on
-        # the FV run, to 1e-13 absolute.  On one CPU, so that the kernel
-        # runs in this process, where it is counted.
-        cpus(monkeypatch, 1)
+        # the FV run, to 1e-13 absolute.  The kernel runs in this process
+        # on any CPU count.
+        cpus(monkeypatch, count)
         nu = 0.8
         path = exp_decay_path(0.3, 0.4, 1.0)
         rho0 = solve_lambda(path.ell(0.0), nu, dw_pot, grid).state.density
@@ -699,26 +696,12 @@ class _Interrupt(BaseException):
     pass
 
 
-@contextmanager
-def deadline(hang):
-    """Fails with `hang` where the block takes over 60 s, instead of hanging."""
-    def hung(signum, frame):
-        raise AssertionError(hang)
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestRecordProcess:
     # A run of more than one record block that may use more than one CPU
-    # records in a forked process beside the stepping, and in this one
-    # otherwise.  Every run here is longer than one block (RECORD_BLOCK = 16
-    # rows), and on this grid a block's 16 states (128 KiB) fill the pipe.
+    # steps in a forked process beside the recording, and in this one
+    # otherwise; it records in this one either way.  Every run here is
+    # longer than one block (RECORD_BLOCK = 16 rows), and on this grid a
+    # block's 16 states (128 KiB) fill the pipe.
     PATH = exp_decay_path(0.3, 0.4, 1.0)
     PARAMS = ModelParams(nu=0.8)
 
@@ -732,26 +715,31 @@ class TestRecordProcess:
 
     @pytest.mark.parametrize("scheme", ["fv_moving", "fv_constant", "jko"])
     def test_same_bits_on_any_cpu_count(self, monkeypatch, grid, dw_pot, scheme):
-        kernel, blocks = records._record_block, []
+        # the steps taken in this process: an FV step is one `_advance` call
+        # (each record is one dt slot after the last, so no step is
+        # retried), a JKO step one `_inner_solve` call
+        module, name = (transport, "_inner_solve") if scheme == "jko" else (fpsolver, "_advance")
+        step, steps = getattr(module, name), []
 
-        def counted(rows, *args):
-            blocks.append(len(rows))
-            return kernel(rows, *args)
+        def counted(*args):
+            steps.append(None)
+            return step(*args)
 
-        monkeypatch.setattr(records, "_record_block", counted)
-        runs, counted_here = {}, {}
+        monkeypatch.setattr(module, name, counted)
+        runs, stepped_here = {}, {}
         # one CPU last: `cpus` with None leaves an earlier patch in place
         for count in (None, 3, 1):
             cpus(monkeypatch, count)
-            blocks.clear()
-            with deadline("a run waits on its record process"):
+            steps.clear()
+            with deadline("a run waits on its stepping process"):
                 runs[count] = self.run(scheme, grid, dw_pot)
-            counted_here[count] = list(blocks)
+            stepped_here[count] = len(steps)
             assert multiprocessing.active_children() == []
         one = runs[1]
-        # on one CPU every block is recorded here, on three none is
-        assert sum(counted_here[1]) == len(one["t"]) > records.RECORD_BLOCK
-        assert counted_here[3] == []
+        # on one CPU every step is taken here, on three none is
+        taken = len(one["t"]) if scheme == "jko" else int(one["steps"].sum())
+        assert stepped_here[1] == taken > records.RECORD_BLOCK
+        assert stepped_here[3] == 0
         for count in (None, 3):
             assert list(runs[count]) == list(one)
             for name, col in runs[count].items():
@@ -809,43 +797,46 @@ class TestRecordProcess:
             assert other.diagnostics == one.diagnostics
 
     def test_dead_record_process(self, monkeypatch, grid, dw_pot):
+        # the stepping process dies in its first step
         parent = os.getpid()
-        kernel = records._record_block
+        advance = fpsolver._advance
 
-        def die(rows, *args):
+        def die(*args):
             if os.getpid() != parent:
                 os._exit(3)
-            return kernel(rows, *args)
+            return advance(*args)
 
-        monkeypatch.setattr(records, "_record_block", die)
+        monkeypatch.setattr(fpsolver, "_advance", die)
         cpus(monkeypatch, 2)
-        with deadline("the run waits on a dead record process"), pytest.raises(CfpkError) as info:
+        with deadline("the run waits on a dead stepping process"), pytest.raises(CfpkError) as info:
             self.run("fv_moving", grid, dw_pot)
         assert type(info.value) is CfpkError
-        assert str(info.value) == "the record process exited with code 3 before sending its result"
+        assert str(info.value) == "the stepping process exited with code 3 before sending its result"
         assert info.value.diagnostics == {"exitcode": 3}
         assert multiprocessing.active_children() == []
 
     def test_interrupt_stops_the_record_process(self, monkeypatch, grid, dw_pot):
-        # the stepping is interrupted at step 20 while the record process
-        # sleeps on the first block: it is stopped and joined, not waited for
+        # the recording is interrupted at the second block, records 16 to
+        # 31, while the stepping process sleeps in step 32, the one after
+        # it sent that block: it is stopped and joined, not waited for
         parent = os.getpid()
         advance, kernel = fpsolver._advance, records._record_block
-        calls = []
+        steps, blocks = [], []
 
-        def interrupted(*args):
-            calls.append(None)
-            if len(calls) == 20:
-                raise _Interrupt
+        def sleepy(*args):
+            steps.append(None)
+            if len(steps) == 32 and os.getpid() != parent:
+                time.sleep(60.0)
             return advance(*args)
 
-        def sleepy(rows, *args):
-            if os.getpid() != parent:
-                time.sleep(60.0)
+        def interrupted(rows, *args):
+            blocks.append(None)
+            if len(blocks) == 2:
+                raise _Interrupt
             return kernel(rows, *args)
 
-        monkeypatch.setattr(fpsolver, "_advance", interrupted)
-        monkeypatch.setattr(records, "_record_block", sleepy)
+        monkeypatch.setattr(fpsolver, "_advance", sleepy)
+        monkeypatch.setattr(records, "_record_block", interrupted)
         cpus(monkeypatch, 2)
         start = time.perf_counter()
         with pytest.raises(_Interrupt):

@@ -2,7 +2,6 @@ import json
 import math
 import multiprocessing
 import os
-import signal
 import time
 from pathlib import Path
 
@@ -40,7 +39,7 @@ from cfpk.longtime import (
 )
 from cfpk.sampling import random_density
 
-from oracles import gaussian_kl, strided, verify_quasistationary_derivative, verify_sigma_convergence
+from oracles import cpus, deadline, gaussian_kl, strided, verify_quasistationary_derivative, verify_sigma_convergence
 
 
 class TestClassifyRegime:
@@ -420,23 +419,17 @@ class TestKramersSweepProcesses:
     # with three, each member has its own
     NU_LIST = [1.2, 1.0, 0.9]
 
-    @staticmethod
-    def cpus(monkeypatch, count):
-        """Let the sweep see `count` CPUs; None keeps those this process may use."""
-        if count is not None:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
     def sweep(self, dw_pot, n=8):
         # n = 8: the nu = 1.2 rate and the regression slope are NaN
         return longtime.kramers_sweep(dw_pot, 0.2, self.NU_LIST, 1e-2, Grid(-12.0, 12.0, n))
 
-    @pytest.mark.parametrize("cpus", [None, 3], ids=["default", "three"])
+    @pytest.mark.parametrize("count", [None, 3], ids=["default", "three"])
     @pytest.mark.parametrize("n", [8, 128])
-    def test_same_numbers_as_on_one_cpu(self, monkeypatch, dw_pot, cpus, n):
-        self.cpus(monkeypatch, cpus)
+    def test_same_numbers_as_on_one_cpu(self, monkeypatch, dw_pot, count, n):
+        cpus(monkeypatch, count)
         block, trajectories = self.sweep(dw_pot, n)
         assert multiprocessing.active_children() == []
-        self.cpus(monkeypatch, 1)
+        cpus(monkeypatch, 1)
         one_block, one_trajectories = self.sweep(dw_pot, n)
         # a float's repr gives its bits back, and NaN's repr equals itself
         assert repr(block) == repr(one_block)
@@ -447,14 +440,14 @@ class TestKramersSweepProcesses:
                 one = one_trajectories[nu][name]
                 assert col.dtype == one.dtype and np.array_equal(col, one, equal_nan=True), (nu, name)
 
-    @pytest.mark.parametrize("cpus", [None, 3], ids=["default", "three"])
+    @pytest.mark.parametrize("many", [None, 3], ids=["default", "three"])
     @pytest.mark.parametrize("failing", [(1.0, 0.9), (1.2, 1.0)])
-    def test_failure_as_on_one_cpu(self, monkeypatch, dw_pot, cpus, failing):
+    def test_failure_as_on_one_cpu(self, monkeypatch, dw_pot, many, failing):
         # the first failing member in nu_list order is raised, wherever it ran
         monkeypatch.setattr(longtime, "fv_run", failing_run(failing))
         raised = []
-        for count in (cpus, 1):
-            self.cpus(monkeypatch, count)
+        for count in (many, 1):
+            cpus(monkeypatch, count)
             with pytest.raises(StepError) as info:
                 self.sweep(dw_pot)
             assert multiprocessing.active_children() == []
@@ -464,8 +457,8 @@ class TestKramersSweepProcesses:
         assert str(many) == str(one) == f"injected failure at nu = {failing[0]}"
         assert many.diagnostics == one.diagnostics == {"nu": failing[0], "step": 7}
 
-    @pytest.mark.parametrize("cpus", [None, 3], ids=["default", "three"])
-    def test_cli_failure_writes_the_same_error_json(self, tmp_path, monkeypatch, capsys, cpus):
+    @pytest.mark.parametrize("many", [None, 3], ids=["default", "three"])
+    def test_cli_failure_writes_the_same_error_json(self, tmp_path, monkeypatch, capsys, many):
         monkeypatch.setattr(longtime, "fv_run", failing_run((1.0, 0.9)))
         config = tmp_path / "sweep.cfg"
         config.write_text(
@@ -473,8 +466,8 @@ class TestKramersSweepProcesses:
             "[run]\nnu_list = 1.2,1.0,0.9\ndt = 1e-2\n"
         )
         written = []
-        for count, name in ((cpus, "many"), (1, "one")):
-            self.cpus(monkeypatch, count)
+        for count, name in ((many, "many"), (1, "one")):
+            cpus(monkeypatch, count)
             out = tmp_path / name
             assert main(["kramers-sweep", "--config", str(config), "--out", str(out)]) == 2
             assert not (out / "summary.json").exists()
@@ -496,19 +489,10 @@ class TestKramersSweepProcesses:
                 os._exit(3)
             return fv_run(rho0, path, dt, pot, params, T, record_every=record_every)
 
-        def hung(signum, frame):
-            raise AssertionError("the sweep waits on a dead child")
-
         monkeypatch.setattr(longtime, "fv_run", die)
-        self.cpus(monkeypatch, 2)
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            with pytest.raises(CfpkError) as info:
-                self.sweep(dw_pot)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        cpus(monkeypatch, 2)
+        with deadline("the sweep waits on a dead child"), pytest.raises(CfpkError) as info:
+            self.sweep(dw_pot)
         assert type(info.value) is CfpkError
         assert "nu = [1.0]" in str(info.value) and "code 3" in str(info.value)
         assert info.value.diagnostics == {"nu": [1.0], "exitcode": 3}
@@ -525,7 +509,7 @@ class TestKramersSweepProcesses:
             time.sleep(60.0)
 
         monkeypatch.setattr(longtime, "fv_run", run)
-        self.cpus(monkeypatch, 2)
+        cpus(monkeypatch, 2)
         start = time.perf_counter()
         with pytest.raises(_Interrupt):
             self.sweep(dw_pot)
