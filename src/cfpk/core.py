@@ -32,6 +32,10 @@ ENVELOPE_TOL = 1e-9
 # suite and the benchmark (criterion 10's nu = 0.5 member, T/dt = 48,747) stays
 # well below, and no Kramers member can exceed 4200 / 0.012 = 350,000.
 MAX_STEPS = 10_000_000
+# Smallest step, dt or h, a solver takes: at tau = 1 the FV error tolerance
+# ERR_TOL dt^2 underflows to 0 below dt ~ 1.5e-153, and the JKO dissipation's
+# (tau/h)^2 overflows below h ~ 7.5e-155.
+MIN_STEP = 1e-100
 # Most cells a grid may have: the test suite's largest grid has 8,192 cells,
 # and a one-step simulate peaks at 58 MB at n = 1,024 and 227 MB at this bound
 # (x86-64, numpy 2.4), so a larger n risks running out of memory, not a result.
@@ -53,10 +57,13 @@ def require_finite(**values: float) -> None:
 
 
 def step_count(T: float, dt: float) -> int:
-    """ceil(T/dt) whole steps, at least one; ContractViolation beyond MAX_STEPS."""
+    """ceil(T/dt) whole steps, at least one; ContractViolation beyond MAX_STEPS
+    or for a step below MIN_STEP."""
     steps = T / dt - 1e-12
     if not steps <= MAX_STEPS:
         raise ContractViolation(f"T/dt = {T / dt:.3g} steps exceeds the limit of {MAX_STEPS:.0e}")
+    if not dt >= MIN_STEP:
+        raise ContractViolation(f"a step of {dt:.3g} is below the floor of {MIN_STEP:.0e}")
     return max(1, int(math.ceil(steps)))
 
 

@@ -10,7 +10,6 @@ contracts are one-sided.
 from __future__ import annotations
 
 import math
-import os
 from contextlib import ExitStack
 
 import numpy as np
@@ -39,7 +38,7 @@ from .equilibrium import (
     variance_range,
 )
 from .errors import ContractViolation
-from .forks import Forked
+from .forks import Forked, cpus
 from .fpsolver import gap_rate, project_mean
 from .fpsolver import run as fv_run
 from .functionals import ckp_l1_bound, free_energy, relative_entropy, weighted_ckp
@@ -357,11 +356,11 @@ def kramers_sweep(
 
     `barrier_scan` and every member's `gap_rate` run first, in this process,
     so a refused gap stops the sweep before any step.  The members then run
-    in parallel, in forked processes, one per CPU this process may use
-    (`os.sched_getaffinity`) and at most one per member; there is no option
-    for it.  Where a member ran does not change its numbers: the block and
-    the columns are the same bits as on one CPU, and a failing member raises
-    the error it raises there.
+    on w = min(len(nu_list), CPUs) shares, share r being members r, r + w,
+    ...; there is no option for it.  With w > 1 each share runs in a forked
+    process, and the calling process only receives, member k from share
+    k mod w in nu_list order.  So the block and the columns are the same
+    bits as on one CPU, and the first failing member raises what it raises there.
     """
     if len(nu_list) < 3 and not well_prepared:
         raise ContractViolation("need at least 3 noise levels for the regression")
@@ -410,7 +409,17 @@ def kramers_sweep(
             "steps": int(traj["steps"].sum()),
         }, traj
 
-    results = _run_members(member, nu_list)
+    n = len(nu_list)
+    w = min(n, cpus())
+    shares = [(member(k) for k in range(r, n, w)) for r in range(w)]
+    with ExitStack() as stack:
+        if w > 1:
+            for r in range(w):
+                nus = [nu_list[k] for k in range(r, n, w)]
+                what = f"the process running sweep members nu = {nus}"
+                shares[r] = stack.enter_context(Forked(shares[r], what, {"nu": nus}))
+        members = [iter(share) for share in shares]
+        results = [next(members[k % w]) for k in range(n)]
     entries = [entry for entry, _ in results]
     trajectories = {nu: traj for nu, (_, traj) in zip(nu_list, results)}
 
@@ -427,46 +436,6 @@ def kramers_sweep(
         "partial": False,
     }
     return block, trajectories
-
-
-def _run_members(member, nu_list: list[float]) -> list:
-    """[member(k) for k in range(len(nu_list))], on w = min(len(nu_list),
-    CPUs this process may use) processes: this one runs members 0, w, 2w, ...
-    and forked child r runs members r, r + w, ... and sends them back pickled.
-    Each process stops at its first failure, and the failure of the first
-    member in nu_list order is raised, as one process running them in order
-    would raise it.  Every child is joined before this returns or raises."""
-    n = len(nu_list)
-    w = min(n, len(os.sched_getaffinity(0)))
-    with ExitStack() as stack:
-        children = []
-        for r in range(1, w):
-            nus = [nu_list[k] for k in range(r, n, w)]
-            what = f"the process running sweep members nu = {nus}"
-            children.append(stack.enter_context(Forked(_run_share, (member, range(r, n, w)), what, {"nu": nus})))
-        done = _run_share(member, range(0, n, w))
-        for child in children:
-            done += child.receive()
-    results = dict(done)
-    failed = [k for k, result in done if isinstance(result, Exception)]
-    if failed:
-        raise results[min(failed)]
-    return [results[k] for k in range(n)]
-
-
-def _run_share(member, ks: range, send=None) -> list:
-    """(k, member(k)) for each k in ks in order, ending at the first failure
-    as (k, exception); sent over `send` when given."""
-    done = []
-    for k in ks:
-        try:
-            done.append((k, member(k)))
-        except Exception as exc:
-            done.append((k, exc))
-            break
-    if send is not None:
-        send.send(done)
-    return done
 
 
 def verify(

@@ -21,19 +21,18 @@ projection's floor: the smallest H_q over the 1,000 rows of the
 
 The record side, lambda(ell(t)) of each block (one `solve_lambdas`
 batch, solved as the block arrives) and its diagnostics, depends on the
-path and the record states only, never the other way round.  So where a
-run has more than one block and may use more than one CPU
-(`os.sched_getaffinity`; `taskset` narrows it), the stepping runs in a
-forked process beside the recording and sends each block's states over a
-pipe, then the columns the scheme wrote; otherwise it runs in the
-recording process.  The record side runs in the calling process either
-way, over the same blocks, so there is no option for it: the columns are
-the same bits in either place, and a run raises the same error, message
-and diagnostics.  A lambda failure anywhere in the run wins over any step
-or record failure, as in a run that solves every lambda batch before its
-first step, and a record failure over a failure of a later step; a
-stepping process that exits without sending raises a CfpkError naming its
-exit code.
+path and the record states only, never the other way round.  It runs in
+the calling process over one iterator, which yields each block's states
+and then the columns the scheme wrote.  Where a run has more than one
+block and may use more than one CPU (`forks.cpus`), a forked process
+iterates it beside the recording (`forks.Forked`) and sends its items over
+a pipe; otherwise the recording process iterates it itself.  So there is
+no option for it: the columns are the same bits in either place, and a run
+raises the same error, message and diagnostics.  A lambda failure anywhere
+in the run wins over any step or record failure, as in a run that solves
+every lambda batch before its first step, and a record failure over a
+failure of a later step; a stepping process that exits before its end
+raises a CfpkError naming its exit code.
 
 Columns that are never written ride in the same dict: `lam_ell`, `l1_star`
 and `ell_dot` of both schemes, the FV `steps` and `density`, the JKO
@@ -45,14 +44,14 @@ CSV_BLOCK rows at a time for the same reason.
 
 from __future__ import annotations
 
-import os
+from contextlib import nullcontext
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .core import ConstraintPath, Grid, ModelParams, Potential, _entropy_integrand, _log_density, step_count
 from .equilibrium import LambdaSolve, TiltedFamily, solve_lambda, solve_lambdas, tilted_family
-from .forks import Forked
+from .forks import Forked, cpus
 from .functionals import _breakdown, _kl_integrand, log_partition
 
 COLUMNS = [
@@ -138,11 +137,12 @@ def trajectory(names: list[str], times: list[float], states: Callable[[dict], It
     path lambda(ell(t)) of the block, one `solve_lambdas` batch, then
     `_record_block`, then, if given, `record(rows, cols, h1_rho, log_r,
     family, params)`, which fills the block's sigma and D.  The record side
-    runs in this process.  With more than one block and more than one CPU
-    this process may use, the stepping runs in a forked process beside it
-    (`_step`), whose blocks and columns `_received` takes in, and otherwise
-    here; the record side writes the same bits either way, and a failing run
-    raises what it raises with the stepping here.  The audit runs last."""
+    runs in this process, over the blocks of `_blocks`, then the columns the
+    scheme wrote.  With more than one block and more than one CPU this
+    process may use, that iterator runs in a forked process beside it
+    (`forks.Forked`), and otherwise here; the record side writes the same
+    bits either way, and a failing run raises what it raises with the
+    stepping here.  The audit runs last."""
     nu, n = params.nu, len(times)
     star = solve_lambda(path.ell_star, nu, pot, grid)
     cols = {name: np.full(n, np.nan) for name in names + ["lam_ell", "l1_star"]}
@@ -156,12 +156,10 @@ def trajectory(names: list[str], times: list[float], states: Callable[[dict], It
         batches = _lambda_batches(first, ells, lam, log_z, nu, pot, grid)
     recorder = _Recorder(cols, batches, log_z, star, tilted_family(pot, grid), log_partition(pot, grid, nu), params,
                          record)
-    blocks = _blocks(states(cols), n, grid.n)
-    if n > RECORD_BLOCK and len(os.sched_getaffinity(0)) > 1:
-        with Forked(_step, (blocks, cols, recorder.names), "the stepping process", {}) as child:
-            recorder.record(_received(child, cols))
-    else:
-        recorder.record(blocks)
+    steps = _blocks(states(cols), cols, recorder.names, grid.n)
+    forked = n > RECORD_BLOCK and cpus() > 1
+    with Forked(steps, "the stepping process", {}) if forked else nullcontext(steps) as steps:
+        recorder.record(steps)
     _audit_energy_balance(cols, params.tau)
     return cols
 
@@ -185,17 +183,20 @@ def _lambda_batches(first: LambdaSolve, ells: np.ndarray, lam: np.ndarray, log_z
         yield
 
 
-def _blocks(states: Iterator[np.ndarray], n: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first record, rows) of each block of RECORD_BLOCK of the n record
-    states of `states`, the last one possibly shorter; the rows are a view
-    of one buffer, which the next block overwrites."""
-    size = RECORD_BLOCK
+def _blocks(states: Iterator[np.ndarray], cols: dict, names: list[str], width: int) -> Iterator:
+    """(first record, rows) of each block of RECORD_BLOCK of the record
+    states of `states`, one per row of `cols`, the last block possibly
+    shorter; then the columns of `cols` not in `names`, those the scheme
+    wrote.  The rows are a view of one buffer, which the next block
+    overwrites."""
+    size, n = RECORD_BLOCK, len(cols["t"])
     rows = np.empty((size, width))
     for i, vals in enumerate(states):
         j = i % size
         rows[j] = vals
         if j == size - 1 or i == n - 1:
             yield i - j, rows[: j + 1]
+    yield {name: col for name, col in cols.items() if name not in names}
 
 
 class _Recorder:
@@ -209,13 +210,19 @@ class _Recorder:
         self.family, self.logz0, self.params, self.hook = family, logz0, params, hook
         self.names = RECORD_SIDE + (["sigma", "D"] if hook is not None else [])
 
-    def record(self, blocks: Iterator[tuple[int, np.ndarray]]) -> None:
-        """Records each (first record, rows) block of `blocks`, after its
-        lambda batch.  Where `blocks` or a block's record fails, the batches
-        not yet solved are solved first, and a lambda failure among them is
-        raised instead, as where every batch is solved before the first step."""
+    def record(self, steps: Iterator) -> None:
+        """Records each (first record, rows) block of `steps` (`_blocks`),
+        after its lambda batch, and updates the columns with the dict of
+        columns that ends `steps`.  Where `steps` or a block's record fails,
+        the batches not yet solved are solved first, and a lambda failure
+        among them is raised instead, as where every batch is solved before
+        the first step."""
         try:
-            for start, rows in blocks:
+            for out in steps:
+                if isinstance(out, dict):  # the scheme's columns, after the last block
+                    self.cols.update(out)
+                    continue
+                start, rows = out
                 next(self.batches, None)
                 block = slice(start, start + len(rows))
                 view = {name: col[block] for name, col in self.cols.items()}
@@ -227,33 +234,6 @@ class _Recorder:
             for _ in self.batches:  # after a failed batch there are none
                 pass
             raise
-
-
-def _step(blocks: Iterator[tuple[int, np.ndarray]], cols: dict, names: list[str], send) -> None:
-    """The stepping process of `trajectory`: sends each (first record, rows)
-    block of `blocks`, then the columns of `cols` not in `names`, those the
-    scheme wrote, or the exception that stopped the stepping."""
-    try:
-        for block in blocks:
-            send.send(block)
-        out = {name: col for name, col in cols.items() if name not in names}
-    except Exception as exc:
-        out = exc
-    send.send(out)
-
-
-def _received(child: Forked, cols: dict) -> Iterator[tuple[int, np.ndarray]]:
-    """The blocks that `_step` sends from `child`; after the last, its
-    columns go into `cols`, and a step failure is raised where the blocks
-    of the stepping iterator raise it."""
-    while True:
-        out = child.receive()
-        if isinstance(out, Exception):
-            raise out
-        if isinstance(out, dict):
-            cols.update(out)
-            return
-        yield out
 
 
 def total_limited_mass(columns: dict[str, np.ndarray]) -> float:

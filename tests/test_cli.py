@@ -689,8 +689,16 @@ class TestRunExperiment:
             ("landscape", "[run]\nsigma_min = 5\n", "[run] sigma_min = 5: need sigma_min < sigma_max = 3.0"),
             ("simulate", "[path]\nkind = constant:50\n", "tail check failed to build gamma at ell=50.0"),
             ("simulate", "[grid]\nn = 100000000000\n", f"[grid]: need 8 <= n <= {MAX_CELLS}"),
+            # steps below MIN_STEP: ERR_TOL dt^2 underflows to 0, and (tau/h)^2 overflows at h = 1e-160 too
+            ("simulate", "[model]\npotential = quadratic:1\n\n[run]\nT = 1e-300\ndt = 1e-305\n",
+             "[run] dt = 1e-305: a step of 1e-305 is below the floor of 1e-100"),
+            ("simulate", "[model]\npotential = quadratic:1\n\n[run]\nsolver = jko\nT = 1e-300\nh = 1e-305\n",
+             "[run] h = 1e-305: a step of 1e-305 is below the floor of 1e-100"),
+            ("simulate", "[model]\npotential = quadratic:1\n\n[run]\nsolver = jko\nT = 1e-160\nh = 1e-160\n",
+             "[run] h = 1e-160: a step of 1e-160 is below the floor of 1e-100"),
         ],
-        ids=["unknown-section", "no-equals", "sigma-range", "tail-solve", "oversized-grid"],
+        ids=["unknown-section", "no-equals", "sigma-range", "tail-solve", "oversized-grid", "dt-floor", "h-floor",
+             "h-floor-overflow"],
     )
     def test_refused_config_exit_code(self, tmp_path, capsys, command, text, lead):
         out = tmp_path / "out"

@@ -10,6 +10,7 @@ from hypothesis import strategies as hst
 from cfpk.core import (
     MAX_CELLS,
     MAX_STEPS,
+    MIN_STEP,
     ConstraintPath,
     Density,
     Grid,
@@ -266,6 +267,12 @@ class TestConstraintPaths:
         assert step_count(float(MAX_STEPS), 1.0) == MAX_STEPS
         for T, dt in ((MAX_STEPS + 1.0, 1.0), (1.0, 1e-300), (1e300, 1e-300)):
             with pytest.raises(ContractViolation, match="exceeds the limit"):
+                step_count(T, dt)
+
+    def test_step_floor(self):
+        assert step_count(MIN_STEP, MIN_STEP) == 1
+        for T, dt in ((1e-300, 1e-305), (1e-160, 1e-160), (1e-100, 0.5 * MIN_STEP)):
+            with pytest.raises(ContractViolation, match="below the floor"):
                 step_count(T, dt)
 
     @pytest.mark.parametrize(

@@ -2,7 +2,9 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import time
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from cfpk.errors import CfpkError, ContractViolation, StepError
 from cfpk.fpsolver import gap_rate
 from cfpk.fpsolver import run as fv_run
 from cfpk.functionals import free_energy, relative_entropy
-from cfpk import longtime
+from cfpk import fpsolver, longtime, records
 from cfpk.cli import main, parse_config
 from cfpk.longtime import (
     HORIZON_EFOLDS,
@@ -414,14 +416,41 @@ class _Interrupt(BaseException):
     pass
 
 
-class TestKramersSweepProcesses:
-    # with two processes this one runs nu = 1.2 and 0.9 and a child nu = 1.0;
-    # with three, each member has its own
-    NU_LIST = [1.2, 1.0, 0.9]
+@contextmanager
+def alarm_interrupts(seconds=None):
+    """SIGALRM raises _Interrupt in this block, `seconds` after it starts
+    where given."""
+    def interrupt(signum, frame):
+        raise _Interrupt
 
-    def sweep(self, dw_pot, n=8):
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    if seconds is not None:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def running(pid):
+    """Whether process `pid` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestKramersSweepProcesses:
+    # with two processes one child runs nu = 1.2 and 0.9 and the other
+    # nu = 1.0; with three, each member has its own; this process only receives
+    NU_LIST = [1.2, 1.0, 0.9]
+    FIVE = [1.2, 1.1, 1.0, 0.95, 0.9]
+
+    def sweep(self, dw_pot, n=8, nu_list=NU_LIST):
         # n = 8: the nu = 1.2 rate and the regression slope are NaN
-        return longtime.kramers_sweep(dw_pot, 0.2, self.NU_LIST, 1e-2, Grid(-12.0, 12.0, n))
+        return longtime.kramers_sweep(dw_pot, 0.2, nu_list, 1e-2, Grid(-12.0, 12.0, n))
 
     @pytest.mark.parametrize("count", [None, 3], ids=["default", "three"])
     @pytest.mark.parametrize("n", [8, 128])
@@ -440,16 +469,26 @@ class TestKramersSweepProcesses:
                 one = one_trajectories[nu][name]
                 assert col.dtype == one.dtype and np.array_equal(col, one, equal_nan=True), (nu, name)
 
-    @pytest.mark.parametrize("many", [None, 3], ids=["default", "three"])
-    @pytest.mark.parametrize("failing", [(1.0, 0.9), (1.2, 1.0)])
-    def test_failure_as_on_one_cpu(self, monkeypatch, dw_pot, many, failing):
+    @pytest.mark.parametrize(
+        "nu_list, failing, many",
+        [
+            pytest.param(NU_LIST, (1.0, 0.9), None, id="failing0-default"),
+            pytest.param(NU_LIST, (1.0, 0.9), 3, id="failing0-three"),
+            pytest.param(NU_LIST, (1.2, 1.0), None, id="failing1-default"),
+            pytest.param(NU_LIST, (1.2, 1.0), 3, id="failing1-three"),
+            # members k = 3 and 4 fail: on two CPUs each child sends a
+            # member before it fails, one child k = 1 then 3, the other k = 0, 2, then 4
+            pytest.param(FIVE, (0.95, 0.9), 2, id="five-two"),
+        ],
+    )
+    def test_failure_as_on_one_cpu(self, monkeypatch, dw_pot, nu_list, failing, many):
         # the first failing member in nu_list order is raised, wherever it ran
         monkeypatch.setattr(longtime, "fv_run", failing_run(failing))
         raised = []
         for count in (many, 1):
             cpus(monkeypatch, count)
             with pytest.raises(StepError) as info:
-                self.sweep(dw_pot)
+                self.sweep(dw_pot, nu_list=nu_list)
             assert multiprocessing.active_children() == []
             raised.append(info.value)
         many, one = raised
@@ -499,22 +538,64 @@ class TestKramersSweepProcesses:
         assert multiprocessing.active_children() == []
 
     def test_interrupted_sweep_stops_its_children(self, monkeypatch, dw_pot):
-        # this process is interrupted in its first member while the child
-        # runs a long one: the child is stopped and joined, not waited for
-        parent = os.getpid()
-
+        # this process is interrupted while it waits on children that run
+        # long members: they are stopped and joined, not waited for
         def run(rho0, path, dt, pot, params, T, record_every=1):
-            if os.getpid() == parent:
-                raise _Interrupt
             time.sleep(60.0)
 
         monkeypatch.setattr(longtime, "fv_run", run)
         cpus(monkeypatch, 2)
         start = time.perf_counter()
-        with pytest.raises(_Interrupt):
+        with alarm_interrupts(1.0), pytest.raises(_Interrupt):
             self.sweep(dw_pot)
         assert multiprocessing.active_children() == []
         assert time.perf_counter() - start < 30.0
+
+    def test_interrupted_sweep_leaves_no_stepping_process(self, monkeypatch, capfd, tmp_path, dw_pot):
+        # each member records in a child of this process and steps in a
+        # grandchild, whose pipe fills while the member's record side
+        # stalls.  Once both grandchildren step, this process is
+        # interrupted and stops the members; each grandchild then finds its
+        # reader gone and ends instead of blocking on its full pipe forever.
+        # On a grid of 128 cells a block of states is 16 KiB.
+        parent, pids, signalled = os.getpid(), tmp_path / "pids", tmp_path / "signalled"
+        advance, seen = fpsolver._advance, []
+
+        def stepping(*args):
+            if not seen:
+                seen.append(None)
+                with open(pids, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                if len(pids.read_text().split()) == 2:
+                    try:
+                        os.close(os.open(signalled, os.O_CREAT | os.O_EXCL))
+                        os.kill(parent, signal.SIGALRM)
+                    except FileExistsError:
+                        pass
+            return advance(*args)
+
+        def stalled(*args):
+            time.sleep(60.0)
+
+        monkeypatch.setattr(fpsolver, "_advance", stepping)
+        monkeypatch.setattr(records, "_record_block", stalled)
+        cpus(monkeypatch, 2)
+        # the alarm after 30 s interrupts a sweep that no grandchild interrupts
+        with alarm_interrupts(30.0), pytest.raises(_Interrupt):
+            self.sweep(dw_pot, n=128)
+        assert multiprocessing.active_children() == []
+        stepping_pids = [int(pid) for pid in pids.read_text().split()]
+        assert signalled.exists() and len(stepping_pids) == 2 and parent not in stepping_pids
+        end = time.monotonic() + 10.0
+        try:
+            while (left := [pid for pid in stepping_pids if running(pid)]) and time.monotonic() < end:
+                time.sleep(0.05)
+            assert left == []
+        finally:
+            for pid in left:
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestKramersSweepGuards:
