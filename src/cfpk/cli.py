@@ -26,7 +26,7 @@ from .errors import CfpkError, ConfigError
 from .fpsolver import run as fv_run
 from .longtime import decay_experiment, kramers_sweep, verify
 from .records import FPSOLVER_COLUMNS, TRANSPORT_COLUMNS, total_limited_mass, write_csv
-from .transport import jko_run
+from .transport import jko_run, require_slope_scale
 
 TAIL_LIMIT = 1e-14
 
@@ -254,6 +254,9 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
     if "T" in reads:  # the kinds that run to T, by h or by dt
         step = "h" if "h" in reads else "dt"
         _checked(f"[run] {step} = {raw_run[step]}", core.step_count, run.T, getattr(run, step))
+    if "h" in reads:  # the jko chain's dissipation tau^2 W2sq_step / h^2
+        _checked(f"[model] tau = {resolved['model']['tau']} and [run] h = {raw_run['h']}",
+                 require_slope_scale, params.tau, run.h)
     if run.initial is not None:  # a Gaussian with its mass off the grid has none to normalize
         run.initial = _checked(f"[run] initial = {raw_run['initial']}", core.gaussian_density, grid, *run.initial)
     cfg = RunConfig(raw=resolved, pot=pot, path=path, grid=grid, params=params, run=run, out_dir=out_dir)

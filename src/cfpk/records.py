@@ -20,19 +20,22 @@ projection's floor: the smallest H_q over the 1,000 rows of the
 `jko_chain` benchmark reads 7.8e-4.
 
 The record side, lambda(ell(t)) of each block (one `solve_lambdas`
-batch, solved as the block arrives) and its diagnostics, depends on the
-path and the record states only, never the other way round.  It runs in
-the calling process over one iterator, which yields each block's states
-and then the columns the scheme wrote.  Where a run has more than one
-block and may use more than one CPU (`forks.cpus`), a forked process
-iterates it beside the recording (`forks.Forked`) and sends its items over
-a pipe; otherwise the recording process iterates it itself.  So there is
-no option for it: the columns are the same bits in either place, and a run
+batch, solved as the block arrives), the projection of a JKO block's
+quantile states to the grid (`transport.quantile_to_density`, one state
+at a time) and the block's diagnostics, depends on the path and the
+scheme's states only, never the other way round.  It runs in the calling
+process over one iterator, which yields each block's states, grid values
+for FV and quantile states for JKO, and then the columns the scheme
+wrote.  Where a run has more than one block and may use more than one CPU
+(`forks.cpus`), a forked process iterates it beside the recording
+(`forks.Forked`) and sends its items over a pipe, so it only steps;
+otherwise the recording process iterates it itself.  So there is no
+option for it: the columns are the same bits in either place, and a run
 raises the same error, message and diagnostics.  A lambda failure anywhere
 in the run wins over any step or record failure, as in a run that solves
-every lambda batch before its first step, and a record failure over a
-failure of a later step; a stepping process that exits before its end
-raises a CfpkError naming its exit code.
+every lambda batch before its first step, and a record failure (a JKO
+projection's included) over a failure of a later step; a stepping process
+that exits before its end raises a CfpkError naming its exit code.
 
 Columns that are never written ride in the same dict: `lam_ell`, `l1_star`
 and `ell_dot` of both schemes, the FV `steps` and `density`, the JKO
@@ -124,25 +127,27 @@ def _audit_energy_balance(cols: dict, tau: float) -> None:
 
 
 def trajectory(names: list[str], times: list[float], states: Callable[[dict], Iterator[np.ndarray]], pot: Potential,
-               grid: Grid, path: ConstraintPath, params: ModelParams, record: Callable | None = None) -> dict:
+               grid: Grid, path: ConstraintPath, params: ModelParams, record: Callable | None = None,
+               project: Callable[[np.ndarray], np.ndarray] | None = None) -> dict:
     """The trajectory of a run with record `times`: the one record loop.
 
     Before the first step it fills t, ell, ell_dot and lam_ell, and the
     other `names` columns and l1_star with NaN, and solves lambda(ell*) and,
     on a moving path, lambda(ell(times[0])) cold.
-    `states(cols)` yields the values of each record state in order and
-    writes that record's own columns; it adds its 2-D columns after the last
-    record, so the block views slice 1-D columns only.  Each block of
-    RECORD_BLOCK states goes to the record side (`_Recorder`): on a moving
-    path lambda(ell(t)) of the block, one `solve_lambdas` batch, then
-    `_record_block`, then, if given, `record(rows, cols, h1_rho, log_r,
-    family, params)`, which fills the block's sigma and D.  The record side
-    runs in this process, over the blocks of `_blocks`, then the columns the
-    scheme wrote.  With more than one block and more than one CPU this
-    process may use, that iterator runs in a forked process beside it
-    (`forks.Forked`), and otherwise here; the record side writes the same
-    bits either way, and a failing run raises what it raises with the
-    stepping here.  The audit runs last."""
+    `states(cols)` yields each record's state in order and writes that
+    record's own columns; it adds its 2-D columns after the last record, so
+    the block views slice 1-D columns only.  A state is the record state's
+    grid values, or one that `project` maps to them (JKO's quantile
+    states).  Each block of RECORD_BLOCK states goes to the record side (`_Recorder`): on a moving
+    path lambda(ell(t)) of the block, one `solve_lambdas` batch, then the
+    projection of its states, then `_record_block`, then, if given,
+    `record(rows, cols, h1_rho, log_r, family, params)`, which fills the
+    block's sigma and D.  The record side runs in this process, over the
+    blocks of `_blocks`, then the columns the scheme wrote.  With more than
+    one block and more than one CPU this process may use, that iterator
+    runs in a forked process beside it (`forks.Forked`), and otherwise here;
+    the record side writes the same bits either way, and a failing run
+    raises what it raises with the stepping here.  The audit runs last."""
     nu, n = params.nu, len(times)
     star = solve_lambda(path.ell_star, nu, pot, grid)
     cols = {name: np.full(n, np.nan) for name in names + ["lam_ell", "l1_star"]}
@@ -155,8 +160,8 @@ def trajectory(names: list[str], times: list[float], states: Callable[[dict], It
         first = solve_lambda(ells[0], nu, pot, grid)
         batches = _lambda_batches(first, ells, lam, log_z, nu, pot, grid)
     recorder = _Recorder(cols, batches, log_z, star, tilted_family(pot, grid), log_partition(pot, grid, nu), params,
-                         record)
-    steps = _blocks(states(cols), cols, recorder.names, grid.n)
+                         record, project)
+    steps = _blocks(states(cols), cols, recorder.names)
     forked = n > RECORD_BLOCK and cpus() > 1
     with Forked(steps, "the stepping process", {}) if forked else nullcontext(steps) as steps:
         recorder.record(steps)
@@ -183,16 +188,17 @@ def _lambda_batches(first: LambdaSolve, ells: np.ndarray, lam: np.ndarray, log_z
         yield
 
 
-def _blocks(states: Iterator[np.ndarray], cols: dict, names: list[str], width: int) -> Iterator:
-    """(first record, rows) of each block of RECORD_BLOCK of the record
-    states of `states`, one per row of `cols`, the last block possibly
-    shorter; then the columns of `cols` not in `names`, those the scheme
-    wrote.  The rows are a view of one buffer, which the next block
-    overwrites."""
+def _blocks(states: Iterator[np.ndarray], cols: dict, names: list[str]) -> Iterator:
+    """(first record, rows) of each block of RECORD_BLOCK of the states of
+    `states`, one per row of `cols`, the last block possibly shorter; then
+    the columns of `cols` not in `names`, those the scheme wrote.  The rows
+    are a view of one buffer, as wide as the first state, which the next
+    block overwrites."""
     size, n = RECORD_BLOCK, len(cols["t"])
-    rows = np.empty((size, width))
     for i, vals in enumerate(states):
         j = i % size
+        if i == 0:
+            rows = np.empty((size, len(vals)))
         rows[j] = vals
         if j == size - 1 or i == n - 1:
             yield i - j, rows[: j + 1]
@@ -200,23 +206,29 @@ def _blocks(states: Iterator[np.ndarray], cols: dict, names: list[str], width: i
 
 
 class _Recorder:
-    """The record side of a run: the lambda(ell(t)) batches, `_record_block`
-    and the scheme's hook, one block at a time into `cols`.  `names` are
-    the columns it writes."""
+    """The record side of a run: the lambda(ell(t)) batches, the projection
+    of the scheme's states to grid values where it has one (JKO's quantile
+    states), `_record_block` and the scheme's hook, one block at a time into
+    `cols`.  `names` are the columns it writes."""
 
     def __init__(self, cols: dict, batches: Iterator[None], log_z: np.ndarray | None, star: LambdaSolve,
-                 family: TiltedFamily, logz0: float, params: ModelParams, hook: Callable | None):
+                 family: TiltedFamily, logz0: float, params: ModelParams, hook: Callable | None,
+                 project: Callable[[np.ndarray], np.ndarray] | None):
         self.cols, self.batches, self.log_z, self.star = cols, batches, log_z, star
         self.family, self.logz0, self.params, self.hook = family, logz0, params, hook
         self.names = RECORD_SIDE + (["sigma", "D"] if hook is not None else [])
+        self.project = project
+        if project is not None:  # one buffer for the projected rows of every block
+            self.projected = np.empty((RECORD_BLOCK, len(family.x)))
 
     def record(self, steps: Iterator) -> None:
-        """Records each (first record, rows) block of `steps` (`_blocks`),
+        """Records each (first record, states) block of `steps` (`_blocks`),
         after its lambda batch, and updates the columns with the dict of
-        columns that ends `steps`.  Where `steps` or a block's record fails,
-        the batches not yet solved are solved first, and a lambda failure
-        among them is raised instead, as where every batch is solved before
-        the first step."""
+        columns that ends `steps`.  With a `project`, the states are
+        projected one at a time into the record rows.  Where `steps` or a
+        block's record fails, the batches not yet solved are solved first,
+        and a lambda failure among them is raised instead, as where every
+        batch is solved before the first step."""
         try:
             for out in steps:
                 if isinstance(out, dict):  # the scheme's columns, after the last block
@@ -224,6 +236,10 @@ class _Recorder:
                     continue
                 start, rows = out
                 next(self.batches, None)
+                if self.project is not None:
+                    states, rows = rows, self.projected[: len(rows)]
+                    for row, state in zip(rows, states):
+                        row[:] = self.project(state)
                 block = slice(start, start + len(rows))
                 view = {name: col[block] for name, col in self.cols.items()}
                 log_z = None if self.log_z is None else self.log_z[block]

@@ -9,10 +9,15 @@ first moment; the converged KKT multiplier of the moment constraint coincides
 with the discrete Lagrange multiplier
 
     sigma_k = int H' rho_k dx + (tau/h) int (rho_k - rho_{k-1}) x dx.
+
+The chain never leaves quantile coordinates: it hands each step's quantile
+state to the record loop, whose record side projects it to the grid
+(`quantile_to_density`) for the record diagnostics.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +40,14 @@ from .records import TRANSPORT_COLUMNS, record_times, trajectory
 KKT_TOL = 1e-9
 MAX_NEWTON = 200
 EPS = np.finfo(float).eps
+
+
+def require_slope_scale(tau: float, h: float) -> None:
+    """ContractViolation unless (tau/h)^2, the scale of a step's dissipation
+    tau^2 W2sq_step / h^2, is finite, and so tau/h too."""
+    ratio = tau / h
+    if not math.isfinite(ratio * ratio):
+        raise ContractViolation(f"(tau/h)^2 = ({tau:.3g}/{h:.3g})^2 is not finite")
 
 
 def to_quantile(rho: Density, m: int) -> np.ndarray:
@@ -241,8 +254,9 @@ def jko_run(
     keep_quantiles: int = 0,
 ) -> dict[str, np.ndarray]:
     """Chain JKO steps on [0, T]; the state is carried in quantile coordinates
-    between steps (no per-step grid roundtrip) and projected to the grid for
-    the record of each step.  This is the only JKO stepping loop: one step
+    between steps (no per-step grid roundtrip), and the record side of
+    `records.trajectory` projects each step's quantile state to the grid for
+    its record.  This is the only JKO stepping loop: one step
     from rho0 is the first record of a run with T = h.  The steps end on
     the record times other than t = 0 of an FV run with dt = h
     (`records.record_times`): t = k h, and T last, where a step that runs
@@ -259,11 +273,13 @@ def jko_run(
     the grid formula, which the edge cells of the projected support inflate
     to thousands.  The first row's `eb_residual` is NaN, and H_q and H*
     carry the projection's floor (see `records`).  A StepError names the
-    step it failed in."""
+    step it failed in; tau and h whose (tau/h)^2 is not finite are refused
+    (`require_slope_scale`)."""
     require_positive(h=h, T=T)
     if keep_quantiles < 0:
         raise ContractViolation(f"need keep_quantiles >= 0, got {keep_quantiles}")
     _, times, stretched = record_times(T, h, 1)
+    require_slope_scale(params.tau, h)
     grid, n = rho0.grid, len(times) - 1
     if m is None:
         m = max(64, grid.n)
@@ -287,7 +303,10 @@ def jko_run(
             x = x_new
             if keep_quantiles and i % keep_quantiles == 0:
                 kept[i // keep_quantiles] = x
-            yield quantile_to_density(x, grid).values
+            yield x
         cols["quantile"] = kept
 
-    return trajectory(TRANSPORT_COLUMNS, times[1:], states, pot, grid, path, params)
+    def project(x: np.ndarray) -> np.ndarray:
+        return quantile_to_density(x, grid).values
+
+    return trajectory(TRANSPORT_COLUMNS, times[1:], states, pot, grid, path, params, project=project)

@@ -696,9 +696,12 @@ class TestRunExperiment:
              "[run] h = 1e-305: a step of 1e-305 is below the floor of 1e-100"),
             ("simulate", "[model]\npotential = quadratic:1\n\n[run]\nsolver = jko\nT = 1e-160\nh = 1e-160\n",
              "[run] h = 1e-160: a step of 1e-160 is below the floor of 1e-100"),
+            # the jko dissipation's (tau/h)^2 overflows at the default h = 0.01 too
+            ("simulate", "[model]\ntau = 1e300\n\n[run]\nsolver = jko\n",
+             "[model] tau = 1e300 and [run] h = 0.01: (tau/h)^2 = (1e+300/0.01)^2 is not finite"),
         ],
         ids=["unknown-section", "no-equals", "sigma-range", "tail-solve", "oversized-grid", "dt-floor", "h-floor",
-             "h-floor-overflow"],
+             "h-floor-overflow", "tau-overflow"],
     )
     def test_refused_config_exit_code(self, tmp_path, capsys, command, text, lead):
         out = tmp_path / "out"

@@ -704,6 +704,8 @@ class TestRecordProcess:
     # block's 16 states (128 KiB) fill the pipe.
     PATH = exp_decay_path(0.3, 0.4, 1.0)
     PARAMS = ModelParams(nu=0.8)
+    # the quantile samples m of each JKO chain; None is the default, grid.n
+    M = {"jko": None, "jko_m512": 512, "jko_m2048": 2048}
 
     def run(self, scheme, grid, pot):
         rho0 = solve_lambda(self.PATH.ell(0.0), self.PARAMS.nu, pot, grid).state.density
@@ -711,35 +713,49 @@ class TestRecordProcess:
             return run(rho0, self.PATH, 1e-3, pot, self.PARAMS, 0.05, keep_densities=3)
         if scheme == "fv_constant":  # 41 records, no lambda batch
             return run(gaussian_density(grid, 0.3, 1.0), constant_path(0.3), 1e-3, pot, self.PARAMS, 0.04)
-        return jko_run(rho0, self.PATH, 0.01, 0.3, pot, self.PARAMS, keep_quantiles=4)  # 30 rows
+        # 30 rows: the stepping process sends m-sample states, and the
+        # record side projects them to the grid's n cells
+        return jko_run(rho0, self.PATH, 0.01, 0.3, pot, self.PARAMS, m=self.M[scheme], keep_quantiles=4)
 
-    @pytest.mark.parametrize("scheme", ["fv_moving", "fv_constant", "jko"])
+    @pytest.mark.parametrize("scheme", ["fv_moving", "fv_constant", "jko", "jko_m512", "jko_m2048"])
     def test_same_bits_on_any_cpu_count(self, monkeypatch, grid, dw_pot, scheme):
         # the steps taken in this process: an FV step is one `_advance` call
         # (each record is one dt slot after the last, so no step is
-        # retried), a JKO step one `_inner_solve` call
-        module, name = (transport, "_inner_solve") if scheme == "jko" else (fpsolver, "_advance")
-        step, steps = getattr(module, name), []
+        # retried), a JKO step one `_inner_solve` call; and the JKO
+        # projections, one `quantile_to_density` call per row
+        jko = scheme.startswith("jko")
+        module, name = (transport, "_inner_solve") if jko else (fpsolver, "_advance")
+        step, project, steps, projections = getattr(module, name), transport.quantile_to_density, [], []
 
         def counted(*args):
             steps.append(None)
             return step(*args)
 
+        def counted_projection(*args):
+            projections.append(None)
+            return project(*args)
+
         monkeypatch.setattr(module, name, counted)
-        runs, stepped_here = {}, {}
+        monkeypatch.setattr(transport, "quantile_to_density", counted_projection)
+        runs, stepped_here, projected_here = {}, {}, {}
         # one CPU last: `cpus` with None leaves an earlier patch in place
         for count in (None, 3, 1):
             cpus(monkeypatch, count)
             steps.clear()
+            projections.clear()
             with deadline("a run waits on its stepping process"):
                 runs[count] = self.run(scheme, grid, dw_pot)
-            stepped_here[count] = len(steps)
+            stepped_here[count], projected_here[count] = len(steps), len(projections)
             assert multiprocessing.active_children() == []
         one = runs[1]
-        # on one CPU every step is taken here, on three none is
-        taken = len(one["t"]) if scheme == "jko" else int(one["steps"].sum())
+        # on one CPU every step is taken here, on three none is; every JKO
+        # row is projected here on any CPU count
+        taken = len(one["t"]) if jko else int(one["steps"].sum())
         assert stepped_here[1] == taken > records.RECORD_BLOCK
         assert stepped_here[3] == 0
+        assert projected_here[1] == projected_here[3] == (taken if jko else 0)
+        if jko:
+            assert one["quantile"].shape == (8, self.M[scheme] or grid.n)
         for count in (None, 3):
             assert list(runs[count]) == list(one)
             for name, col in runs[count].items():
@@ -747,21 +763,26 @@ class TestRecordProcess:
                 assert np.array_equal(col, one[name], equal_nan=True), (count, name)
 
     @pytest.mark.parametrize(
-        "step_at, batch_at, block_at, message",
+        "scheme, step_at, batch_at, block_at, message",
         [
-            (20, None, None, "injected step failure"),
-            (20, 5, None, "injected lambda failure"),
-            (None, None, 3, "injected record failure"),
-            (None, 5, 3, "injected lambda failure"),
+            ("fv", 20, None, None, "injected step failure"),
+            ("fv", 20, 5, None, "injected lambda failure"),
+            ("fv", None, None, 3, "injected record failure"),
+            ("fv", None, 5, 3, "injected lambda failure"),
+            ("jko", 20, None, None, "injected step failure"),
+            ("jko", None, None, 20, "injected projection failure"),
         ],
-        ids=["step", "lambda after a step", "record", "lambda after a record"],
+        ids=["step", "lambda after a step", "record", "lambda after a record", "jko step", "jko projection"],
     )
-    def test_failure_as_on_one_cpu(self, monkeypatch, grid, dw_pot, step_at, batch_at, block_at, message):
-        # a run of 101 records fails at step 20 (in the second block), in the
-        # lambda batch of records 64 to 79 or in the record of the third
+    def test_failure_as_on_one_cpu(self, monkeypatch, grid, dw_pot, scheme, step_at, batch_at, block_at, message):
+        # an FV run of 101 records fails at step 20 (in the second block), in
+        # the lambda batch of records 64 to 79 or in the record of the third
         # block; a lambda failure wins wherever it comes, as in a run that
-        # solves every batch before its first step.  Each run counts afresh.
+        # solves every batch before its first step.  A JKO chain of 30 rows
+        # fails in its step 20 or in the record side's projection of row 20,
+        # both in the second block.  Each run counts afresh.
         advance, solve, kernel = fpsolver._advance, records.solve_lambdas, records._record_block
+        inner, project = transport._inner_solve, transport.quantile_to_density
         rho0 = solve_lambda(self.PATH.ell(0.0), self.PARAMS.nu, dw_pot, grid).state.density
 
         def inject():
@@ -775,9 +796,15 @@ class TestRecordProcess:
                     return target(*args)
                 return call
 
-            monkeypatch.setattr(fpsolver, "_advance", failing(advance, step_at, StepError, "injected step failure"))
             monkeypatch.setattr(records, "solve_lambdas", failing(solve, batch_at, SolverError,
                                                                   "injected lambda failure"))
+            if scheme == "jko":
+                monkeypatch.setattr(transport, "_inner_solve", failing(inner, step_at, StepError,
+                                                                       "injected step failure"))
+                monkeypatch.setattr(transport, "quantile_to_density", failing(project, block_at, ContractViolation,
+                                                                              "injected projection failure"))
+                return
+            monkeypatch.setattr(fpsolver, "_advance", failing(advance, step_at, StepError, "injected step failure"))
             monkeypatch.setattr(records, "_record_block", failing(kernel, block_at, SolverError,
                                                                   "injected record failure"))
 
@@ -786,11 +813,16 @@ class TestRecordProcess:
             cpus(monkeypatch, count)
             inject()
             with deadline("a failed run waits on its record process"), pytest.raises(CfpkError) as info:
-                run(rho0, self.PATH, 1e-3, dw_pot, self.PARAMS, 0.1)
+                if scheme == "jko":
+                    jko_run(rho0, self.PATH, 0.01, 0.3, dw_pot, self.PARAMS)
+                else:
+                    run(rho0, self.PATH, 1e-3, dw_pot, self.PARAMS, 0.1)
             assert multiprocessing.active_children() == []
             raised.append(info.value)
         one = raised[-1]
         assert str(one) == message
+        if message == "injected step failure":
+            assert one.diagnostics["step"] == step_at
         for other in raised[:-1]:
             assert type(other) is type(one)
             assert str(other) == str(one)

@@ -374,6 +374,18 @@ class TestJkoRun:
         with pytest.raises(ContractViolation, match="exceeds the limit"):
             jko_run(rho0, constant_path(0.0), 1e-300, 1.0, quad_pot, ModelParams())
 
+    @pytest.mark.parametrize("tau,h,T", [(1e300, 0.01, 1.0), (1e300, 1e-100, 1e-99)], ids=["square", "ratio"])
+    def test_dissipation_scale_guard(self, grid, quad_pot, monkeypatch, tau, h, T):
+        # (tau/h)^2 past the float range, or tau/h itself, is refused before
+        # the first step
+        def no_step(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(transport, "_inner_solve", no_step)
+        rho0 = gaussian_density(grid, 0.0, 1.0)
+        with pytest.raises(ContractViolation, match=r"\(tau/h\)\^2 .* is not finite"):
+            jko_run(rho0, constant_path(0.0), h, T, quad_pot, ModelParams(tau=tau))
+
     @pytest.mark.parametrize(
         "h,T,lengths", [(0.3, 1.0, [0.3, 0.3, 1.0 - 0.6]), (0.02, 0.005, [0.02])], ids=["stretched", "below-h"]
     )
