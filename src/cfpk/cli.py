@@ -254,6 +254,13 @@ def build_config(resolved: dict[str, dict[str, str]], out_dir: str = "out") -> R
     if "T" in reads:  # the kinds that run to T, by h or by dt
         step = "h" if "h" in reads else "dt"
         _checked(f"[run] {step} = {raw_run[step]}", core.step_count, run.T, getattr(run, step))
+        # sigma carries tau l'(t), and D its square
+        scale = params.tau * path.max_slope
+        if not math.isfinite(scale * scale):
+            raise ConfigError(
+                f"[model] tau = {resolved['model']['tau']} and [path] kind = {resolved['path']['kind']}: "
+                f"(tau sup|l'|)^2 = ({params.tau:.3g} * {path.max_slope:.3g})^2 is not finite"
+            )
     if "h" in reads:  # the jko chain's dissipation tau^2 W2sq_step / h^2
         _checked(f"[model] tau = {resolved['model']['tau']} and [run] h = {raw_run['h']}",
                  require_slope_scale, params.tau, run.h)

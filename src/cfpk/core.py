@@ -345,6 +345,7 @@ class ConstraintPath:
     ell_dot is supplied analytically (never differenced numerically): the
     multiplier sigma(t) depends on it directly.  kappa/L0, when set, certify
     |ell_dot(t)| <= L0 exp(-kappa t).  L0 = 0 declares ell constant.
+    max_slope, when set, bounds sup |ell_dot|, which L0 may far exceed.
     """
 
     ell: Callable[[float], float]
@@ -353,6 +354,7 @@ class ConstraintPath:
     kappa: Optional[float] = None
     L0: Optional[float] = None
     name: str = "custom"
+    max_slope: Optional[float] = None
 
     def check_decay(self, times: np.ndarray) -> None:
         """Verify the declared exponential envelope at sampled times, to ENVELOPE_TOL."""
@@ -374,6 +376,7 @@ def constant_path(l: float) -> ConstraintPath:
         kappa=None,
         L0=0.0,
         name=f"constant:{l:g}",
+        max_slope=0.0,
     )
 
 
@@ -388,6 +391,7 @@ def exp_decay_path(l_star: float, A: float, kappa: float) -> ConstraintPath:
         kappa=kappa,
         L0=abs(A) * kappa,
         name=f"exp_decay:{l_star:g},{A:g},{kappa:g}",
+        max_slope=abs(A) * kappa,
     )
 
 
@@ -420,6 +424,7 @@ def tanh_ramp_path(l0: float, l1: float, t0: float, w: float) -> ConstraintPath:
         kappa=2.0 / w,
         L0=envelope,
         name=f"tanh_ramp:{l0:g},{l1:g},{t0:g},{w:g}",
+        max_slope=abs(half) / w,
     )
 
 

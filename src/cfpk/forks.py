@@ -1,7 +1,9 @@
 """Forked child processes: the one helper through which a run puts work
 beside itself, the sweep's members (`longtime.kramers_sweep`) and the
 stepping of the record loop (`records.trajectory`), and `cpus`, the number
-of CPUs that decides whether a run forks at all.
+of CPUs that decides whether a run forks at all.  There is one fork level:
+a forked child sees one CPU, so it never forks, and a sweep member steps
+and records in its own process, with no stepping grandchild.
 
 A child iterates an iterator that the process which forked it built and
 never advances, and sends each item; it never reads from that process.
@@ -17,9 +19,14 @@ import os
 from .errors import CfpkError
 
 
+# set in a forked child, where `cpus` then reads 1
+_forked = False
+
+
 def cpus() -> int:
-    """The CPUs this process may use (`taskset` narrows them)."""
-    return len(os.sched_getaffinity(0))
+    """The CPUs this process may use (`taskset` narrows them); 1 in a
+    forked child, so that a child never forks."""
+    return 1 if _forked else len(os.sched_getaffinity(0))
 
 
 class _End:
@@ -33,6 +40,8 @@ def _send(items, recv, send) -> None:
     """The child: sends each item of `items`, then an `_End`.  Without its
     copy of the read end, a send fails once the reader is gone, and the
     child ends quietly instead of blocking on a full pipe."""
+    global _forked
+    _forked = True
     recv.close()
     try:
         try:

@@ -61,6 +61,14 @@ WCKP_WEIGHT = 0.5
 # a sweep member's horizon and record density in e-folds of gap_rate
 HORIZON_EFOLDS = 30.0
 RECORDS_PER_EFOLD = 16
+# On c > 1 CPUs a sweep forks up to SHARES_PER_CPU c shares, which the
+# kernel time-slices.  With n <= 4c members each has its own process, and
+# equal members end together after n/c member-times with no CPU idle, where
+# whole members per CPU leave CPUs idle at the end (three members on two
+# CPUs take 2 member-times, not 1.5).  Above 4c, w = 4c is a multiple of c,
+# so a sweep takes at most ceil(n/c) member-times, and at most 4c children
+# run at once.
+SHARES_PER_CPU = 4
 
 
 def verify_comparison(
@@ -356,11 +364,14 @@ def kramers_sweep(
 
     `barrier_scan` and every member's `gap_rate` run first, in this process,
     so a refused gap stops the sweep before any step.  The members then run
-    on w = min(len(nu_list), CPUs) shares, share r being members r, r + w,
-    ...; there is no option for it.  With w > 1 each share runs in a forked
-    process, and the calling process only receives, member k from share
-    k mod w in nu_list order.  So the block and the columns are the same
-    bits as on one CPU, and the first failing member raises what it raises there.
+    on w shares, share r being members r, r + w, ...; there is no option for
+    it.  On c > 1 CPUs, w = min(len(nu_list), SHARES_PER_CPU c), each share
+    runs in a forked process, and the calling process only receives, member
+    k from share k mod w in nu_list order; on one CPU, w = 1 and the members
+    run here.  A forked share sees one CPU (`forks.cpus`), so its members
+    step and record in its own process, with no stepping grandchild.  So the
+    block and the columns are the same bits as on one CPU, and the first
+    failing member raises what it raises there.
     """
     if len(nu_list) < 3 and not well_prepared:
         raise ContractViolation("need at least 3 noise levels for the regression")
@@ -410,7 +421,8 @@ def kramers_sweep(
         }, traj
 
     n = len(nu_list)
-    w = min(n, cpus())
+    c = cpus()
+    w = min(n, SHARES_PER_CPU * c) if c > 1 else 1
     shares = [(member(k) for k in range(r, n, w)) for r in range(w)]
     with ExitStack() as stack:
         if w > 1:

@@ -27,7 +27,8 @@ scheme's states only, never the other way round.  It runs in the calling
 process over one iterator, which yields each block's states, grid values
 for FV and quantile states for JKO, and then the columns the scheme
 wrote.  Where a run has more than one block and may use more than one CPU
-(`forks.cpus`), a forked process iterates it beside the recording
+(`forks.cpus`, which reads 1 in a forked child, a sweep member's
+included), a forked process iterates it beside the recording
 (`forks.Forked`) and sends its items over a pipe, so it only steps;
 otherwise the recording process iterates it itself.  So there is no
 option for it: the columns are the same bits in either place, and a run

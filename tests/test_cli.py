@@ -104,6 +104,21 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_path("spline:1,2")
 
+    def test_max_slope_is_sup_of_ell_dot(self):
+        # |A| kappa and |l1 - l0|/(2w), the peak of l' at t = 0 and at t0
+        assert parse_path("constant:0.3").max_slope == 0.0
+        assert parse_path("exp_decay:0.5,-0.3,2.0").max_slope == 0.6
+        ramp = parse_path("tanh_ramp:0,0.5,30,0.1")
+        assert ramp.max_slope == 2.5 == ramp.ell_dot(30.0)
+        # the ramp's envelope L0 = 2|l1 - l0|/w exp(2 t0/w) squares past the float range
+        assert not math.isfinite(ramp.L0 * ramp.L0)
+
+    def test_ramp_with_a_huge_envelope_runs(self, tmp_path):
+        # (tau sup|l'|)^2 is finite, so the run is not refused for its envelope
+        text = "[model]\npotential = quadratic:1\n\n[path]\nkind = tanh_ramp:0,0.5,30,0.1\n\n" \
+               "[grid]\nn = 256\n\n[run]\nT = 0.05\n"
+        assert main(["simulate", "--config", write(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+
 
 SMALL_VERIFY = """
 [model]
@@ -699,9 +714,14 @@ class TestRunExperiment:
             # the jko dissipation's (tau/h)^2 overflows at the default h = 0.01 too
             ("simulate", "[model]\ntau = 1e300\n\n[run]\nsolver = jko\n",
              "[model] tau = 1e300 and [run] h = 0.01: (tau/h)^2 = (1e+300/0.01)^2 is not finite"),
+            # sigma carries tau l'(t): (tau sup|l'|)^2 overflows on every kind that steps, where it
+            # wrote sigma near -4e299 and D = inf
+            *[(command, "[model]\ntau = 1e300\n\n[path]\nkind = exp_decay:0.3,0.4,1\n",
+               "[model] tau = 1e300 and [path] kind = exp_decay:0.3,0.4,1: "
+               "(tau sup|l'|)^2 = (1e+300 * 0.4)^2 is not finite") for command in ("simulate", "decay", "verify")],
         ],
         ids=["unknown-section", "no-equals", "sigma-range", "tail-solve", "oversized-grid", "dt-floor", "h-floor",
-             "h-floor-overflow", "tau-overflow"],
+             "h-floor-overflow", "tau-overflow", "tau-slope-simulate", "tau-slope-decay", "tau-slope-verify"],
     )
     def test_refused_config_exit_code(self, tmp_path, capsys, command, text, lead):
         out = tmp_path / "out"

@@ -24,7 +24,7 @@ from cfpk.errors import CfpkError, ContractViolation, StepError
 from cfpk.fpsolver import gap_rate
 from cfpk.fpsolver import run as fv_run
 from cfpk.functionals import free_energy, relative_entropy
-from cfpk import fpsolver, longtime, records
+from cfpk import forks, fpsolver, longtime, records
 from cfpk.cli import main, parse_config
 from cfpk.longtime import (
     HORIZON_EFOLDS,
@@ -443,31 +443,95 @@ def running(pid):
 
 
 class TestKramersSweepProcesses:
-    # with two processes one child runs nu = 1.2 and 0.9 and the other
-    # nu = 1.0; with three, each member has its own; this process only receives
+    # on c > 1 CPUs a sweep of n members forks min(n, 4c) shares: up to
+    # eight members on two CPUs each have their own child, which steps and
+    # records them; this process only receives
     NU_LIST = [1.2, 1.0, 0.9]
     FIVE = [1.2, 1.1, 1.0, 0.95, 0.9]
+    # eight shares on two CPUs: share 0 holds members 0 and 8
+    NINE = [1.2, 1.15, 1.1, 1.05, 1.0, 0.95, 0.9, 0.85, 0.8]
 
     def sweep(self, dw_pot, n=8, nu_list=NU_LIST):
         # n = 8: the nu = 1.2 rate and the regression slope are NaN
         return longtime.kramers_sweep(dw_pot, 0.2, nu_list, 1e-2, Grid(-12.0, 12.0, n))
 
-    @pytest.mark.parametrize("count", [None, 3], ids=["default", "three"])
-    @pytest.mark.parametrize("n", [8, 128])
-    def test_same_numbers_as_on_one_cpu(self, monkeypatch, dw_pot, count, n):
-        cpus(monkeypatch, count)
-        block, trajectories = self.sweep(dw_pot, n)
-        assert multiprocessing.active_children() == []
-        cpus(monkeypatch, 1)
-        one_block, one_trajectories = self.sweep(dw_pot, n)
+    @staticmethod
+    def assert_same_bits(sweep, one_sweep, nu_list):
+        (block, trajectories), (one_block, one_trajectories) = sweep, one_sweep
         # a float's repr gives its bits back, and NaN's repr equals itself
         assert repr(block) == repr(one_block)
-        assert list(trajectories) == list(one_trajectories) == self.NU_LIST
+        assert list(trajectories) == list(one_trajectories) == nu_list
         for nu, traj in trajectories.items():
             assert list(traj) == list(one_trajectories[nu])
             for name, col in traj.items():
                 one = one_trajectories[nu][name]
                 assert col.dtype == one.dtype and np.array_equal(col, one, equal_nan=True), (nu, name)
+
+    @pytest.mark.parametrize("count", [None, 2, 3], ids=["default", "two", "three"])
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_same_numbers_as_on_one_cpu(self, monkeypatch, dw_pot, count, n):
+        cpus(monkeypatch, count)
+        many = self.sweep(dw_pot, n)
+        assert multiprocessing.active_children() == []
+        cpus(monkeypatch, 1)
+        self.assert_same_bits(many, self.sweep(dw_pot, n), self.NU_LIST)
+
+    def test_nine_members_on_two_cpus(self, monkeypatch, tmp_path, dw_pot):
+        # eight shares, each a child of this process, share r running
+        # members r and r + 8; the same bits as on one CPU
+        parent, runs = os.getpid(), tmp_path / "runs"
+
+        def logged(rho0, path, dt, pot, params, T, record_every=1):
+            with open(runs, "a") as fh:
+                fh.write(f"{params.nu!r} {os.getpid()} {os.getppid()}\n")
+            return fv_run(rho0, path, dt, pot, params, T, record_every=record_every)
+
+        monkeypatch.setattr(longtime, "fv_run", logged)
+        cpus(monkeypatch, 2)
+        many = self.sweep(dw_pot, nu_list=self.NINE)
+        assert multiprocessing.active_children() == []
+        lines = [line.split() for line in runs.read_text().splitlines()]
+        pid = {float(nu): int(p) for nu, p, _ in lines}
+        assert len(lines) == len(pid) == 9 and {int(ppid) for _, _, ppid in lines} == {parent}
+        assert pid[1.2] == pid[0.8] and len(set(pid.values())) == 8
+        cpus(monkeypatch, 1)
+        self.assert_same_bits(many, self.sweep(dw_pot, nu_list=self.NINE), self.NINE)
+
+    def test_forked_child_sees_one_cpu(self, monkeypatch):
+        # so a forked child never forks
+        cpus(monkeypatch, 3)
+        with forks.Forked((forks.cpus() for _ in range(1)), "the child", {}) as child:
+            assert list(child) == [1]
+        assert forks.cpus() == 3
+        assert multiprocessing.active_children() == []
+
+    def test_members_step_and_record_in_children_of_this_process(self, monkeypatch, tmp_path, dw_pot):
+        # each member's steps and records run in one process, a child of
+        # this one: no member forks its stepping
+        parent, calls = os.getpid(), tmp_path / "calls"
+        advance, kernel = fpsolver._advance, records._record_block
+
+        def logged(name, target):
+            seen = []
+
+            def call(*args):
+                if not seen:  # once per process: each fork starts from this empty list
+                    seen.append(None)
+                    with open(calls, "a") as fh:
+                        fh.write(f"{name} {os.getpid()} {os.getppid()}\n")
+                return target(*args)
+            return call
+
+        monkeypatch.setattr(fpsolver, "_advance", logged("step", advance))
+        monkeypatch.setattr(records, "_record_block", logged("record", kernel))
+        cpus(monkeypatch, 2)
+        self.sweep(dw_pot, n=128)
+        assert multiprocessing.active_children() == []
+        lines = [line.split() for line in calls.read_text().splitlines()]
+        stepping = {int(pid) for name, pid, _ in lines if name == "step"}
+        recording = {int(pid) for name, pid, _ in lines if name == "record"}
+        assert stepping == recording and len(stepping) == len(self.NU_LIST) and parent not in stepping
+        assert {int(ppid) for _, _, ppid in lines} == {parent}
 
     @pytest.mark.parametrize(
         "nu_list, failing, many",
@@ -476,9 +540,11 @@ class TestKramersSweepProcesses:
             pytest.param(NU_LIST, (1.0, 0.9), 3, id="failing0-three"),
             pytest.param(NU_LIST, (1.2, 1.0), None, id="failing1-default"),
             pytest.param(NU_LIST, (1.2, 1.0), 3, id="failing1-three"),
-            # members k = 3 and 4 fail: on two CPUs each child sends a
-            # member before it fails, one child k = 1 then 3, the other k = 0, 2, then 4
+            # members k = 3 and 4 fail: on two CPUs every member has its own
+            # child, and k = 0, 1 and 2 arrive before the failure of k = 3
             pytest.param(FIVE, (0.95, 0.9), 2, id="five-two"),
+            # member k = 8 fails in share 0, which first sends member 0
+            pytest.param(NINE, (0.8,), 2, id="nine-two"),
         ],
     )
     def test_failure_as_on_one_cpu(self, monkeypatch, dw_pot, nu_list, failing, many):
@@ -552,12 +618,10 @@ class TestKramersSweepProcesses:
         assert time.perf_counter() - start < 30.0
 
     def test_interrupted_sweep_leaves_no_stepping_process(self, monkeypatch, capfd, tmp_path, dw_pot):
-        # each member records in a child of this process and steps in a
-        # grandchild, whose pipe fills while the member's record side
-        # stalls.  Once both grandchildren step, this process is
-        # interrupted and stops the members; each grandchild then finds its
-        # reader gone and ends instead of blocking on its full pipe forever.
-        # On a grid of 128 cells a block of states is 16 KiB.
+        # each member steps and records in its own child of this process,
+        # and stalls in its first record.  Once two members have stepped,
+        # this process is interrupted and stops the members: no stepping
+        # process outlives it.
         parent, pids, signalled = os.getpid(), tmp_path / "pids", tmp_path / "signalled"
         advance, seen = fpsolver._advance, []
 
@@ -565,8 +629,10 @@ class TestKramersSweepProcesses:
             if not seen:
                 seen.append(None)
                 with open(pids, "a") as fh:
-                    fh.write(f"{os.getpid()}\n")
-                if len(pids.read_text().split()) == 2:
+                    fh.write(f"{os.getpid()} {os.getppid()}\n")
+                # any member that sees two lines may signal, as a third can
+                # write before the second one reads; only the first does
+                if len(pids.read_text().splitlines()) >= 2:
                     try:
                         os.close(os.open(signalled, os.O_CREAT | os.O_EXCL))
                         os.kill(parent, signal.SIGALRM)
@@ -580,12 +646,15 @@ class TestKramersSweepProcesses:
         monkeypatch.setattr(fpsolver, "_advance", stepping)
         monkeypatch.setattr(records, "_record_block", stalled)
         cpus(monkeypatch, 2)
-        # the alarm after 30 s interrupts a sweep that no grandchild interrupts
+        # the alarm after 30 s interrupts a sweep that no member interrupts
         with alarm_interrupts(30.0), pytest.raises(_Interrupt):
             self.sweep(dw_pot, n=128)
         assert multiprocessing.active_children() == []
-        stepping_pids = [int(pid) for pid in pids.read_text().split()]
-        assert signalled.exists() and len(stepping_pids) == 2 and parent not in stepping_pids
+        lines = [[int(v) for v in line.split()] for line in pids.read_text().splitlines()]
+        stepping_pids = [pid for pid, _ in lines]
+        # a third member may step before this process stops it
+        assert signalled.exists() and len(stepping_pids) >= 2
+        assert all(ppid == parent for _, ppid in lines)
         end = time.monotonic() + 10.0
         try:
             while (left := [pid for pid in stepping_pids if running(pid)]) and time.monotonic() < end:
